@@ -38,7 +38,6 @@ from .oracle import (
     NoReturnError,
     SpectralPropagator,
     detect_period,
-    dynamical_phase,
     evolve,
     expectation,
     generic_gamma,
@@ -74,7 +73,6 @@ __all__ = [
     "check_cyclicality",
     "constrain_unknown",
     "detect_period",
-    "dynamical_phase",
     "enumerate_candidates",
     "evolve",
     "expectation",

@@ -79,17 +79,30 @@ def _opt(args, run: LoadedRun, key: str, default, cast):
     return run.option(key, default, cast)
 
 
+def _oracle(run: LoadedRun, args, t_max: float, approximate: bool = False):
+    """The brute-force route on the run's dense form.
+
+    The oracle rejects out-of-range settings (t_max, fidelity_tol,
+    steps) with ValueError; those come from the config or the command
+    line, so they are usage errors.
+    """
+    fidelity_tol = _opt(args, run, "fidelity_tol", 1e-8, float)
+    steps = run.option("steps", None, int)
+    try:
+        return generic_gamma(run.dense, run.psi0, t_max,
+                             fidelity_tol=fidelity_tol, steps=steps,
+                             approximate=approximate)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _oracle_report(run: LoadedRun, args):
     t_max = _opt(args, run, "t_max", None, float)
     if t_max is None:
         raise ConfigError("t_max required for the brute-force route")
-    fidelity_tol = _opt(args, run, "fidelity_tol", 1e-8, float)
-    steps = run.option("steps", None, int)
     approximate = run.option("approximate", run.model == "three_mirror",
                              lambda s: s.strip().lower() in ("1", "yes", "true"))
-    return generic_gamma(run.dense, run.psi0, t_max,
-                         fidelity_tol=fidelity_tol, steps=steps,
-                         approximate=approximate)
+    return _oracle(run, args, t_max, approximate=approximate)
 
 
 def cmd_analyze(run: LoadedRun, args) -> int:
@@ -103,7 +116,7 @@ def cmd_analyze(run: LoadedRun, args) -> int:
               f"reason: {verdict.reason}\n", args.out)
         print(f"non-cyclic: {verdict.reason}", file=sys.stderr)
         return EXIT_NON_CYCLIC
-    report = geometric_phase(run.spectrum, run.state)
+    report = geometric_phase(run.spectrum, run.state, cyclicality=verdict)
     _emit(format_phase_report(report, verdict), args.out)
     return EXIT_OK
 
@@ -119,20 +132,17 @@ def _mod_distance(a: float, b: float) -> float:
 
 
 def cmd_verify(run: LoadedRun, args) -> int:
-    if run.spectrum is None or run.state is None or run.dense is None:
+    if run.spectrum is None or run.state is None or run.build_dense is None:
         raise ConfigError(
             "verify needs a model with both an exact spectrum and a "
             "dense matrix form")
     verdict = check_cyclicality(run.spectrum, run.state)
     if verdict.kind != "cyclic":
         raise ConfigError(f"nothing to verify for a {verdict.kind} state")
-    exact = geometric_phase(run.spectrum, run.state)
+    exact = geometric_phase(run.spectrum, run.state, cyclicality=verdict)
     t_max = _opt(args, run, "t_max", 2.2 * exact.tau, float)
-    fidelity_tol = _opt(args, run, "fidelity_tol", 1e-8, float)
     tol = run.option("tolerance", VERIFY_TOL, float)
-    steps = run.option("steps", None, int)
-    oracle = generic_gamma(run.dense, run.psi0, t_max,
-                           fidelity_tol=fidelity_tol, steps=steps)
+    oracle = _oracle(run, args, t_max)
     rows: List[Tuple[str, str, str, float, bool]] = []
     d_tau = abs(oracle.tau - exact.tau) / exact.tau
     rows.append(("tau-relative", format_real(exact.tau),

@@ -13,9 +13,11 @@ mandatory (constraint inputs).
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple, Union
+from functools import cached_property
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -111,17 +113,27 @@ def _spectrum_value(text: str) -> Union[Fraction, float]:
 
 @dataclass
 class LoadedRun:
-    """Everything a command needs, already constructed."""
+    """Everything a command needs, constructed except the dense matrix.
+
+    ``dense`` is built by ``build_dense`` on first read: the exact route
+    never needs it, and on the cavity models it is the largest object a
+    run holds.
+    """
 
     model: str
     spectrum: Optional[Spectrum] = None
     state: Optional[StateDecomposition] = None
-    dense: Optional[DenseHamiltonian] = None
+    build_dense: Optional[Callable[[], DenseHamiltonian]] = field(
+        default=None, repr=False)
     psi0: Optional[np.ndarray] = None
     partial: Optional[PartialSpectrum] = None
     trials: Tuple[Fraction, ...] = ()
     mean_energy_input: Union[Fraction, float, None] = None
     options: Dict[str, str] = field(default_factory=dict)
+
+    @cached_property
+    def dense(self) -> Optional[DenseHamiltonian]:
+        return None if self.build_dense is None else self.build_dense()
 
     def option(self, key: str, default, cast):
         raw = self.options.get(key)
@@ -131,6 +143,13 @@ class LoadedRun:
             return cast(raw)
         except ValueError as exc:
             raise ConfigError(f"bad option {key} = {raw!r}") from exc
+
+
+def _normalized(psi0: np.ndarray) -> np.ndarray:
+    norm = float(np.linalg.norm(psi0))
+    if not 0 < norm < math.inf:
+        raise ConfigError(f"psi0 cannot be normalized: |psi0| = {norm!r}")
+    return psi0 / norm
 
 
 def _section(cp: configparser.ConfigParser, name: str):
@@ -151,7 +170,7 @@ def _load_spin_half(sec) -> LoadedRun:
     spectrum, state = spin_half(params)
     dense, psi0 = spin_half_dense(params)
     return LoadedRun(model="spin_half", spectrum=spectrum, state=state,
-                     dense=dense, psi0=psi0)
+                     build_dense=lambda: dense, psi0=psi0)
 
 
 def _load_free_field(sec) -> LoadedRun:
@@ -171,7 +190,7 @@ def _load_free_field(sec) -> LoadedRun:
         psi0 = np.zeros(dim, dtype=complex)
         for n, a in zip(ns, amps):
             psi0[n] = a
-        psi0 = psi0 / np.linalg.norm(psi0)
+        psi0 = _normalized(psi0)
     else:
         alpha = parse_complex(_get(sec, "alpha"))
         truncation = int(sec.get("truncation", "31"))
@@ -180,8 +199,9 @@ def _load_free_field(sec) -> LoadedRun:
         for label, amp in state.entries:
             psi0[int(label)] = amp
         dim = truncation
+    dense = free_field_dense(omega, dim)
     return LoadedRun(model="free_field", spectrum=spectrum, state=state,
-                     dense=free_field_dense(omega, dim), psi0=psi0)
+                     build_dense=lambda: dense, psi0=psi0)
 
 
 def _load_two_mirror(sec) -> LoadedRun:
@@ -196,7 +216,7 @@ def _load_two_mirror(sec) -> LoadedRun:
     spectrum, state = two_mirror_spectrum(params)
     dense, psi0 = two_mirror_dense(params)
     return LoadedRun(model="two_mirror", spectrum=spectrum, state=state,
-                     dense=dense, psi0=psi0)
+                     build_dense=lambda: dense, psi0=psi0)
 
 
 def _mode_input(sec, key: str):
@@ -231,7 +251,7 @@ def _load_three_mirror(sec) -> LoadedRun:
         alpha=_mode_input(sec, "alpha"), beta=_mode_input(sec, "beta"),
         mu=_mode_input(sec, "mu"), truncations=truncs, omega_m=omega_m)
     run = LoadedRun(model="three_mirror",
-                    dense=three_mirror_dense(params),
+                    build_dense=lambda: three_mirror_dense(params),
                     psi0=three_mirror_initial_state(params))
     if params.exact_family:
         run.spectrum, run.state = three_mirror_exact(params)
@@ -254,10 +274,10 @@ def _load_raw_spectrum(sec) -> LoadedRun:
     state = StateDecomposition(
         entries=[(lab, a) for lab, a in zip(labels, amps) if a != 0])
     matrix = np.diag([float(v) for v in values])
-    psi0 = np.asarray(amps, dtype=complex)
-    psi0 = psi0 / np.linalg.norm(psi0)
+    psi0 = _normalized(np.asarray(amps, dtype=complex))
+    dense = DenseHamiltonian(matrix, unit=unit)
     return LoadedRun(model="raw_spectrum", spectrum=spectrum, state=state,
-                     dense=DenseHamiltonian(matrix, unit=unit), psi0=psi0)
+                     build_dense=lambda: dense, psi0=psi0)
 
 
 def _load_dense_matrix(sec) -> LoadedRun:
@@ -271,13 +291,14 @@ def _load_dense_matrix(sec) -> LoadedRun:
                      for tok in _get(sec, "psi0").split(",")], dtype=complex)
     if psi0.size != dim:
         raise ConfigError("psi0 length does not match dimension")
-    psi0 = psi0 / np.linalg.norm(psi0)
+    psi0 = _normalized(psi0)
     unit = float(sec.get("unit", "1"))
     try:
         dense = DenseHamiltonian(matrix, unit=unit)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return LoadedRun(model="dense_matrix", dense=dense, psi0=psi0)
+    return LoadedRun(model="dense_matrix", build_dense=lambda: dense,
+                     psi0=psi0)
 
 
 def _load_partial(sec) -> LoadedRun:

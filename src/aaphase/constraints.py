@@ -241,15 +241,14 @@ def gamma_candidates(candidate, mean_H,
     tau = gauged.tau_cycles
     if exact:
         own_turns = (Fraction(mean_H) + gauged.shift) * tau
-        values = [_canonical_gamma(TWO_PI * float(own_turns % 1))]
+        own = _canonical_gamma(TWO_PI * float(own_turns % 1))
+        values = dict.fromkeys([own])  # first-seen order, hashed dedupe
         base, n0 = ((gauged.lam1, gauged.n) if gauged.n != 0
                     else (gauged.lam2, gauged.m))
         ratio = (Fraction(mean_H) + gauged.shift) / base
         for j in range(1, ratio.denominator + 1):
             turns = (j * ratio) % 1
-            g = _canonical_gamma(TWO_PI * float(turns))
-            if g not in values:
-                values.append(g)
-        return values
+            values.setdefault(_canonical_gamma(TWO_PI * float(turns)))
+        return list(values)
     mean = float(mean_H) + float(gauged.shift)
     return [_canonical_gamma(TWO_PI * float(tau) * mean)]

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence, Tuple, Union
+from typing import List, Mapping, NamedTuple, Sequence, Tuple, Union
 
 from .rational import lcm_rationals
 
@@ -111,7 +111,7 @@ class StateDecomposition:
         if any(a == 0 for _, a in ent):
             raise ValueError("zero-amplitude entries must be absent")
         total = math.fsum(abs(a) ** 2 for _, a in ent)
-        if abs(total - 1.0) > NORMALIZATION_TOL:
+        if not abs(total - 1.0) <= NORMALIZATION_TOL:  # NaN fails too
             raise ValueError(f"state not normalized: sum |a|^2 = {total!r}")
         object.__setattr__(self, "entries", ent)
 
@@ -123,10 +123,28 @@ class StateDecomposition:
         return {lab: abs(a) ** 2 for lab, a in self.entries}
 
 
+class _Occupation(NamedTuple):
+    """One pass over the occupied levels of a (spectrum, state) pair."""
+
+    spectrum: Spectrum
+    state: StateDecomposition
+    levels: List[Tuple[str, Value, float]]   # (label, value, weight)
+    distinct: List[Value]                    # first-seen order
+    exact: bool                              # every distinct value a Fraction
+
+
 @dataclass(frozen=True)
 class Cyclicality:
+    """Verdict of `check_cyclicality`.
+
+    ``occupation`` is the pass the verdict was read from; handing the
+    verdict to `geometric_phase` lets it reuse that pass.
+    """
+
     kind: str  # "cyclic" | "stationary" | "non-cyclic"
     reason: Union[str, None] = None
+    occupation: Union[_Occupation, None] = field(
+        default=None, compare=False, repr=False)
 
     def __str__(self) -> str:
         return self.kind if self.reason is None else f"{self.kind}({self.reason})"
@@ -156,23 +174,22 @@ class PhaseReport:
     fidelity: Union[float, None] = None
 
 
-def _occupied(spectrum: Spectrum, state: StateDecomposition):
-    """(label, value, weight) triples; errors on labels missing from the spectrum."""
+def _occupy(spectrum: Spectrum, state: StateDecomposition) -> _Occupation:
+    """Occupied (label, value, weight) triples and their distinct values.
+
+    Errors on labels missing from the spectrum.  Equal values merge by
+    hash (``Fraction`` and ``float`` hash consistently), keeping the
+    first one seen.
+    """
     table = dict(spectrum.levels)
-    out = []
+    levels = []
     for lab, amp in state.entries:
         if lab not in table:
             raise ValueError(f"state/spectrum mismatch: unknown label {lab!r}")
-        out.append((lab, table[lab], abs(amp) ** 2))
-    return out
-
-
-def _distinct_values(occ) -> list[Value]:
-    vals: list[Value] = []
-    for _, v, _ in occ:
-        if not any(v == u for u in vals):
-            vals.append(v)
-    return vals
+        levels.append((lab, table[lab], abs(amp) ** 2))
+    distinct = list(dict.fromkeys(v for _, v, _ in levels))
+    exact = all(isinstance(v, Fraction) for v in distinct)
+    return _Occupation(spectrum, state, levels, distinct, exact)
 
 
 def check_cyclicality(spectrum: Spectrum, state: StateDecomposition) -> Cyclicality:
@@ -184,35 +201,27 @@ def check_cyclicality(spectrum: Spectrum, state: StateDecomposition) -> Cyclical
     when all are exact rationals; any float (= failed rationalization)
     makes the spacings incommensurable.
     """
-    occ = _occupied(spectrum, state)
-    distinct = _distinct_values(occ)
-    if len(distinct) == 1:
-        return Cyclicality("stationary")
-    if len(distinct) == 2:
-        return Cyclicality("cyclic")
-    if any(isinstance(v, float) for v in distinct):
-        return Cyclicality("non-cyclic", "incommensurable")
-    return Cyclicality("cyclic")
-
-
-def _require_cyclic(spectrum: Spectrum, state: StateDecomposition):
-    verdict = check_cyclicality(spectrum, state)
-    if verdict.kind == "non-cyclic":
-        raise NonCyclicError(f"non-cyclic state: {verdict.reason}")
-    return verdict
+    occ = _occupy(spectrum, state)
+    if len(occ.distinct) == 1:
+        return Cyclicality("stationary", occupation=occ)
+    if len(occ.distinct) == 2 or occ.exact:
+        return Cyclicality("cyclic", occupation=occ)
+    return Cyclicality("non-cyclic", "incommensurable", occupation=occ)
 
 
 def _exact_branch_data(distinct: Sequence[Fraction]):
     """(L, phi_over_2pi, {value: n}) for an all-rational occupied set.
 
-    L is the LCM of inverse absolute spacings.  The canonical branch puts
+    L is the LCM of the inverse spacings from the first level; every
+    pairwise spacing is an integer combination of these, so L is also
+    the LCM over all pairs.  The canonical branch puts
     phi/(2*pi) = n - lambda*L in (-1/2, 1/2], the same value for every
     occupied lambda (their differences lambda_k*L - lambda_i*L are
     integers by construction of L); this is asserted, not assumed.
     """
-    spacings = [a - b for i, a in enumerate(distinct) for b in distinct[i + 1:]]
-    L = lcm_rationals([1 / s for s in spacings])
-    g_ref = distinct[0] * L
+    ref = distinct[0]
+    L = lcm_rationals([1 / (v - ref) for v in distinct[1:]])
+    g_ref = ref * L
     n_ref = math.floor(g_ref + Fraction(1, 2))
     phi_over_2pi = n_ref - g_ref  # in (-1/2, 1/2]
     branch: dict[Fraction, int] = {}
@@ -239,43 +248,27 @@ def _two_level_float_data(distinct: Sequence[Value]):
     return L, phi_over_2pi, branch
 
 
-def _phase_data(spectrum: Spectrum, state: StateDecomposition):
-    """Shared exact/two-level machinery behind period/total_phase/gamma."""
-    occ = _occupied(spectrum, state)
-    distinct = _distinct_values(occ)
-    if len(distinct) == 1:
-        raise NonCyclicError("stationary state: no spacing set")
-    if all(isinstance(v, Fraction) for v in distinct):
-        L, phi2pi, branch = _exact_branch_data(distinct)
-    elif len(distinct) == 2:
-        L, phi2pi, branch = _two_level_float_data(distinct)
-    else:
-        raise NonCyclicError("non-cyclic state: incommensurable")
-    return occ, distinct, L, phi2pi, branch
+def _branch_data(verdict: Cyclicality):
+    """(L, phi_over_2pi, {value: n}) for any verdict but non-cyclic.
 
-
-def _stationary_report(spectrum: Spectrum, state: StateDecomposition,
-                       hbar: float) -> PhaseReport:
-    occ = _occupied(spectrum, state)
-    lam = occ[0][1]
-    if lam == 0:
-        # Globally stationary: no phase winds at all, so no finite period
-        # exists, but the loop-is-a-point convention gamma = 0 still applies.
-        tau_cycles: Union[Fraction, float] = math.inf
-        tau = math.inf
-        n = 0
-    else:
-        tau_cycles = (1 / abs(lam)) if isinstance(lam, Fraction) else 1.0 / abs(lam)
-        tau = TWO_PI * hbar * float(tau_cycles) / spectrum.unit
-        n = 1 if lam > 0 else -1
-    e_mean = mean_energy(spectrum, state)
-    return PhaseReport(
-        method="full-spectrum", unit=spectrum.unit,
-        tau_cycles=tau_cycles, tau=tau,
-        phi_over_pi=Fraction(0) if isinstance(lam, Fraction) else None, phi=0.0,
-        gamma=0.0, mean_energy=e_mean,
-        branch_integers={lab: n for lab, _, _ in occ},
-        stationary=True)
+    A stationary state with eigenvalue lambda has L = 1/|lambda| (the
+    single-exponential special case; infinite for lambda = 0), phi = 0
+    and branch integer sign(lambda).
+    """
+    if verdict.kind == "non-cyclic":
+        raise NonCyclicError(f"non-cyclic state: {verdict.reason}")
+    occ = verdict.occupation
+    if verdict.kind == "stationary":
+        lam = occ.distinct[0]
+        if lam == 0:
+            L: Union[Fraction, float] = math.inf
+        else:
+            L = (1 / abs(lam)) if isinstance(lam, Fraction) else 1.0 / abs(lam)
+        n = 1 if lam > 0 else (-1 if lam < 0 else 0)
+        return L, Fraction(0), {lam: n}
+    if occ.exact:
+        return _exact_branch_data(occ.distinct)
+    return _two_level_float_data(occ.distinct)
 
 
 def period(spectrum: Spectrum, state: StateDecomposition, *,
@@ -287,14 +280,10 @@ def period(spectrum: Spectrum, state: StateDecomposition, *,
     Stationary states: 1/|lambda| per the single-exponential special
     case; a zero eigenvalue has no finite period.
     """
-    verdict = _require_cyclic(spectrum, state)
-    if verdict.kind == "stationary":
-        lam = _occupied(spectrum, state)[0][1]
-        if lam == 0:
-            raise NonCyclicError(
-                "no finite period: the single occupied eigenvalue is zero")
-        return (1 / abs(lam)) if isinstance(lam, Fraction) else 1.0 / abs(lam)
-    _, _, L, _, _ = _phase_data(spectrum, state)
+    L, _, _ = _branch_data(check_cyclicality(spectrum, state))
+    if L == math.inf:
+        raise NonCyclicError(
+            "no finite period: the single occupied eigenvalue is zero")
     return L
 
 
@@ -304,22 +293,15 @@ def total_phase(spectrum: Spectrum, state: StateDecomposition):
     phi = 2*pi*(n_lambda - lambda*L) for every occupied lambda; the branch
     integers n_lambda are recorded per label.  With 0 occupied, phi is 0
     (the 2*pi of the zero-eigenvalue rule, reduced to the canonical
-    branch).  With more than two distinct eigenvalues phi/pi is asserted
-    rational, exactly.
+    branch).  phi/pi is an exact Fraction except on the two-level float
+    path.
     """
-    verdict = _require_cyclic(spectrum, state)
-    if verdict.kind == "stationary":
-        occ = _occupied(spectrum, state)
-        lam = occ[0][1]
-        n = 1 if lam > 0 else (-1 if lam < 0 else 0)
-        return Fraction(0), {lab: n for lab, _, _ in occ}
-    occ, distinct, L, phi2pi, branch = _phase_data(spectrum, state)
-    exact = isinstance(L, Fraction)
-    if len(distinct) > 2 and not exact:
-        raise AssertionError("rationality of phi/pi violated")  # unreachable
-    phi_over_pi = 2 * phi2pi if exact else None
-    branch_by_label = {lab: branch[val] for lab, val, _ in occ}
-    return (phi_over_pi if exact else float(2 * phi2pi)), branch_by_label
+    verdict = check_cyclicality(spectrum, state)
+    _, phi2pi, branch = _branch_data(verdict)
+    phi_over_pi = (2 * phi2pi if isinstance(phi2pi, Fraction)
+                   else float(2 * phi2pi))
+    return phi_over_pi, {lab: branch[val]
+                         for lab, val, _ in verdict.occupation.levels}
 
 
 def mean_energy(spectrum, state) -> float:
@@ -332,8 +314,12 @@ def mean_energy(spectrum, state) -> float:
     if hasattr(spectrum, "matrix"):
         from .oracle import expectation
         return expectation(spectrum, state)
-    occ = _occupied(spectrum, state)
-    return spectrum.unit * math.fsum(w * float(v) for _, v, w in occ)
+    return _mean_energy(_occupy(spectrum, state))
+
+
+def _mean_energy(occ: _Occupation) -> float:
+    return occ.spectrum.unit * math.fsum(w * float(v)
+                                         for _, v, w in occ.levels)
 
 
 def _canonical_gamma(total: float) -> float:
@@ -350,41 +336,43 @@ def _canonical_gamma(total: float) -> float:
 
 
 def geometric_phase(spectrum: Spectrum, state: StateDecomposition, *,
-                    hbar: float = 1.0) -> PhaseReport:
+                    hbar: float = 1.0,
+                    cyclicality: Union[Cyclicality, None] = None
+                    ) -> PhaseReport:
     """Full closed-form report: gamma = phi + (tau/hbar)<H>, reduced to [0, 2*pi).
 
     The reduction happens before leaving rational-weighted arithmetic:
     gamma/(2*pi) = sum_k w_k n_k + (phi/2*pi)(sum_k w_k - 1) modulo 1,
     which keeps float magnitudes at the size of the branch integers
     instead of tau*<H>.  Stationary states report gamma = 0 with the
-    `stationary` flag set.
+    `stationary` flag set.  A ``cyclicality`` verdict that
+    `check_cyclicality` returned for this same (spectrum, state) pair is
+    reused instead of classifying the state again.
     """
-    verdict = _require_cyclic(spectrum, state)
-    if verdict.kind == "stationary":
-        return _stationary_report(spectrum, state, hbar)
-    occ, distinct, L, phi2pi, branch = _phase_data(spectrum, state)
-    exact = isinstance(L, Fraction)
+    occ = cyclicality.occupation if cyclicality is not None else None
+    if occ is None or occ.spectrum is not spectrum or occ.state is not state:
+        cyclicality = check_cyclicality(spectrum, state)
+        occ = cyclicality.occupation
+    L, phi2pi, branch = _branch_data(cyclicality)
 
-    total_weight = math.fsum(w for _, _, w in occ)
-    phi2pi_f = float(phi2pi)
+    total_weight = math.fsum(w for _, _, w in occ.levels)
     # Weights are renormalized so the 1e-12 normalization slack cannot be
     # amplified by large branch integers; summing w*(n - n_min) keeps the
     # float magnitudes at the spread of the branch integers, and the
     # integer n_min drops out of the mod-1 reduction.
     n_min = min(branch.values())
-    acc = math.fsum((w / total_weight) * (branch[val] - n_min) for _, val, w in occ)
+    acc = math.fsum((w / total_weight) * (branch[val] - n_min)
+                    for _, val, w in occ.levels)
     gamma = _canonical_gamma(TWO_PI * (acc - math.floor(acc)))
 
-    e_mean = mean_energy(spectrum, state)
-    tau = TWO_PI * hbar * float(L) / spectrum.unit
     return PhaseReport(
         method="full-spectrum", unit=spectrum.unit,
-        tau_cycles=L, tau=tau,
-        phi_over_pi=(2 * phi2pi) if exact else None,
-        phi=TWO_PI * phi2pi_f,
-        gamma=gamma, mean_energy=e_mean,
-        branch_integers={lab: branch[val] for lab, val, _ in occ},
-        stationary=False)
+        tau_cycles=L, tau=TWO_PI * hbar * float(L) / spectrum.unit,
+        phi_over_pi=(2 * phi2pi) if occ.exact else None,
+        phi=TWO_PI * float(phi2pi),
+        gamma=gamma, mean_energy=_mean_energy(occ),
+        branch_integers={lab: branch[val] for lab, val, _ in occ.levels},
+        stationary=cyclicality.kind == "stationary")
 
 
 def gauge_shift(spectrum: Spectrum, c: Union[Fraction, int, float]) -> Spectrum:

@@ -109,7 +109,7 @@ def _mode_vector(mode: ModeInput, truncation: int,
     if vec.ndim != 1 or vec.size < 1 or vec.size > truncation:
         raise ValueError(f"{name} amplitude list does not fit truncation")
     norm = float(np.sum(np.abs(vec) ** 2))
-    if abs(norm - 1.0) > 1e-12:
+    if not abs(norm - 1.0) <= 1e-12:  # NaN fails too
         raise ValueError(f"{name} amplitudes not normalized: {norm!r}")
     if vec.size < truncation:
         vec = np.pad(vec, (0, truncation - vec.size))

@@ -70,7 +70,7 @@ class TwoMirrorParams:
         if not amps:
             raise ValueError("field_amplitudes must be non-empty")
         norm = math.fsum(abs(c) ** 2 for c in amps)
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError(f"field amplitudes not normalized: {norm!r}")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "k_squared", k_squared)

@@ -3,9 +3,9 @@
 Independent of the exact-arithmetic engine: a Hermitian matrix is
 diagonalized once, states are propagated by phase-advancing the
 eigencomponents (exactly unitary, no integrator error), the period is
-read off the first fidelity return, and the dynamical phase is obtained
-by quadrature.  Every closed-form result is validated against this
-route.
+read off the first fidelity return, and the dynamical phase is the
+period times the mean energy, which is constant along the evolution.
+Every closed-form result is validated against this route.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple, Union
 
 import numpy as np
-from scipy.integrate import simpson
 from scipy.linalg import eigh
 
 from .engine import PhaseReport, TWO_PI, _canonical_gamma
@@ -27,7 +26,6 @@ __all__ = [
     "NoReturnError",
     "SpectralPropagator",
     "detect_period",
-    "dynamical_phase",
     "evolve",
     "expectation",
     "generic_gamma",
@@ -274,36 +272,6 @@ def expectation(hamiltonian: DenseHamiltonian, psi) -> float:
     return float(np.real(np.vdot(v, hamiltonian.matrix @ v)) * hamiltonian.unit)
 
 
-def dynamical_phase(hamiltonian: DenseHamiltonian, result: EvolutionResult,
-                    tau: float, *, nodes: int = 257,
-                    check_tol: float = 1e-9) -> float:
-    """phi_Dyn = -(1/hbar) * integral of <psi(t)|H|psi(t)> dt over [0, tau].
-
-    Composite-Simpson quadrature over reconstructed states.  For a
-    time-independent H the integrand is constant, so the quadrature must
-    reproduce tau*<H>(0) to ``check_tol`` relative; the redundancy is the
-    point, it validates the propagation machinery.
-    """
-    if nodes % 2 == 0:
-        nodes += 1
-    if not 0 < tau <= result.times[-1] * (1 + 1e-12):
-        raise ValueError("tau outside the evolved grid")
-    ts = np.linspace(0.0, float(tau), nodes)
-    H = hamiltonian.matrix
-    energies = np.empty(nodes)
-    for idx, t in enumerate(ts):
-        state = result.state_at(float(t))
-        energies[idx] = float(np.real(np.vdot(state, H @ state)))
-    integral = float(simpson(energies, x=ts)) * hamiltonian.unit
-    reference = float(tau) * energies[0] * hamiltonian.unit
-    scale = max(abs(reference), 1e-12)
-    if abs(integral - reference) > check_tol * scale:
-        raise AssertionError(
-            "quadrature disagrees with tau*<H>: "
-            f"{integral!r} vs {reference!r}")
-    return -integral / hamiltonian.hbar
-
-
 def generic_gamma(hamiltonian: DenseHamiltonian, psi0, t_max: float, *,
                   fidelity_tol: float = 1e-8, steps: Union[int, None] = None,
                   approximate: bool = False) -> PhaseReport:
@@ -316,6 +284,8 @@ def generic_gamma(hamiltonian: DenseHamiltonian, psi0, t_max: float, *,
     exact commensurability fails; the achieved fidelity is reported.
     Stationary inputs short-circuit to a flagged report.
     """
+    if not 0 < t_max < math.inf:
+        raise ValueError("t_max must be positive and finite")
     prop = SpectralPropagator(hamiltonian, psi0)
     e_mean = prop.mean_energy()
     spread = prop.occupied_spread()

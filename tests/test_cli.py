@@ -1,11 +1,15 @@
 """End-to-end CLI behavior: exit codes, report text, determinism."""
 
 import math
+from pathlib import Path
 
 import pytest
 
 from aaphase import cli
+from aaphase import config as config_module
 from aaphase.report import parse_report
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 SPIN = """\
 [run]
@@ -256,3 +260,76 @@ class TestOutputFile:
                 ["verify", "--config", config, "--out", str(path)], capsys)
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+class TestDenseOnDemand:
+    CONFIG = str(CONFIGS / "three_mirror_exact.ini")
+
+    def test_analyze_exact_route_never_builds_dense(self, monkeypatch,
+                                                     capsys):
+        _, expected, _ = run_cli(["analyze", "--config", self.CONFIG], capsys)
+
+        def refuse(params):
+            raise AssertionError("analyze built the dense matrix")
+
+        monkeypatch.setattr(config_module, "three_mirror_dense", refuse)
+        code, out, err = run_cli(["analyze", "--config", self.CONFIG], capsys)
+        assert code == 0 and err == ""
+        assert out == expected
+
+    def test_verify_builds_dense(self, monkeypatch, capsys):
+        built = []
+        original = config_module.three_mirror_dense
+
+        def counting(params):
+            built.append(params.truncations)
+            return original(params)
+
+        monkeypatch.setattr(config_module, "three_mirror_dense", counting)
+        code, out, _ = run_cli(["verify", "--config", self.CONFIG], capsys)
+        assert code == 0
+        assert parse_report(out)["verify"]["verdict"] == "pass"
+        assert built == [(12, 10, 14)]
+
+
+class TestInputGuards:
+    @pytest.mark.parametrize("psi0", ["0, 0", "nan, 1", "inf, 1"])
+    def test_unnormalizable_psi0_rejected(self, tmp_path, capsys, psi0):
+        text = DENSE_IRRATIONAL.replace("psi0 = 1, 1", f"psi0 = {psi0}")
+        code, out, err = run_cli(
+            ["analyze", "--config", write(tmp_path, text), "--t-max", "20"],
+            capsys)
+        assert code == 64 and out == ""
+        assert err.startswith("config error:") and "psi0" in err
+
+    @pytest.mark.parametrize("text", [
+        RAW_TWO_LEVEL.replace("0.6; 0.8", "nan; 0.8"),
+        "[run]\nmodel = two_mirror\n\n[two_mirror]\nr = 2\n"
+        "k_squared = 1/2\nfield_amplitudes = nan; 0.7\n",
+        "[run]\nmodel = three_mirror\n\n[three_mirror]\nomega_D = 2\n"
+        "omega_S = 3\nalpha = nan; 0\ntruncations = 4 4 4\n",
+    ], ids=["raw_spectrum", "two_mirror", "three_mirror"])
+    def test_nan_amplitudes_rejected(self, tmp_path, capsys, text):
+        code, out, err = run_cli(
+            ["analyze", "--config", write(tmp_path, text)], capsys)
+        assert code == 64 and out == ""
+        assert err.startswith("config error:") and "normalized" in err
+
+    @pytest.mark.parametrize("command, text, key", [
+        ("analyze", DENSE_IRRATIONAL + "\n[options]\nt_max = -3\n", "t_max"),
+        ("verify", RAW_TWO_LEVEL + "\n[options]\nt_max = -3\n", "t_max"),
+        ("verify", RAW_TWO_LEVEL + "\n[options]\nt_max = inf\n", "t_max"),
+        ("analyze", DENSE_IRRATIONAL
+         + "\n[options]\nt_max = 20\nfidelity_tol = 0.5\n", "fidelity_tol"),
+        ("verify", RAW_TWO_LEVEL + "\n[options]\nfidelity_tol = 0.5\n",
+         "fidelity_tol"),
+        ("verify", RAW_TWO_LEVEL + "\n[options]\nsteps = 1\n", "steps"),
+    ], ids=["analyze-t_max", "verify-t_max", "verify-t_max-inf",
+            "analyze-fidelity_tol", "verify-fidelity_tol", "verify-steps"])
+    def test_out_of_range_options_exit_64(self, tmp_path, capsys, command,
+                                          text, key):
+        code, out, err = run_cli(
+            [command, "--config", write(tmp_path, text)], capsys)
+        assert code == 64 and out == ""
+        assert err.startswith("config error:") and key in err
+        assert len(err.splitlines()) == 1

@@ -30,6 +30,7 @@ from aaphase.engine import (
     total_phase,
 )
 
+from aaphase.rational import lcm_rationals
 from conftest import circ
 
 TWO_PI = 2.0 * math.pi
@@ -71,6 +72,8 @@ class TestStateValidation:
     def test_normalization_enforced(self):
         with pytest.raises(ValueError, match="not normalized"):
             StateDecomposition(entries=[("a", 1.0), ("b", 0.5)])
+        with pytest.raises(ValueError, match="not normalized"):
+            StateDecomposition(entries=[("a", 1.0), ("b", math.nan)])
 
     def test_zero_amplitude_rejected(self):
         with pytest.raises(ValueError, match="zero-amplitude"):
@@ -125,6 +128,34 @@ class TestCyclicality:
         st_ = StateDecomposition(entries=EQUAL)
         assert check_cyclicality(sp, st_).kind == "cyclic"
         assert str(Cyclicality("cyclic")) == "cyclic"
+
+    @pytest.mark.parametrize("values, verdict", [
+        ([0.5, Fraction(1, 2)], "stationary"),
+        ([Fraction(1, 2), 0.5], "stationary"),
+        ([0.5, Fraction(1, 2), Fraction(1)], "cyclic"),
+        ([0.5, Fraction(1, 2), Fraction(1), Fraction(3, 2)],
+         "non-cyclic(incommensurable)"),
+        # the first-seen representative of equal values decides exactness
+        ([Fraction(1, 2), 0.5, Fraction(1), Fraction(3, 2)], "cyclic"),
+        ([-0.0, Fraction(0), Fraction(1)], "cyclic"),
+    ])
+    def test_equal_float_and_fraction_values_merge(self, values, verdict):
+        labels = [f"L{i}" for i in range(len(values))]
+        sp = Spectrum(levels=list(zip(labels, values)))
+        st_ = StateDecomposition(
+            entries=[(lab, math.sqrt(1 / len(values))) for lab in labels])
+        assert str(check_cyclicality(sp, st_)) == verdict
+
+    def test_verdict_reused_only_for_its_own_pair(self):
+        sp = spectrum2(2, 3)
+        st_ = StateDecomposition(entries=EQUAL)
+        verdict = check_cyclicality(sp, st_)
+        assert geometric_phase(sp, st_, cyclicality=verdict) == \
+            geometric_phase(sp, st_)
+        # a verdict for another spectrum is recomputed, not trusted
+        other = spectrum2(2, 5)
+        assert geometric_phase(other, st_, cyclicality=verdict) == \
+            geometric_phase(other, st_)
 
 
 class TestTwoLevelExact:
@@ -383,6 +414,19 @@ def test_gamma_against_exact_recomputation(fix):
                                              rep.branch_integers[lab])
         g_phi = gamma_from_single_eigenvalue_phi(lam, mh, phi_over_pi=matched)
         assert circ(g_phi, gamma_exact) < 1e-9
+
+
+@settings(deadline=None)
+@given(st.lists(st.fractions(min_value=Fraction(-50), max_value=Fraction(50),
+                             max_denominator=60),
+                min_size=2, max_size=8, unique=True))
+def test_reference_spacing_lcm_equals_all_pairs_lcm(values):
+    labels = [f"L{i}" for i in range(len(values))]
+    spectrum = Spectrum(levels=list(zip(labels, values)))
+    state = StateDecomposition(
+        entries=[(lab, math.sqrt(1 / len(values))) for lab in labels])
+    pairs = [a - b for i, a in enumerate(values) for b in values[i + 1:]]
+    assert period(spectrum, state) == lcm_rationals([1 / s for s in pairs])
 
 
 @settings(deadline=None)

@@ -1,4 +1,4 @@
-"""Brute-force route: propagation, period detection, quadrature.
+"""Brute-force route: propagation, period detection, gamma.
 
 The propagator is checked against scipy's matrix exponential, which
 shares no code with the phase-advance implementation.
@@ -15,7 +15,6 @@ from aaphase.oracle import (
     NoReturnError,
     SpectralPropagator,
     detect_period,
-    dynamical_phase,
     evolve,
     expectation,
     generic_gamma,
@@ -174,37 +173,6 @@ class TestDetectPeriod:
         res = evolve(h, psi0, 10.0, steps=4096)
         with pytest.raises(NoReturnError):
             detect_period(res)
-
-
-class TestDynamicalPhase:
-    def test_constant_integrand(self):
-        h = DenseHamiltonian(np.diag([2.0, 3.0]))
-        psi0 = np.array([0.6, 0.8]).astype(complex)
-        res = evolve(h, psi0, 7.0, steps=2048)
-        e_mean = 0.36 * 2 + 0.64 * 3
-        got = dynamical_phase(h, res, TWO_PI)
-        assert got == pytest.approx(-TWO_PI * e_mean, rel=1e-9)
-
-    def test_five_pi_case(self):
-        h = DenseHamiltonian(np.diag([2.0, 3.0]))
-        psi0 = np.array([math.sqrt(0.5), math.sqrt(0.5)]).astype(complex)
-        res = evolve(h, psi0, 7.0, steps=2048)
-        assert dynamical_phase(h, res, TWO_PI) == pytest.approx(
-            -5 * math.pi, rel=1e-9)
-
-    def test_even_node_counts_accepted(self):
-        h = DenseHamiltonian(np.diag([2.0, 3.0]))
-        psi0 = np.array([0.6, 0.8]).astype(complex)
-        res = evolve(h, psi0, 7.0, steps=512)
-        assert dynamical_phase(h, res, 1.0, nodes=16) == pytest.approx(
-            -(0.36 * 2 + 0.64 * 3), rel=1e-9)
-
-    def test_tau_outside_grid(self):
-        h = DenseHamiltonian(np.diag([2.0, 3.0]))
-        psi0 = np.array([0.6, 0.8]).astype(complex)
-        res = evolve(h, psi0, 3.0, steps=512)
-        with pytest.raises(ValueError, match="outside"):
-            dynamical_phase(h, res, 5.0)
 
 
 class TestGenericGamma:
