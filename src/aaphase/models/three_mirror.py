@@ -122,19 +122,30 @@ def three_mirror_chi(params: ThreeMirrorParams, n_b: int) -> float:
 
 
 def three_mirror_dense(params: ThreeMirrorParams) -> DenseHamiltonian:
-    """Truncated dense H in units hbar*omega_m (real symmetric)."""
+    """Truncated dense H in units hbar*omega_m (real symmetric).
+
+    H conserves n_a and n_b, so only the (n_a, n_b) diagonal blocks of
+    size n_c are filled.  Each entry sums the same products in the same
+    order as the Kronecker-product form of H, so the matrix is identical
+    to it without forming any full-size term.
+    """
     na, nb, nc = params.truncations
-    num_a, num_b, num_c = number(na), number(nb), number(nc)
-    eye_a, eye_b, eye_c = np.eye(na), np.eye(nb), np.eye(nc)
+    eye_c, num_c = np.eye(nc), number(nc)
     x_c = destroy(nc) + create(nc)
     sq_c = destroy(nc) @ destroy(nc) + create(nc) @ create(nc)
     ks = float(params.kappa_S)
-    h = (float(params.rho_D) * np.kron(num_a, np.kron(eye_b, eye_c))
-         + float(params.rho_S) * np.kron(eye_a, np.kron(num_b, eye_c))
-         + float(params.kappa_D) * np.kron(num_a, np.kron(eye_b, x_c))
-         + np.kron(eye_a, np.kron(eye_b, num_c))
-         + ks * np.kron(eye_a, np.kron(num_b, num_c))
-         + 0.5 * ks * np.kron(eye_a, np.kron(num_b, eye_c + sq_c)))
+    n_a = np.arange(na, dtype=float)[:, None, None, None]
+    n_b = np.arange(nb, dtype=float)[None, :, None, None]
+    blocks = (float(params.rho_D) * (n_a * eye_c)
+              + float(params.rho_S) * (n_b * eye_c)
+              + float(params.kappa_D) * (n_a * x_c)
+              + num_c
+              + ks * (n_b * num_c)
+              + 0.5 * ks * (n_b * (eye_c + sq_c)))
+    h = np.zeros((na * nb * nc,) * 2)
+    diag = np.arange(na * nb)
+    h.reshape(na * nb, nc, na * nb, nc)[diag, :, diag, :] = (
+        blocks.reshape(na * nb, nc, nc))
     return DenseHamiltonian(h, unit=params.omega_m)
 
 

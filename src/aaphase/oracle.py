@@ -1,7 +1,8 @@
 """Brute-force reference route: dense evolution, period and phase detection.
 
 Independent of the exact-arithmetic engine: a Hermitian matrix is
-diagonalized once, states are propagated by phase-advancing the
+diagonalized once, block by block over the connected components of its
+nonzero pattern, states are propagated by phase-advancing the
 eigencomponents (exactly unitary, no integrator error), the period is
 read off the first fidelity return, and the dynamical phase is the
 period times the mean energy, which is constant along the evolution.
@@ -36,8 +37,9 @@ NORM_TOL = 1e-10
 # Weights below this floor cannot move any detection tolerance used here;
 # dropping them keeps the fidelity scan linear in the occupied levels.
 WEIGHT_FLOOR = 1e-16
-# Storing the full state grid is only reasonable for small problems.
-MAX_STORED_STATE_ENTRIES = 50_000_000
+# Up to this dimension one dense eigh costs less than finding the blocks
+# (the graph search alone takes about as long as eigh at dimension 40).
+SMALL_DIMENSION = 32
 
 
 class NoReturnError(RuntimeError):
@@ -77,11 +79,34 @@ class DenseHamiltonian:
         return self.matrix.shape[0]
 
 
+def _components(matrix: np.ndarray) -> list:
+    """Index arrays of the connected components of the nonzero pattern.
+
+    The graph is built from ``matrix != 0`` because csgraph casts a
+    complex matrix to float and would drop purely imaginary couplings.
+    Indices within each component stay in ascending order.
+    """
+    # imported here so that loading the CLI never loads scipy.sparse
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    count, labels = connected_components(csr_matrix(matrix != 0),
+                                         directed=False)
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1])
+
+
 class SpectralPropagator:
     """One-time eigendecomposition of (H, psi0); evolution is then diagonal.
 
-    The survival amplitude <psi0|psi(t)> = sum_k |a_k|^2 exp(-i w_k t)
-    needs only the occupied weights, so fidelity scans never materialize
+    H is split into the connected components of its nonzero pattern (for
+    the cavity models, the conserved photon-number blocks) and each block
+    is diagonalized on its own; matrices up to SMALL_DIMENSION are solved
+    whole.  The blocks come from the matrix alone, so the route stays
+    independent of any model labels or exact levels.
+    Eigenvalues (ascending) and amplitudes span all blocks.  The
+    survival amplitude <psi0|psi(t)> = sum_k |a_k|^2 exp(-i w_k t) needs
+    only the occupied weights, so fidelity scans never materialize
     states; `state_at` reconstructs a state vector on demand.
     """
 
@@ -93,12 +118,28 @@ class SpectralPropagator:
         if abs(norm - 1.0) > 1e-10:
             raise ValueError(f"psi0 not normalized: |psi0| = {norm!r}")
         self.hamiltonian = hamiltonian
-        # real-symmetric input takes the faster LAPACK path
-        w, v = eigh(hamiltonian.matrix)
-        self.eigenvalues = w                       # in units of `unit`
-        self.eigenvectors = v
-        self.omegas = w * (hamiltonian.unit / hamiltonian.hbar)
-        a = v.conj().T @ psi0
+        matrix = hamiltonian.matrix
+        dim = hamiltonian.dimension
+        blocks = (_components(matrix) if dim > SMALL_DIMENSION
+                  else [np.arange(dim)])
+        values, amplitudes, vectors = [], [], []
+        for idx in blocks:
+            # real-symmetric input takes the faster LAPACK path
+            w, v = eigh(matrix[np.ix_(idx, idx)])
+            values.append(w)
+            amplitudes.append(v.conj().T @ psi0[idx])
+            vectors.append(v)
+        # ascending across blocks, as one solve of the whole matrix gives,
+        # so the scan sums the levels in the same order
+        w = np.concatenate(values)
+        order = np.argsort(w, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        positions = np.split(rank, np.cumsum([idx.size for idx in blocks])[:-1])
+        self._blocks = list(zip(blocks, vectors, positions))
+        self.eigenvalues = w[order]                 # in units of `unit`
+        self.omegas = self.eigenvalues * (hamiltonian.unit / hamiltonian.hbar)
+        a = np.concatenate(amplitudes)[order]
         self.amplitudes = a
         self.weights = np.abs(a) ** 2
         self._occ = self.weights > WEIGHT_FLOOR
@@ -114,7 +155,7 @@ class SpectralPropagator:
         """
         t = np.atleast_1d(np.asarray(times, dtype=float))
         levels = max(self._occ_omega.size, 1)
-        chunk = max(1, (1 << 23) // levels)
+        chunk = max(1, (1 << 20) // levels)
         out = np.empty(t.size, dtype=complex)
         for start in range(0, t.size, chunk):
             block = t[start:start + chunk]
@@ -126,8 +167,11 @@ class SpectralPropagator:
         return np.abs(self.survival_amplitude(times))
 
     def state_at(self, t: float) -> np.ndarray:
-        phases = np.exp(-1j * self.omegas * t)
-        return self.eigenvectors @ (self.amplitudes * phases)
+        coeffs = self.amplitudes * np.exp(-1j * self.omegas * t)
+        state = np.empty(coeffs.size, dtype=complex)
+        for idx, v, pos in self._blocks:
+            state[idx] = v @ coeffs[pos]
+        return state
 
     def mean_energy(self) -> float:
         """<psi0|H|psi0> in energy units (constant along the evolution)."""
@@ -146,10 +190,9 @@ class SpectralPropagator:
 class EvolutionResult:
     """Time grid with the survival-amplitude track.
 
-    States are reconstructed lazily from the propagator: a dense state
-    per grid point would not fit in memory for the larger cavity runs, so
-    ``states`` materializes only below a size guard and ``state_at``
-    serves the general case.
+    States are reconstructed on demand from the propagator: a dense
+    state per grid point would not fit in memory for the larger cavity
+    runs.
     """
 
     times: np.ndarray
@@ -159,16 +202,6 @@ class EvolutionResult:
 
     def state_at(self, t: float) -> np.ndarray:
         return self.propagator.state_at(t)
-
-    @property
-    def states(self) -> np.ndarray:
-        n = self.times.size * self.propagator.hamiltonian.dimension
-        if n > MAX_STORED_STATE_ENTRIES:
-            raise MemoryError("state grid too large to materialize; "
-                              "use state_at(t)")
-        prop = self.propagator
-        phases = np.exp(-1j * np.outer(self.times, prop.omegas))
-        return (phases * prop.amplitudes) @ prop.eigenvectors.T
 
     def fidelity_at(self, t: float) -> float:
         return float(self.propagator.fidelity(t)[0])

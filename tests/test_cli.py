@@ -1,6 +1,9 @@
 """End-to-end CLI behavior: exit codes, report text, determinism."""
 
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -290,6 +293,16 @@ class TestDenseOnDemand:
         assert code == 0
         assert parse_report(out)["verify"]["verdict"] == "pass"
         assert built == [(12, 10, 14)]
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    # the oracle imports scipy.sparse only when it diagonalizes
+    probe = "import sys, aaphase.cli; print('scipy.sparse' in sys.modules)"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "False"
 
 
 class TestInputGuards:

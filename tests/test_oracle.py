@@ -8,12 +8,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import block_diag, expm
 
 from aaphase.oracle import (
     DenseHamiltonian,
     NoReturnError,
     SpectralPropagator,
+    _components,
     detect_period,
     evolve,
     expectation,
@@ -104,6 +105,45 @@ class TestPropagator:
             2.0 * (0.36 * 2 + 0.64 * 3), rel=1e-14)
 
 
+class TestBlocks:
+    def test_scattered_blocks_against_matrix_exponential(self, rng):
+        sizes = [1, 12, 7, 9, 3, 1, 6]
+        blocks = [random_hermitian(rng, s) for s in sizes]
+        # blocks 1 and 2 joined only by a purely imaginary (sigma_y-type)
+        # coupling, which a real-valued graph would lose
+        joined = np.zeros((19, 19), dtype=complex)
+        joined[:12, :12], joined[12:, 12:] = blocks[1], blocks[2]
+        joined[11, 12], joined[12, 11] = 0.7j, -0.7j
+        blocks[1:3] = [joined]
+        dim = sum(sizes)           # above the size that is solved whole
+        perm = rng.permutation(dim)
+        H = block_diag(*blocks)[np.ix_(perm, perm)]
+        psi0 = random_state(rng, dim)
+        h = DenseHamiltonian(H, unit=1.3, hbar=0.7)
+        prop = SpectralPropagator(h, psi0)
+        assert len(prop._blocks) == len(blocks)
+        assert np.max(np.abs(np.sort(prop.eigenvalues)
+                             - np.linalg.eigvalsh(H))) < 1e-12
+        times = np.linspace(0.0, 6.0, 25)
+        survival = prop.survival_amplitude(times)
+        for t, got in zip(times, survival):
+            want_state = expm(-1j * H * (1.3 / 0.7) * t) @ psi0
+            assert abs(got - np.vdot(psi0, want_state)) < 1e-12
+            assert np.max(np.abs(prop.state_at(t) - want_state)) < 1e-12
+
+    def test_chain_of_blocks_stays_one_component(self, rng):
+        sizes = [3, 2, 4, 1, 3]
+        H = block_diag(*[random_hermitian(rng, s) for s in sizes])
+        assert len(_components(H)) == len(sizes)
+        # each block touches the next through one entry (and its mirror)
+        ends = np.cumsum(sizes)[:-1]
+        H[ends - 1, ends] = H[ends, ends - 1] = 0.25
+        perm = rng.permutation(H.shape[0])
+        components = _components(H[np.ix_(perm, perm)])
+        assert len(components) == 1
+        assert np.array_equal(components[0], np.arange(H.shape[0]))
+
+
 class TestEvolve:
     def test_argument_validation(self):
         h = DenseHamiltonian(np.diag([1.0, 2.0]))
@@ -112,24 +152,6 @@ class TestEvolve:
             evolve(h, psi0, 1.0, steps=1)
         with pytest.raises(ValueError, match="t_max"):
             evolve(h, psi0, 0.0)
-
-    def test_states_grid_matches_state_at(self):
-        h = DenseHamiltonian(np.diag([1.0, 2.0, 4.0]))
-        psi0 = np.array([0.6, 0.48, 0.64])
-        res = evolve(h, psi0, 5.0, steps=17)
-        grid = res.states
-        for idx in (0, 8, 16):
-            assert np.max(np.abs(grid[idx] - res.state_at(res.times[idx]))) < 1e-12
-        assert res.fidelity_at(0.0) == pytest.approx(1.0, abs=1e-14)
-
-    def test_large_state_grid_refuses_to_materialize(self, rng):
-        dim = 64
-        h = DenseHamiltonian(random_hermitian(rng, dim))
-        res = evolve(h, random_state(rng, dim), 10.0, steps=1_000_000)
-        with pytest.raises(MemoryError, match="state_at"):
-            _ = res.states
-        # the survival track itself is fine at this size
-        assert res.fidelity_track.size == 1_000_000
 
 
 class TestDetectPeriod:
@@ -148,9 +170,10 @@ class TestDetectPeriod:
             detect_period(res, fidelity_tol=1e-2)
 
     def test_two_level_period_and_phase(self):
-        (tau, phi), _, _ = self.run_detect([2.0, 3.0], [0.5, 0.5], 7.0)
+        (tau, phi), _, res = self.run_detect([2.0, 3.0], [0.5, 0.5], 7.0)
         assert abs(tau - TWO_PI) < 1e-6
         assert abs(phi) < 1e-6
+        assert res.fidelity_at(0.0) == pytest.approx(1.0, abs=1e-14)
 
     def test_first_return_wins(self):
         # t_max spans three periods; the detector must stop at the first

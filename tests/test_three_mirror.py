@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import eigh
 
 from aaphase.engine import geometric_phase
-from aaphase.fock import coherent_amplitudes
+from aaphase.fock import coherent_amplitudes, create, destroy, number
 from aaphase.models import (
     ThreeMirrorParams,
     three_mirror_dense,
@@ -200,6 +200,38 @@ class TestMeanEnergy:
         psi0 = three_mirror_initial_state(params)
         scaled = three_mirror_scaled_mean_energy(params)
         assert abs(scaled * params.omega_m - expectation(h, psi0)) < 1e-10
+
+
+def kronecker_dense(params):
+    """Reference H as a sum of full-size Kronecker products."""
+    na, nb, nc = params.truncations
+    num_a, num_b, num_c = number(na), number(nb), number(nc)
+    eye_a, eye_b, eye_c = np.eye(na), np.eye(nb), np.eye(nc)
+    x_c = destroy(nc) + create(nc)
+    sq_c = destroy(nc) @ destroy(nc) + create(nc) @ create(nc)
+    ks = float(params.kappa_S)
+    return (float(params.rho_D) * np.kron(num_a, np.kron(eye_b, eye_c))
+            + float(params.rho_S) * np.kron(eye_a, np.kron(num_b, eye_c))
+            + float(params.kappa_D) * np.kron(num_a, np.kron(eye_b, x_c))
+            + np.kron(eye_a, np.kron(eye_b, num_c))
+            + ks * np.kron(eye_a, np.kron(num_b, num_c))
+            + 0.5 * ks * np.kron(eye_a, np.kron(num_b, eye_c + sq_c)))
+
+
+class TestDenseBuild:
+    @pytest.mark.parametrize("params", [
+        ThreeMirrorParams(rho_D=2, rho_S=3, kappa_D=1e-3, kappa_S=1e-3,
+                          truncations=(4, 3, 6)),
+        ThreeMirrorParams(rho_D=Fraction(1, 3), rho_S=Fraction(5, 7),
+                          kappa_D=Fraction(1, 10), kappa_S=0,
+                          truncations=(5, 6, 7)),
+        ThreeMirrorParams(rho_D=2.3, rho_S=0.7, kappa_D=-0.37,
+                          kappa_S=0.45, truncations=(3, 4, 9)),
+        ThreeMirrorParams(rho_D=1, rho_S=1, truncations=(1, 1, 1)),
+    ])
+    def test_blockwise_build_equals_kronecker_sum(self, params):
+        assert np.array_equal(three_mirror_dense(params).matrix,
+                              kronecker_dense(params))
 
 
 class TestChiLaw:
