@@ -2,8 +2,9 @@
 
 Exit codes: 0 success (verify: all comparisons pass), 1 verify found a
 disagreement, 2 physical impossibility (non-cyclic state, irrational
-constraint input), 3 oracle found no return within t_max, 64 usage or
-configuration errors.
+constraint input), 3 oracle found no return within t_max or its default
+grid would need more than 2^21 steps for the occupied frequency spread,
+64 usage or configuration errors.
 """
 
 from __future__ import annotations

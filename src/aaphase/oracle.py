@@ -40,6 +40,11 @@ WEIGHT_FLOOR = 1e-16
 # Up to this dimension one dense eigh costs less than finding the blocks
 # (the graph search alone takes about as long as eigh at dimension 40).
 SMALL_DIMENSION = 32
+# No temporary array of the Hermiticity check or the fidelity scan holds
+# more entries than this.
+CHUNK_ENTRIES = 1 << 20
+# Largest grid the default step rule may choose.
+MAX_STEPS = 1 << 21
 
 
 class NoReturnError(RuntimeError):
@@ -62,8 +67,9 @@ class DenseHamiltonian:
         m = np.asarray(matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("matrix must be square")
-        scale = float(np.max(np.abs(m))) if m.size else 0.0
-        dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+        scale, dev = _hermiticity(m)
+        if not math.isfinite(scale):
+            raise ValueError("matrix entries must be finite")
         if dev > HERMITICITY_TOL * max(scale, 1e-300):
             raise ValueError(f"matrix is not Hermitian: max|H - H^dag| = {dev:g}")
         if not unit > 0 or not hbar > 0:
@@ -77,6 +83,35 @@ class DenseHamiltonian:
     @property
     def dimension(self) -> int:
         return self.matrix.shape[0]
+
+
+def _hermiticity(m: np.ndarray) -> Tuple[float, float]:
+    """(max|H|, max|H - H^dag|), taken a band of rows at a time.
+
+    Each band is compared from the diagonal on with the matching columns,
+    which covers every pair (i, j) once; narrow bands keep the transposed
+    reads in cache.  A NaN entry makes both maxima NaN.
+    """
+    n = m.shape[0]
+    rows = max(1, min(64, CHUNK_ENTRIES // max(n, 1)))
+    real = np.isrealobj(m)
+    scales, devs = [0.0], [0.0]
+    with np.errstate(invalid="ignore"):         # inf - inf: NaN, no warning
+        for start in range(0, n, rows):
+            band = m[start:start + rows]
+            mirror = m[start:, start:start + rows].T
+            scales.append(np.max(np.abs(band)))
+            devs.append(np.max(np.abs(band[:, start:]
+                                      - (mirror if real else mirror.conj()))))
+    return float(np.max(scales)), float(np.max(devs))
+
+
+def _grid_shape(steps: int, levels: int) -> Tuple[int, int]:
+    """(fine, rows): the fine block length B, about sqrt(steps), and the
+    coarse rows per chunk, so that no scan table exceeds CHUNK_ENTRIES."""
+    fine = max(1, min(math.isqrt(max(steps - 1, 0)) + 1,
+                      CHUNK_ENTRIES // max(levels, 1)))
+    return fine, max(1, CHUNK_ENTRIES // max(levels, fine))
 
 
 def _components(matrix: np.ndarray) -> list:
@@ -115,7 +150,7 @@ class SpectralPropagator:
         if psi0.shape[0] != hamiltonian.dimension:
             raise ValueError("psi0 dimension mismatch")
         norm = float(np.linalg.norm(psi0))
-        if abs(norm - 1.0) > 1e-10:
+        if not abs(norm - 1.0) <= 1e-10:
             raise ValueError(f"psi0 not normalized: |psi0| = {norm!r}")
         self.hamiltonian = hamiltonian
         matrix = hamiltonian.matrix
@@ -142,26 +177,44 @@ class SpectralPropagator:
         a = np.concatenate(amplitudes)[order]
         self.amplitudes = a
         self.weights = np.abs(a) ** 2
+        # the phase advance is unitary by construction; what can fail is
+        # the orthonormality of the eigenbasis, which moves the weights
+        total = float(self.weights.sum())
+        if not abs(total - norm * norm) <= NORM_TOL:
+            raise AssertionError(
+                f"eigenbasis not orthonormal: weights sum to {total!r}, "
+                f"|psi0|^2 = {norm * norm!r}")
         self._occ = self.weights > WEIGHT_FLOOR
         self._occ_w = self.weights[self._occ]
         self._occ_omega = self.omegas[self._occ]
         self.psi0 = psi0
 
     def survival_amplitude(self, times) -> np.ndarray:
-        """<psi0|psi(t)> for an array of times, via the occupied levels only.
-
-        Evaluated in chunks so the (times x levels) phase table never
-        exceeds a fixed memory footprint on long scans.
-        """
+        """<psi0|psi(t)> for a few arbitrary times, via the occupied levels
+        only; whole grids go through `survival_grid`."""
         t = np.atleast_1d(np.asarray(times, dtype=float))
-        levels = max(self._occ_omega.size, 1)
-        chunk = max(1, (1 << 20) // levels)
-        out = np.empty(t.size, dtype=complex)
-        for start in range(0, t.size, chunk):
-            block = t[start:start + chunk]
-            out[start:start + chunk] = (
-                np.exp(-1j * np.outer(block, self._occ_omega)) @ self._occ_w)
-        return out
+        return np.exp(-1j * np.outer(t, self._occ_omega)) @ self._occ_w
+
+    def survival_grid(self, times) -> np.ndarray:
+        """<psi0|psi(t)> on a uniform grid ``times = linspace(0, t_max, n)``.
+
+        For k = a*B + b, exp(-i w t_k) = exp(-i w t_{aB}) exp(-i w t_b),
+        so the amplitude is the (n/B x levels) @ (levels x B) product of
+        weighted coarse factors and fine factors, taken from the grid's
+        own points: about (n/B + B) * levels exponentials instead of
+        n * levels.  Coarse rows go in chunks under CHUNK_ENTRIES.
+        """
+        t = np.asarray(times, dtype=float)
+        omega = self._occ_omega
+        fine, rows = _grid_shape(t.size, omega.size)
+        factors = np.exp(-1j * np.outer(omega, t[:fine]))
+        coarse = t[::fine]
+        out = np.empty((coarse.size, fine), dtype=complex)
+        for start in range(0, coarse.size, rows):
+            head = np.exp(-1j * np.outer(coarse[start:start + rows], omega))
+            head *= self._occ_w
+            out[start:start + rows] = head @ factors
+        return out.ravel()[:t.size]
 
     def fidelity(self, times) -> np.ndarray:
         return np.abs(self.survival_amplitude(times))
@@ -175,9 +228,7 @@ class SpectralPropagator:
 
     def mean_energy(self) -> float:
         """<psi0|H|psi0> in energy units (constant along the evolution)."""
-        return float(np.real(np.vdot(self.psi0,
-                                     self.hamiltonian.matrix @ self.psi0))
-                     * self.hamiltonian.unit)
+        return expectation(self.hamiltonian, self.psi0)
 
     def occupied_spread(self) -> float:
         """Spread of occupied angular frequencies; zero means stationary."""
@@ -212,10 +263,9 @@ def evolve(hamiltonian: DenseHamiltonian, psi0, t_max: float,
            propagator: Union[SpectralPropagator, None] = None) -> EvolutionResult:
     """Evolve psi0 on a uniform grid over [0, t_max].
 
-    Norm preservation is exact by construction (diagonal phase advance);
-    a sample of reconstructed states is still checked to 1e-10 as a guard
-    against degenerate eigenbases.  An existing propagator for the same
-    (H, psi0) pair may be passed to skip rediagonalization.
+    Norm preservation is exact by construction (diagonal phase advance).
+    An existing propagator for the same (H, psi0) pair may be passed to
+    skip rediagonalization.
     """
     if steps < 2:
         raise ValueError("steps must be >= 2")
@@ -223,14 +273,9 @@ def evolve(hamiltonian: DenseHamiltonian, psi0, t_max: float,
         raise ValueError("t_max must be positive")
     prop = propagator or SpectralPropagator(hamiltonian, psi0)
     times = np.linspace(0.0, float(t_max), int(steps))
-    overlap = prop.survival_amplitude(times)
-    result = EvolutionResult(times=times, overlap_track=overlap,
-                             fidelity_track=np.abs(overlap), propagator=prop)
-    for t in times[:: max(1, steps // 8)]:
-        norm = float(np.linalg.norm(prop.state_at(float(t))))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise AssertionError(f"norm drift at t={t}: {norm!r}")
-    return result
+    overlap = prop.survival_grid(times)
+    return EvolutionResult(times=times, overlap_track=overlap,
+                           fidelity_track=np.abs(overlap), propagator=prop)
 
 
 def _golden_max(f, a: float, b: float, iterations: int = 48) -> float:
@@ -302,7 +347,10 @@ def detect_period(result: EvolutionResult,
 def expectation(hamiltonian: DenseHamiltonian, psi) -> float:
     """<psi|H|psi> in energy units."""
     v = np.asarray(psi, dtype=complex).ravel()
-    return float(np.real(np.vdot(v, hamiltonian.matrix @ v)) * hamiltonian.unit)
+    m = hamiltonian.matrix
+    # a real matrix acts on the two parts of v without a complex copy
+    hv = m @ v.real + 1j * (m @ v.imag) if np.isrealobj(m) else m @ v
+    return float(np.real(np.vdot(v, hv)) * hamiltonian.unit)
 
 
 def generic_gamma(hamiltonian: DenseHamiltonian, psi0, t_max: float, *,
@@ -329,12 +377,19 @@ def generic_gamma(hamiltonian: DenseHamiltonian, psi0, t_max: float, *,
                            mean_energy=e_mean, branch_integers={},
                            stationary=True, fidelity=1.0)
     if steps is None:
-        # 4096 points per natural cycle 2*pi*hbar/unit, bounded above;
-        # return peaks are much wider than this spacing for any occupied
-        # spread that fits the truncations in use.
+        # 4096 points per natural cycle 2*pi*hbar/unit, and at least
+        # enough that no two occupied phases drift apart by more than
+        # SCAN_BAND radians per step, so no return peak falls between
+        # grid points
         cycles = max(1.0, float(t_max) * hamiltonian.unit
                      / (TWO_PI * hamiltonian.hbar))
-        steps = int(min(4096 * math.ceil(cycles), 1 << 21))
+        needed = math.ceil(spread * t_max / SCAN_BAND) + 1
+        if needed > MAX_STEPS:
+            raise NoReturnError(
+                f"the occupied frequency spread {spread:.6g} needs "
+                f"{needed} grid steps up to t_max = {t_max:g}, above the "
+                f"cap of {MAX_STEPS}; set steps or a shorter t_max")
+        steps = max(int(min(4096 * math.ceil(cycles), MAX_STEPS)), needed)
     tol = 1e-4 if approximate else fidelity_tol
     result = evolve(hamiltonian, psi0, t_max, steps=steps, propagator=prop)
     tau_est, phi_est = detect_period(result, fidelity_tol=tol)

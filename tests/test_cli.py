@@ -187,6 +187,31 @@ class TestVerify:
         assert "verify needs" in err
 
 
+class TestWideSpread:
+    """Levels {0, N, N + small}: the fast phase needs a grid derived from
+    the occupied frequency spread, not from the natural cycle."""
+
+    TEXT = ("[run]\nmodel = raw_spectrum\n\n[raw_spectrum]\n"
+            "levels = {}\namplitudes = 0.6; 0.6; 0.52915026221291817\n")
+
+    @pytest.mark.parametrize("levels", ["0 3000 6001/2", "0 2000 4001/2"])
+    def test_return_found_on_the_spread_grid(self, tmp_path, capsys, levels):
+        code, out, err = run_cli(
+            ["verify", "--config", write(tmp_path, self.TEXT.format(levels))],
+            capsys)
+        assert code == 0 and err == ""
+        assert parse_report(out)["verify"]["verdict"] == "pass"
+
+    def test_grid_above_the_cap_exits_3(self, tmp_path, capsys):
+        text = self.TEXT.format("0 5000 5000001/1000")
+        code, out, err = run_cli(
+            ["verify", "--config", write(tmp_path, text)], capsys)
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("oracle:")
+        needed = int(err.split(" needs ")[1].split()[0])
+        assert needed > 1 << 21
+
+
 class TestConstrain:
     def test_candidate_table(self, tmp_path, capsys):
         code, out, _ = run_cli(

@@ -5,16 +5,22 @@ shares no code with the phase-advance implementation.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import block_diag, expm
 
+from aaphase import oracle
+from aaphase.config import load_config
 from aaphase.oracle import (
+    CHUNK_ENTRIES,
     DenseHamiltonian,
     NoReturnError,
     SpectralPropagator,
     _components,
+    _grid_shape,
     detect_period,
     evolve,
     expectation,
@@ -22,6 +28,8 @@ from aaphase.oracle import (
 )
 
 from conftest import circ
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 TWO_PI = 2.0 * math.pi
 
@@ -34,6 +42,22 @@ def random_hermitian(rng, dim):
 def random_state(rng, dim):
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
+
+
+def direct_survival(prop, times, chunk=4096):
+    """The per-time path over the whole grid, a few thousand times at once."""
+    return np.concatenate([prop.survival_amplitude(times[i:i + chunk])
+                           for i in range(0, times.size, chunk)])
+
+
+def diagonal_propagator(omegas, weights):
+    h = DenseHamiltonian(np.diag(np.asarray(omegas, dtype=float)))
+    psi0 = np.sqrt(np.asarray(weights, dtype=float) / np.sum(weights))
+    return SpectralPropagator(h, psi0.astype(complex))
+
+
+# several row bands of the Hermiticity check
+CHUNKED_DIMENSION = math.isqrt(CHUNK_ENTRIES) + 100
 
 
 class TestDenseHamiltonian:
@@ -50,6 +74,34 @@ class TestDenseHamiltonian:
             DenseHamiltonian(np.eye(2), unit=0.0)
         with pytest.raises(ValueError, match="positive"):
             DenseHamiltonian(np.eye(2), hbar=-1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        # a NaN deviation would otherwise hide the asymmetry next to it
+        with pytest.raises(ValueError, match="finite"):
+            DenseHamiltonian(np.array([[bad, 1.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            DenseHamiltonian(np.array([[1.0, bad], [bad, 1.0]]))
+
+    def test_asymmetry_in_last_row_chunk_rejected(self, rng):
+        n = CHUNKED_DIMENSION
+        m = rng.normal(size=(n, n))
+        m = m + m.T
+        DenseHamiltonian(m)
+        m[n - 1, n - 2] += 1e-6
+        with pytest.raises(ValueError, match="Hermitian"):
+            DenseHamiltonian(m)
+
+    def test_complex_hermiticity_uses_the_conjugate(self, rng):
+        n = CHUNKED_DIMENSION
+        sym = rng.normal(size=(n, n))
+        anti = rng.normal(size=(n, n))
+        # sigma_y-type imaginary part: antisymmetric, so H = H^dag
+        h = DenseHamiltonian((sym + sym.T) + 1j * (anti - anti.T))
+        assert np.iscomplexobj(h.matrix)
+        # a symmetric imaginary part gives H = H^T but not H^dag
+        with pytest.raises(ValueError, match="Hermitian"):
+            DenseHamiltonian((sym + sym.T) + 1j * (anti + anti.T))
 
     def test_matrix_frozen(self):
         h = DenseHamiltonian(np.eye(2))
@@ -104,6 +156,30 @@ class TestPropagator:
         assert expectation(h, np.array([0.6, 0.8])) == pytest.approx(
             2.0 * (0.36 * 2 + 0.64 * 3), rel=1e-14)
 
+    def test_real_matrix_energy_matches_complex_form(self, rng):
+        H = random_hermitian(rng, 9).real
+        psi0 = random_state(rng, 9)
+        want = float(np.real(np.vdot(psi0, H.astype(complex) @ psi0)))
+        got = SpectralPropagator(DenseHamiltonian(H, unit=1.5),
+                                 psi0).mean_energy()
+        assert got == pytest.approx(1.5 * want, rel=1e-13)
+
+    def test_nan_psi0_rejected(self):
+        h = DenseHamiltonian(np.diag([1.0, 2.0]))
+        with pytest.raises(ValueError, match="not normalized"):
+            SpectralPropagator(h, np.array([math.nan, 1.0]))
+
+    def test_weights_must_sum_to_the_norm(self, monkeypatch):
+        # an eigenbasis that is not orthonormal moves the weights
+        def skewed(matrix):
+            w, v = np.linalg.eigh(matrix)
+            return w, v * 1.001
+
+        monkeypatch.setattr(oracle, "eigh", skewed)
+        with pytest.raises(AssertionError, match="orthonormal"):
+            SpectralPropagator(DenseHamiltonian(np.diag([1.0, 2.0])),
+                               np.array([0.6, 0.8]))
+
 
 class TestBlocks:
     def test_scattered_blocks_against_matrix_exponential(self, rng):
@@ -144,6 +220,45 @@ class TestBlocks:
         assert np.array_equal(components[0], np.arange(H.shape[0]))
 
 
+class TestSurvivalGrid:
+    @settings(max_examples=30, deadline=None)
+    @given(levels=st.integers(1, 300),
+           steps=st.sampled_from([2, 3, 4099, 64 * 64, 2 ** 16 + 1]),
+           scale=st.floats(0.0, 1e3),
+           t_max=st.floats(1e-3, 1.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_grid_matches_direct_path(self, levels, steps, scale, t_max, seed):
+        rng = np.random.default_rng(seed)
+        prop = diagonal_propagator(rng.uniform(-scale, scale, levels),
+                                   rng.uniform(0.01, 1.0, levels))
+        times = np.linspace(0.0, t_max, steps)
+        grid = prop.survival_grid(times)
+        assert grid.shape == (steps,) and times[-1] == t_max
+        assert np.max(np.abs(grid - direct_survival(prop, times))) <= 1e-12
+
+    def test_coarse_rows_in_several_chunks(self, rng):
+        levels = 1500
+        steps = (CHUNK_ENTRIES // levels + 1) ** 2 + 1
+        fine, rows = _grid_shape(steps, levels)
+        coarse = -(-steps // fine)
+        # the fine block is capped below sqrt(steps) and the coarse rows
+        # do not fit in one chunk
+        assert levels * (math.isqrt(steps - 1) + 1) > CHUNK_ENTRIES
+        assert levels * fine <= CHUNK_ENTRIES and rows < coarse
+        prop = diagonal_propagator(rng.uniform(-50.0, 50.0, levels),
+                                   rng.uniform(0.01, 1.0, levels))
+        times = np.linspace(0.0, 10.0, steps)
+        grid = prop.survival_grid(times)
+        # both sides of every chunk boundary, a sample, and t_max
+        edges = [np.arange((k * rows - 1) * fine, (k * rows + 1) * fine)
+                 for k in range(1, -(-coarse // rows))]
+        index = np.unique(np.concatenate(
+            [*edges, np.arange(0, steps, 997), [steps - 1]]))
+        index = index[index < steps]
+        want = direct_survival(prop, times[index])
+        assert np.max(np.abs(grid[index] - want)) <= 1e-12
+
+
 class TestEvolve:
     def test_argument_validation(self):
         h = DenseHamiltonian(np.diag([1.0, 2.0]))
@@ -152,6 +267,13 @@ class TestEvolve:
             evolve(h, psi0, 1.0, steps=1)
         with pytest.raises(ValueError, match="t_max"):
             evolve(h, psi0, 0.0)
+
+    def test_overlap_track_on_three_mirror_matrix(self):
+        run = load_config(CONFIGS / "three_mirror_exact.ini")
+        res = evolve(run.dense, run.psi0, 2.2 * TWO_PI, steps=3 * 4096)
+        want = direct_survival(res.propagator, res.times)
+        assert np.max(np.abs(res.overlap_track - want)) <= 1e-12
+        assert np.array_equal(res.fidelity_track, np.abs(res.overlap_track))
 
 
 class TestDetectPeriod:
@@ -251,3 +373,47 @@ class TestGenericGamma:
         psi0 = np.array([math.sqrt(0.5), math.sqrt(0.5)], dtype=complex)
         rep = generic_gamma(h, psi0, t_max=7.0, steps=3000)
         assert circ(rep.gamma, math.pi) < 1e-6
+
+
+class TestDefaultGrid:
+    # levels {0, 3000, 3000.5}: the fast phase needs far more than the
+    # 4096 points per cycle of the base rule
+    H = DenseHamiltonian(np.diag([0.0, 3000.0, 3000.5]))
+    PSI0 = np.array([0.6, 0.6, math.sqrt(0.28)], dtype=complex)
+
+    @staticmethod
+    def grid_steps(monkeypatch, h, psi0, **kwargs):
+        seen = []
+
+        def record(hamiltonian, psi0, t_max, steps=4096, *, propagator=None):
+            seen.append(steps)
+            raise NoReturnError("stop")
+
+        monkeypatch.setattr(oracle, "evolve", record)
+        with pytest.raises(NoReturnError, match="stop"):
+            generic_gamma(h, psi0, **kwargs)
+        return seen[0]
+
+    def test_spread_sets_the_step_count(self, monkeypatch):
+        t_max = 27.6
+        steps = self.grid_steps(monkeypatch, self.H, self.PSI0, t_max=t_max)
+        assert steps == math.ceil(3000.5 * t_max / oracle.SCAN_BAND) + 1
+        assert 3000.5 * t_max / (steps - 1) <= oracle.SCAN_BAND
+
+    def test_base_rule_when_the_spread_is_narrow(self, monkeypatch):
+        h = DenseHamiltonian(np.diag([2.0, 3.0]))
+        psi0 = np.array([0.6, 0.8], dtype=complex)
+        assert self.grid_steps(monkeypatch, h, psi0, t_max=7.0) == 2 * 4096
+
+    def test_user_steps_left_as_they_are(self, monkeypatch):
+        assert self.grid_steps(monkeypatch, self.H, self.PSI0, t_max=27.6,
+                               steps=4096) == 4096
+
+    def test_finds_the_return_the_base_grid_aliases(self):
+        rep = generic_gamma(self.H, self.PSI0, t_max=27.6)
+        assert abs(rep.tau - 2 * TWO_PI) < 1e-6
+
+    def test_step_cap_raises(self):
+        t_max = 1.01 * oracle.MAX_STEPS * oracle.SCAN_BAND / 3000.5
+        with pytest.raises(NoReturnError, match=r"needs \d+ grid steps"):
+            generic_gamma(self.H, self.PSI0, t_max=t_max)
