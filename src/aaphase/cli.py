@@ -14,7 +14,6 @@ import math
 import sys
 from typing import List, Optional, Sequence, Tuple
 
-from . import __version__
 from .config import ConfigError, LoadedRun, load_config
 from .constraints import constrain_unknown, enumerate_candidates, \
     gamma_candidates, gauge_to_zero_phi
@@ -164,7 +163,10 @@ def cmd_constrain(run: LoadedRun, args) -> int:
     if len(run.partial.known) < 2:
         raise ConfigError("constrain needs at least two known eigenvalues")
     n_range = _opt(args, run, "n_range", 16, int)
-    candidates = enumerate_candidates(run.partial, n_range)
+    try:
+        candidates = enumerate_candidates(run.partial, n_range)
+    except ValueError as exc:           # n_range < 1, from the user
+        raise ConfigError(str(exc)) from exc
     gammas = []
     for cand in candidates:
         if run.mean_energy_input is None:

@@ -99,11 +99,13 @@ def _exact_value(text: str) -> Fraction:
         x = float(s)
     except ValueError as exc:
         raise ConfigError(f"bad rational entry {s!r}") from exc
+    if not math.isfinite(x):
+        raise ConfigError(f"non-finite entry {s!r}")
     return rationalize(x, max_denominator=RATIONALIZE_DENOMINATOR,
                        tolerance=RATIONALIZE_TOL)
 
 
-def _spectrum_value(text: str) -> Union[Fraction, float]:
+def _number(text: str) -> Union[Fraction, float]:
     """Like _exact_value but incommensurable entries survive as floats."""
     try:
         return _exact_value(text)
@@ -226,30 +228,23 @@ def _mode_input(sec, key: str):
     return parse_complex(raw)
 
 
-def _ratio(sec, key: str, default: str = "0") -> Union[Fraction, float]:
-    raw = sec.get(key, default).strip()
-    try:
-        return _exact_value(raw)
-    except (ConfigError, IncommensurableError):
-        return float(raw)
-
-
 def _load_three_mirror(sec) -> LoadedRun:
-    omega_m = float(sec.get("omega_m", "1"))
+    raw_unit = sec.get("omega_m", "1")
+    unit = _number(raw_unit)
+    if not unit > 0:
+        raise ConfigError(f"omega_m must be positive, got {raw_unit.strip()!r}")
 
     def scaled(key: str) -> Union[Fraction, float]:
-        value = _ratio(sec, key) if key in sec else Fraction(0)
-        unit = _ratio(sec, "omega_m", "1")
-        if isinstance(value, Fraction) and isinstance(unit, Fraction):
-            return value / unit
-        return float(value) / float(unit)
+        # exact over exact stays a Fraction; any float makes it a float
+        return (_number(sec[key]) if key in sec else Fraction(0)) / unit
 
     truncs = tuple(int(tok) for tok in sec.get("truncations", "15 15 25").split())
     params = ThreeMirrorParams(
         rho_D=scaled("omega_D"), rho_S=scaled("omega_S"),
         kappa_D=scaled("C_D"), kappa_S=scaled("C_S"),
         alpha=_mode_input(sec, "alpha"), beta=_mode_input(sec, "beta"),
-        mu=_mode_input(sec, "mu"), truncations=truncs, omega_m=omega_m)
+        mu=_mode_input(sec, "mu"), truncations=truncs,
+        omega_m=float(raw_unit))
     run = LoadedRun(model="three_mirror",
                     build_dense=lambda: three_mirror_dense(params),
                     psi0=three_mirror_initial_state(params))
@@ -259,7 +254,7 @@ def _load_three_mirror(sec) -> LoadedRun:
 
 
 def _load_raw_spectrum(sec) -> LoadedRun:
-    values = [_spectrum_value(tok) for tok in _get(sec, "levels").split()]
+    values = [_number(tok) for tok in _get(sec, "levels").split()]
     if not values:
         raise ConfigError("levels list is empty")
     amps = _complex_list(_get(sec, "amplitudes"))
@@ -309,14 +304,8 @@ def _load_partial(sec) -> LoadedRun:
     trials = tuple(_exact_value(tok)
                    for tok in sec.get("trials", "").split())
     mean_raw = sec.get("mean_energy", "").strip()
-    mean: Union[Fraction, float, None] = None
-    if mean_raw:
-        try:
-            mean = _exact_value(mean_raw)
-        except IncommensurableError:
-            mean = float(mean_raw)
-    return LoadedRun(model="partial_spectrum", partial=partial,
-                     trials=trials, mean_energy_input=mean)
+    return LoadedRun(model="partial_spectrum", partial=partial, trials=trials,
+                     mean_energy_input=_number(mean_raw) if mean_raw else None)
 
 
 _LOADERS = {

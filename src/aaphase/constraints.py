@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 from .engine import TWO_PI, _canonical_gamma
 from .rational import format_rational
@@ -48,42 +48,29 @@ def _as_fraction(value) -> Fraction:
 class PartialSpectrum:
     """Known portion of the occupied spectrum, exact and dimensionless.
 
-    Entries are (label, eigenvalue, nonzero) triples; eigenvalues are
-    multiples of ``unit``.  The nonzero flag records whether the entry
-    may serve as a divisor in the gauged-frame constraints and must
-    agree with the stored value.
+    Entries are (label, eigenvalue) pairs; eigenvalues are distinct
+    multiples of ``unit``.
     """
 
-    known: Tuple[Tuple[str, Fraction, bool], ...]
+    known: Tuple[Tuple[str, Fraction], ...]
     unit: float = 1.0
 
     def __init__(self, known: Sequence, unit: float = 1.0):
-        entries = []
-        for item in known:
-            if len(item) == 2:
-                label, value = item
-                value = _as_fraction(value)
-                nonzero = value != 0
-            else:
-                label, value, nonzero = item
-                value = _as_fraction(value)
-                if bool(nonzero) != (value != 0):
-                    raise ValueError(
-                        f"nonzero flag contradicts eigenvalue {value}")
-            entries.append((str(label), value, bool(nonzero)))
+        entries = tuple((str(label), _as_fraction(value))
+                        for label, value in known)
         if not entries:
             raise ValueError("at least one known eigenvalue required")
-        values = [v for _, v, _ in entries]
+        values = [v for _, v in entries]
         if len(set(values)) != len(values):
             raise ValueError("known eigenvalues must be distinct")
-        if not unit > 0:
-            raise ValueError("unit must be positive")
-        object.__setattr__(self, "known", tuple(entries))
+        if not 0 < unit < math.inf:
+            raise ValueError("unit must be positive and finite")
+        object.__setattr__(self, "known", entries)
         object.__setattr__(self, "unit", float(unit))
 
     @property
     def eigenvalues(self) -> Tuple[Fraction, ...]:
-        return tuple(v for _, v, _ in self.known)
+        return tuple(v for _, v in self.known)
 
 
 @dataclass(frozen=True, order=True)
@@ -121,8 +108,7 @@ class GaugedCandidate:
 
     ``shift`` is added to every eigenvalue (H -> H + shift*unit); the
     shifted reference eigenvalues lam1, lam2 then satisfy lam1*m = lam2*n
-    and the period is tau_cycles = n/lam1 (m/lam2 when n = 0).  Unpacks
-    as (shift, tau_cycles).
+    and the period is tau_cycles = n/lam1 (m/lam2 when n = 0).
     """
 
     candidate: CyclicityCandidate
@@ -141,9 +127,6 @@ class GaugedCandidate:
     @property
     def m(self) -> int:
         return self.candidate.m
-
-    def __iter__(self) -> Iterator:
-        return iter((self.shift, self.tau_cycles))
 
 
 def _reference_pair(ps: PartialSpectrum) -> Tuple[Fraction, Fraction]:
@@ -195,8 +178,7 @@ def gauge_to_zero_phi(candidate: CyclicityCandidate,
                       ps: PartialSpectrum) -> GaugedCandidate:
     """Spectral shift removing the total phase of the candidate.
 
-    Returns the gauged candidate, which unpacks as (shift, tau_cycles);
-    the period is unchanged by the shift and equals n/lam1 against the
+    The period is unchanged by the shift and equals n/lam1 against the
     shifted reference eigenvalue (Fraction arithmetic, checked).
     """
     lam1, lam2 = _reference_pair(ps)
@@ -220,8 +202,8 @@ def constrain_unknown(gauged: GaugedCandidate,
     return ((trial + gauged.shift) * gauged.tau_cycles).denominator == 1
 
 
-def gamma_candidates(candidate, mean_H,
-                     ps: Union[PartialSpectrum, None] = None) -> List[float]:
+def gamma_candidates(candidate: CyclicityCandidate, mean_H,
+                     ps: PartialSpectrum) -> List[float]:
     """Geometric-phase values compatible with the candidate, in [0, 2*pi).
 
     The candidate's own branch gives gamma = 2*pi*tau_cycles*(<H> + shift)
@@ -229,14 +211,10 @@ def gamma_candidates(candidate, mean_H,
     gauged ratio <H'>/lam1' = a/b is rational and the run over admissible
     branch integers yields exactly b distinct values, appended first-seen
     for n = 1..b.  Float mean energies cannot certify rationality, so
-    only the single candidate value is returned.
+    only the single candidate value is returned.  The candidate is gauged
+    against the reference pair of ``ps``.
     """
-    if isinstance(candidate, GaugedCandidate):
-        gauged = candidate
-    else:
-        if ps is None:
-            raise TypeError("PartialSpectrum required to gauge the candidate")
-        gauged = gauge_to_zero_phi(candidate, ps)
+    gauged = gauge_to_zero_phi(candidate, ps)
     exact = not isinstance(mean_H, float)
     tau = gauged.tau_cycles
     if exact:

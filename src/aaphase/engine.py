@@ -75,8 +75,8 @@ class Spectrum:
         labels = [lab for lab, _ in lv]
         if len(set(labels)) != len(labels):
             raise ValueError("spectrum labels must be unique")
-        if not unit > 0:
-            raise ValueError("unit must be positive")
+        if not 0 < unit < math.inf:
+            raise ValueError("unit must be positive and finite")
         object.__setattr__(self, "levels", lv)
         object.__setattr__(self, "unit", float(unit))
 
@@ -209,42 +209,35 @@ def check_cyclicality(spectrum: Spectrum, state: StateDecomposition) -> Cyclical
     return Cyclicality("non-cyclic", "incommensurable", occupation=occ)
 
 
-def _exact_branch_data(distinct: Sequence[Fraction]):
-    """(L, phi_over_2pi, {value: n}) for an all-rational occupied set.
+def _cyclic_branch_data(distinct: Sequence[Value]):
+    """(L, phi_over_2pi, {value: n}) for two or more distinct levels.
 
     L is the LCM of the inverse spacings from the first level; every
     pairwise spacing is an integer combination of these, so L is also
-    the LCM over all pairs.  The canonical branch puts
+    the LCM over all pairs.  For two levels L = |1/(lambda_1 - lambda_0)|
+    whatever the number type, which also covers the irrational two-level
+    case in floats.  The canonical branch puts
     phi/(2*pi) = n - lambda*L in (-1/2, 1/2], the same value for every
     occupied lambda (their differences lambda_k*L - lambda_i*L are
-    integers by construction of L); this is asserted, not assumed.
+    integers by construction of L); in exact arithmetic this is
+    asserted, in floats the branch integers are rounded.
     """
     ref = distinct[0]
-    L = lcm_rationals([1 / (v - ref) for v in distinct[1:]])
+    if len(distinct) == 2:
+        L = abs(1 / (distinct[1] - ref))
+    else:
+        L = lcm_rationals(1 / (v - ref) for v in distinct[1:])
     g_ref = ref * L
     n_ref = math.floor(g_ref + Fraction(1, 2))
     phi_over_2pi = n_ref - g_ref  # in (-1/2, 1/2]
-    branch: dict[Fraction, int] = {}
+    branch = {}
     for v in distinct:
         n_v = v * L + phi_over_2pi
-        if n_v.denominator != 1:
+        branch[v] = round(n_v)
+        if isinstance(n_v, Fraction) and n_v != branch[v]:
             raise AssertionError(
                 "internal consistency: branch integer is not an integer "
                 f"for eigenvalue {v} (got {n_v})")
-        branch[v] = int(n_v)
-    return L, phi_over_2pi, branch
-
-
-def _two_level_float_data(distinct: Sequence[Value]):
-    """Float analogue of `_exact_branch_data` for two irrational levels."""
-    v0, v1 = float(distinct[0]), float(distinct[1])
-    L = 1.0 / abs(v1 - v0)
-    g0 = v0 * L
-    n0 = math.floor(g0 + 0.5)
-    phi_over_2pi = n0 - g0
-    branch = {}
-    for v in distinct:
-        branch[v] = round(float(v) * L + phi_over_2pi)
     return L, phi_over_2pi, branch
 
 
@@ -266,9 +259,7 @@ def _branch_data(verdict: Cyclicality):
             L = (1 / abs(lam)) if isinstance(lam, Fraction) else 1.0 / abs(lam)
         n = 1 if lam > 0 else (-1 if lam < 0 else 0)
         return L, Fraction(0), {lam: n}
-    if occ.exact:
-        return _exact_branch_data(occ.distinct)
-    return _two_level_float_data(occ.distinct)
+    return _cyclic_branch_data(occ.distinct)
 
 
 def period(spectrum: Spectrum, state: StateDecomposition, *,
@@ -304,16 +295,8 @@ def total_phase(spectrum: Spectrum, state: StateDecomposition):
                          for lab, val, _ in verdict.occupation.levels}
 
 
-def mean_energy(spectrum, state) -> float:
-    """<H> in energy units, from either input form.
-
-    (Spectrum, StateDecomposition) evaluates sum of |c_k|^2 lambda_k;
-    a dense Hermitian matrix object paired with a state vector is passed
-    through to the brute-force expectation.
-    """
-    if hasattr(spectrum, "matrix"):
-        from .oracle import expectation
-        return expectation(spectrum, state)
+def mean_energy(spectrum: Spectrum, state: StateDecomposition) -> float:
+    """<H> in energy units: unit times the sum of |c_k|^2 lambda_k."""
     return _mean_energy(_occupy(spectrum, state))
 
 

@@ -16,7 +16,6 @@ from .three_mirror import (
     three_mirror_gamma_closed_form,
     three_mirror_initial_state,
     three_mirror_scaled_mean_energy,
-    three_mirror_spectrum,
 )
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "three_mirror_gamma_closed_form",
     "three_mirror_initial_state",
     "three_mirror_scaled_mean_energy",
-    "three_mirror_spectrum",
     "two_mirror_dense",
     "two_mirror_gamma_closed_form",
     "two_mirror_mean_energy",

@@ -33,7 +33,6 @@ __all__ = [
     "three_mirror_gamma_closed_form",
     "three_mirror_initial_state",
     "three_mirror_scaled_mean_energy",
-    "three_mirror_spectrum",
 ]
 
 TAIL_TOL = 1e-10
@@ -205,24 +204,6 @@ def three_mirror_exact(params: ThreeMirrorParams
     state = StateDecomposition(
         entries=[(label, amp * scale) for label, amp in entries])
     return Spectrum(levels=levels, unit=params.omega_m), state
-
-
-def three_mirror_spectrum(params: ThreeMirrorParams
-                          ) -> Tuple[Spectrum, DenseHamiltonian]:
-    """Exact spectrum where available, dense matrix always.
-
-    Outside the exact C_S = 0 family the block frequencies chi(n_b) are
-    generically incommensurable, so only the (0,0) block, whose levels
-    are exactly m*hbar*omega_m for every coupling, is reported in the
-    Spectrum; the dense matrix carries the rest.
-    """
-    dense = three_mirror_dense(params)
-    if params.exact_family:
-        spectrum, _ = three_mirror_exact(params)
-        return spectrum, dense
-    nc = params.truncations[2]
-    levels = [(f"0,0,{m}", Fraction(m)) for m in range(nc)]
-    return Spectrum(levels=levels, unit=params.omega_m), dense
 
 
 def _mirror_moments(params: ThreeMirrorParams) -> Tuple[float, float, float]:

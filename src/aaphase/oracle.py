@@ -72,8 +72,8 @@ class DenseHamiltonian:
             raise ValueError("matrix entries must be finite")
         if dev > HERMITICITY_TOL * max(scale, 1e-300):
             raise ValueError(f"matrix is not Hermitian: max|H - H^dag| = {dev:g}")
-        if not unit > 0 or not hbar > 0:
-            raise ValueError("unit and hbar must be positive")
+        if not (0 < unit < math.inf and 0 < hbar < math.inf):
+            raise ValueError("unit and hbar must be positive and finite")
         m = m.astype(np.float64 if np.isrealobj(m) else np.complex128, copy=True)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -250,12 +250,6 @@ class EvolutionResult:
     overlap_track: np.ndarray
     fidelity_track: np.ndarray
     propagator: SpectralPropagator
-
-    def state_at(self, t: float) -> np.ndarray:
-        return self.propagator.state_at(t)
-
-    def fidelity_at(self, t: float) -> float:
-        return float(self.propagator.fidelity(t)[0])
 
 
 def evolve(hamiltonian: DenseHamiltonian, psi0, t_max: float,

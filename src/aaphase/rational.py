@@ -1,4 +1,4 @@
-"""Exact arithmetic on rationals and finite rational sets.
+"""Exact arithmetic on rationals.
 
 Everything in this module is pure and exact.  Values are
 `fractions.Fraction` instances; floating point enters only through
@@ -12,12 +12,10 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 __all__ = [
     "IncommensurableError",
-    "RationalSet",
-    "are_commensurable",
     "format_rational",
     "lcm_rationals",
     "parse_rational",
@@ -59,73 +57,26 @@ def format_rational(x: Fraction) -> str:
     return str(Fraction(x))
 
 
-class RationalSet:
-    """Finite ordered collection of nonzero rationals, deduplicated.
-
-    Duplicates (by canonical reduced form) are dropped, keeping first
-    occurrence order.  Zero elements are rejected: the set models inverse
-    level spacings, and a zero spacing never enters by construction.
-    """
-
-    __slots__ = ("_elements",)
-
-    def __init__(self, values: Iterable[RationalLike]):
-        seen: dict[Fraction, None] = {}
-        for v in values:
-            f = Fraction(v)
-            if f == 0:
-                raise ValueError("RationalSet elements must be nonzero")
-            seen.setdefault(f, None)
-        self._elements: tuple[Fraction, ...] = tuple(seen)
-
-    @property
-    def elements(self) -> tuple[Fraction, ...]:
-        return self._elements
-
-    def __iter__(self) -> Iterator[Fraction]:
-        return iter(self._elements)
-
-    def __len__(self) -> int:
-        return len(self._elements)
-
-    def __contains__(self, item: object) -> bool:
-        try:
-            return Fraction(item) in self._elements  # type: ignore[arg-type]
-        except (TypeError, ValueError):
-            return False
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RationalSet):
-            return NotImplemented
-        return set(self._elements) == set(other._elements)
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._elements))
-
-    def __repr__(self) -> str:
-        inner = ", ".join(str(e) for e in self._elements)
-        return f"RationalSet({{{inner}}})"
-
-
-def lcm_rationals(values: Union[RationalSet, Iterable[RationalLike]]) -> Fraction:
-    """Least common multiple of a set of nonzero rationals.
+def lcm_rationals(values: Iterable[RationalLike]) -> Fraction:
+    """Least common multiple of nonzero rationals.
 
     Returns the smallest L > 0 such that L/|x| is a positive integer for
-    every x in the set.  Signs are ignored: spacings come in +/- pairs and
-    the recurrence condition is sign-insensitive.  For reduced |x| = p/q
-    the result is lcm(all p) / gcd(all q).
+    every x.  Signs are ignored: spacings come in +/- pairs and the
+    recurrence condition is sign-insensitive; repeats change nothing.
+    For reduced |x| = p/q the result is lcm(all p) / gcd(all q).
 
     Raises ValueError("empty spacing set") on empty input; an empty
     spacing set signals a stationary state, which the caller must handle
-    through the single-eigenvalue special case.
+    through the single-eigenvalue special case.  A zero value (a zero
+    spacing) has no multiple and raises ValueError too.
     """
-    if not isinstance(values, RationalSet):
-        values = RationalSet(values)
-    if len(values) == 0:
+    exact = [Fraction(v) for v in values]
+    if not exact:
         raise ValueError("empty spacing set")
-    nums = [abs(f.numerator) for f in values]
-    dens = [f.denominator for f in values]
-    return Fraction(math.lcm(*nums), math.gcd(*dens))
+    if not all(exact):
+        raise ValueError("lcm_rationals needs nonzero values")
+    return Fraction(math.lcm(*(abs(f.numerator) for f in exact)),
+                    math.gcd(*(f.denominator for f in exact)))
 
 
 def rationalize(x: Union[float, int, Fraction], max_denominator: int,
@@ -153,15 +104,3 @@ def rationalize(x: Union[float, int, Fraction], max_denominator: int,
         raise IncommensurableError("incommensurable input")
     return best
 
-
-def are_commensurable(values: Union[RationalSet, Iterable[RationalLike]]) -> bool:
-    """True for every RationalSet: rationals are pairwise commensurable.
-
-    Exists to document the contract explicitly: commensurability of real
-    inputs is decided at the boundary, by `rationalize` succeeding or
-    failing, and once values are exact rationals the test is trivially
-    true.
-    """
-    if not isinstance(values, RationalSet):
-        RationalSet(values)  # validate only
-    return True

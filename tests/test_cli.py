@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, report text, determinism."""
 
+import configparser
 import math
 import os
 import subprocess
@@ -243,6 +244,18 @@ class TestConstrain:
         assert code == 64
         assert "partial_spectrum" in err
 
+    @pytest.mark.parametrize("flags, options", [
+        (["--n-range", "0"], ""),
+        ([], "\n[options]\nn_range = 0\n"),
+    ], ids=["flag", "options"])
+    def test_n_range_below_one_exits_64(self, tmp_path, capsys, flags,
+                                        options):
+        code, out, err = run_cli(
+            ["constrain", "--config", write(tmp_path, PARTIAL + options)]
+            + flags, capsys)
+        assert code == 64 and out == ""
+        assert err == "config error: n_range must be >= 1\n"
+
 
 class TestUsageErrors:
     def test_missing_config_file(self, tmp_path, capsys):
@@ -320,14 +333,26 @@ class TestDenseOnDemand:
         assert built == [(12, 10, 14)]
 
 
+def _loaded_after_import(module: str, names) -> str:
+    probe = (f"import sys, {module}; "
+             f"print(*[name in sys.modules for name in {list(names)!r}])")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", probe], check=True,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}).stdout.strip()
+
+
 def test_cli_import_leaves_scipy_sparse_unloaded():
     # the oracle imports scipy.sparse only when it diagonalizes
-    probe = "import sys, aaphase.cli; print('scipy.sparse' in sys.modules)"
-    src = str(Path(cli.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", probe], check=True,
-                         capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": src}).stdout
-    assert out.strip() == "False"
+    assert _loaded_after_import("aaphase.cli", ["scipy.sparse"]) == "False"
+
+
+@pytest.mark.parametrize("module", ["aaphase.engine", "aaphase.constraints"])
+def test_exact_route_import_leaves_oracle_unloaded(module):
+    # the exact route and the oracle stay independent; the package root
+    # re-exports nothing that would load one with the other
+    assert _loaded_after_import(module, ["aaphase.oracle", "scipy"]) \
+        == "False False"
 
 
 class TestInputGuards:
@@ -362,8 +387,19 @@ class TestInputGuards:
         ("verify", RAW_TWO_LEVEL + "\n[options]\nfidelity_tol = 0.5\n",
          "fidelity_tol"),
         ("verify", RAW_TWO_LEVEL + "\n[options]\nsteps = 1\n", "steps"),
+        ("analyze", RAW_TWO_LEVEL + "unit = inf\n", "unit"),
+        ("analyze", SPIN.replace("mu_B0 = 2", "mu_B0 = inf"), "unit"),
+        ("analyze", "[run]\nmodel = free_field\n\n[free_field]\n"
+         "omega = inf\nalpha = 0.5\n", "unit"),
+        ("analyze", DENSE_IRRATIONAL + "unit = inf\n[options]\nt_max = 20\n",
+         "unit"),
+        ("analyze", "[run]\nmodel = three_mirror\n\n[three_mirror]\n"
+         "omega_D = 2\nomega_S = 3\nomega_m = 0\n", "omega_m"),
     ], ids=["analyze-t_max", "verify-t_max", "verify-t_max-inf",
-            "analyze-fidelity_tol", "verify-fidelity_tol", "verify-steps"])
+            "analyze-fidelity_tol", "verify-fidelity_tol", "verify-steps",
+            "raw_spectrum-unit-inf", "spin_half-mu_B0-inf",
+            "free_field-omega-inf", "dense_matrix-unit-inf",
+            "three_mirror-omega_m-0"])
     def test_out_of_range_options_exit_64(self, tmp_path, capsys, command,
                                           text, key):
         code, out, err = run_cli(
@@ -371,3 +407,43 @@ class TestInputGuards:
         assert code == 64 and out == ""
         assert err.startswith("config error:") and key in err
         assert len(err.splitlines()) == 1
+
+
+SWEEP_TOKENS = ("inf", "-inf", "nan", "1e400", "0", "-1", "abc", "")
+NON_FINITE = SWEEP_TOKENS[:4]
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.ini")))
+def test_malformed_config_sweep(tmp_path, capsys, name):
+    """Every key of the model section and of [options], set to each token,
+    under every command: an exit code, never an exception; non-finite
+    numbers are configuration errors."""
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",),
+                                   interpolation=None)
+    cp.read(CONFIGS / name)
+    sections = [s for s in (cp["run"]["model"], "options") if s in cp]
+    path = tmp_path / name
+    escaped, wrong = [], []
+    for section in sections:
+        for key in list(cp[section]):
+            original = cp[section][key]
+            for token in SWEEP_TOKENS:
+                cp[section][key] = token
+                with open(path, "w", encoding="utf-8") as fh:
+                    cp.write(fh)
+                for command in ("analyze", "verify", "constrain"):
+                    case = (key, token, command)
+                    try:
+                        code = cli.main([command, "--config", str(path)])
+                    except Exception as exc:  # any escape is the failure
+                        escaped.append(case + (repr(exc),))
+                        continue
+                    allowed = {0, 2, 3, 64} | ({1} if command == "verify"
+                                               else set())
+                    if code not in allowed or (token in NON_FINITE
+                                               and code != 64):
+                        wrong.append(case + (code,))
+            cp[section][key] = original
+    capsys.readouterr()
+    assert escaped == []
+    assert wrong == []

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from aaphase.constraints import (
     CyclicityCandidate,
-    GaugedCandidate,
     PartialSpectrum,
     constrain_unknown,
     enumerate_candidates,
@@ -29,14 +28,13 @@ def two_known(a, b):
 class TestPartialSpectrum:
     def test_two_tuples_infer_nonzero_flag(self):
         ps = PartialSpectrum(known=[("a", Fraction(2)), ("b", 0)])
-        assert ps.known == (("a", Fraction(2), True), ("b", Fraction(0), False))
+        assert ps.known == (("a", Fraction(2)), ("b", Fraction(0)))
         assert ps.eigenvalues == (Fraction(2), Fraction(0))
 
-    def test_contradictory_flag_rejected(self):
-        with pytest.raises(ValueError, match="nonzero flag"):
-            PartialSpectrum(known=[("a", Fraction(2), False)])
-        with pytest.raises(ValueError, match="nonzero flag"):
-            PartialSpectrum(known=[("a", 0, True)])
+    @pytest.mark.parametrize("unit", [0.0, -1.0, math.inf, math.nan])
+    def test_unit_positive_and_finite(self, unit):
+        with pytest.raises(ValueError, match="unit"):
+            PartialSpectrum(known=[("a", 1)], unit=unit)
 
     def test_float_eigenvalue_rejected(self):
         with pytest.raises(TypeError, match="rationalize"):
@@ -119,8 +117,7 @@ class TestGauging:
         ps = two_known(2, 3)
         cand = enumerate_candidates(ps, n_range=5)[0]
         gauged = gauge_to_zero_phi(cand, ps)
-        shift, tau = gauged
-        assert shift == 0 and tau == 1
+        assert gauged.shift == 0 and gauged.tau_cycles == 1
         assert (gauged.lam1, gauged.lam2) == (2, 3)
         assert (gauged.n, gauged.m) == (2, 3)
 
@@ -175,15 +172,6 @@ class TestGammaCandidates:
         assert len(vals) == 1
         assert circ(vals[0], math.pi) < 1e-12
 
-    def test_gauged_candidate_accepted_directly(self):
-        gauged = gauge_to_zero_phi(self.cand, self.ps)
-        assert gamma_candidates(gauged, Fraction(5, 2)) == \
-            gamma_candidates(self.cand, Fraction(5, 2), self.ps)
-
-    def test_partial_spectrum_required_for_raw_candidate(self):
-        with pytest.raises(TypeError, match="PartialSpectrum"):
-            gamma_candidates(self.cand, Fraction(5, 2))
-
 
 def test_candidate_family_contains_full_spectrum_answer():
     # occupy exactly the two known levels: the engine's (tau, phi, gamma)
@@ -231,5 +219,5 @@ def test_gauge_and_own_gamma(pair):
         assert constrain_unknown(gauged, lam1)
         assert constrain_unknown(gauged, lam2)
         # mean energy sitting on a reference level winds integrally
-        vals = gamma_candidates(gauged, lam1)
+        vals = gamma_candidates(c, lam1, ps)
         assert vals[0] == 0.0

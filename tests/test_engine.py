@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from aaphase.engine import (
     Cyclicality,
@@ -29,7 +29,7 @@ from aaphase.engine import (
     period,
     total_phase,
 )
-
+from aaphase.engine import _cyclic_branch_data
 from aaphase.rational import lcm_rationals
 from conftest import circ
 
@@ -60,6 +60,8 @@ class TestSpectrumValidation:
     def test_unit_positive(self):
         with pytest.raises(ValueError, match="unit"):
             Spectrum(levels=[("a", 1)], unit=0.0)
+        with pytest.raises(ValueError, match="finite"):
+            Spectrum(levels=[("a", 1)], unit=math.inf)
 
     def test_lookup(self):
         sp = spectrum2(2, 3)
@@ -442,3 +444,37 @@ def test_gauge_invariance(fix, c):
     assert r1.tau_cycles == r0.tau_cycles
     assert mean_energy(shifted, state) == pytest.approx(
         mean_energy(spectrum, state) + float(c), abs=1e-12)
+
+
+def two_level_float_reference(distinct):
+    """The separate float routine that two irrational levels used to take;
+    the branch routine must reproduce it bit for bit."""
+    v0, v1 = float(distinct[0]), float(distinct[1])
+    L = 1.0 / abs(v1 - v0)
+    g0 = v0 * L
+    n0 = math.floor(g0 + 0.5)
+    phi_over_2pi = n0 - g0
+    branch = {}
+    for v in distinct:
+        branch[v] = round(float(v) * L + phi_over_2pi)
+    return L, phi_over_2pi, branch
+
+
+level_st = st.one_of(
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
+              allow_subnormal=False),
+    st.fractions(min_value=Fraction(-1000), max_value=Fraction(1000),
+                 max_denominator=1000))
+
+
+@settings(deadline=None, max_examples=300)
+@given(level_st, level_st)
+def test_two_level_branch_data_matches_float_formula(v0, v1):
+    assume(isinstance(v0, float) or isinstance(v1, float))
+    assume(v0 != v1 and math.isfinite(1.0 / abs(float(v1) - float(v0))))
+    L, phi2pi, branch = _cyclic_branch_data([v0, v1])
+    want_L, want_phi2pi, want_branch = two_level_float_reference([v0, v1])
+    assert isinstance(L, float) and L.hex() == want_L.hex()
+    assert isinstance(phi2pi, float) and phi2pi.hex() == want_phi2pi.hex()
+    assert branch == want_branch
+    assert all(type(n) is int for n in branch.values())

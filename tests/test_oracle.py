@@ -74,6 +74,10 @@ class TestDenseHamiltonian:
             DenseHamiltonian(np.eye(2), unit=0.0)
         with pytest.raises(ValueError, match="positive"):
             DenseHamiltonian(np.eye(2), hbar=-1.0)
+        with pytest.raises(ValueError, match="finite"):
+            DenseHamiltonian(np.eye(2), unit=math.inf)
+        with pytest.raises(ValueError, match="finite"):
+            DenseHamiltonian(np.eye(2), hbar=math.inf)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_entries(self, bad):
@@ -295,7 +299,7 @@ class TestDetectPeriod:
         (tau, phi), _, res = self.run_detect([2.0, 3.0], [0.5, 0.5], 7.0)
         assert abs(tau - TWO_PI) < 1e-6
         assert abs(phi) < 1e-6
-        assert res.fidelity_at(0.0) == pytest.approx(1.0, abs=1e-14)
+        assert res.propagator.fidelity(0.0)[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_first_return_wins(self):
         # t_max spans three periods; the detector must stop at the first

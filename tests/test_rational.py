@@ -1,4 +1,4 @@
-"""Exact rational arithmetic: parsing, sets, LCM, rationalization."""
+"""Exact rational arithmetic: parsing, LCM, rationalization."""
 
 import math
 from fractions import Fraction
@@ -8,8 +8,6 @@ from hypothesis import given, strategies as st
 
 from aaphase.rational import (
     IncommensurableError,
-    RationalSet,
-    are_commensurable,
     format_rational,
     lcm_rationals,
     parse_rational,
@@ -51,26 +49,6 @@ class TestParseFormat:
         assert parse_rational(format_rational(f)) == f
 
 
-class TestRationalSet:
-    def test_dedupe_keeps_first_occurrence_order(self):
-        s = RationalSet(["1/2", Fraction(2, 4), "1/3", "1/2"])
-        assert s.elements == (Fraction(1, 2), Fraction(1, 3))
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError, match="nonzero"):
-            RationalSet([Fraction(1, 2), 0])
-
-    def test_membership_and_equality(self):
-        s = RationalSet(["1/2", "1/3"])
-        assert Fraction(1, 2) in s
-        assert "1/3" in s
-        assert 5 not in s
-        assert "garbage" not in s
-        assert s == RationalSet(["1/3", "2/4"])
-        assert hash(s) == hash(RationalSet(["1/3", "1/2"]))
-        assert len(s) == 2
-
-
 class TestLcm:
     def test_singleton_is_itself(self):
         assert lcm_rationals(["1/2"]) == Fraction(1, 2)
@@ -90,6 +68,10 @@ class TestLcm:
     def test_empty_set_error(self):
         with pytest.raises(ValueError, match="empty spacing set"):
             lcm_rationals([])
+
+    def test_zero_rejected(self):
+        with pytest.raises(ValueError, match="nonzero"):
+            lcm_rationals([Fraction(1, 2), 0])
 
     @given(st.lists(fractions_st.filter(lambda f: f != 0),
                     min_size=1, max_size=6))
@@ -165,9 +147,3 @@ class TestRationalize:
         # float round trip at tolerance 1e-9
         assert rationalize(float(f), 400, 1e-9) == f
 
-
-def test_commensurability_is_trivial_for_rationals():
-    assert are_commensurable(RationalSet(["1/2", "22/7"]))
-    assert are_commensurable(["5", "-1/3"])
-    with pytest.raises(ValueError):
-        are_commensurable([0])

@@ -16,7 +16,6 @@ from aaphase.models import (
     three_mirror_gamma_closed_form,
     three_mirror_initial_state,
     three_mirror_scaled_mean_energy,
-    three_mirror_spectrum,
 )
 from aaphase.models.three_mirror import three_mirror_chi
 from aaphase.oracle import expectation, generic_gamma
@@ -260,19 +259,3 @@ class TestChiLaw:
         p = ThreeMirrorParams(rho_D=1, rho_S=1, omega_m=2.5)
         assert three_mirror_chi(p, 5) == pytest.approx(2.5, rel=1e-15)
 
-
-class TestSpectrumDispatch:
-    def test_exact_family_reports_full_spectrum(self):
-        p = decoupled_params(truncations=(12, 10, 14))
-        spectrum, dense = three_mirror_spectrum(p)
-        assert len(spectrum.levels) == 12 * 10 * 14
-        assert dense.dimension == 12 * 10 * 14
-
-    def test_squeezed_family_reports_only_the_free_block(self):
-        p = ThreeMirrorParams(rho_D=2, rho_S=3, kappa_S=Fraction(1, 8),
-                              truncations=(6, 6, 8))
-        spectrum, dense = three_mirror_spectrum(p)
-        # chi(n_b) is irrational for n_b > 0; only (0,0,m) levels are exact
-        assert len(spectrum.levels) == 8
-        assert spectrum.value("0,0,3") == 3
-        assert dense.dimension == 6 * 6 * 8
