@@ -14,7 +14,7 @@ import math
 import sys
 from typing import List, Optional, Sequence, Tuple
 
-from .config import ConfigError, LoadedRun, load_config
+from .config import FLAGS, ConfigError, LoadedRun, load_config
 from .constraints import constrain_unknown, enumerate_candidates, \
     gamma_candidates, gauge_to_zero_phi
 from .engine import NonCyclicError, check_cyclicality, geometric_phase
@@ -34,8 +34,6 @@ EXIT_VERIFY_FAIL = 1
 EXIT_NON_CYCLIC = 2
 EXIT_NO_RETURN = 3
 EXIT_USAGE = 64
-
-VERIFY_TOL = 1e-6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -58,9 +56,9 @@ def _build_parser() -> _Parser:
         cmd = sub.add_parser(name, help=text)
         cmd.add_argument("--config", required=True, metavar="<path>")
         cmd.add_argument("--out", metavar="<path>")
-        cmd.add_argument("--n-range", type=int, dest="n_range")
-        cmd.add_argument("--fidelity-tol", type=float, dest="fidelity_tol")
-        cmd.add_argument("--t-max", type=float, dest="t_max")
+        for name, cast in FLAGS.items():
+            cmd.add_argument("--" + name.replace("_", "-"), type=cast,
+                             dest=name)
     return parser
 
 
@@ -72,42 +70,17 @@ def _emit(text: str, out_path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _opt(args, run: LoadedRun, key: str, default, cast):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    return run.option(key, default, cast)
-
-
-def _oracle(run: LoadedRun, args, t_max: float, approximate: bool = False):
-    """The brute-force route on the run's dense form.
-
-    The oracle rejects out-of-range settings (t_max, fidelity_tol,
-    steps) with ValueError; those come from the config or the command
-    line, so they are usage errors.
-    """
-    fidelity_tol = _opt(args, run, "fidelity_tol", 1e-8, float)
-    steps = run.option("steps", None, int)
-    try:
-        return generic_gamma(run.dense, run.psi0, t_max,
-                             fidelity_tol=fidelity_tol, steps=steps,
-                             approximate=approximate)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _oracle_report(run: LoadedRun, args):
-    t_max = _opt(args, run, "t_max", None, float)
-    if t_max is None:
-        raise ConfigError("t_max required for the brute-force route")
-    approximate = run.option("approximate", run.model == "three_mirror",
-                             lambda s: s.strip().lower() in ("1", "yes", "true"))
-    return _oracle(run, args, t_max, approximate=approximate)
-
-
 def cmd_analyze(run: LoadedRun, args) -> int:
+    opts = run.options
     if run.spectrum is None or run.state is None:
-        report = _oracle_report(run, args)
+        if opts.t_max is None:
+            raise ConfigError("t_max required for the brute-force route")
+        if run.build_dense is None:
+            raise ConfigError(f"analyze needs a spectrum or a matrix; a "
+                              f"{run.model} run has neither")
+        report = generic_gamma(run.dense, run.psi0, opts.t_max,
+                               fidelity_tol=opts.fidelity_tol,
+                               steps=opts.steps, approximate=opts.approximate)
         _emit(format_phase_report(report), args.out)
         return EXIT_OK
     verdict = check_cyclicality(run.spectrum, run.state)
@@ -140,9 +113,13 @@ def cmd_verify(run: LoadedRun, args) -> int:
     if verdict.kind != "cyclic":
         raise ConfigError(f"nothing to verify for a {verdict.kind} state")
     exact = geometric_phase(run.spectrum, run.state, cyclicality=verdict)
-    t_max = _opt(args, run, "t_max", 2.2 * exact.tau, float)
-    tol = run.option("tolerance", VERIFY_TOL, float)
-    oracle = _oracle(run, args, t_max)
+    opts = run.options
+    t_max = 2.2 * exact.tau if opts.t_max is None else opts.t_max
+    if not t_max < math.inf:
+        raise ConfigError("t_max required: 2.2 periods is not finite")
+    oracle = generic_gamma(run.dense, run.psi0, t_max,
+                           fidelity_tol=opts.fidelity_tol, steps=opts.steps)
+    tol = opts.tolerance
     rows: List[Tuple[str, str, str, float, bool]] = []
     d_tau = abs(oracle.tau - exact.tau) / exact.tau
     rows.append(("tau-relative", format_real(exact.tau),
@@ -162,11 +139,7 @@ def cmd_constrain(run: LoadedRun, args) -> int:
         raise ConfigError("constrain needs a [partial_spectrum] model")
     if len(run.partial.known) < 2:
         raise ConfigError("constrain needs at least two known eigenvalues")
-    n_range = _opt(args, run, "n_range", 16, int)
-    try:
-        candidates = enumerate_candidates(run.partial, n_range)
-    except ValueError as exc:           # n_range < 1, from the user
-        raise ConfigError(str(exc)) from exc
+    candidates = enumerate_candidates(run.partial, run.options.n_range)
     gammas = []
     for cand in candidates:
         if run.mean_energy_input is None:
@@ -191,15 +164,12 @@ _COMMANDS = {"analyze": cmd_analyze, "verify": cmd_verify,
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        run = load_config(args.config)
+        run = load_config(args.config, vars(args))
         return _COMMANDS[args.command](run, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except IncommensurableError as exc:
-        print(f"non-cyclic: {exc}", file=sys.stderr)
-        return EXIT_NON_CYCLIC
-    except NonCyclicError as exc:
+    except (IncommensurableError, NonCyclicError) as exc:
         print(f"non-cyclic: {exc}", file=sys.stderr)
         return EXIT_NON_CYCLIC
     except NoReturnError as exc:

@@ -12,12 +12,13 @@ mandatory (constraint inputs).
 
 from __future__ import annotations
 
+import cmath
 import configparser
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -44,13 +45,11 @@ from .rational import IncommensurableError, parse_rational, rationalize
 __all__ = [
     "ConfigError",
     "LoadedRun",
+    "RunOptions",
     "load_config",
     "parse_complex",
     "format_complex",
 ]
-
-MODELS = ("spin_half", "free_field", "two_mirror", "three_mirror",
-          "raw_spectrum", "dense_matrix", "partial_spectrum")
 
 RATIONALIZE_DENOMINATOR = 1000
 RATIONALIZE_TOL = 1e-9
@@ -61,30 +60,33 @@ class ConfigError(ValueError):
 
 
 def parse_complex(text: str) -> complex:
-    """Parse "re+im i" (also bare reals and "im i")."""
+    """Parse "re+im i" (also bare reals and "im i"); both parts finite."""
     s = text.strip()
     if not s:
         raise ConfigError("empty complex entry")
+    re_text, im_text = s, "0"
+    if s.endswith("i"):
+        body = s[:-1].strip()
+        cut = next((idx for idx in range(len(body) - 1, 0, -1)
+                    if body[idx] in "+-" and body[idx - 1] not in "eE"), 0)
+        re_text, im_text = body[:cut] or "0", body[cut:]
     try:
-        if s.endswith("i"):
-            body = s[:-1].strip()
-            for idx in range(len(body) - 1, 0, -1):
-                if body[idx] in "+-" and body[idx - 1] not in "eE":
-                    return complex(float(body[:idx]), float(body[idx:]))
-            return complex(0.0, float(body))
-        return complex(float(s), 0.0)
+        z = complex(float(re_text), float(im_text))
     except ValueError as exc:
         raise ConfigError(f"bad complex entry {text!r}") from exc
+    if not cmath.isfinite(z):
+        raise ConfigError(f"non-finite complex entry {text!r}")
+    return z
 
 
 def format_complex(z: complex) -> str:
     return f"{z.real:.17g}{z.imag:+.17g} i"
 
 
-def _complex_list(text: str) -> Tuple[complex, ...]:
-    items = [piece for piece in text.split(";") if piece.strip()]
+def _complex_list(text: str, sep: str = ";") -> Tuple[complex, ...]:
+    items = [piece for piece in text.split(sep) if piece.strip()]
     if not items:
-        raise ConfigError("empty amplitude list")
+        raise ConfigError("empty list")
     return tuple(parse_complex(piece) for piece in items)
 
 
@@ -113,6 +115,55 @@ def _number(text: str) -> Union[Fraction, float]:
         return float(text.strip())
 
 
+@dataclass(frozen=True)
+class RunOptions:
+    """[options] with command-line flags on top; None: derived per run."""
+
+    t_max: Optional[float] = None
+    fidelity_tol: float = 1e-8
+    steps: Optional[int] = None
+    tolerance: float = 1e-6
+    n_range: int = 16
+    approximate: bool = False
+
+
+# option -> (type, range test, range in words); NaN fails every test
+_OPTION_RULES = {
+    "t_max": (float, lambda v: 0 < v < math.inf, "positive and finite"),
+    "fidelity_tol": (float, lambda v: 0 < v <= 1e-3, "in (0, 1e-3]"),
+    "steps": (int, lambda v: v >= 2, ">= 2"),
+    "tolerance": (float, lambda v: 0 < v < 1, "in (0, 1)"),
+    "n_range": (int, lambda v: v >= 1, ">= 1"),
+    "approximate": (bool, lambda v: True, ""),
+}
+# options a command-line flag can also set, with its type; flags win
+FLAGS = {key: _OPTION_RULES[key][0]
+         for key in ("n_range", "fidelity_tol", "t_max")}
+
+
+def _run_options(cp: configparser.ConfigParser, model: str,
+                 flags: Mapping) -> RunOptions:
+    # off its exact family a three-mirror run has no exact return to find
+    values = {"approximate": model == "three_mirror"}
+    sec = cp["options"] if cp.has_section("options") else {}
+    for key in sec:
+        if key not in _OPTION_RULES:
+            raise ConfigError(f"unknown option {key!r} in [options]")
+        kind = _OPTION_RULES[key][0]
+        try:
+            values[key] = (sec.getboolean(key) if kind is bool
+                           else kind(sec[key]))
+        except ValueError as exc:
+            raise ConfigError(f"bad option {key} = {sec[key]!r}") from exc
+    values.update((key, flags[key]) for key in FLAGS
+                  if flags.get(key) is not None)
+    for key, value in values.items():
+        _, in_range, stated = _OPTION_RULES[key]
+        if not in_range(value):
+            raise ConfigError(f"{key} must be {stated}")
+    return RunOptions(**values)
+
+
 @dataclass
 class LoadedRun:
     """Everything a command needs, constructed except the dense matrix.
@@ -131,20 +182,16 @@ class LoadedRun:
     partial: Optional[PartialSpectrum] = None
     trials: Tuple[Fraction, ...] = ()
     mean_energy_input: Union[Fraction, float, None] = None
-    options: Dict[str, str] = field(default_factory=dict)
+    options: RunOptions = RunOptions()
 
     @cached_property
     def dense(self) -> Optional[DenseHamiltonian]:
-        return None if self.build_dense is None else self.build_dense()
-
-    def option(self, key: str, default, cast):
-        raw = self.options.get(key)
-        if raw is None:
-            return default
+        if self.build_dense is None:
+            return None
         try:
-            return cast(raw)
+            return self.build_dense()
         except ValueError as exc:
-            raise ConfigError(f"bad option {key} = {raw!r}") from exc
+            raise ConfigError(str(exc)) from exc
 
 
 def _normalized(psi0: np.ndarray) -> np.ndarray:
@@ -160,10 +207,15 @@ def _section(cp: configparser.ConfigParser, name: str):
     return cp[name]
 
 
-def _get(sec, key: str) -> str:
-    if key not in sec:
+def _get(sec, key: str, parse=str, default: Optional[str] = None):
+    """parse(the text under ``key``); its ConfigError names the key."""
+    text = sec.get(key, default)
+    if text is None:
         raise ConfigError(f"missing key {key!r} in [{sec.name}]")
-    return sec[key]
+    try:
+        return parse(text)
+    except ConfigError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def _load_spin_half(sec) -> LoadedRun:
@@ -184,7 +236,7 @@ def _load_free_field(sec) -> LoadedRun:
             "alpha+truncation")
     if has_list:
         ns = [int(tok) for tok in _get(sec, "occupied_n").split()]
-        amps = _complex_list(_get(sec, "amplitudes"))
+        amps = _get(sec, "amplitudes", _complex_list)
         if len(ns) != len(amps):
             raise ConfigError("occupied_n and amplitudes differ in length")
         spectrum, state = free_field(omega, ns, amps)
@@ -194,7 +246,7 @@ def _load_free_field(sec) -> LoadedRun:
             psi0[n] = a
         psi0 = _normalized(psi0)
     else:
-        alpha = parse_complex(_get(sec, "alpha"))
+        alpha = _get(sec, "alpha", parse_complex)
         truncation = int(sec.get("truncation", "31"))
         spectrum, state = free_field_coherent(omega, alpha, truncation)
         psi0 = np.zeros(truncation, dtype=complex)
@@ -210,8 +262,8 @@ def _load_two_mirror(sec) -> LoadedRun:
     params = TwoMirrorParams(
         r=_exact_value(_get(sec, "r")),
         k_squared=_exact_value(_get(sec, "k_squared")),
-        field_amplitudes=_complex_list(_get(sec, "field_amplitudes")),
-        beta=parse_complex(sec.get("beta", "0+0 i")),
+        field_amplitudes=_get(sec, "field_amplitudes", _complex_list),
+        beta=_get(sec, "beta", parse_complex, "0+0 i"),
         mirror_truncation=int(sec.get("mirror_truncation", "40")),
         omega_m=float(sec.get("omega_m", "1")),
         k_sign=int(sec.get("k_sign", "1")))
@@ -221,11 +273,8 @@ def _load_two_mirror(sec) -> LoadedRun:
                      build_dense=lambda: dense, psi0=psi0)
 
 
-def _mode_input(sec, key: str):
-    raw = sec.get(key, "0+0 i")
-    if ";" in raw:
-        return _complex_list(raw)
-    return parse_complex(raw)
+def _mode_input(raw: str):
+    return _complex_list(raw) if ";" in raw else parse_complex(raw)
 
 
 def _load_three_mirror(sec) -> LoadedRun:
@@ -238,13 +287,15 @@ def _load_three_mirror(sec) -> LoadedRun:
         # exact over exact stays a Fraction; any float makes it a float
         return (_number(sec[key]) if key in sec else Fraction(0)) / unit
 
+    def mode(key: str):
+        return _get(sec, key, _mode_input, "0+0 i")
+
     truncs = tuple(int(tok) for tok in sec.get("truncations", "15 15 25").split())
     params = ThreeMirrorParams(
         rho_D=scaled("omega_D"), rho_S=scaled("omega_S"),
         kappa_D=scaled("C_D"), kappa_S=scaled("C_S"),
-        alpha=_mode_input(sec, "alpha"), beta=_mode_input(sec, "beta"),
-        mu=_mode_input(sec, "mu"), truncations=truncs,
-        omega_m=float(raw_unit))
+        alpha=mode("alpha"), beta=mode("beta"), mu=mode("mu"),
+        truncations=truncs, omega_m=float(raw_unit))
     run = LoadedRun(model="three_mirror",
                     build_dense=lambda: three_mirror_dense(params),
                     psi0=three_mirror_initial_state(params))
@@ -255,9 +306,7 @@ def _load_three_mirror(sec) -> LoadedRun:
 
 def _load_raw_spectrum(sec) -> LoadedRun:
     values = [_number(tok) for tok in _get(sec, "levels").split()]
-    if not values:
-        raise ConfigError("levels list is empty")
-    amps = _complex_list(_get(sec, "amplitudes"))
+    amps = _get(sec, "amplitudes", _complex_list)
     if len(amps) != len(values):
         raise ConfigError("levels and amplitudes differ in length")
     unit = float(sec.get("unit", "1"))
@@ -277,21 +326,17 @@ def _load_raw_spectrum(sec) -> LoadedRun:
 
 def _load_dense_matrix(sec) -> LoadedRun:
     dim = int(_get(sec, "dimension"))
-    entries = [parse_complex(tok) for tok in _get(sec, "entries").split(",")]
+    entries = _get(sec, "entries", lambda text: _complex_list(text, ","))
     if len(entries) != dim * dim:
         raise ConfigError(f"expected {dim * dim} matrix entries, "
                           f"got {len(entries)}")
     matrix = np.array(entries, dtype=complex).reshape(dim, dim)
-    psi0 = np.array([parse_complex(tok)
-                     for tok in _get(sec, "psi0").split(",")], dtype=complex)
+    psi0 = np.array(_get(sec, "psi0", lambda text: _complex_list(text, ",")),
+                    dtype=complex)
     if psi0.size != dim:
         raise ConfigError("psi0 length does not match dimension")
     psi0 = _normalized(psi0)
-    unit = float(sec.get("unit", "1"))
-    try:
-        dense = DenseHamiltonian(matrix, unit=unit)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    dense = DenseHamiltonian(matrix, unit=float(sec.get("unit", "1")))
     return LoadedRun(model="dense_matrix", build_dense=lambda: dense,
                      psi0=psi0)
 
@@ -319,25 +364,28 @@ _LOADERS = {
 }
 
 
-def load_config(path: str) -> LoadedRun:
+def load_config(path: str, flags: Optional[Mapping] = None) -> LoadedRun:
+    """Read the run at ``path``; ``flags`` maps option names to flag
+    values (None: not given).  Options are checked before any build."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",),
                                    interpolation=None)
-    read = cp.read(path)
+    try:
+        read = cp.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(str(exc).splitlines()[0]) from exc
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
     run_sec = _section(cp, "run")
     model = _get(run_sec, "model").strip()
-    if model not in MODELS:
+    if model not in _LOADERS:
         raise ConfigError(f"unknown model {model!r}; "
-                          f"expected one of {', '.join(MODELS)}")
+                          f"expected one of {', '.join(_LOADERS)}")
+    options = _run_options(cp, model, flags or {})
     try:
         run = _LOADERS[model](_section(cp, model))
-    except IncommensurableError:
-        raise
-    except ConfigError:
+    except (IncommensurableError, ConfigError):
         raise
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
-    if cp.has_section("options"):
-        run.options = dict(cp["options"])
+    run.options = options
     return run

@@ -49,7 +49,8 @@ def fock_state(n: int, dim: int) -> np.ndarray:
 def _raw_coherent(alpha: complex, dim: int) -> np.ndarray:
     """exp(-|a|^2/2) a^n / sqrt(n!) by stable recurrence."""
     amps = np.empty(dim, dtype=complex)
-    amps[0] = math.exp(-0.5 * abs(alpha) ** 2)
+    r = abs(alpha)
+    amps[0] = math.exp(-0.5 * r * r)      # r ** 2 raises OverflowError
     for n in range(1, dim):
         amps[n] = amps[n - 1] * alpha / math.sqrt(n)
     return amps
@@ -67,7 +68,7 @@ def coherent_amplitudes(alpha: complex, truncation: int, *,
     amps = _raw_coherent(alpha, truncation)
     mass = float(np.sum(np.abs(amps) ** 2))
     tail = 1.0 - mass
-    if tail >= TAIL_TOL:
+    if not tail < TAIL_TOL:
         raise ValueError(
             f"coherent tail mass {tail:.3e} at truncation {truncation}; "
             "increase the truncation")

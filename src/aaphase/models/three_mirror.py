@@ -197,7 +197,7 @@ def three_mirror_exact(params: ThreeMirrorParams
                     mass += abs(amp) ** 2
                     entries.append((label, amp))
     tail = 1.0 - mass
-    if tail >= TAIL_TOL:
+    if not tail < TAIL_TOL:
         raise ValueError(
             f"truncation too small: tail mass {tail:.3e} at {params.truncations}")
     scale = 1.0 / math.sqrt(mass)

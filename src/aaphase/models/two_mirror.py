@@ -133,7 +133,7 @@ def two_mirror_spectrum(params: TwoMirrorParams
                 mass += abs(amp) ** 2
                 entries.append((f"{n},{m}", amp))
     tail = 1.0 - mass
-    if tail >= TAIL_TOL:
+    if not tail < TAIL_TOL:
         raise ValueError(
             f"truncation too small: tail mass {tail:.3e} at "
             f"mirror_truncation {trunc}")

@@ -1,13 +1,17 @@
 """End-to-end CLI behavior: exit codes, report text, determinism."""
 
 import configparser
+import contextlib
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from aaphase import cli
 from aaphase import config as config_module
@@ -365,18 +369,28 @@ class TestInputGuards:
         assert code == 64 and out == ""
         assert err.startswith("config error:") and "psi0" in err
 
-    @pytest.mark.parametrize("text", [
-        RAW_TWO_LEVEL.replace("0.6; 0.8", "nan; 0.8"),
-        "[run]\nmodel = two_mirror\n\n[two_mirror]\nr = 2\n"
-        "k_squared = 1/2\nfield_amplitudes = nan; 0.7\n",
-        "[run]\nmodel = three_mirror\n\n[three_mirror]\nomega_D = 2\n"
-        "omega_S = 3\nalpha = nan; 0\ntruncations = 4 4 4\n",
+    @pytest.mark.parametrize("text, key", [
+        (RAW_TWO_LEVEL.replace("0.6; 0.8", "nan; 0.8"), "amplitudes"),
+        ("[run]\nmodel = two_mirror\n\n[two_mirror]\nr = 2\n"
+         "k_squared = 1/2\nfield_amplitudes = nan; 0.7\n", "field_amplitudes"),
+        ("[run]\nmodel = three_mirror\n\n[three_mirror]\nomega_D = 2\n"
+         "omega_S = 3\nalpha = nan; 0\ntruncations = 4 4 4\n", "alpha"),
     ], ids=["raw_spectrum", "two_mirror", "three_mirror"])
-    def test_nan_amplitudes_rejected(self, tmp_path, capsys, text):
+    def test_nan_amplitudes_rejected(self, tmp_path, capsys, text, key):
+        # rejected where the entry is parsed, naming its key
         code, out, err = run_cli(
             ["analyze", "--config", write(tmp_path, text)], capsys)
         assert code == 64 and out == ""
-        assert err.startswith("config error:") and "normalized" in err
+        assert err == f"config error: {key}: non-finite complex entry 'nan'\n"
+
+    def test_huge_coupling_exits_64(self, tmp_path, capsys):
+        text = ("[run]\nmodel = three_mirror\n\n[three_mirror]\nomega_D = 2\n"
+                "omega_S = 3\nC_D = 1e200\nalpha = 0.1\nmu = 0.1\n"
+                "truncations = 6 6 6\n")
+        code, out, err = run_cli(
+            ["analyze", "--config", write(tmp_path, text)], capsys)
+        assert code == 64 and out == ""
+        assert err.startswith("config error:") and "tail mass" in err
 
     @pytest.mark.parametrize("command, text, key", [
         ("analyze", DENSE_IRRATIONAL + "\n[options]\nt_max = -3\n", "t_max"),
@@ -395,11 +409,22 @@ class TestInputGuards:
          "unit"),
         ("analyze", "[run]\nmodel = three_mirror\n\n[three_mirror]\n"
          "omega_D = 2\nomega_S = 3\nomega_m = 0\n", "omega_m"),
+        ("verify", RAW_TWO_LEVEL + "\n[options]\ntolerance = inf\n",
+         "tolerance"),
+        ("verify", RAW_TWO_LEVEL + "\n[options]\ntolerance = nan\n",
+         "tolerance"),
+        ("verify", RAW_TWO_LEVEL + "\n[options]\ntolerance = 0\n",
+         "tolerance"),
+        ("verify", RAW_TWO_LEVEL + "\n[options]\ntolerance = -1\n",
+         "tolerance"),
+        ("verify", RAW_TWO_LEVEL + "unit = 1e-308\n", "t_max"),
     ], ids=["analyze-t_max", "verify-t_max", "verify-t_max-inf",
             "analyze-fidelity_tol", "verify-fidelity_tol", "verify-steps",
             "raw_spectrum-unit-inf", "spin_half-mu_B0-inf",
             "free_field-omega-inf", "dense_matrix-unit-inf",
-            "three_mirror-omega_m-0"])
+            "three_mirror-omega_m-0", "verify-tolerance-inf",
+            "verify-tolerance-nan", "verify-tolerance-0",
+            "verify-tolerance-negative", "verify-default-t_max-overflow"])
     def test_out_of_range_options_exit_64(self, tmp_path, capsys, command,
                                           text, key):
         code, out, err = run_cli(
@@ -407,6 +432,56 @@ class TestInputGuards:
         assert code == 64 and out == ""
         assert err.startswith("config error:") and key in err
         assert len(err.splitlines()) == 1
+
+
+class TestOptionsBeforeModel:
+    """Options and entries are checked at load, before any model build."""
+
+    @pytest.mark.parametrize("command", ["analyze", "verify", "constrain"])
+    @pytest.mark.parametrize("section, key, token", [
+        ("options", "t_max", "-1"), ("three_mirror", "alpha", "inf")])
+    def test_rejected_before_any_model_build(self, tmp_path, capsys,
+                                             monkeypatch, command, section,
+                                             key, token):
+        cp = configparser.ConfigParser(inline_comment_prefixes=("#",),
+                                       interpolation=None)
+        cp.read(CONFIGS / "three_mirror_approximate.ini")
+        cp[section][key] = token
+        path = tmp_path / "run.ini"
+        with open(path, "w", encoding="utf-8") as fh:
+            cp.write(fh)
+
+        def refuse(*args):
+            raise AssertionError("a model was built before validation")
+
+        for name in ("three_mirror_dense", "three_mirror_initial_state",
+                     "three_mirror_exact"):
+            monkeypatch.setattr(config_module, name, refuse)
+        code, out, err = run_cli([command, "--config", str(path)], capsys)
+        assert code == 64 and out == ""
+        assert err.startswith("config error:") and key in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("flags, options", [
+        (["--t-max", "5"], ""),
+        ([], "\n[options]\nt_max = 5\n"),
+    ], ids=["flag", "options"])
+    def test_analyze_partial_spectrum_with_t_max(self, tmp_path, capsys,
+                                                 flags, options):
+        code, out, err = run_cli(
+            ["analyze", "--config", write(tmp_path, PARTIAL + options)]
+            + flags, capsys)
+        assert code == 64 and out == ""
+        assert err.startswith("config error:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("text", [
+        SPIN + "theta = 1.2\n", "model = spin_half\n", SPIN + "[run]\n"],
+        ids=["duplicate-key", "no-section", "duplicate-section"])
+    def test_unparsable_file_exits_64(self, tmp_path, capsys, text):
+        code, out, err = run_cli(
+            ["analyze", "--config", write(tmp_path, text)], capsys)
+        assert code == 64 and out == ""
+        assert err.startswith("config error:") and len(err.splitlines()) == 1
 
 
 SWEEP_TOKENS = ("inf", "-inf", "nan", "1e400", "0", "-1", "abc", "")
@@ -447,3 +522,84 @@ def test_malformed_config_sweep(tmp_path, capsys, name):
     capsys.readouterr()
     assert escaped == []
     assert wrong == []
+
+
+# Keys each model section reads, the [options] keys and a few strangers.
+MODEL_KEYS = {
+    "spin_half": ("theta", "mu_B0"),
+    "free_field": ("omega", "occupied_n", "amplitudes", "alpha",
+                   "truncation"),
+    "two_mirror": ("r", "k_squared", "field_amplitudes", "beta",
+                   "mirror_truncation", "omega_m", "k_sign"),
+    "three_mirror": ("omega_D", "omega_S", "omega_m", "C_D", "C_S", "alpha",
+                     "beta", "mu", "truncations"),
+    "raw_spectrum": ("levels", "amplitudes", "unit", "labels"),
+    "dense_matrix": ("dimension", "entries", "psi0", "unit"),
+    "partial_spectrum": ("known", "trials", "mean_energy", "unit"),
+}
+OPTION_KEYS = ("t_max", "fidelity_tol", "steps", "tolerance", "n_range",
+               "approximate")
+STRANGE_KEYS = ("model", "fidelty_tol", "x")
+SECTIONS = ("run", "options", "extra", *MODEL_KEYS)
+SHIPPED = sorted(p.name for p in CONFIGS.glob("*.ini"))
+# integer keys that size a matrix stay small so every example is fast
+SIZE_KEYS = ("truncation", "mirror_truncation", "truncations", "dimension",
+             "occupied_n", "k_sign")
+TOKENS = ("0", "1", "-1", "2", "3", "1/2", "7/3", "0.5", "1e-3", "20",
+          "1e400", "inf", "-inf", "nan", "abc", "", "on", "0.6+0.8 i",
+          "-0.3 i", "1.4142135623730951", "1e200")
+
+
+def _value(key):
+    if key == "model":
+        return st.sampled_from((*MODEL_KEYS, "bogus"))
+    atoms = (st.integers(-1, 4).map(str) if key in SIZE_KEYS
+             else st.sampled_from(TOKENS))
+    return st.one_of(atoms, st.builds(
+        str.join, st.sampled_from((" ", "; ", ", ")),
+        st.lists(atoms, max_size=4)))
+
+
+@st.composite
+def malformed_configs(draw):
+    """A shipped config with random keys of random sections set to random
+    tokens and lists, or deleted."""
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",),
+                                   interpolation=None)
+    cp.read(CONFIGS / draw(st.sampled_from(SHIPPED)))
+    if cp.has_section("three_mirror"):
+        cp["three_mirror"]["truncations"] = "3 3 3"  # shipped sizes take 0.3 s
+    names = [cp["run"]["model"]] + draw(
+        st.lists(st.sampled_from(SECTIONS), max_size=2, unique=True))
+    for name in dict.fromkeys(names):
+        if not cp.has_section(name):
+            cp.add_section(name)
+        pool = MODEL_KEYS.get(name, ()) + OPTION_KEYS + STRANGE_KEYS
+        for key in draw(st.lists(st.sampled_from(pool), max_size=4,
+                                 unique=True)):
+            if key in cp[name] and draw(st.booleans()):
+                del cp[name][key]
+            else:
+                cp[name][key] = draw(_value(key))
+    text = io.StringIO()
+    cp.write(text)
+    return text.getvalue()
+
+
+@settings(deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(text=malformed_configs(),
+       command=st.sampled_from(("analyze", "verify", "constrain")))
+def test_random_malformed_configs(text, command):
+    """Random sections, keys, tokens and list lengths: a documented exit
+    code (1 only from verify) and at most one stderr line, never an
+    exception."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.ini")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command, "--config", path])
+    assert code in {0, 2, 3, 64} | ({1} if command == "verify" else set())
+    assert len(err.getvalue().splitlines()) <= 1

@@ -70,6 +70,14 @@ class TestCoherent:
         with pytest.raises(ValueError, match=">= 1"):
             coherent_amplitudes(0.5, 0)
 
+    @pytest.mark.parametrize("alpha", [math.inf, complex(math.nan, 0), 1e200])
+    def test_non_finite_or_huge_alpha_is_an_error(self, alpha):
+        # inf makes the recurrence multiply 0 by inf; the guard must fail
+        # on the NaN tail that follows, and 1e200 must not overflow
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ValueError, match="tail mass"):
+            coherent_amplitudes(alpha, 5)
+
     def test_eigenvector_of_destroy(self):
         alpha = 0.6 - 0.4j
         dim = 30

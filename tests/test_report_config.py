@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from aaphase.config import (
     ConfigError,
+    RunOptions,
     format_complex,
     load_config,
     parse_complex,
@@ -192,7 +193,7 @@ class TestSpinConfig:
         assert run.spectrum is not None and run.state is not None
         assert run.dense is not None and run.psi0 is not None
         assert run.spectrum.unit == 2.0
-        assert run.options == {}
+        assert run.options == RunOptions()
 
 
 class TestFreeFieldConfig:
@@ -361,18 +362,64 @@ class TestThreeMirrorConfig:
         assert run.dense is not None
 
 
+SPIN_RUN = "[run]\nmodel = spin_half\n\n[spin_half]\ntheta = 1.1\n"
+
+
 class TestOptions:
     def test_options_section_and_casting(self, tmp_path):
-        text = ("[run]\nmodel = spin_half\n\n[spin_half]\ntheta = 1.1\n\n"
-                "[options]\nt_max = 12.5\nsteps = 5000\n")
+        text = SPIN_RUN + "\n[options]\nt_max = 12.5\nsteps = 5000\n"
         run = load_config(write_config(tmp_path, text))
-        assert run.option("t_max", None, float) == 12.5
-        assert run.option("steps", 4096, int) == 5000
-        assert run.option("absent", "fallback", str) == "fallback"
+        assert run.options == RunOptions(t_max=12.5, steps=5000)
+        assert (run.options.fidelity_tol, run.options.tolerance,
+                run.options.n_range, run.options.approximate) \
+            == (1e-8, 1e-6, 16, False)
 
     def test_bad_option_value(self, tmp_path):
-        text = ("[run]\nmodel = spin_half\n\n[spin_half]\ntheta = 1.1\n\n"
-                "[options]\nsteps = many\n")
+        text = SPIN_RUN + "\n[options]\nsteps = many\n"
+        with pytest.raises(ConfigError, match="bad option steps = 'many'"):
+            load_config(write_config(tmp_path, text))
+
+    def test_flags_beat_options(self, tmp_path):
+        text = SPIN_RUN + "\n[options]\nt_max = 12.5\nn_range = 4\n"
+        path = write_config(tmp_path, text)
+        flags = {"t_max": 3.0, "fidelity_tol": None, "n_range": None,
+                 "config": path, "command": "analyze"}
+        options = load_config(path, flags).options
+        assert (options.t_max, options.fidelity_tol, options.n_range) \
+            == (3.0, 1e-8, 4)
+
+    def test_flag_values_are_range_checked(self, tmp_path):
+        path = write_config(tmp_path, SPIN_RUN)
+        with pytest.raises(ConfigError, match="^fidelity_tol must be"):
+            load_config(path, {"fidelity_tol": 0.5})
+
+    def test_approximate_defaults_by_model(self, tmp_path):
+        three = ("[run]\nmodel = three_mirror\n\n[three_mirror]\n"
+                 "omega_D = 2\nomega_S = 3\nC_S = 1/8\ntruncations = 4 4 4\n")
+        assert load_config(write_config(tmp_path, three)).options.approximate
+        spin = load_config(write_config(tmp_path, SPIN_RUN)).options
+        assert spin.approximate is False
+
+    @pytest.mark.parametrize("token, expect", [
+        ("1", True), ("yes", True), ("True", True), ("on", True),
+        ("0", False), ("no", False), ("false", False), ("OFF", False)])
+    def test_approximate_boolean_grammar(self, tmp_path, token, expect):
+        text = SPIN_RUN + f"\n[options]\napproximate = {token}\n"
         run = load_config(write_config(tmp_path, text))
-        with pytest.raises(ConfigError, match="bad option"):
-            run.option("steps", 4096, int)
+        assert run.options.approximate is expect
+
+    @pytest.mark.parametrize("text, match", [
+        ("approximate = maybe", "bad option approximate = 'maybe'"),
+        ("fidelty_tol = 1e-6", "unknown option 'fidelty_tol'"),
+        ("tolerance = inf", "^tolerance must be in"),
+        ("tolerance = nan", "^tolerance must be in"),
+        ("tolerance = 1", "^tolerance must be in"),
+        ("n_range = 0", "^n_range must be >= 1"),
+        ("steps = 1", "^steps must be >= 2"),
+        ("t_max = nan", "^t_max must be positive"),
+        ("fidelity_tol = 0", "^fidelity_tol must be in"),
+    ])
+    def test_rejected(self, tmp_path, text, match):
+        path = write_config(tmp_path, SPIN_RUN + f"\n[options]\n{text}\n")
+        with pytest.raises(ConfigError, match=match):
+            load_config(path)
