@@ -89,9 +89,16 @@ def cmd_analyze(run: LoadedRun, args) -> int:
               f"reason: {verdict.reason}\n", args.out)
         print(f"non-cyclic: {verdict.reason}", file=sys.stderr)
         return EXIT_NON_CYCLIC
-    report = geometric_phase(run.spectrum, run.state, cyclicality=verdict)
+    report = _finite(geometric_phase(run.spectrum, run.state,
+                                     cyclicality=verdict))
     _emit(format_phase_report(report, verdict), args.out)
     return EXIT_OK
+
+
+def _finite(report):
+    if not report.tau < math.inf:
+        raise ConfigError(f"tau is not finite at unit = {report.unit!r}")
+    return report
 
 
 def _mod_distance(a: float, b: float) -> float:
@@ -117,6 +124,7 @@ def cmd_verify(run: LoadedRun, args) -> int:
     t_max = 2.2 * exact.tau if opts.t_max is None else opts.t_max
     if not t_max < math.inf:
         raise ConfigError("t_max required: 2.2 periods is not finite")
+    _finite(exact)
     oracle = generic_gamma(run.dense, run.psi0, t_max,
                            fidelity_tol=opts.fidelity_tol, steps=opts.steps)
     tol = opts.tolerance

@@ -189,7 +189,8 @@ class LoadedRun:
         if self.build_dense is None:
             return None
         try:
-            return self.build_dense()
+            with np.errstate(over="ignore", invalid="ignore"):
+                return self.build_dense()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -382,7 +383,10 @@ def load_config(path: str, flags: Optional[Mapping] = None) -> LoadedRun:
                           f"expected one of {', '.join(_LOADERS)}")
     options = _run_options(cp, model, flags or {})
     try:
-        run = _LOADERS[model](_section(cp, model))
+        # no numpy overflow warnings (as in LoadedRun.dense): the
+        # finiteness checks report a non-finite entry as a config error
+        with np.errstate(over="ignore", invalid="ignore"):
+            run = _LOADERS[model](_section(cp, model))
     except (IncommensurableError, ConfigError):
         raise
     except (ValueError, TypeError) as exc:

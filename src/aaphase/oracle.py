@@ -56,7 +56,8 @@ class DenseHamiltonian:
     """Explicit Hermitian matrix on a truncated Hilbert space.
 
     ``matrix`` entries are dimensionless multiples of ``unit``; time
-    evolution uses angular frequencies matrix*unit/hbar.
+    evolution uses angular frequencies matrix*unit/hbar.  The array is
+    taken over (copied only to change its dtype) and made read-only.
     """
 
     matrix: np.ndarray
@@ -74,7 +75,7 @@ class DenseHamiltonian:
             raise ValueError(f"matrix is not Hermitian: max|H - H^dag| = {dev:g}")
         if not (0 < unit < math.inf and 0 < hbar < math.inf):
             raise ValueError("unit and hbar must be positive and finite")
-        m = m.astype(np.float64 if np.isrealobj(m) else np.complex128, copy=True)
+        m = m.astype(np.float64 if np.isrealobj(m) else np.complex128, copy=False)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "unit", float(unit))
@@ -187,6 +188,7 @@ class SpectralPropagator:
         self._occ = self.weights > WEIGHT_FLOOR
         self._occ_w = self.weights[self._occ]
         self._occ_omega = self.omegas[self._occ]
+        self._occ_nu = self._occ_omega - self._occ_omega @ self._occ_w / total
         self.psi0 = psi0
 
     def survival_amplitude(self, times) -> np.ndarray:
@@ -272,69 +274,107 @@ def evolve(hamiltonian: DenseHamiltonian, psi0, t_max: float,
                            fidelity_track=np.abs(overlap), propagator=prop)
 
 
-def _golden_max(f, a: float, b: float, iterations: int = 48) -> float:
-    """Golden-section maximizer of a unimodal f on [a, b]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iterations):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-    return 0.5 * (a + b)
-
-
-# Grid peaks this far below full fidelity are still refined; the strict
+# Grid peaks this far below full fidelity are still candidates; the strict
 # acceptance test happens on the refined maximum, so the scan threshold
 # only needs to beat the "fidelity varies < 0.1 per step" grid premise.
 SCAN_BAND = 0.1
+# Exact-mode return certificate: occupied levels of at least this weight
+# must be back in phase within CERTIFICATE_TOL rad (measured residuals in
+# CHANGES.md; lighter levels of truncated cavity matrices never return).
+CERTIFICATE_FLOOR = 1e-8
+CERTIFICATE_TOL = 1e-6
 
 
-def detect_period(result: EvolutionResult,
-                  fidelity_tol: float = 1e-8) -> Tuple[float, float]:
+def _prune(prop: SpectralPropagator, times: np.ndarray, fid: np.ndarray,
+           peaks: np.ndarray, fidelity_tol: float, certify: bool) -> np.ndarray:
+    """The peaks i whose bracket [t_i - dt, t_i + dt] can hold a return.
+
+    With nu_k = omega_k - sum_j p_j omega_j, B(t) = sum_k p_k exp(-i nu_k t)
+    has |B| = |A| and |B''| <= sigma^2 = sum_k p_k nu_k^2, so there
+    |A| <= fid[i] + dt |B'(t_i)| + dt^2 sigma^2 / 2.  A certified return
+    also needs heavy levels adjacent in frequency to be in phase at t_i
+    within |nu_k - nu_j| dt + 2 CERTIFICATE_TOL.  The margin covers
+    rounding and the levels below CERTIFICATE_FLOOR.
+    """
+    w, nu = prop._occ_w, prop._occ_nu
+    dt, heavy = times[1] - times[0], w >= CERTIFICATE_FLOOR
+    margin = (32 * np.spacing(1.0 + np.max(np.abs(prop._occ_omega)) * times[-1])
+              + prop.weights.sum() - w.sum()
+              + dt * (w[~heavy] @ np.abs(nu[~heavy])))
+    floor = 1.0 - fidelity_tol - dt * dt * (w @ nu ** 2) / 2 - margin
+    w, nu = w[heavy], nu[heavy]                 # ascending in nu
+    phases = np.exp(-1j * np.outer(times[peaks], nu))
+    # an elementwise sum: a threaded complex gemv of this size costs ms
+    ok = fid[peaks] + dt * np.abs((phases * (nu * w)).sum(axis=1)) >= floor
+    if certify:
+        turn = np.abs(np.angle(phases[:, 1:] * phases[:, :-1].conj()))
+        ok &= np.all(turn <= np.diff(nu) * dt + 2 * CERTIFICATE_TOL + margin,
+                     axis=1)
+    return peaks[ok]
+
+
+def _refine(prop: SpectralPropagator, lo: float, hi: float, t: float) -> float:
+    """The maximum of |A| on [lo, hi], from t: safeguarded Newton on
+    g = Re(conj B B') = 0 (B as in `_prune`), bisecting whenever a step
+    leaves the bracket or meets g' >= 0.  B, B' and B'' share one
+    exponential per occupied level."""
+    w, nu = prop._occ_w, prop._occ_nu
+    for _ in range(100):    # a cap: bisecting a grid bracket takes < 60 steps
+        terms = w * np.exp(-1j * nu * t)
+        b, db, ddb = terms.sum(), -1j * (terms @ nu), -(terms @ nu ** 2)
+        g = (b.conjugate() * db).real
+        slope = abs(db) ** 2 + (b.conjugate() * ddb).real
+        lo, hi = (t if g >= 0 else lo), (t if g <= 0 else hi)
+        step = t - g / slope if slope < 0 else math.nan
+        if abs(step - t) <= 4 * np.spacing(t):     # converged to rounding
+            return min(max(step, lo), hi)
+        new = step if lo < step < hi else 0.5 * (lo + hi)
+        if new == t:
+            break
+        t = new
+    return t
+
+
+def detect_period(result: EvolutionResult, fidelity_tol: float = 1e-8, *,
+                  approximate: bool = False) -> Tuple[float, float]:
     """First fidelity return: (tau_est, phi_est).
 
-    Local fidelity maxima after t=0 are refined in time order by
-    golden-section maximization; the first refined peak reaching
+    Local fidelity maxima after t=0 that `_prune` keeps are refined in
+    time order by `_refine`; the first refined peak reaching
     1 - |<psi0|psi(tau)>| <= fidelity_tol is the period estimate, so
     partial revivals are examined and rejected rather than mistaken for
-    the return.  phi_est = arg<psi0|psi(tau)> in (-pi, pi].  A fidelity
-    track that never leaves the band (stationary input) degenerates to
-    the first grid point; callers screen stationarity beforehand.
+    the return.  Unless ``approximate``, every occupied level of weight
+    at least CERTIFICATE_FLOOR must also lie within CERTIFICATE_TOL rad
+    of phi_est: a near-recurrence whose out-of-phase levels weigh too
+    little to show in the fidelity fails this certificate.
+    phi_est = arg<psi0|psi(tau)> in (-pi, pi].  Stationary input
+    degenerates to the first grid peak; callers screen it beforehand.
     """
     if not 0 < fidelity_tol <= 1e-3:
         raise ValueError("fidelity_tol must be in (0, 1e-3]")
-    fid = result.fidelity_track
-    times = result.times
-    prop = result.propagator
+    fid, times, prop = result.fidelity_track, result.times, result.propagator
     n = fid.size
-    interior = np.flatnonzero(
+    peaks = np.flatnonzero(
         (fid[1:-1] >= fid[:-2]) & (fid[1:-1] >= fid[2:])) + 1
-    peaks = [int(i) for i in interior if fid[i] >= 1.0 - SCAN_BAND]
-    if n >= 2 and fid[-1] >= max(fid[-2], 1.0 - SCAN_BAND):
-        peaks.append(n - 1)
-    last = -2
-    for peak in peaks:
-        if peak == last + 1:          # flat plateau, one bracket is enough
-            last = peak
-            continue
-        last = peak
-        lo = float(times[max(peak - 1, 0)])
-        hi = float(times[min(peak + 1, n - 1)])
-        tau_est = _golden_max(lambda t: float(prop.fidelity(t)[0]), lo, hi)
-        if tau_est <= 0.0:
-            continue
-        if 1.0 - float(prop.fidelity(tau_est)[0]) <= fidelity_tol:
-            phi_est = cmath.phase(complex(prop.survival_amplitude(tau_est)[0]))
-            if phi_est <= -math.pi:
-                phi_est += TWO_PI
-            return float(tau_est), phi_est
+    if n >= 2 and fid[-1] >= fid[-2]:
+        peaks = np.append(peaks, n - 1)
+    peaks = peaks[fid[peaks] >= 1.0 - SCAN_BAND]
+    peaks = peaks[np.diff(peaks, prepend=-2) != 1]  # one bracket per plateau
+    certified = prop.omegas[prop.weights >= CERTIFICATE_FLOOR]
+    size = max(1, CHUNK_ENTRIES // prop._occ_w.size)
+    for start in range(0, peaks.size, size):
+        for i in _prune(prop, times, fid, peaks[start:start + size],
+                        fidelity_tol, not approximate):
+            tau = _refine(prop, times[max(i - 1, 0)],
+                          times[min(i + 1, n - 1)], times[i])
+            amplitude = complex(prop.survival_amplitude(tau)[0])
+            if not (tau > 0.0 and 1.0 - abs(amplitude) <= fidelity_tol):
+                continue
+            phi = cmath.phase(amplitude)
+            phi += TWO_PI if phi <= -math.pi else 0.0
+            residual = np.abs(np.angle(np.exp(-1j * (certified * tau + phi))))
+            if approximate or np.max(residual) <= CERTIFICATE_TOL:
+                return float(tau), phi
     raise NoReturnError("no period detected <= t_max")
 
 
@@ -386,7 +426,8 @@ def generic_gamma(hamiltonian: DenseHamiltonian, psi0, t_max: float, *,
         steps = max(int(min(4096 * math.ceil(cycles), MAX_STEPS)), needed)
     tol = 1e-4 if approximate else fidelity_tol
     result = evolve(hamiltonian, psi0, t_max, steps=steps, propagator=prop)
-    tau_est, phi_est = detect_period(result, fidelity_tol=tol)
+    tau_est, phi_est = detect_period(result, fidelity_tol=tol,
+                                     approximate=approximate)
     achieved = float(prop.fidelity(tau_est)[0])
     gamma = _canonical_gamma(
         phi_est + tau_est * e_mean / hamiltonian.hbar)

@@ -10,8 +10,9 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from aaphase import cli
 from aaphase import config as config_module
@@ -217,6 +218,83 @@ class TestWideSpread:
         assert needed > 1 << 21
 
 
+class TestReturnDetection:
+    """Newton refinement of the return and the exact-mode certificate."""
+
+    FLAT = ("[run]\nmodel = raw_spectrum\n\n[raw_spectrum]\nlevels = 9 8\n"
+            "amplitudes = 0.12411746691643698+0.99061835129625253 i; "
+            "-0.057181927050160786+0.00060307559378080166 i\nunit = 1\n")
+
+    def test_flat_peak_verifies_to_rounding(self, tmp_path, capsys):
+        # minority weight 0.33 %: golden section placed tau only to 1.8e-8
+        code, out, err = run_cli(
+            ["verify", "--config", write(tmp_path, self.FLAT)], capsys)
+        assert code == 0 and err == ""
+        exact, oracle, _, _ = parse_report(out)["verify"][
+            "tau-relative"].split(" | ")
+        assert abs(float(oracle) - float(exact)) <= 1e-14 * float(exact)
+
+    def test_near_recurrence_exits_3(self, tmp_path, capsys):
+        # levels 0 and 50 meet at 2*pi/50 with the third 1.3e-4 rad off:
+        # 1 - F = 2e-9 passes the fidelity test, the certificate does not
+        text = TestWideSpread.TEXT.format("0 50 50001/1000") \
+            + "\n[options]\nt_max = 1\n"
+        code, out, err = run_cli(
+            ["verify", "--config", write(tmp_path, text)], capsys)
+        assert (code, out) == (3, "")
+        assert err == "oracle: no period detected <= t_max\n"
+
+    def test_shipped_config_near_recurrence_exits_3(self, tmp_path, capsys):
+        # C_S = 0 puts three_mirror_approximate.ini in the exact family
+        # with tau = 2*pi*10^6, far beyond its t_max = 13.9
+        text = (CONFIGS / "three_mirror_approximate.ini").read_text()
+        cp = configparser.ConfigParser(inline_comment_prefixes=("#",),
+                                       interpolation=None)
+        cp.read_string(text)
+        cp["three_mirror"]["C_S"] = "0"
+        path = tmp_path / "cs0.ini"
+        with open(path, "w", encoding="utf-8") as fh:
+            cp.write(fh)
+        code, out, err = run_cli(["verify", "--config", str(path)], capsys)
+        assert (code, out) == (3, "")
+        assert err == "oracle: no period detected <= t_max\n"
+
+
+@st.composite
+def raw_spectra(draw):
+    """2-5 distinct levels p/q, |p|, q <= 9, with normally distributed
+    complex amplitudes as in tests/conftest.py."""
+    q = draw(st.integers(1, 9))
+    nums = draw(st.lists(st.integers(-9, 9), min_size=2, max_size=5,
+                         unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    amps = rng.normal(size=len(nums)) + 1j * rng.normal(size=len(nums))
+    amps /= np.linalg.norm(amps)
+    return ("[run]\nmodel = raw_spectrum\n\n[raw_spectrum]\nlevels = "
+            + " ".join(f"{p}/{q}" for p in nums) + "\namplitudes = "
+            + "; ".join(f"{a.real:.17g}{a.imag:+.17g} i" for a in amps) + "\n")
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(text=raw_spectra())
+# about one draw in 3000 is a peak flat enough to fail golden section
+@example(text="[run]\nmodel = raw_spectrum\n\n[raw_spectrum]\n"
+              "levels = -7/1 -6/1\namplitudes = -0.98922491269193791"
+              "+0.0040343783025033626 i; 0.14206474080321246"
+              "+0.035148333130549811 i\n")
+def test_random_raw_spectra_verify(text):
+    """Flat peaks from small weights verify like any other state."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.ini")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["verify", "--config", path])
+    assert (code, err.getvalue()) == (0, ""), out.getvalue()
+
+
 class TestConstrain:
     def test_candidate_table(self, tmp_path, capsys):
         code, out, _ = run_cli(
@@ -392,6 +470,21 @@ class TestInputGuards:
         assert code == 64 and out == ""
         assert err.startswith("config error:") and "tail mass" in err
 
+    def test_overflowing_model_is_one_stderr_line(self, tmp_path):
+        # numpy's overflow warnings would come first outside the suite,
+        # which turns them into errors; hence a separate interpreter
+        text = ("[run]\nmodel = three_mirror\n\n[three_mirror]\n"
+                "omega_D = 1.5e308\nomega_S = 3\nC_D = 1/10\nC_S = 1/8\n"
+                "alpha = 0.01\nbeta = 0.01\nmu = 0.01\ntruncations = 3 3 3\n"
+                "\n[options]\nt_max = 5\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "aaphase.cli", "analyze", "--config",
+             write(tmp_path, text)], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src})
+        assert (done.returncode, done.stdout) == (64, "")
+        assert done.stderr == "config error: matrix entries must be finite\n"
+
     @pytest.mark.parametrize("command, text, key", [
         ("analyze", DENSE_IRRATIONAL + "\n[options]\nt_max = -3\n", "t_max"),
         ("verify", RAW_TWO_LEVEL + "\n[options]\nt_max = -3\n", "t_max"),
@@ -418,13 +511,17 @@ class TestInputGuards:
         ("verify", RAW_TWO_LEVEL + "\n[options]\ntolerance = -1\n",
          "tolerance"),
         ("verify", RAW_TWO_LEVEL + "unit = 1e-308\n", "t_max"),
+        ("analyze", RAW_TWO_LEVEL + "unit = 1e-308\n", "unit"),
+        ("verify", RAW_TWO_LEVEL + "unit = 1e-308\n[options]\nt_max = 5\n",
+         "unit"),
     ], ids=["analyze-t_max", "verify-t_max", "verify-t_max-inf",
             "analyze-fidelity_tol", "verify-fidelity_tol", "verify-steps",
             "raw_spectrum-unit-inf", "spin_half-mu_B0-inf",
             "free_field-omega-inf", "dense_matrix-unit-inf",
             "three_mirror-omega_m-0", "verify-tolerance-inf",
             "verify-tolerance-nan", "verify-tolerance-0",
-            "verify-tolerance-negative", "verify-default-t_max-overflow"])
+            "verify-tolerance-negative", "verify-default-t_max-overflow",
+            "analyze-tau-overflow", "verify-tau-overflow"])
     def test_out_of_range_options_exit_64(self, tmp_path, capsys, command,
                                           text, key):
         code, out, err = run_cli(

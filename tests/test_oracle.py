@@ -6,6 +6,7 @@ shares no code with the phase-advance implementation.
 
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from aaphase.oracle import (
     SpectralPropagator,
     _components,
     _grid_shape,
+    _refine,
     detect_period,
     evolve,
     expectation,
@@ -91,7 +93,7 @@ class TestDenseHamiltonian:
         n = CHUNKED_DIMENSION
         m = rng.normal(size=(n, n))
         m = m + m.T
-        DenseHamiltonian(m)
+        DenseHamiltonian(m.copy())      # the Hamiltonian takes its array over
         m[n - 1, n - 2] += 1e-6
         with pytest.raises(ValueError, match="Hermitian"):
             DenseHamiltonian(m)
@@ -106,6 +108,15 @@ class TestDenseHamiltonian:
         # a symmetric imaginary part gives H = H^T but not H^dag
         with pytest.raises(ValueError, match="Hermitian"):
             DenseHamiltonian((sym + sym.T) + 1j * (anti + anti.T))
+
+    def test_takes_its_array_over(self):
+        m = np.diag([1.0, 2.0])
+        h = DenseHamiltonian(m)
+        assert np.shares_memory(h.matrix, m) and not m.flags.writeable
+        # a dtype change needs a new array; the input stays as it was
+        ints = np.eye(2, dtype=int)
+        assert DenseHamiltonian(ints).matrix.dtype == np.float64
+        assert ints.flags.writeable
 
     def test_matrix_frozen(self):
         h = DenseHamiltonian(np.eye(2))
@@ -324,6 +335,49 @@ class TestDetectPeriod:
             detect_period(res)
 
 
+@st.composite
+def detuned_spectra(draw):
+    """A few levels p/q, some detuned by a small offset, random weights, a
+    horizon past the exact return and either detection mode."""
+    q = draw(st.integers(1, 4))
+    nums = draw(st.lists(st.integers(-6, 6), min_size=2, max_size=4,
+                         unique=True))
+    offsets = draw(st.lists(st.sampled_from((0.0, 0.0, 1e-2, 1e-4, 1e-6)),
+                            min_size=len(nums), max_size=len(nums)))
+    weights = draw(st.lists(st.floats(1e-6, 1.0), min_size=len(nums),
+                            max_size=len(nums)))
+    values = [p / q + d for p, d in zip(nums, offsets)]
+    t_max = draw(st.floats(0.5, 2.5)) * TWO_PI * q
+    return (values, weights, t_max, draw(st.sampled_from((1e-8, 1e-6, 1e-4))),
+            draw(st.booleans()))
+
+
+class TestPrune:
+    @settings(max_examples=60, deadline=None)
+    @given(case=detuned_spectra())
+    def test_never_drops_the_accepted_peak(self, case):
+        """With pruning off every grid peak is refined; the first accepted
+        one must be the one the pruned scan returns."""
+        values, weights, t_max, tol, approximate = case
+        prop = diagonal_propagator(values, weights)
+        steps = max(4096 * math.ceil(t_max / TWO_PI),
+                    math.ceil(prop.occupied_spread() * t_max
+                              / oracle.SCAN_BAND) + 1)
+        res = evolve(prop.hamiltonian, prop.psi0, t_max, steps=steps,
+                     propagator=prop)
+
+        def detect():
+            try:
+                return detect_period(res, tol, approximate=approximate)
+            except NoReturnError:
+                return None
+
+        pruned = detect()
+        with mock.patch.object(oracle, "_prune", lambda p, t, f, peaks, *a:
+                               peaks):
+            assert detect() == pruned
+
+
 class TestGenericGamma:
     def test_spin_half_value(self):
         theta = math.pi / 2
@@ -416,6 +470,24 @@ class TestDefaultGrid:
     def test_finds_the_return_the_base_grid_aliases(self):
         rep = generic_gamma(self.H, self.PSI0, t_max=27.6)
         assert abs(rep.tau - 2 * TWO_PI) < 1e-6
+
+    def test_refines_a_handful_of_peaks(self, monkeypatch):
+        # 5457 grid peaks reach the scan band up to t_max; golden section
+        # refined the 2183 before the return at 4*pi, 50 evaluations each
+        t_max = 27.6
+        res = evolve(self.H, self.PSI0, t_max,
+                     steps=math.ceil(3000.5 * t_max / oracle.SCAN_BAND) + 1)
+        refined, evaluated = [], []
+        monkeypatch.setattr(oracle, "_refine", lambda *a: refined.append(a)
+                            or _refine(*a))
+        survival = SpectralPropagator.survival_amplitude
+        monkeypatch.setattr(SpectralPropagator, "survival_amplitude",
+                            lambda self, t: evaluated.append(t)
+                            or survival(self, t))
+        tau, _ = detect_period(res)
+        assert abs(tau - 2 * TWO_PI) <= 1e-14 * tau
+        assert 1 <= len(refined) <= 3 and len(evaluated) == len(refined)
+        assert not hasattr(oracle, "_golden_max")
 
     def test_step_cap_raises(self):
         t_max = 1.01 * oracle.MAX_STEPS * oracle.SCAN_BAND / 3000.5
