@@ -75,7 +75,7 @@ def cmd_analyze(run: LoadedRun, args) -> int:
     if run.spectrum is None or run.state is None:
         if opts.t_max is None:
             raise ConfigError("t_max required for the brute-force route")
-        if run.build_dense is None:
+        if run.build is None:
             raise ConfigError(f"analyze needs a spectrum or a matrix; a "
                               f"{run.model} run has neither")
         report = generic_gamma(run.dense, run.psi0, opts.t_max,
@@ -112,7 +112,7 @@ def _mod_distance(a: float, b: float) -> float:
 
 
 def cmd_verify(run: LoadedRun, args) -> int:
-    if run.spectrum is None or run.state is None or run.build_dense is None:
+    if run.spectrum is None or run.state is None or run.build is None:
         raise ConfigError(
             "verify needs a model with both an exact spectrum and a "
             "dense matrix form")

@@ -166,33 +166,43 @@ def _run_options(cp: configparser.ConfigParser, model: str,
 
 @dataclass
 class LoadedRun:
-    """Everything a command needs, constructed except the dense matrix.
+    """Everything a command needs, constructed except the oracle's input.
 
-    ``dense`` is built by ``build_dense`` on first read: the exact route
-    never needs it, and on the cavity models it is the largest object a
-    run holds.
+    ``dense`` and ``psi0`` come from one call of ``build`` on first read:
+    the exact route never needs them, and the matrix is the largest
+    object a run holds (quadratic in the levels or the truncations).
     """
 
     model: str
     spectrum: Optional[Spectrum] = None
     state: Optional[StateDecomposition] = None
-    build_dense: Optional[Callable[[], DenseHamiltonian]] = field(
-        default=None, repr=False)
-    psi0: Optional[np.ndarray] = None
+    build: Optional[Callable[[], Tuple[DenseHamiltonian, np.ndarray]]] = (
+        field(default=None, repr=False))
     partial: Optional[PartialSpectrum] = None
     trials: Tuple[Fraction, ...] = ()
     mean_energy_input: Union[Fraction, float, None] = None
     options: RunOptions = RunOptions()
 
     @cached_property
-    def dense(self) -> Optional[DenseHamiltonian]:
-        if self.build_dense is None:
-            return None
+    def _built(self) -> Tuple[Optional[DenseHamiltonian], Optional[np.ndarray]]:
+        if self.build is None:
+            return None, None
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                return self.build_dense()
+                return self.build()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        except MemoryError as exc:
+            raise ConfigError(
+                f"the {self.model} matrix does not fit in memory") from exc
+
+    @property
+    def dense(self) -> Optional[DenseHamiltonian]:
+        return self._built[0]
+
+    @property
+    def psi0(self) -> Optional[np.ndarray]:
+        return self._built[1]
 
 
 def _normalized(psi0: np.ndarray) -> np.ndarray:
@@ -209,69 +219,74 @@ def _section(cp: configparser.ConfigParser, name: str):
 
 
 def _get(sec, key: str, parse=str, default: Optional[str] = None):
-    """parse(the text under ``key``); its ConfigError names the key."""
+    """parse(the text under ``key``); its errors name the key."""
     text = sec.get(key, default)
     if text is None:
         raise ConfigError(f"missing key {key!r} in [{sec.name}]")
     try:
         return parse(text)
-    except ConfigError as exc:
+    except IncommensurableError:
+        raise                       # a physical verdict, not a usage error
+    except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
 
 
+def _each(parse):
+    """Parser of a whitespace-separated list, one ``parse`` per token."""
+    return lambda text: tuple(parse(tok) for tok in text.split())
+
+
 def _load_spin_half(sec) -> LoadedRun:
-    params = SpinHalfParams(mu_B0=float(sec.get("mu_B0", "1")),
-                            theta=float(_get(sec, "theta")))
+    params = SpinHalfParams(mu_B0=_get(sec, "mu_B0", float, "1"),
+                            theta=_get(sec, "theta", float))
     spectrum, state = spin_half(params)
-    dense, psi0 = spin_half_dense(params)
     return LoadedRun(model="spin_half", spectrum=spectrum, state=state,
-                     build_dense=lambda: dense, psi0=psi0)
+                     build=lambda: spin_half_dense(params))
 
 
 def _load_free_field(sec) -> LoadedRun:
-    omega = float(sec.get("omega", "1"))
+    omega = _get(sec, "omega", float, "1")
     has_list = "occupied_n" in sec
     if has_list == ("alpha" in sec):
         raise ConfigError(
             "free_field needs either occupied_n+amplitudes or "
             "alpha+truncation")
     if has_list:
-        ns = [int(tok) for tok in _get(sec, "occupied_n").split()]
+        ns = _get(sec, "occupied_n", _each(int))
         amps = _get(sec, "amplitudes", _complex_list)
         if len(ns) != len(amps):
             raise ConfigError("occupied_n and amplitudes differ in length")
         spectrum, state = free_field(omega, ns, amps)
         dim = max(ns) + 1
-        psi0 = np.zeros(dim, dtype=complex)
-        for n, a in zip(ns, amps):
-            psi0[n] = a
-        psi0 = _normalized(psi0)
     else:
         alpha = _get(sec, "alpha", parse_complex)
-        truncation = int(sec.get("truncation", "31"))
-        spectrum, state = free_field_coherent(omega, alpha, truncation)
-        psi0 = np.zeros(truncation, dtype=complex)
+        dim = _get(sec, "truncation", int, "31")
+        spectrum, state = free_field_coherent(omega, alpha, dim)
+
+    def build():
+        psi0 = np.zeros(dim, dtype=complex)
         for label, amp in state.entries:
             psi0[int(label)] = amp
-        dim = truncation
-    dense = free_field_dense(omega, dim)
+        # the coherent amplitudes are normalized over the truncation
+        return (free_field_dense(omega, dim),
+                _normalized(psi0) if has_list else psi0)
+
     return LoadedRun(model="free_field", spectrum=spectrum, state=state,
-                     build_dense=lambda: dense, psi0=psi0)
+                     build=build)
 
 
 def _load_two_mirror(sec) -> LoadedRun:
     params = TwoMirrorParams(
-        r=_exact_value(_get(sec, "r")),
-        k_squared=_exact_value(_get(sec, "k_squared")),
+        r=_get(sec, "r", _exact_value),
+        k_squared=_get(sec, "k_squared", _exact_value),
         field_amplitudes=_get(sec, "field_amplitudes", _complex_list),
         beta=_get(sec, "beta", parse_complex, "0+0 i"),
-        mirror_truncation=int(sec.get("mirror_truncation", "40")),
-        omega_m=float(sec.get("omega_m", "1")),
-        k_sign=int(sec.get("k_sign", "1")))
+        mirror_truncation=_get(sec, "mirror_truncation", int, "40"),
+        omega_m=_get(sec, "omega_m", float, "1"),
+        k_sign=_get(sec, "k_sign", int, "1"))
     spectrum, state = two_mirror_spectrum(params)
-    dense, psi0 = two_mirror_dense(params)
     return LoadedRun(model="two_mirror", spectrum=spectrum, state=state,
-                     build_dense=lambda: dense, psi0=psi0)
+                     build=lambda: two_mirror_dense(params))
 
 
 def _mode_input(raw: str):
@@ -280,37 +295,37 @@ def _mode_input(raw: str):
 
 def _load_three_mirror(sec) -> LoadedRun:
     raw_unit = sec.get("omega_m", "1")
-    unit = _number(raw_unit)
+    unit = _get(sec, "omega_m", _number, "1")
     if not unit > 0:
         raise ConfigError(f"omega_m must be positive, got {raw_unit.strip()!r}")
 
     def scaled(key: str) -> Union[Fraction, float]:
         # exact over exact stays a Fraction; any float makes it a float
-        return (_number(sec[key]) if key in sec else Fraction(0)) / unit
+        return _get(sec, key, _number, "0") / unit
 
     def mode(key: str):
         return _get(sec, key, _mode_input, "0+0 i")
 
-    truncs = tuple(int(tok) for tok in sec.get("truncations", "15 15 25").split())
     params = ThreeMirrorParams(
         rho_D=scaled("omega_D"), rho_S=scaled("omega_S"),
         kappa_D=scaled("C_D"), kappa_S=scaled("C_S"),
         alpha=mode("alpha"), beta=mode("beta"), mu=mode("mu"),
-        truncations=truncs, omega_m=float(raw_unit))
+        truncations=_get(sec, "truncations", _each(int), "15 15 25"),
+        omega_m=float(raw_unit))
+    psi0 = three_mirror_initial_state(params)
     run = LoadedRun(model="three_mirror",
-                    build_dense=lambda: three_mirror_dense(params),
-                    psi0=three_mirror_initial_state(params))
+                    build=lambda: (three_mirror_dense(params), psi0))
     if params.exact_family:
         run.spectrum, run.state = three_mirror_exact(params)
     return run
 
 
 def _load_raw_spectrum(sec) -> LoadedRun:
-    values = [_number(tok) for tok in _get(sec, "levels").split()]
+    values = _get(sec, "levels", _each(_number))
     amps = _get(sec, "amplitudes", _complex_list)
     if len(amps) != len(values):
         raise ConfigError("levels and amplitudes differ in length")
-    unit = float(sec.get("unit", "1"))
+    unit = _get(sec, "unit", float, "1")
     labels = sec.get("labels", "").split() or [str(i) for i in
                                                range(len(values))]
     if len(labels) != len(values):
@@ -318,15 +333,15 @@ def _load_raw_spectrum(sec) -> LoadedRun:
     spectrum = Spectrum(levels=list(zip(labels, values)), unit=unit)
     state = StateDecomposition(
         entries=[(lab, a) for lab, a in zip(labels, amps) if a != 0])
-    matrix = np.diag([float(v) for v in values])
-    psi0 = _normalized(np.asarray(amps, dtype=complex))
-    dense = DenseHamiltonian(matrix, unit=unit)
-    return LoadedRun(model="raw_spectrum", spectrum=spectrum, state=state,
-                     build_dense=lambda: dense, psi0=psi0)
+    return LoadedRun(
+        model="raw_spectrum", spectrum=spectrum, state=state,
+        build=lambda: (DenseHamiltonian(np.diag([float(v) for v in values]),
+                                        unit=unit),
+                       _normalized(np.asarray(amps, dtype=complex))))
 
 
 def _load_dense_matrix(sec) -> LoadedRun:
-    dim = int(_get(sec, "dimension"))
+    dim = _get(sec, "dimension", int)
     entries = _get(sec, "entries", lambda text: _complex_list(text, ","))
     if len(entries) != dim * dim:
         raise ConfigError(f"expected {dim * dim} matrix entries, "
@@ -337,21 +352,21 @@ def _load_dense_matrix(sec) -> LoadedRun:
     if psi0.size != dim:
         raise ConfigError("psi0 length does not match dimension")
     psi0 = _normalized(psi0)
-    dense = DenseHamiltonian(matrix, unit=float(sec.get("unit", "1")))
-    return LoadedRun(model="dense_matrix", build_dense=lambda: dense,
-                     psi0=psi0)
+    # checked here, not on first use: the matrix is the input itself
+    dense = DenseHamiltonian(matrix, unit=_get(sec, "unit", float, "1"))
+    return LoadedRun(model="dense_matrix", build=lambda: (dense, psi0))
 
 
 def _load_partial(sec) -> LoadedRun:
-    known = [_exact_value(tok) for tok in _get(sec, "known").split()]
+    known = _get(sec, "known", _each(_exact_value))
     partial = PartialSpectrum(
         known=[(f"L{i + 1}", v) for i, v in enumerate(known)],
-        unit=float(sec.get("unit", "1")))
-    trials = tuple(_exact_value(tok)
-                   for tok in sec.get("trials", "").split())
-    mean_raw = sec.get("mean_energy", "").strip()
+        unit=_get(sec, "unit", float, "1"))
+    trials = _get(sec, "trials", _each(_exact_value), "")
+    mean = _get(sec, "mean_energy",
+                lambda text: _number(text) if text.strip() else None, "")
     return LoadedRun(model="partial_spectrum", partial=partial, trials=trials,
-                     mean_energy_input=_number(mean_raw) if mean_raw else None)
+                     mean_energy_input=mean)
 
 
 _LOADERS = {

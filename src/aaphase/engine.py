@@ -1,11 +1,12 @@
 """Period, total phase, and geometric phase from an exact spectrum.
 
 The closed-form route: with the occupied eigenvalues known exactly, the
-period is 2*pi*hbar times the LCM of the inverse level spacings, the total
+period is 2*pi times the LCM of the inverse level spacings, the total
 phase follows from any one occupied level via its branch integer, and the
 geometric phase is the total phase plus the winding of the mean energy.
 
-Eigenvalues are `fractions.Fraction` in units of ``Spectrum.unit``.  A
+Eigenvalues are `fractions.Fraction` in units of ``Spectrum.unit``, with
+hbar = 1: the unit is the only scale, and times are in 1/unit.  A
 float eigenvalue marks a failed rationalization and is tolerated only
 when at most two distinct values are occupied (two-level evolutions are
 cyclic regardless of commensurability); with three or more distinct
@@ -49,13 +50,7 @@ class NonCyclicError(ValueError):
 
 def _coerce_value(v) -> Value:
     """Fractions (and ints/strings) stay exact; bare floats stay floats."""
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, float):
-        return v
-    return Fraction(v)
+    return v if isinstance(v, float) else Fraction(v)
 
 
 @dataclass(frozen=True)
@@ -154,7 +149,7 @@ class Cyclicality:
 class PhaseReport:
     """(tau, phi, gamma) with branch integers and method provenance.
 
-    ``tau_cycles`` is tau in units of 2*pi*hbar/unit (exact when the
+    ``tau_cycles`` is tau in units of 2*pi/unit (exact when the
     spectrum is exact, float on the two-level irrational path, None when
     only the oracle produced the report).  ``phi_over_pi`` is the
     canonical total phase in pi units, exact when available.  ``phi`` is
@@ -209,20 +204,29 @@ def check_cyclicality(spectrum: Spectrum, state: StateDecomposition) -> Cyclical
     return Cyclicality("non-cyclic", "incommensurable", occupation=occ)
 
 
-def _cyclic_branch_data(distinct: Sequence[Value]):
-    """(L, phi_over_2pi, {value: n}) for two or more distinct levels.
+def _branch_data(distinct: Sequence[Value]):
+    """(L, phi_over_2pi, {value: n}) for the distinct occupied values of a
+    stationary or cyclic state.
 
-    L is the LCM of the inverse spacings from the first level; every
-    pairwise spacing is an integer combination of these, so L is also
-    the LCM over all pairs.  For two levels L = |1/(lambda_1 - lambda_0)|
-    whatever the number type, which also covers the irrational two-level
-    case in floats.  The canonical branch puts
-    phi/(2*pi) = n - lambda*L in (-1/2, 1/2], the same value for every
-    occupied lambda (their differences lambda_k*L - lambda_i*L are
-    integers by construction of L); in exact arithmetic this is
-    asserted, in floats the branch integers are rounded.
+    One value lambda (stationary) has L = 1/|lambda| (the
+    single-exponential special case; infinite for lambda = 0), phi = 0
+    exactly and branch integer sign(lambda).  Otherwise L is the LCM of
+    the inverse spacings from the first level; every pairwise spacing is
+    an integer combination of these, so L is also the LCM over all
+    pairs.  For two levels L = |1/(lambda_1 - lambda_0)| whatever the
+    number type, which also covers the irrational two-level case in
+    floats.  The canonical branch puts phi/(2*pi) = n - lambda*L in
+    (-1/2, 1/2], the same value for every occupied lambda (their
+    differences lambda_k*L - lambda_i*L are integers by construction of
+    L); in exact arithmetic this is asserted, in floats the branch
+    integers are rounded.
     """
     ref = distinct[0]
+    if len(distinct) == 1:
+        # returned before the LCM arithmetic, where 1 - lambda*(1/lambda)
+        # need not round to 0 for a float lambda
+        L = 1 / abs(ref) if ref else math.inf
+        return L, Fraction(0), {ref: (ref > 0) - (ref < 0)}
     if len(distinct) == 2:
         L = abs(1 / (distinct[1] - ref))
     else:
@@ -241,37 +245,16 @@ def _cyclic_branch_data(distinct: Sequence[Value]):
     return L, phi_over_2pi, branch
 
 
-def _branch_data(verdict: Cyclicality):
-    """(L, phi_over_2pi, {value: n}) for any verdict but non-cyclic.
-
-    A stationary state with eigenvalue lambda has L = 1/|lambda| (the
-    single-exponential special case; infinite for lambda = 0), phi = 0
-    and branch integer sign(lambda).
-    """
-    if verdict.kind == "non-cyclic":
-        raise NonCyclicError(f"non-cyclic state: {verdict.reason}")
-    occ = verdict.occupation
-    if verdict.kind == "stationary":
-        lam = occ.distinct[0]
-        if lam == 0:
-            L: Union[Fraction, float] = math.inf
-        else:
-            L = (1 / abs(lam)) if isinstance(lam, Fraction) else 1.0 / abs(lam)
-        n = 1 if lam > 0 else (-1 if lam < 0 else 0)
-        return L, Fraction(0), {lam: n}
-    return _cyclic_branch_data(occ.distinct)
-
-
-def period(spectrum: Spectrum, state: StateDecomposition, *,
-           hbar: float = 1.0) -> Union[Fraction, float]:
-    """Period of the cyclic motion, in units of 2*pi*hbar/unit.
+def period(spectrum: Spectrum, state: StateDecomposition
+           ) -> Union[Fraction, float]:
+    """Period of the cyclic motion, in units of 2*pi/unit.
 
     Cyclic states: the LCM of inverse occupied spacings (exact Fraction
     when the spectrum is exact; float on the irrational two-level path).
     Stationary states: 1/|lambda| per the single-exponential special
     case; a zero eigenvalue has no finite period.
     """
-    L, _, _ = _branch_data(check_cyclicality(spectrum, state))
+    L = geometric_phase(spectrum, state).tau_cycles
     if L == math.inf:
         raise NonCyclicError(
             "no finite period: the single occupied eigenvalue is zero")
@@ -284,15 +267,13 @@ def total_phase(spectrum: Spectrum, state: StateDecomposition):
     phi = 2*pi*(n_lambda - lambda*L) for every occupied lambda; the branch
     integers n_lambda are recorded per label.  With 0 occupied, phi is 0
     (the 2*pi of the zero-eigenvalue rule, reduced to the canonical
-    branch).  phi/pi is an exact Fraction except on the two-level float
-    path.
+    branch).  phi/pi is an exact Fraction except when a float level is
+    occupied.
     """
-    verdict = check_cyclicality(spectrum, state)
-    _, phi2pi, branch = _branch_data(verdict)
-    phi_over_pi = (2 * phi2pi if isinstance(phi2pi, Fraction)
-                   else float(2 * phi2pi))
-    return phi_over_pi, {lab: branch[val]
-                         for lab, val, _ in verdict.occupation.levels}
+    report = geometric_phase(spectrum, state)
+    phi_over_pi = (report.phi / math.pi if report.phi_over_pi is None
+                   else report.phi_over_pi)
+    return phi_over_pi, report.branch_integers
 
 
 def mean_energy(spectrum: Spectrum, state: StateDecomposition) -> float:
@@ -319,10 +300,9 @@ def _canonical_gamma(total: float) -> float:
 
 
 def geometric_phase(spectrum: Spectrum, state: StateDecomposition, *,
-                    hbar: float = 1.0,
                     cyclicality: Union[Cyclicality, None] = None
                     ) -> PhaseReport:
-    """Full closed-form report: gamma = phi + (tau/hbar)<H>, reduced to [0, 2*pi).
+    """Full closed-form report: gamma = phi + tau<H>, reduced to [0, 2*pi).
 
     The reduction happens before leaving rational-weighted arithmetic:
     gamma/(2*pi) = sum_k w_k n_k + (phi/2*pi)(sum_k w_k - 1) modulo 1,
@@ -330,13 +310,16 @@ def geometric_phase(spectrum: Spectrum, state: StateDecomposition, *,
     instead of tau*<H>.  Stationary states report gamma = 0 with the
     `stationary` flag set.  A ``cyclicality`` verdict that
     `check_cyclicality` returned for this same (spectrum, state) pair is
-    reused instead of classifying the state again.
+    reused instead of classifying the state again.  A non-cyclic state
+    raises NonCyclicError.
     """
     occ = cyclicality.occupation if cyclicality is not None else None
     if occ is None or occ.spectrum is not spectrum or occ.state is not state:
         cyclicality = check_cyclicality(spectrum, state)
         occ = cyclicality.occupation
-    L, phi2pi, branch = _branch_data(cyclicality)
+    if cyclicality.kind == "non-cyclic":
+        raise NonCyclicError(f"non-cyclic state: {cyclicality.reason}")
+    L, phi2pi, branch = _branch_data(occ.distinct)
 
     total_weight = math.fsum(w for _, _, w in occ.levels)
     # Weights are renormalized so the 1e-12 normalization slack cannot be
@@ -350,7 +333,7 @@ def geometric_phase(spectrum: Spectrum, state: StateDecomposition, *,
 
     return PhaseReport(
         method="full-spectrum", unit=spectrum.unit,
-        tau_cycles=L, tau=TWO_PI * hbar * float(L) / spectrum.unit,
+        tau_cycles=L, tau=TWO_PI * float(L) / spectrum.unit,
         phi_over_pi=(2 * phi2pi) if occ.exact else None,
         phi=TWO_PI * float(phi2pi),
         gamma=gamma, mean_energy=_mean_energy(occ),
@@ -364,17 +347,10 @@ def gauge_shift(spectrum: Spectrum, c: Union[Fraction, int, float]) -> Spectrum:
     Adding a multiple of the identity to H moves the spectrum's origin
     and the total phase but not the geometric phase.
     """
-    if isinstance(c, float) and not isinstance(c, int):
-        shift: Value = c
-    else:
-        shift = Fraction(c)
-    new_levels = []
-    for lab, val in spectrum.levels:
-        if isinstance(val, Fraction) and isinstance(shift, Fraction):
-            new_levels.append((lab, val + shift))
-        else:
-            new_levels.append((lab, float(val) + float(shift)))
-    return Spectrum(new_levels, unit=spectrum.unit)
+    shift = c if isinstance(c, float) else Fraction(c)
+    # a Fraction plus a float is the float sum of the two as floats
+    return Spectrum([(lab, val + shift) for lab, val in spectrum.levels],
+                    unit=spectrum.unit)
 
 
 def mean_energy_rational(spectrum: Spectrum,
@@ -399,7 +375,7 @@ def branch_matched_phi_over_pi(phi_over_pi: Union[Fraction, float],
     """Total phase re-expressed on one level's own branch, in pi units.
 
     The single-eigenvalue gamma route from phi holds only where
-    lambda*tau/hbar = -phi exactly; the canonical representative differs
+    lambda*tau = -phi exactly; the canonical representative differs
     from that by 2*pi*n_lambda.  Feed it phi and the level's branch
     integer (both straight from ``total_phase``) and pass the result on.
     """
@@ -414,7 +390,7 @@ def gamma_from_single_eigenvalue_phi(lam: Union[Fraction, float],
     """gamma from one nonzero eigenvalue and an externally known total phase.
 
     gamma = phi * (1 - <H>/lambda) mod 2*pi, valid on the branch where
-    lambda*tau/hbar = -phi exactly; feed the branch-matched phi
+    lambda*tau = -phi exactly; feed the branch-matched phi
     (phi_canonical - 2*pi*n_lambda), not an arbitrary representative.
     lambda and <H> share one energy unit.  Pass the phase either as
     ``phi`` in radians or as ``phi_over_pi`` (exact, in pi units); with
@@ -442,15 +418,15 @@ def gamma_from_single_eigenvalue_phi(lam: Union[Fraction, float],
 def gamma_from_single_eigenvalue_tau(lam: Union[Fraction, float],
                                      mean_H: Union[Fraction, float],
                                      tau: Union[float, None] = None, *,
-                                     tau_cycles: Union[Fraction, None] = None,
-                                     hbar: float = 1.0) -> float:
+                                     tau_cycles: Union[Fraction, None] = None
+                                     ) -> float:
     """gamma from one eigenvalue and an externally known period.
 
-    gamma = (tau/hbar)(<H> - lambda) mod 2*pi.  lambda and <H> share one
-    energy unit.  Pass the period either as ``tau`` in time units
-    consistent with hbar, or as ``tau_cycles`` (exact, in 2*pi*hbar/unit
-    units); with ``tau_cycles`` and exact lam/mean_H the reduction happens
-    in rational arithmetic.
+    gamma = tau(<H> - lambda) mod 2*pi.  lambda and <H> share one
+    energy unit.  Pass the period either as ``tau`` in the inverse of
+    that unit, or as ``tau_cycles`` (exact, in 2*pi/unit units); with
+    ``tau_cycles`` and exact lam/mean_H the reduction happens in rational
+    arithmetic.
     """
     if (tau is None) == (tau_cycles is None):
         raise ValueError("pass exactly one of tau, tau_cycles")
@@ -464,4 +440,4 @@ def gamma_from_single_eigenvalue_tau(lam: Union[Fraction, float],
             (float(mean_H) - float(lam)) * float(tc), 1.0))
     if not float(tau) > 0:
         raise ValueError("tau must be positive")
-    return _canonical_gamma(float(tau) * (float(mean_H) - float(lam)) / hbar)
+    return _canonical_gamma(float(tau) * (float(mean_H) - float(lam)))

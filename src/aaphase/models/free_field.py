@@ -1,11 +1,9 @@
-"""Single free field mode, H = hbar*omega*a^dag*a."""
+"""Single free field mode, H = omega*a^dag*a (hbar = 1)."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Sequence, Tuple
-
-import numpy as np
 
 from ..engine import Spectrum, StateDecomposition
 from ..fock import coherent_amplitudes, number
@@ -15,9 +13,9 @@ __all__ = ["free_field", "free_field_coherent", "free_field_dense"]
 
 
 def free_field(omega: float, occupied_n: Sequence[int],
-               amplitudes: Sequence[complex], *,
-               hbar: float = 1.0) -> Tuple[Spectrum, StateDecomposition]:
-    """Levels n*hbar*omega for an arbitrary set of occupied Fock states."""
+               amplitudes: Sequence[complex]
+               ) -> Tuple[Spectrum, StateDecomposition]:
+    """Levels n*omega for an arbitrary set of occupied Fock states."""
     ns = list(occupied_n)
     if len(ns) < 1:
         raise ValueError("at least one occupied level required")
@@ -25,20 +23,18 @@ def free_field(omega: float, occupied_n: Sequence[int],
         raise ValueError("Fock indices must be non-negative")
     if len(ns) != len(amplitudes):
         raise ValueError("one amplitude per occupied level required")
-    unit = hbar * omega
-    spectrum = Spectrum(levels=[(str(n), Fraction(n)) for n in ns], unit=unit)
+    spectrum = Spectrum(levels=[(str(n), Fraction(n)) for n in ns], unit=omega)
     state = StateDecomposition(
         entries=[(str(n), a) for n, a in zip(ns, amplitudes)])
     return spectrum, state
 
 
-def free_field_coherent(omega: float, alpha: complex, truncation: int, *,
-                        hbar: float = 1.0) -> Tuple[Spectrum, StateDecomposition]:
+def free_field_coherent(omega: float, alpha: complex, truncation: int
+                        ) -> Tuple[Spectrum, StateDecomposition]:
     amps, _ = coherent_amplitudes(alpha, truncation)
     occupied = [n for n in range(truncation) if amps[n] != 0]
-    return free_field(omega, occupied, [amps[n] for n in occupied], hbar=hbar)
+    return free_field(omega, occupied, [amps[n] for n in occupied])
 
 
-def free_field_dense(omega: float, dim: int, *,
-                     hbar: float = 1.0) -> DenseHamiltonian:
-    return DenseHamiltonian(number(dim), unit=hbar * omega, hbar=hbar)
+def free_field_dense(omega: float, dim: int) -> DenseHamiltonian:
+    return DenseHamiltonian(number(dim), unit=omega)

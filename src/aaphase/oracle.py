@@ -56,15 +56,14 @@ class DenseHamiltonian:
     """Explicit Hermitian matrix on a truncated Hilbert space.
 
     ``matrix`` entries are dimensionless multiples of ``unit``; time
-    evolution uses angular frequencies matrix*unit/hbar.  The array is
-    taken over (copied only to change its dtype) and made read-only.
+    evolution uses angular frequencies matrix*unit (hbar = 1).  The array
+    is taken over (copied only to change its dtype) and made read-only.
     """
 
     matrix: np.ndarray
     unit: float = 1.0
-    hbar: float = 1.0
 
-    def __init__(self, matrix, unit: float = 1.0, hbar: float = 1.0):
+    def __init__(self, matrix, unit: float = 1.0):
         m = np.asarray(matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("matrix must be square")
@@ -73,13 +72,12 @@ class DenseHamiltonian:
             raise ValueError("matrix entries must be finite")
         if dev > HERMITICITY_TOL * max(scale, 1e-300):
             raise ValueError(f"matrix is not Hermitian: max|H - H^dag| = {dev:g}")
-        if not (0 < unit < math.inf and 0 < hbar < math.inf):
-            raise ValueError("unit and hbar must be positive and finite")
+        if not 0 < unit < math.inf:
+            raise ValueError("unit must be positive and finite")
         m = m.astype(np.float64 if np.isrealobj(m) else np.complex128, copy=False)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "unit", float(unit))
-        object.__setattr__(self, "hbar", float(hbar))
 
     @property
     def dimension(self) -> int:
@@ -174,7 +172,7 @@ class SpectralPropagator:
         positions = np.split(rank, np.cumsum([idx.size for idx in blocks])[:-1])
         self._blocks = list(zip(blocks, vectors, positions))
         self.eigenvalues = w[order]                 # in units of `unit`
-        self.omegas = self.eigenvalues * (hamiltonian.unit / hamiltonian.hbar)
+        self.omegas = self.eigenvalues * hamiltonian.unit
         a = np.concatenate(amplitudes)[order]
         self.amplitudes = a
         self.weights = np.abs(a) ** 2
@@ -390,7 +388,7 @@ def expectation(hamiltonian: DenseHamiltonian, psi) -> float:
 def generic_gamma(hamiltonian: DenseHamiltonian, psi0, t_max: float, *,
                   fidelity_tol: float = 1e-8, steps: Union[int, None] = None,
                   approximate: bool = False) -> PhaseReport:
-    """Full numerical route: gamma = phi_est + (tau_est/hbar)<H>, mod 2*pi.
+    """Full numerical route: gamma = phi_est + tau_est<H>, mod 2*pi.
 
     Assembled entirely from the detected period, the detected total
     phase, and the numerically evaluated mean energy; no exact-spectrum
@@ -411,12 +409,11 @@ def generic_gamma(hamiltonian: DenseHamiltonian, psi0, t_max: float, *,
                            mean_energy=e_mean, branch_integers={},
                            stationary=True, fidelity=1.0)
     if steps is None:
-        # 4096 points per natural cycle 2*pi*hbar/unit, and at least
+        # 4096 points per natural cycle 2*pi/unit, and at least
         # enough that no two occupied phases drift apart by more than
         # SCAN_BAND radians per step, so no return peak falls between
         # grid points
-        cycles = max(1.0, float(t_max) * hamiltonian.unit
-                     / (TWO_PI * hamiltonian.hbar))
+        cycles = max(1.0, float(t_max) * hamiltonian.unit / TWO_PI)
         needed = math.ceil(spread * t_max / SCAN_BAND) + 1
         if needed > MAX_STEPS:
             raise NoReturnError(
@@ -429,8 +426,7 @@ def generic_gamma(hamiltonian: DenseHamiltonian, psi0, t_max: float, *,
     tau_est, phi_est = detect_period(result, fidelity_tol=tol,
                                      approximate=approximate)
     achieved = float(prop.fidelity(tau_est)[0])
-    gamma = _canonical_gamma(
-        phi_est + tau_est * e_mean / hamiltonian.hbar)
+    gamma = _canonical_gamma(phi_est + tau_est * e_mean)
     return PhaseReport(method="oracle", unit=hamiltonian.unit,
                        tau_cycles=None, tau=float(tau_est),
                        phi_over_pi=None, phi=float(phi_est), gamma=gamma,

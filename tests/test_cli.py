@@ -387,18 +387,40 @@ class TestOutputFile:
 
 class TestDenseOnDemand:
     CONFIG = str(CONFIGS / "three_mirror_exact.ini")
+    # every shipped config that analyze takes down the exact route
+    EXACT = ("free_field_coherent.ini", "free_field_fock.ini",
+             "raw_spectrum.ini", "spin_half.ini", "three_mirror_exact.ini",
+             "two_mirror.ini")
 
     def test_analyze_exact_route_never_builds_dense(self, monkeypatch,
                                                      capsys):
-        _, expected, _ = run_cli(["analyze", "--config", self.CONFIG], capsys)
+        configs = [str(CONFIGS / name) for name in self.EXACT]
+        expected = [run_cli(["analyze", "--config", config], capsys)[1]
+                    for config in configs]
 
-        def refuse(params):
+        def refuse(*args, **kwargs):
             raise AssertionError("analyze built the dense matrix")
 
-        monkeypatch.setattr(config_module, "three_mirror_dense", refuse)
-        code, out, err = run_cli(["analyze", "--config", self.CONFIG], capsys)
-        assert code == 0 and err == ""
-        assert out == expected
+        for name in ("three_mirror_dense", "two_mirror_dense",
+                     "spin_half_dense", "free_field_dense",
+                     "DenseHamiltonian"):
+            monkeypatch.setattr(config_module, name, refuse)
+        for config, want in zip(configs, expected):
+            code, out, err = run_cli(["analyze", "--config", config], capsys)
+            assert code == 0 and err == ""
+            assert out == want
+
+    def test_out_of_memory_is_a_config_error(self, monkeypatch, capsys):
+        def exhausted(params):
+            raise MemoryError
+
+        monkeypatch.setattr(config_module, "three_mirror_dense", exhausted)
+        code, out, err = run_cli(
+            ["analyze", "--config",
+             str(CONFIGS / "three_mirror_approximate.ini")], capsys)
+        assert code == 64 and out == ""
+        assert err.startswith("config error:") and "memory" in err
+        assert len(err.splitlines()) == 1
 
     def test_verify_builds_dense(self, monkeypatch, capsys):
         built = []
@@ -589,13 +611,14 @@ NON_FINITE = SWEEP_TOKENS[:4]
 def test_malformed_config_sweep(tmp_path, capsys, name):
     """Every key of the model section and of [options], set to each token,
     under every command: an exit code, never an exception; non-finite
-    numbers are configuration errors."""
+    numbers are configuration errors, and an unparsable model entry is
+    one that names its key."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",),
                                    interpolation=None)
     cp.read(CONFIGS / name)
     sections = [s for s in (cp["run"]["model"], "options") if s in cp]
     path = tmp_path / name
-    escaped, wrong = [], []
+    escaped, wrong, unnamed = [], [], []
     for section in sections:
         for key in list(cp[section]):
             original = cp[section][key]
@@ -605,6 +628,7 @@ def test_malformed_config_sweep(tmp_path, capsys, name):
                     cp.write(fh)
                 for command in ("analyze", "verify", "constrain"):
                     case = (key, token, command)
+                    capsys.readouterr()
                     try:
                         code = cli.main([command, "--config", str(path)])
                     except Exception as exc:  # any escape is the failure
@@ -615,10 +639,15 @@ def test_malformed_config_sweep(tmp_path, capsys, name):
                     if code not in allowed or (token in NON_FINITE
                                                and code != 64):
                         wrong.append(case + (code,))
+                    # configparser lowercases the keys it writes
+                    err = capsys.readouterr().err.lower()
+                    if (token == "abc" and section != "options" and not
+                            err.startswith(f"config error: {key}:")):
+                        unnamed.append(case + (err,))
             cp[section][key] = original
-    capsys.readouterr()
     assert escaped == []
     assert wrong == []
+    assert unnamed == []
 
 
 # Keys each model section reads, the [options] keys and a few strangers.

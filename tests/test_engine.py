@@ -29,7 +29,7 @@ from aaphase.engine import (
     period,
     total_phase,
 )
-from aaphase.engine import _cyclic_branch_data
+from aaphase.engine import _branch_data
 from aaphase.rational import lcm_rationals
 from conftest import circ
 
@@ -206,7 +206,7 @@ class TestTwoLevelExact:
 
 
 class TestSpinHalfSpectrum:
-    # eigenvalues +1/-1: tau = pi*hbar, phi = pi, gamma = 2*pi*cos^2(theta/2)
+    # eigenvalues +1/-1: tau = pi, phi = pi, gamma = 2*pi*cos^2(theta/2)
     def fixture(self, theta):
         sp = spectrum2(1, -1)
         st_ = StateDecomposition(
@@ -252,17 +252,21 @@ class TestThreeLevelExact:
 
 class TestStationary:
     def test_nonzero_eigenvalue(self):
-        sp = Spectrum(levels=[("g", "5/3")])
-        st_ = StateDecomposition(entries=[("g", 1.0)])
-        assert period(sp, st_) == Fraction(3, 5)
-        rep = geometric_phase(sp, st_)
-        assert rep.stationary
-        assert rep.tau_cycles == Fraction(3, 5)
-        assert rep.gamma == 0.0 and rep.phi == 0.0
-        assert rep.phi_over_pi == 0
-        assert rep.branch_integers == {"g": 1}
-        phi_over_pi, branch = total_phase(sp, st_)
-        assert phi_over_pi == 0 and branch == {"g": 1}
+        # float levels too: 1 - 49.0*(1/49.0) is not 0 in floats
+        for lam, n in ((Fraction(5, 3), 1), (49.0, 1), (2.5, 1),
+                       (Fraction(-5, 3), -1)):
+            sp = Spectrum(levels=[("g", lam)])
+            st_ = StateDecomposition(entries=[("g", 1.0)])
+            assert period(sp, st_) == 1 / abs(lam)
+            rep = geometric_phase(sp, st_)
+            assert rep.stationary
+            assert rep.tau_cycles == 1 / abs(lam)
+            assert rep.gamma == 0.0 and rep.phi == 0.0
+            assert rep.phi_over_pi == (0 if isinstance(lam, Fraction)
+                                       else None)
+            assert rep.branch_integers == {"g": n}
+            phi_over_pi, branch = total_phase(sp, st_)
+            assert phi_over_pi == 0 and branch == {"g": n}
 
     def test_zero_eigenvalue_has_no_period_but_reports_gamma(self):
         sp = Spectrum(levels=[("g", 0)])
@@ -299,14 +303,6 @@ class TestUnits:
         assert r3.mean_energy == pytest.approx(3 * r1.mean_energy, rel=1e-15)
         assert r3.gamma == r1.gamma
         assert r3.tau_cycles == r1.tau_cycles
-
-    def test_hbar_scales_tau_only(self):
-        st_ = StateDecomposition(entries=EQUAL)
-        sp = spectrum2(2, 3)
-        r1 = geometric_phase(sp, st_, hbar=1.0)
-        r2 = geometric_phase(sp, st_, hbar=2.0)
-        assert r2.tau == pytest.approx(2 * r1.tau, rel=1e-15)
-        assert r2.gamma == r1.gamma
 
     def test_mean_energy_rational(self):
         sp = spectrum2("1/3", "1/5")
@@ -472,7 +468,7 @@ level_st = st.one_of(
 def test_two_level_branch_data_matches_float_formula(v0, v1):
     assume(isinstance(v0, float) or isinstance(v1, float))
     assume(v0 != v1 and math.isfinite(1.0 / abs(float(v1) - float(v0))))
-    L, phi2pi, branch = _cyclic_branch_data([v0, v1])
+    L, phi2pi, branch = _branch_data([v0, v1])
     want_L, want_phi2pi, want_branch = two_level_float_reference([v0, v1])
     assert isinstance(L, float) and L.hex() == want_L.hex()
     assert isinstance(phi2pi, float) and phi2pi.hex() == want_phi2pi.hex()

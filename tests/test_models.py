@@ -111,10 +111,6 @@ class TestFreeField:
         assert circ(orc.phi, rep.phi) < 1e-6
         assert circ(orc.gamma, rep.gamma) < 1e-6
 
-    def test_hbar_enters_unit(self):
-        sp, _ = free_field(2.0, [0, 1], [0.6, 0.8], hbar=3.0)
-        assert sp.unit == 6.0
-
     def test_coherent_winds_mean_occupation(self):
         alpha = 0.9
         sp, state = free_field_coherent(1.0, alpha, 18)

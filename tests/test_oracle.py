@@ -74,12 +74,8 @@ class TestDenseHamiltonian:
     def test_rejects_bad_scales(self):
         with pytest.raises(ValueError, match="positive"):
             DenseHamiltonian(np.eye(2), unit=0.0)
-        with pytest.raises(ValueError, match="positive"):
-            DenseHamiltonian(np.eye(2), hbar=-1.0)
         with pytest.raises(ValueError, match="finite"):
             DenseHamiltonian(np.eye(2), unit=math.inf)
-        with pytest.raises(ValueError, match="finite"):
-            DenseHamiltonian(np.eye(2), hbar=math.inf)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_entries(self, bad):
@@ -138,7 +134,7 @@ class TestPropagator:
         dim = 6
         H = random_hermitian(rng, dim)
         psi0 = random_state(rng, dim)
-        h = DenseHamiltonian(H, unit=1.3, hbar=0.7)
+        h = DenseHamiltonian(H, unit=1.3 / 0.7)
         prop = SpectralPropagator(h, psi0)
         for t in (0.3, 1.7, 4.9):
             U = expm(-1j * H * (1.3 / 0.7) * t)
@@ -210,7 +206,7 @@ class TestBlocks:
         perm = rng.permutation(dim)
         H = block_diag(*blocks)[np.ix_(perm, perm)]
         psi0 = random_state(rng, dim)
-        h = DenseHamiltonian(H, unit=1.3, hbar=0.7)
+        h = DenseHamiltonian(H, unit=1.3 / 0.7)
         prop = SpectralPropagator(h, psi0)
         assert len(prop._blocks) == len(blocks)
         assert np.max(np.abs(np.sort(prop.eigenvalues)
