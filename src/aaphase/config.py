@@ -48,7 +48,6 @@ __all__ = [
     "RunOptions",
     "load_config",
     "parse_complex",
-    "format_complex",
 ]
 
 RATIONALIZE_DENOMINATOR = 1000
@@ -79,10 +78,6 @@ def parse_complex(text: str) -> complex:
     return z
 
 
-def format_complex(z: complex) -> str:
-    return f"{z.real:.17g}{z.imag:+.17g} i"
-
-
 def _complex_list(text: str, sep: str = ";") -> Tuple[complex, ...]:
     items = [piece for piece in text.split(sep) if piece.strip()]
     if not items:
@@ -91,19 +86,28 @@ def _complex_list(text: str, sep: str = ";") -> Tuple[complex, ...]:
 
 
 def _exact_value(text: str) -> Fraction:
-    """Rational parse with decimal rationalization; floats are an error."""
+    """Rational parse with decimal rationalization; floats are an error.
+
+    A rational past the float range is as non-finite as "1e400": the
+    models and the reports compute with its float value.
+    """
     s = text.strip()
     try:
-        return parse_rational(s)
+        value = parse_rational(s)
     except ValueError:
-        pass
+        try:
+            value = float(s)
+        except ValueError as exc:
+            raise ConfigError(f"bad rational entry {s!r}") from exc
     try:
-        x = float(s)
-    except ValueError as exc:
-        raise ConfigError(f"bad rational entry {s!r}") from exc
-    if not math.isfinite(x):
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
         raise ConfigError(f"non-finite entry {s!r}")
-    return rationalize(x, max_denominator=RATIONALIZE_DENOMINATOR,
+    if isinstance(value, Fraction):
+        return value
+    return rationalize(value, max_denominator=RATIONALIZE_DENOMINATOR,
                        tolerance=RATIONALIZE_TOL)
 
 
@@ -120,39 +124,26 @@ class RunOptions:
     """[options] with command-line flags on top; None: derived per run."""
 
     t_max: Optional[float] = None
-    fidelity_tol: float = 1e-8
-    steps: Optional[int] = None
-    tolerance: float = 1e-6
     n_range: int = 16
-    approximate: bool = False
 
 
 # option -> (type, range test, range in words); NaN fails every test
 _OPTION_RULES = {
     "t_max": (float, lambda v: 0 < v < math.inf, "positive and finite"),
-    "fidelity_tol": (float, lambda v: 0 < v <= 1e-3, "in (0, 1e-3]"),
-    "steps": (int, lambda v: v >= 2, ">= 2"),
-    "tolerance": (float, lambda v: 0 < v < 1, "in (0, 1)"),
     "n_range": (int, lambda v: v >= 1, ">= 1"),
-    "approximate": (bool, lambda v: True, ""),
 }
-# options a command-line flag can also set, with its type; flags win
-FLAGS = {key: _OPTION_RULES[key][0]
-         for key in ("n_range", "fidelity_tol", "t_max")}
+# every option is also a command-line flag, with its type; flags win
+FLAGS = {key: kind for key, (kind, _, _) in _OPTION_RULES.items()}
 
 
-def _run_options(cp: configparser.ConfigParser, model: str,
-                 flags: Mapping) -> RunOptions:
-    # off its exact family a three-mirror run has no exact return to find
-    values = {"approximate": model == "three_mirror"}
+def _run_options(cp: configparser.ConfigParser, flags: Mapping) -> RunOptions:
+    values = {}
     sec = cp["options"] if cp.has_section("options") else {}
     for key in sec:
         if key not in _OPTION_RULES:
             raise ConfigError(f"unknown option {key!r} in [options]")
-        kind = _OPTION_RULES[key][0]
         try:
-            values[key] = (sec.getboolean(key) if kind is bool
-                           else kind(sec[key]))
+            values[key] = _OPTION_RULES[key][0](sec[key])
         except ValueError as exc:
             raise ConfigError(f"bad option {key} = {sec[key]!r}") from exc
     values.update((key, flags[key]) for key in FLAGS
@@ -396,7 +387,7 @@ def load_config(path: str, flags: Optional[Mapping] = None) -> LoadedRun:
     if model not in _LOADERS:
         raise ConfigError(f"unknown model {model!r}; "
                           f"expected one of {', '.join(_LOADERS)}")
-    options = _run_options(cp, model, flags or {})
+    options = _run_options(cp, flags or {})
     try:
         # no numpy overflow warnings (as in LoadedRun.dense): the
         # finiteness checks report a non-finite entry as a config error

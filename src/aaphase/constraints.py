@@ -22,7 +22,6 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
 
 from .engine import TWO_PI, _canonical_gamma
-from .rational import format_rational
 
 __all__ = [
     "CyclicityCandidate",
@@ -90,16 +89,6 @@ class CyclicityCandidate:
     def __post_init__(self):
         if self.tau_cycles <= 0:
             raise ValueError("tau must be positive")
-
-    @property
-    def phi_mod_2pi(self) -> float:
-        """phi folded to [0, 2*pi) radians."""
-        return _canonical_gamma(math.pi * float(self.phi_over_pi % 2))
-
-    def describe(self) -> str:
-        return (f"n={self.n} m={self.m} "
-                f"phi={format_rational(self.phi_over_pi)} pi "
-                f"tau={format_rational(self.tau_cycles)} cycles")
 
 
 @dataclass(frozen=True)

@@ -33,9 +33,6 @@ __all__ = [
     "gamma_from_single_eigenvalue_tau",
     "gauge_shift",
     "geometric_phase",
-    "mean_energy",
-    "period",
-    "total_phase",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -245,47 +242,6 @@ def _branch_data(distinct: Sequence[Value]):
     return L, phi_over_2pi, branch
 
 
-def period(spectrum: Spectrum, state: StateDecomposition
-           ) -> Union[Fraction, float]:
-    """Period of the cyclic motion, in units of 2*pi/unit.
-
-    Cyclic states: the LCM of inverse occupied spacings (exact Fraction
-    when the spectrum is exact; float on the irrational two-level path).
-    Stationary states: 1/|lambda| per the single-exponential special
-    case; a zero eigenvalue has no finite period.
-    """
-    L = geometric_phase(spectrum, state).tau_cycles
-    if L == math.inf:
-        raise NonCyclicError(
-            "no finite period: the single occupied eigenvalue is zero")
-    return L
-
-
-def total_phase(spectrum: Spectrum, state: StateDecomposition):
-    """(phi_over_pi, branch_integers) on the canonical branch phi in (-pi, pi].
-
-    phi = 2*pi*(n_lambda - lambda*L) for every occupied lambda; the branch
-    integers n_lambda are recorded per label.  With 0 occupied, phi is 0
-    (the 2*pi of the zero-eigenvalue rule, reduced to the canonical
-    branch).  phi/pi is an exact Fraction except when a float level is
-    occupied.
-    """
-    report = geometric_phase(spectrum, state)
-    phi_over_pi = (report.phi / math.pi if report.phi_over_pi is None
-                   else report.phi_over_pi)
-    return phi_over_pi, report.branch_integers
-
-
-def mean_energy(spectrum: Spectrum, state: StateDecomposition) -> float:
-    """<H> in energy units: unit times the sum of |c_k|^2 lambda_k."""
-    return _mean_energy(_occupy(spectrum, state))
-
-
-def _mean_energy(occ: _Occupation) -> float:
-    return occ.spectrum.unit * math.fsum(w * float(v)
-                                         for _, v, w in occ.levels)
-
-
 def _canonical_gamma(total: float) -> float:
     """Reduce a phase to [0, 2*pi)."""
     g = math.fmod(total, TWO_PI)
@@ -336,7 +292,9 @@ def geometric_phase(spectrum: Spectrum, state: StateDecomposition, *,
         tau_cycles=L, tau=TWO_PI * float(L) / spectrum.unit,
         phi_over_pi=(2 * phi2pi) if occ.exact else None,
         phi=TWO_PI * float(phi2pi),
-        gamma=gamma, mean_energy=_mean_energy(occ),
+        gamma=gamma,
+        mean_energy=spectrum.unit * math.fsum(w * float(v)
+                                              for _, v, w in occ.levels),
         branch_integers={lab: branch[val] for lab, val, _ in occ.levels},
         stationary=cyclicality.kind == "stationary")
 
@@ -353,91 +311,45 @@ def gauge_shift(spectrum: Spectrum, c: Union[Fraction, int, float]) -> Spectrum:
                     unit=spectrum.unit)
 
 
-def mean_energy_rational(spectrum: Spectrum,
-                         weights: Mapping[str, Fraction]) -> Fraction:
-    """Exact <H>/unit from exact weights over exact eigenvalues.
-
-    For fixtures whose amplitude moduli square to exact rationals; the
-    float route `mean_energy` is the general-purpose one.
-    """
-    total = Fraction(0)
-    table = dict(spectrum.levels)
-    for lab, w in weights.items():
-        val = table[lab]
-        if not isinstance(val, Fraction):
-            raise ValueError("exact mean energy needs an exact spectrum")
-        total += Fraction(w) * val
-    return total
-
-
-def branch_matched_phi_over_pi(phi_over_pi: Union[Fraction, float],
-                               branch_n: int) -> Union[Fraction, float]:
-    """Total phase re-expressed on one level's own branch, in pi units.
-
-    The single-eigenvalue gamma route from phi holds only where
-    lambda*tau = -phi exactly; the canonical representative differs
-    from that by 2*pi*n_lambda.  Feed it phi and the level's branch
-    integer (both straight from ``total_phase``) and pass the result on.
-    """
-    return phi_over_pi - 2 * branch_n
-
-
 def gamma_from_single_eigenvalue_phi(lam: Union[Fraction, float],
                                      mean_H: Union[Fraction, float],
-                                     phi: Union[float, None] = None, *,
-                                     phi_over_pi: Union[Fraction, None] = None
-                                     ) -> float:
+                                     phi_over_pi: Fraction) -> float:
     """gamma from one nonzero eigenvalue and an externally known total phase.
 
     gamma = phi * (1 - <H>/lambda) mod 2*pi, valid on the branch where
-    lambda*tau = -phi exactly; feed the branch-matched phi
-    (phi_canonical - 2*pi*n_lambda), not an arbitrary representative.
-    lambda and <H> share one energy unit.  Pass the phase either as
-    ``phi`` in radians or as ``phi_over_pi`` (exact, in pi units); with
-    ``phi_over_pi`` and exact lam/mean_H the mod-2*pi reduction happens in
-    rational arithmetic.
+    lambda*tau = -phi exactly; feed the branch-matched phase
+    phi_over_pi - 2*n_lambda (n_lambda the level's branch integer), not
+    an arbitrary representative.  lambda and <H> share one energy unit;
+    the phase is exact, in pi units.  With exact lam and mean_H the
+    mod-2*pi reduction happens in rational arithmetic.
     """
-    if (phi is None) == (phi_over_pi is None):
-        raise ValueError("pass exactly one of phi, phi_over_pi")
     if lam == 0:
         raise ValueError("zero eigenvalue carries no period information: "
                          "phi is already 0 mod 2*pi; use a nonzero eigenvalue")
-    if phi_over_pi is not None:
-        a = Fraction(phi_over_pi)
-        if isinstance(lam, Fraction) and isinstance(mean_H, Fraction):
-            return _canonical_gamma(math.pi * float((a * (1 - mean_H / lam)) % 2))
-        # a mod 2 first: keeps the float product small when the branch
-        # integer inside a is large.
-        k, b = divmod(a, 2)
-        u = 1.0 - float(mean_H) / float(lam)
-        total = 2.0 * math.fmod(int(k) * u, 1.0) + float(b) * u
-        return _canonical_gamma(math.pi * math.fmod(total, 2.0))
-    return _canonical_gamma(float(phi) * (1.0 - float(mean_H) / float(lam)))
+    a = Fraction(phi_over_pi)
+    if isinstance(lam, Fraction) and isinstance(mean_H, Fraction):
+        return _canonical_gamma(math.pi * float((a * (1 - mean_H / lam)) % 2))
+    # a mod 2 first: keeps the float product small when the branch
+    # integer inside a is large.
+    k, b = divmod(a, 2)
+    u = 1.0 - float(mean_H) / float(lam)
+    total = 2.0 * math.fmod(int(k) * u, 1.0) + float(b) * u
+    return _canonical_gamma(math.pi * math.fmod(total, 2.0))
 
 
 def gamma_from_single_eigenvalue_tau(lam: Union[Fraction, float],
                                      mean_H: Union[Fraction, float],
-                                     tau: Union[float, None] = None, *,
-                                     tau_cycles: Union[Fraction, None] = None
-                                     ) -> float:
+                                     tau_cycles: Fraction) -> float:
     """gamma from one eigenvalue and an externally known period.
 
     gamma = tau(<H> - lambda) mod 2*pi.  lambda and <H> share one
-    energy unit.  Pass the period either as ``tau`` in the inverse of
-    that unit, or as ``tau_cycles`` (exact, in 2*pi/unit units); with
-    ``tau_cycles`` and exact lam/mean_H the reduction happens in rational
-    arithmetic.
+    energy unit; the period is exact, in 2*pi/unit units.  With exact
+    lam and mean_H the reduction happens in rational arithmetic.
     """
-    if (tau is None) == (tau_cycles is None):
-        raise ValueError("pass exactly one of tau, tau_cycles")
-    if tau_cycles is not None:
-        tc = Fraction(tau_cycles)
-        if tc <= 0:
-            raise ValueError("tau must be positive")
-        if isinstance(lam, Fraction) and isinstance(mean_H, Fraction):
-            return _canonical_gamma(TWO_PI * float(((mean_H - lam) * tc) % 1))
-        return _canonical_gamma(TWO_PI * math.fmod(
-            (float(mean_H) - float(lam)) * float(tc), 1.0))
-    if not float(tau) > 0:
+    tc = Fraction(tau_cycles)
+    if tc <= 0:
         raise ValueError("tau must be positive")
-    return _canonical_gamma(float(tau) * (float(mean_H) - float(lam)))
+    if isinstance(lam, Fraction) and isinstance(mean_H, Fraction):
+        return _canonical_gamma(TWO_PI * float(((mean_H - lam) * tc) % 1))
+    return _canonical_gamma(TWO_PI * math.fmod(
+        (float(mean_H) - float(lam)) * float(tc), 1.0))

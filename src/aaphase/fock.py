@@ -17,7 +17,6 @@ __all__ = [
     "create",
     "destroy",
     "displaced_frame_amplitudes",
-    "fock_state",
     "number",
 ]
 
@@ -36,14 +35,6 @@ def create(dim: int) -> np.ndarray:
 
 def number(dim: int) -> np.ndarray:
     return np.diag(np.arange(dim, dtype=float))
-
-
-def fock_state(n: int, dim: int) -> np.ndarray:
-    if not 0 <= n < dim:
-        raise ValueError("Fock index outside truncation")
-    v = np.zeros(dim)
-    v[n] = 1.0
-    return v
 
 
 def _raw_coherent(alpha: complex, dim: int) -> np.ndarray:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 from scipy.linalg import eigh
@@ -43,7 +43,7 @@ SMALL_DIMENSION = 32
 # No temporary array of the Hermiticity check or the fidelity scan holds
 # more entries than this.
 CHUNK_ENTRIES = 1 << 20
-# Largest grid the default step rule may choose.
+# Largest grid the step rule may choose.
 MAX_STEPS = 1 << 21
 
 
@@ -386,15 +386,15 @@ def expectation(hamiltonian: DenseHamiltonian, psi) -> float:
 
 
 def generic_gamma(hamiltonian: DenseHamiltonian, psi0, t_max: float, *,
-                  fidelity_tol: float = 1e-8, steps: Union[int, None] = None,
                   approximate: bool = False) -> PhaseReport:
     """Full numerical route: gamma = phi_est + tau_est<H>, mod 2*pi.
 
     Assembled entirely from the detected period, the detected total
     phase, and the numerically evaluated mean energy; no exact-spectrum
-    information enters.  ``approximate=True`` switches to the
-    near-recurrence regime (default acceptance 1 - F <= 1e-4) used when
-    exact commensurability fails; the achieved fidelity is reported.
+    information enters.  A return must reach 1 - F <= 1e-8;
+    ``approximate=True`` switches to the near-recurrence regime
+    (1 - F <= 1e-4) used when exact commensurability fails, and the
+    achieved fidelity is reported.
     Stationary inputs short-circuit to a flagged report.
     """
     if not 0 < t_max < math.inf:
@@ -408,23 +408,21 @@ def generic_gamma(hamiltonian: DenseHamiltonian, psi0, t_max: float, *,
                            phi_over_pi=None, phi=0.0, gamma=0.0,
                            mean_energy=e_mean, branch_integers={},
                            stationary=True, fidelity=1.0)
-    if steps is None:
-        # 4096 points per natural cycle 2*pi/unit, and at least
-        # enough that no two occupied phases drift apart by more than
-        # SCAN_BAND radians per step, so no return peak falls between
-        # grid points
-        cycles = max(1.0, float(t_max) * hamiltonian.unit / TWO_PI)
-        needed = math.ceil(spread * t_max / SCAN_BAND) + 1
-        if needed > MAX_STEPS:
-            raise NoReturnError(
-                f"the occupied frequency spread {spread:.6g} needs "
-                f"{needed} grid steps up to t_max = {t_max:g}, above the "
-                f"cap of {MAX_STEPS}; set steps or a shorter t_max")
-        steps = max(int(min(4096 * math.ceil(cycles), MAX_STEPS)), needed)
-    tol = 1e-4 if approximate else fidelity_tol
+    # 4096 points per natural cycle 2*pi/unit, and at least enough that
+    # no two occupied phases drift apart by more than SCAN_BAND radians
+    # per step, so no return peak falls between grid points
+    cycles = max(1.0, float(t_max) * hamiltonian.unit / TWO_PI)
+    needed = math.ceil(spread * t_max / SCAN_BAND) + 1
+    if needed > MAX_STEPS:
+        raise NoReturnError(
+            f"the occupied frequency spread {spread:.6g} needs "
+            f"{needed} grid steps up to t_max = {t_max:g}, above the "
+            f"cap of {MAX_STEPS}; set a shorter t_max")
+    steps = max(int(min(4096 * math.ceil(cycles), MAX_STEPS)), needed)
     result = evolve(hamiltonian, psi0, t_max, steps=steps, propagator=prop)
-    tau_est, phi_est = detect_period(result, fidelity_tol=tol,
-                                     approximate=approximate)
+    tau_est, phi_est = detect_period(
+        result, fidelity_tol=1e-4 if approximate else 1e-8,
+        approximate=approximate)
     achieved = float(prop.fidelity(tau_est)[0])
     gamma = _canonical_gamma(phi_est + tau_est * e_mean)
     return PhaseReport(method="oracle", unit=hamiltonian.unit,

@@ -8,7 +8,7 @@ digits, which round-trips IEEE doubles exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from .constraints import CyclicityCandidate
 from .engine import Cyclicality, PhaseReport

@@ -26,13 +26,10 @@ from aaphase.constraints import (
 from aaphase.engine import (
     Spectrum,
     StateDecomposition,
-    branch_matched_phi_over_pi,
     gamma_from_single_eigenvalue_phi,
     gamma_from_single_eigenvalue_tau,
     gauge_shift,
     geometric_phase,
-    period,
-    total_phase,
 )
 from aaphase.fock import coherent_amplitudes
 from aaphase.models import (
@@ -82,7 +79,7 @@ def _bounded_fixture(rng, min_levels, max_levels, max_num, max_den, cap):
         amps = rng.normal(size=count) + 1j * rng.normal(size=count)
         amps /= np.linalg.norm(amps)
         state = StateDecomposition(entries=list(zip(labels, amps)))
-        if period(spectrum, state) <= cap:
+        if geometric_phase(spectrum, state).tau_cycles <= cap:
             return spectrum, state
 
 
@@ -190,9 +187,9 @@ def test_criterion_05_route_consistency():
             if lam == 0:
                 continue
             routes += 1
-            matched = branch_matched_phi_over_pi(rep.phi_over_pi, n)
+            # the single-eigenvalue route holds on the level's own branch
             g_phi = gamma_from_single_eigenvalue_phi(
-                lam, rep.mean_energy, phi_over_pi=matched)
+                lam, rep.mean_energy, phi_over_pi=rep.phi_over_pi - 2 * n)
             g_tau = gamma_from_single_eigenvalue_tau(
                 lam, rep.mean_energy, tau_cycles=rep.tau_cycles)
             worst = max(worst, circ(g_phi, rep.gamma),
@@ -208,8 +205,9 @@ def test_criterion_06_phase_rationality():
     for _ in range(200):
         spectrum, state = random_exact_fixture(rng, min_levels=3,
                                                max_levels=5)
-        L = period(spectrum, state)
-        phi_over_pi, branch = total_phase(spectrum, state)
+        rep = geometric_phase(spectrum, state)
+        L, phi_over_pi, branch = (rep.tau_cycles, rep.phi_over_pi,
+                                  rep.branch_integers)
         if not isinstance(phi_over_pi, Fraction):
             failures += 1
             continue

@@ -19,6 +19,7 @@ from aaphase import config as config_module
 from aaphase.report import parse_report
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 SPIN = """\
 [run]
@@ -154,6 +155,19 @@ class TestAnalyze:
         assert code == 3
         assert err.startswith("oracle:")
 
+    @pytest.mark.parametrize("text", [
+        "[run]\nmodel = free_field\n\n[free_field]\nomega = 1\nalpha = 0\n",
+        RAW_TWO_LEVEL.replace("2 3", "0 1").replace("0.6; 0.8", "1; 0"),
+    ], ids=["coherent-vacuum", "raw-ground-state"])
+    def test_zero_eigenvalue_state_has_no_period(self, tmp_path, capsys,
+                                                 text):
+        # a valid input: no unit makes this period finite
+        code, out, err = run_cli(
+            ["analyze", "--config", write(tmp_path, text)], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("non-cyclic: no finite period: the single occupied "
+                       "eigenvalue is zero\n")
+
     def test_dense_flag_extends_horizon(self, tmp_path, capsys):
         # tau = 2*pi/(sqrt(2)-1) ~ 15.17 sits inside t_max = 20
         code, out, _ = run_cli(
@@ -176,10 +190,10 @@ class TestVerify:
         for key in ("tau-relative", "phi-mod-2pi", "gamma-mod-2pi"):
             assert parsed[key].endswith("pass")
 
-    def test_impossible_tolerance_fails(self, tmp_path, capsys):
-        text = RAW_TWO_LEVEL + "\n[options]\ntolerance = 1e-18\n"
+    def test_impossible_tolerance_fails(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "VERIFY_TOL", 1e-18)
         code, out, _ = run_cli(
-            ["verify", "--config", write(tmp_path, text)], capsys)
+            ["verify", "--config", write(tmp_path, RAW_TWO_LEVEL)], capsys)
         assert code == 1
         parsed = parse_report(out)["verify"]
         assert parsed["verdict"] == "FAIL"
@@ -553,6 +567,33 @@ class TestInputGuards:
         assert len(err.splitlines()) == 1
 
 
+    @pytest.mark.parametrize("command, text, flags, key", [
+        # with 11 grid steps verify took the second return for the period
+        ("verify", RAW_INTEGER.replace("0 1 2", "0 1 3")
+         + "\n[options]\nsteps = 11\n", [], "steps"),
+        ("verify", RAW_TWO_LEVEL + "\n[options]\nfidelity_tol = 1e-3\n", [],
+         "fidelity_tol"),
+        ("verify", RAW_TWO_LEVEL + "\n[options]\ntolerance = 1e-3\n", [],
+         "tolerance"),
+        ("analyze", DENSE_IRRATIONAL
+         + "\n[options]\nt_max = 20\napproximate = yes\n", [],
+         "approximate"),
+        ("analyze", DENSE_IRRATIONAL, ["--t-max", "20", "--fidelity-tol",
+                                       "1e-3"], "--fidelity-tol"),
+    ], ids=["steps", "fidelity_tol", "tolerance", "approximate",
+            "--fidelity-tol"])
+    def test_removed_option_is_unknown(self, tmp_path, capsys, command,
+                                       text, flags, key):
+        try:
+            code = cli.main([command, "--config", write(tmp_path, text),
+                             *flags])
+        except SystemExit as exc:           # argparse rejects the flag
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 64 and captured.out == ""
+        assert key in captured.err.splitlines()[-1]
+
+
 class TestOptionsBeforeModel:
     """Options and entries are checked at load, before any model build."""
 
@@ -603,8 +644,9 @@ class TestOptionsBeforeModel:
         assert err.startswith("config error:") and len(err.splitlines()) == 1
 
 
-SWEEP_TOKENS = ("inf", "-inf", "nan", "1e400", "0", "-1", "abc", "")
-NON_FINITE = SWEEP_TOKENS[:4]
+SWEEP_TOKENS = ("inf", "-inf", "nan", "1e400", "1" + "0" * 400, "0", "-1",
+                "abc", "")
+NON_FINITE = SWEEP_TOKENS[:5]
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.ini")))
@@ -663,9 +705,10 @@ MODEL_KEYS = {
     "dense_matrix": ("dimension", "entries", "psi0", "unit"),
     "partial_spectrum": ("known", "trials", "mean_energy", "unit"),
 }
-OPTION_KEYS = ("t_max", "fidelity_tol", "steps", "tolerance", "n_range",
-               "approximate")
-STRANGE_KEYS = ("model", "fidelty_tol", "x")
+OPTION_KEYS = ("t_max", "n_range")
+# removed options among them: unknown keys like any other
+STRANGE_KEYS = ("model", "fidelty_tol", "x", "fidelity_tol", "steps",
+                "tolerance", "approximate")
 SECTIONS = ("run", "options", "extra", *MODEL_KEYS)
 SHIPPED = sorted(p.name for p in CONFIGS.glob("*.ini"))
 # integer keys that size a matrix stay small so every example is fast
@@ -729,3 +772,18 @@ def test_random_malformed_configs(text, command):
             code = cli.main([command, "--config", path])
     assert code in {0, 2, 3, 64} | ({1} if command == "verify" else set())
     assert len(err.getvalue().splitlines()) <= 1
+
+
+@pytest.mark.parametrize("name, argv", [
+    *((f"{config}.analyze", ["analyze"]) for config in TestDenseOnDemand.EXACT),
+    ("partial_spectrum.ini.constrain", ["constrain", "--n-range", "8"]),
+])
+def test_stdout_matches_golden(capsys, name, argv):
+    """Reports stay byte-identical unless a change means to alter them.
+    Regenerate a golden file with ``aaphase <argv> --config configs/<ini>
+    > tests/golden/<name>.txt`` and say why in CHANGES.md."""
+    config = str(CONFIGS / name.rsplit(".", 1)[0])
+    code, out, err = run_cli([argv[0], "--config", config, *argv[1:]],
+                             capsys)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")

@@ -60,16 +60,6 @@ class TestCandidateObjects:
             CyclicityCandidate(tau_cycles=Fraction(-1), n=1, m=0,
                                phi_over_pi=Fraction(0))
 
-    def test_phi_mod_2pi(self):
-        c = CyclicityCandidate(tau_cycles=Fraction(1), n=2, m=3,
-                               phi_over_pi=Fraction(-1, 2))
-        assert circ(c.phi_mod_2pi, 1.5 * math.pi) < 1e-15
-
-    def test_describe(self):
-        c = CyclicityCandidate(tau_cycles=Fraction(1, 2), n=1, m=0,
-                               phi_over_pi=Fraction(1))
-        assert c.describe() == "n=1 m=0 phi=1 pi tau=1/2 cycles"
-
 
 class TestEnumeration:
     def test_two_three_lattice(self):

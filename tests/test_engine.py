@@ -18,16 +18,11 @@ from aaphase.engine import (
     NonCyclicError,
     Spectrum,
     StateDecomposition,
-    branch_matched_phi_over_pi,
     check_cyclicality,
     gamma_from_single_eigenvalue_phi,
     gamma_from_single_eigenvalue_tau,
     gauge_shift,
     geometric_phase,
-    mean_energy,
-    mean_energy_rational,
-    period,
-    total_phase,
 )
 from aaphase.engine import _branch_data
 from aaphase.rational import lcm_rationals
@@ -167,12 +162,12 @@ class TestTwoLevelExact:
         self.st = StateDecomposition(entries=EQUAL)
 
     def test_period(self):
-        assert period(self.sp, self.st) == 1
+        assert geometric_phase(self.sp, self.st).tau_cycles == 1
 
     def test_total_phase(self):
-        phi_over_pi, branch = total_phase(self.sp, self.st)
-        assert phi_over_pi == 0
-        assert branch == {"a": 2, "b": 3}
+        rep = geometric_phase(self.sp, self.st)
+        assert rep.phi_over_pi == 0
+        assert rep.branch_integers == {"a": 2, "b": 3}
 
     def test_report(self):
         rep = geometric_phase(self.sp, self.st)
@@ -185,15 +180,15 @@ class TestTwoLevelExact:
         assert not rep.stationary
 
     def test_single_eigenvalue_routes_need_branch_matching(self):
-        phi_over_pi, branch = total_phase(self.sp, self.st)
+        rep = geometric_phase(self.sp, self.st)
         mh = Fraction(5, 2)
         # canonical phi fed raw would give gamma = 0; the matched branch
         # for lambda = 2 is phi/pi = 0 - 2*2 = -4
-        matched = branch_matched_phi_over_pi(phi_over_pi, branch["a"])
+        matched = rep.phi_over_pi - 2 * rep.branch_integers["a"]
         assert matched == -4
         g = gamma_from_single_eigenvalue_phi(Fraction(2), mh, phi_over_pi=matched)
         assert circ(g, math.pi) < 1e-12
-        matched_b = branch_matched_phi_over_pi(phi_over_pi, branch["b"])
+        matched_b = rep.phi_over_pi - 2 * rep.branch_integers["b"]
         g = gamma_from_single_eigenvalue_phi(Fraction(3), mh, phi_over_pi=matched_b)
         assert circ(g, math.pi) < 1e-12
 
@@ -201,7 +196,8 @@ class TestTwoLevelExact:
         for lam in (Fraction(2), Fraction(3)):
             g = gamma_from_single_eigenvalue_tau(lam, Fraction(5, 2), tau_cycles=1)
             assert circ(g, math.pi) < 1e-12
-        g = gamma_from_single_eigenvalue_tau(2.0, 2.5, tau=TWO_PI)
+        # float levels and mean energy take the float reduction
+        g = gamma_from_single_eigenvalue_tau(2.0, 2.5, tau_cycles=1)
         assert circ(g, math.pi) < 1e-12
 
 
@@ -215,10 +211,10 @@ class TestSpinHalfSpectrum:
 
     def test_canonical_branch(self):
         sp, st_ = self.fixture(math.pi / 2)
-        assert period(sp, st_) == Fraction(1, 2)
-        phi_over_pi, branch = total_phase(sp, st_)
-        assert phi_over_pi == 1
-        assert branch == {"a": 1, "b": 0}
+        rep = geometric_phase(sp, st_)
+        assert rep.tau_cycles == Fraction(1, 2)
+        assert rep.phi_over_pi == 1
+        assert rep.branch_integers == {"a": 1, "b": 0}
 
     @pytest.mark.parametrize("theta", [0.3, 1.1, math.pi / 2, 2.0, 3.0])
     def test_solid_angle_formula(self, theta):
@@ -233,9 +229,8 @@ class TestSpinHalfSpectrum:
         _, st_ = self.fixture(theta)
         shifted = spectrum2(2, 0)
         rep = geometric_phase(shifted, st_)
-        phi_over_pi, branch = total_phase(shifted, st_)
-        assert phi_over_pi == 0
-        assert branch == {"a": 1, "b": 0}
+        assert rep.phi_over_pi == 0
+        assert rep.branch_integers == {"a": 1, "b": 0}
         assert circ(rep.gamma, TWO_PI * math.cos(theta / 2) ** 2) < 1e-12
 
 
@@ -257,7 +252,6 @@ class TestStationary:
                        (Fraction(-5, 3), -1)):
             sp = Spectrum(levels=[("g", lam)])
             st_ = StateDecomposition(entries=[("g", 1.0)])
-            assert period(sp, st_) == 1 / abs(lam)
             rep = geometric_phase(sp, st_)
             assert rep.stationary
             assert rep.tau_cycles == 1 / abs(lam)
@@ -265,14 +259,11 @@ class TestStationary:
             assert rep.phi_over_pi == (0 if isinstance(lam, Fraction)
                                        else None)
             assert rep.branch_integers == {"g": n}
-            phi_over_pi, branch = total_phase(sp, st_)
-            assert phi_over_pi == 0 and branch == {"g": n}
 
     def test_zero_eigenvalue_has_no_period_but_reports_gamma(self):
+        # the command line turns the infinite period into a non-cyclic exit
         sp = Spectrum(levels=[("g", 0)])
         st_ = StateDecomposition(entries=[("g", 1.0)])
-        with pytest.raises(NonCyclicError, match="no finite period"):
-            period(sp, st_)
         rep = geometric_phase(sp, st_)
         assert rep.stationary
         assert rep.gamma == 0.0
@@ -289,9 +280,7 @@ class TestTwoLevelIrrational:
         assert rep.phi_over_pi is None
         assert rep.phi == 0.0
         assert circ(rep.gamma, math.pi) < 1e-12
-        phi, branch = total_phase(sp, st_)
-        assert isinstance(phi, float) and phi == 0.0
-        assert branch == {"a": 0, "b": 1}
+        assert rep.branch_integers == {"a": 0, "b": 1}
 
 
 class TestUnits:
@@ -305,31 +294,23 @@ class TestUnits:
         assert r3.tau_cycles == r1.tau_cycles
 
     def test_mean_energy_rational(self):
-        sp = spectrum2("1/3", "1/5")
-        w = {"a": Fraction(1, 4), "b": Fraction(3, 4)}
-        assert mean_energy_rational(sp, w) == Fraction(1, 3) / 4 + Fraction(3, 20)
-        with pytest.raises(ValueError, match="exact"):
-            mean_energy_rational(spectrum2(0.5, 1), {"a": Fraction(1)})
+        # weights 1/4 and 3/4: <H> is the exact rational, to rounding
+        sp = spectrum2("1/3", "1/5", unit=3.0)
+        st_ = StateDecomposition(entries=[("a", 0.5), ("b", math.sqrt(0.75))])
+        exact = 3 * (Fraction(1, 3) / 4 + Fraction(3, 20))
+        assert geometric_phase(sp, st_).mean_energy == pytest.approx(
+            float(exact), rel=1e-14)
 
 
 class TestSingleRouteValidation:
-    def test_exactly_one_phase_argument(self):
-        with pytest.raises(ValueError, match="exactly one"):
-            gamma_from_single_eigenvalue_phi(1, 0, 1.0, phi_over_pi=Fraction(1))
-        with pytest.raises(ValueError, match="exactly one"):
-            gamma_from_single_eigenvalue_phi(1, 0)
-        with pytest.raises(ValueError, match="exactly one"):
-            gamma_from_single_eigenvalue_tau(1, 0)
-
     def test_zero_eigenvalue_rejected(self):
         with pytest.raises(ValueError, match="zero eigenvalue"):
             gamma_from_single_eigenvalue_phi(0, 1, phi_over_pi=Fraction(1))
 
     def test_nonpositive_tau_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            gamma_from_single_eigenvalue_tau(1, 0, tau=-2.0)
-        with pytest.raises(ValueError, match="positive"):
-            gamma_from_single_eigenvalue_tau(1, 0, tau_cycles=Fraction(0))
+        for tau_cycles in (Fraction(-2), Fraction(0)):
+            with pytest.raises(ValueError, match="positive"):
+                gamma_from_single_eigenvalue_tau(1, 0, tau_cycles=tau_cycles)
 
 
 class TestGaugeShift:
@@ -381,11 +362,10 @@ def exact_fixtures(draw):
 def test_branch_identity_is_exact(fix):
     # phi/(2*pi) = n_lambda - lambda*L for every occupied lambda, exactly
     spectrum, state, _ = fix
-    L = period(spectrum, state)
-    phi_over_pi, branch = total_phase(spectrum, state)
-    assert -1 < phi_over_pi <= 1
-    for lab, n in branch.items():
-        assert phi_over_pi == 2 * (n - spectrum.value(lab) * L)
+    rep = geometric_phase(spectrum, state)
+    assert -1 < rep.phi_over_pi <= 1
+    for lab, n in rep.branch_integers.items():
+        assert rep.phi_over_pi == 2 * (n - spectrum.value(lab) * rep.tau_cycles)
 
 
 @settings(deadline=None)
@@ -400,7 +380,8 @@ def test_gamma_against_exact_recomputation(fix):
     gamma_exact = TWO_PI * float(acc)
     assert circ(rep.gamma, gamma_exact) < 1e-6
 
-    mh = mean_energy_rational(spectrum, weights)
+    mh = sum((w * spectrum.value(lab) for lab, w in weights.items()),
+             Fraction(0))
     g_tau = gamma_from_single_eigenvalue_tau(
         spectrum.value(state.labels[0]), mh, tau_cycles=rep.tau_cycles)
     assert circ(g_tau, gamma_exact) < 1e-9
@@ -408,8 +389,7 @@ def test_gamma_against_exact_recomputation(fix):
         lam = spectrum.value(lab)
         if lam == 0:
             continue
-        matched = branch_matched_phi_over_pi(rep.phi_over_pi,
-                                             rep.branch_integers[lab])
+        matched = rep.phi_over_pi - 2 * rep.branch_integers[lab]
         g_phi = gamma_from_single_eigenvalue_phi(lam, mh, phi_over_pi=matched)
         assert circ(g_phi, gamma_exact) < 1e-9
 
@@ -424,7 +404,8 @@ def test_reference_spacing_lcm_equals_all_pairs_lcm(values):
     state = StateDecomposition(
         entries=[(lab, math.sqrt(1 / len(values))) for lab in labels])
     pairs = [a - b for i, a in enumerate(values) for b in values[i + 1:]]
-    assert period(spectrum, state) == lcm_rationals([1 / s for s in pairs])
+    assert geometric_phase(spectrum, state).tau_cycles == \
+        lcm_rationals([1 / s for s in pairs])
 
 
 @settings(deadline=None)
@@ -438,8 +419,8 @@ def test_gauge_invariance(fix, c):
     r1 = geometric_phase(shifted, state)
     assert r1.gamma == r0.gamma
     assert r1.tau_cycles == r0.tau_cycles
-    assert mean_energy(shifted, state) == pytest.approx(
-        mean_energy(spectrum, state) + float(c), abs=1e-12)
+    assert r1.mean_energy == pytest.approx(r0.mean_energy + float(c),
+                                           abs=1e-12)
 
 
 def two_level_float_reference(distinct):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from aaphase.engine import check_cyclicality, geometric_phase, mean_energy
+from aaphase.engine import check_cyclicality, geometric_phase
 from aaphase.models import (
     SpinHalfParams,
     free_field,
@@ -55,15 +55,15 @@ class TestSpinHalf:
     def test_mean_energy_tracks_field_strength(self):
         theta = 1.1
         sp, state = spin_half(SpinHalfParams(mu_B0=2.0, theta=theta))
-        assert mean_energy(sp, state) == pytest.approx(-2.0 * math.cos(theta),
-                                                       abs=1e-14)
+        assert geometric_phase(sp, state).mean_energy == pytest.approx(
+            -2.0 * math.cos(theta), abs=1e-14)
 
     def test_dense_form_agrees(self):
         params = SpinHalfParams(mu_B0=2.0, theta=1.1)
         sp, state = spin_half(params)
         h, psi0 = spin_half_dense(params)
-        assert expectation(h, psi0) == pytest.approx(mean_energy(sp, state),
-                                                     abs=1e-13)
+        assert expectation(h, psi0) == pytest.approx(
+            geometric_phase(sp, state).mean_energy, abs=1e-13)
 
     def test_oracle_cross_check(self):
         params = SpinHalfParams(theta=1.1)

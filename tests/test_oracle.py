@@ -422,12 +422,6 @@ class TestGenericGamma:
         # the detuned gamma stays near the commensurate limit's 0
         assert circ(rep.gamma, 0.0) < 0.05
 
-    def test_steps_override(self):
-        h = DenseHamiltonian(np.diag([2.0, 3.0]))
-        psi0 = np.array([math.sqrt(0.5), math.sqrt(0.5)], dtype=complex)
-        rep = generic_gamma(h, psi0, t_max=7.0, steps=3000)
-        assert circ(rep.gamma, math.pi) < 1e-6
-
 
 class TestDefaultGrid:
     # levels {0, 3000, 3000.5}: the fast phase needs far more than the
@@ -458,10 +452,6 @@ class TestDefaultGrid:
         h = DenseHamiltonian(np.diag([2.0, 3.0]))
         psi0 = np.array([0.6, 0.8], dtype=complex)
         assert self.grid_steps(monkeypatch, h, psi0, t_max=7.0) == 2 * 4096
-
-    def test_user_steps_left_as_they_are(self, monkeypatch):
-        assert self.grid_steps(monkeypatch, self.H, self.PSI0, t_max=27.6,
-                               steps=4096) == 4096
 
     def test_finds_the_return_the_base_grid_aliases(self):
         rep = generic_gamma(self.H, self.PSI0, t_max=27.6)
