@@ -575,13 +575,16 @@ class TestInputGuards:
          "fidelity_tol"),
         ("verify", RAW_TWO_LEVEL + "\n[options]\ntolerance = 1e-3\n", [],
          "tolerance"),
+        # the values once refused as out of range are now refused as unknown
+        *[("verify", RAW_TWO_LEVEL + f"\n[options]\ntolerance = {value}\n",
+           [], "tolerance") for value in ("1", "inf", "nan")],
         ("analyze", DENSE_IRRATIONAL
          + "\n[options]\nt_max = 20\napproximate = yes\n", [],
          "approximate"),
         ("analyze", DENSE_IRRATIONAL, ["--t-max", "20", "--fidelity-tol",
                                        "1e-3"], "--fidelity-tol"),
-    ], ids=["steps", "fidelity_tol", "tolerance", "approximate",
-            "--fidelity-tol"])
+    ], ids=["steps", "fidelity_tol", "tolerance", "tolerance-1",
+            "tolerance-inf", "tolerance-nan", "approximate", "--fidelity-tol"])
     def test_removed_option_is_unknown(self, tmp_path, capsys, command,
                                        text, flags, key):
         try:
