@@ -7,7 +7,7 @@ an independent check, and a constraint solver bounds the possibilities
 when only part of the spectrum is known.
 
 The package root re-exports nothing: import from the submodules, so that
-the exact route (`aaphase.engine`) loads neither the oracle nor scipy.
+the exact route (`aaphase.engine`) does not load the oracle.
 """
 
 __version__ = "0.1.0"

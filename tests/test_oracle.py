@@ -25,7 +25,6 @@ from aaphase.oracle import (
     _refine,
     detect_period,
     evolve,
-    expectation,
     generic_gamma,
 )
 
@@ -155,7 +154,7 @@ class TestPropagator:
         for t in np.linspace(0.0, 9.0, 13):
             state = prop.state_at(float(t))
             assert abs(np.linalg.norm(state) - 1.0) < 1e-12
-            assert abs(expectation(h, state) - e0) < 1e-11
+            assert abs(np.vdot(state, H @ state).real - e0) < 1e-11
 
     def test_stationary_spread(self):
         h = DenseHamiltonian(np.diag([2.0, 2.0]))
@@ -164,7 +163,8 @@ class TestPropagator:
 
     def test_expectation_value(self):
         h = DenseHamiltonian(np.diag([2.0, 3.0]), unit=2.0)
-        assert expectation(h, np.array([0.6, 0.8])) == pytest.approx(
+        prop = SpectralPropagator(h, np.array([0.6, 0.8]))
+        assert prop.mean_energy() == pytest.approx(
             2.0 * (0.36 * 2 + 0.64 * 3), rel=1e-14)
 
     def test_real_matrix_energy_matches_complex_form(self, rng):
@@ -229,6 +229,99 @@ class TestBlocks:
         components = _components(H[np.ix_(perm, perm)])
         assert len(components) == 1
         assert np.array_equal(components[0], np.arange(H.shape[0]))
+
+
+def bfs_components(matrix):
+    """Components of the nonzero pattern by breadth-first search: ordered
+    by their least index, indices ascending in each."""
+    linked = [set() for _ in range(matrix.shape[0])]
+    for i, j in zip(*np.nonzero(matrix)):
+        linked[i].add(int(j))
+        linked[j].add(int(i))
+    seen, out = set(), []
+    for start in range(matrix.shape[0]):
+        if start not in seen:
+            seen.add(start)
+            queue = [start]
+            for node in queue:          # the queue grows while it is read
+                fresh = sorted(linked[node] - seen)
+                seen.update(fresh)
+                queue.extend(fresh)
+            out.append(np.array(sorted(queue)))
+    return out
+
+
+def sparse_hermitian(seed, kind):
+    """A random sparse pattern of a few components; ``imaginary`` has
+    only purely imaginary couplings off the diagonal."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 120))
+    edges = int(rng.integers(0, n + 1))
+    i, j = rng.integers(0, n, edges), rng.integers(0, n, edges)
+    values = {"real": rng.normal(size=edges),
+              "complex": rng.normal(size=edges) + 1j * rng.normal(size=edges),
+              "imaginary": 1j * rng.normal(size=edges)}[kind]
+    m = np.zeros((n, n), dtype=float if kind == "real" else complex)
+    m[i, j] = values
+    m[j, i] = np.conj(values)
+    m[i[i == j], i[i == j]] = 1.0               # a diagonal stays real
+    return m
+
+
+def assert_same_components(matrix):
+    got, want = _components(matrix), bfs_components(matrix)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+class TestComponents:
+    @pytest.mark.parametrize("kind", ["real", "complex", "imaginary"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_sparse_patterns(self, seed, kind):
+        assert_same_components(sparse_hermitian(seed, kind))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_sided_entries_link(self, seed):
+        # a coupling below the Hermiticity tolerance may have no mirror
+        assert_same_components(np.triu(sparse_hermitian(seed, "complex")))
+        assert_same_components(np.tril(sparse_hermitian(seed, "real")))
+
+    def test_zero_rows_are_their_own_components(self, rng):
+        m = sparse_hermitian(3, "complex")
+        lone = rng.choice(m.shape[0], m.shape[0] // 3, replace=False)
+        m[lone, :] = m[:, lone] = 0.0
+        assert_same_components(m)
+        assert len(_components(np.zeros((5, 5)))) == 5
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_long_path(self, rng, shuffle):
+        n = 4000
+        # one byte per entry keeps the 4000 x 4000 pattern at 16 MB
+        m = np.zeros((n, n), dtype=np.int8)
+        m[np.arange(n - 1), np.arange(1, n)] = 1
+        m[np.arange(1, n), np.arange(n - 1)] = 1
+        if shuffle:
+            order = rng.permutation(n)
+            m = m[np.ix_(order, order)]
+        assert_same_components(m)
+        assert len(_components(m)) == 1
+
+    def test_star(self):
+        m = np.zeros((300, 300), dtype=complex)
+        m[171, :], m[:, 171] = 0.5j, -0.5j
+        m[171, 171] = 1.0
+        assert_same_components(m)
+
+    def test_interleaved_blocks(self, rng):
+        sizes, stride = [5, 9, 1, 7], 4
+        m = np.zeros((stride * max(sizes),) * 2, dtype=complex)
+        for offset, size in enumerate(sizes):
+            idx = offset + stride * np.arange(size)
+            m[np.ix_(idx, idx)] = random_hermitian(rng, size)
+        assert_same_components(m)
+        assert len(_components(m)) == len(sizes) + stride * max(sizes) \
+            - sum(sizes)
 
 
 class TestSurvivalGrid:
