@@ -198,7 +198,8 @@ class TestMeanEnergy:
         closed = two_mirror_mean_energy(params)
         assert abs(geometric_phase(sp, state).mean_energy - closed) < 1e-10
         h, psi0 = two_mirror_dense(params)
-        assert abs(np.vdot(psi0, h.matrix @ psi0).real * h.unit - closed) < 1e-10
+        dense = np.vdot(psi0, h.matrix @ psi0).real * h.unit
+        assert abs(dense - closed) < 1e-10
 
     def test_k_sign_flips_the_coupling_term(self):
         plus = two_mirror_mean_energy(make_params(SUP, 0.3))
