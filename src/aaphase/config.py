@@ -302,7 +302,7 @@ def _load_three_mirror(sec) -> LoadedRun:
         kappa_D=scaled("C_D"), kappa_S=scaled("C_S"),
         alpha=mode("alpha"), beta=mode("beta"), mu=mode("mu"),
         truncations=_get(sec, "truncations", _each(int), "15 15 25"),
-        omega_m=float(raw_unit))
+        omega_m=float(unit))
     psi0 = three_mirror_initial_state(params)
     run = LoadedRun(model="three_mirror",
                     build=lambda: (three_mirror_dense(params), psi0))

@@ -8,7 +8,6 @@ and amplitudes of displaced coherent states in a displaced Fock basis.
 from __future__ import annotations
 
 import math
-from typing import Tuple
 
 import numpy as np
 
@@ -47,9 +46,8 @@ def _raw_coherent(alpha: complex, dim: int) -> np.ndarray:
     return amps
 
 
-def coherent_amplitudes(alpha: complex, truncation: int, *,
-                        renormalize: bool = True) -> Tuple[np.ndarray, float]:
-    """Truncated coherent expansion of |alpha>: (amplitudes, tail mass).
+def coherent_amplitudes(alpha: complex, truncation: int) -> np.ndarray:
+    """Truncated coherent expansion of |alpha>, renormalized to unit norm.
 
     The tail mass 1 - sum|A_n|^2 must stay below 1e-10; larger tails are
     an error, not something to paper over by renormalizing harder.
@@ -63,9 +61,7 @@ def coherent_amplitudes(alpha: complex, truncation: int, *,
         raise ValueError(
             f"coherent tail mass {tail:.3e} at truncation {truncation}; "
             "increase the truncation")
-    if renormalize:
-        amps = amps / math.sqrt(mass)
-    return amps, tail
+    return amps / math.sqrt(mass)
 
 
 def displaced_frame_amplitudes(alpha: complex, d: complex,

@@ -31,7 +31,7 @@ def free_field(omega: float, occupied_n: Sequence[int],
 
 def free_field_coherent(omega: float, alpha: complex, truncation: int
                         ) -> Tuple[Spectrum, StateDecomposition]:
-    amps, _ = coherent_amplitudes(alpha, truncation)
+    amps = coherent_amplitudes(alpha, truncation)
     occupied = [n for n in range(truncation) if amps[n] != 0]
     return free_field(omega, occupied, [amps[n] for n in occupied])
 

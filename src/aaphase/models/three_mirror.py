@@ -10,6 +10,9 @@ incommensurable across blocks, so the model is handled by the dense
 route except in the C_S = 0 family, where each block reduces to a
 displaced oscillator and the spectrum is exact:
 lambda/(hbar*omega_m) = rho_D n_a + rho_S n_b + m - kappa_D^2 n_a^2.
+
+The one-mirror cavity shares this construction: ``cavity_exact`` builds
+the displaced-block levels and state, ``cavity_dense`` the block matrix.
 """
 
 from __future__ import annotations
@@ -17,12 +20,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..engine import Spectrum, StateDecomposition, TWO_PI, _canonical_gamma
-from ..fock import coherent_amplitudes, create, destroy, displaced_frame_amplitudes, number
+from ..fock import (TAIL_TOL, coherent_amplitudes, create, destroy,
+                    displaced_frame_amplitudes, number)
 from ..oracle import DenseHamiltonian
 
 __all__ = [
@@ -35,7 +39,6 @@ __all__ = [
     "three_mirror_scaled_mean_energy",
 ]
 
-TAIL_TOL = 1e-10
 ModeInput = Union[complex, Sequence[complex]]
 Ratio = Union[Fraction, float]
 
@@ -102,8 +105,7 @@ class ThreeMirrorParams:
 def _mode_vector(mode: ModeInput, truncation: int,
                  name: str) -> Tuple[np.ndarray, Optional[complex]]:
     if _is_scalar(mode):
-        vec, _ = coherent_amplitudes(complex(mode), truncation)
-        return vec, complex(mode)
+        return coherent_amplitudes(complex(mode), truncation), complex(mode)
     vec = np.asarray(mode, dtype=complex)
     if vec.ndim != 1 or vec.size < 1 or vec.size > truncation:
         raise ValueError(f"{name} amplitude list does not fit truncation")
@@ -120,32 +122,40 @@ def three_mirror_chi(params: ThreeMirrorParams, n_b: int) -> float:
     return params.omega_m * math.sqrt(1.0 + 2.0 * float(params.kappa_S) * n_b)
 
 
-def three_mirror_dense(params: ThreeMirrorParams) -> DenseHamiltonian:
-    """Truncated dense H in units hbar*omega_m (real symmetric).
+def cavity_dense(rho_D: float, rho_S: float, kappa_D: float, kappa_S: float,
+                 truncations: Tuple[int, int, int],
+                 omega_m: float) -> DenseHamiltonian:
+    """Truncated dense three-mirror H in units hbar*omega_m (real symmetric).
 
     H conserves n_a and n_b, so only the (n_a, n_b) diagonal blocks of
     size n_c are filled.  Each entry sums the same products in the same
     order as the Kronecker-product form of H, so the matrix is identical
-    to it without forming any full-size term.
+    to it without forming any full-size term.  The one-mirror cavity is
+    the case rho_S = kappa_S = 0 with a single n_b.
     """
-    na, nb, nc = params.truncations
+    na, nb, nc = truncations
     eye_c, num_c = np.eye(nc), number(nc)
     x_c = destroy(nc) + create(nc)
     sq_c = destroy(nc) @ destroy(nc) + create(nc) @ create(nc)
-    ks = float(params.kappa_S)
     n_a = np.arange(na, dtype=float)[:, None, None, None]
     n_b = np.arange(nb, dtype=float)[None, :, None, None]
-    blocks = (float(params.rho_D) * (n_a * eye_c)
-              + float(params.rho_S) * (n_b * eye_c)
-              + float(params.kappa_D) * (n_a * x_c)
+    blocks = (rho_D * (n_a * eye_c)
+              + rho_S * (n_b * eye_c)
+              + kappa_D * (n_a * x_c)
               + num_c
-              + ks * (n_b * num_c)
-              + 0.5 * ks * (n_b * (eye_c + sq_c)))
+              + kappa_S * (n_b * num_c)
+              + 0.5 * kappa_S * (n_b * (eye_c + sq_c)))
     h = np.zeros((na * nb * nc,) * 2)
     diag = np.arange(na * nb)
     h.reshape(na * nb, nc, na * nb, nc)[diag, :, diag, :] = (
         blocks.reshape(na * nb, nc, nc))
-    return DenseHamiltonian(h, unit=params.omega_m)
+    return DenseHamiltonian(h, unit=omega_m)
+
+
+def three_mirror_dense(params: ThreeMirrorParams) -> DenseHamiltonian:
+    return cavity_dense(float(params.rho_D), float(params.rho_S),
+                        float(params.kappa_D), float(params.kappa_S),
+                        params.truncations, params.omega_m)
 
 
 def three_mirror_initial_state(params: ThreeMirrorParams) -> np.ndarray:
@@ -157,14 +167,45 @@ def three_mirror_initial_state(params: ThreeMirrorParams) -> np.ndarray:
     return psi0 / np.linalg.norm(psi0)
 
 
+def cavity_exact(blocks: Iterable[Tuple[str, Fraction, complex, np.ndarray]],
+                 unit: float, truncation: str
+                 ) -> Tuple[Spectrum, StateDecomposition]:
+    """Exact levels and state of a mirror displaced by the field.
+
+    Each block is (label prefix, exact offset, field amplitude, mirror
+    amplitudes in the block's displaced basis) and holds level
+    offset + m, labeled prefix + m, for every mirror quantum m.  The mass
+    lost to the truncation (described by ``truncation`` in the error)
+    must stay below 1e-10, and the kept amplitudes are renormalized.
+    """
+    levels = []
+    entries = []
+    mass = 0.0
+    for prefix, offset, weight, mirror in blocks:
+        for m, mirror_amp in enumerate(mirror):
+            label = f"{prefix}{m}"
+            levels.append((label, offset + m))
+            amp = weight * mirror_amp
+            if amp != 0:
+                mass += abs(amp) ** 2
+                entries.append((label, amp))
+    tail = 1.0 - mass
+    if not tail < TAIL_TOL:
+        raise ValueError(
+            f"truncation too small: tail mass {tail:.3e} at {truncation}")
+    scale = 1.0 / math.sqrt(mass)
+    state = StateDecomposition(
+        entries=[(label, amp * scale) for label, amp in entries])
+    return Spectrum(levels=levels, unit=unit), state
+
+
 def three_mirror_exact(params: ThreeMirrorParams
                        ) -> Tuple[Spectrum, StateDecomposition]:
     """Exact spectrum and state expansion for the C_S = 0 family.
 
-    Block eigenvectors are |n_a>|n_b> D(-kappa_D n_a)|m>; with nonzero
-    kappa_D the mirror input must be coherent so its displaced-frame
-    amplitudes stay closed-form.  Truncation tail mass must stay below
-    1e-10 and kept amplitudes are renormalized.
+    Block eigenvectors are |n_a>|n_b> D(-kappa_D n_a)|m>, labeled
+    "n_a,n_b,m"; with nonzero kappa_D the mirror input must be coherent
+    so its displaced-frame amplitudes stay closed-form.
     """
     if not params.exact_family:
         raise ValueError("exact route requires rational ratios and C_S = 0")
@@ -176,34 +217,18 @@ def three_mirror_exact(params: ThreeMirrorParams
         raise ValueError(
             "exact route needs a coherent mirror state when C_D != 0")
     kd2 = params.kappa_D * params.kappa_D
-    levels = []
-    entries = []
-    mass = 0.0
-    for i in range(na):
-        if params.kappa_D == 0:
-            block = c_vec
-        else:
-            kappa_block = float(params.kappa_D) * i
-            block = displaced_frame_amplitudes(mu, -kappa_block, nc)
-        for j in range(nb):
-            weight_ab = a_vec[i] * b_vec[j]
-            for m in range(nc):
-                label = f"{i},{j},{m}"
-                levels.append(
-                    (label,
-                     params.rho_D * i + params.rho_S * j + m - kd2 * i * i))
-                amp = weight_ab * block[m]
-                if amp != 0:
-                    mass += abs(amp) ** 2
-                    entries.append((label, amp))
-    tail = 1.0 - mass
-    if not tail < TAIL_TOL:
-        raise ValueError(
-            f"truncation too small: tail mass {tail:.3e} at {params.truncations}")
-    scale = 1.0 / math.sqrt(mass)
-    state = StateDecomposition(
-        entries=[(label, amp * scale) for label, amp in entries])
-    return Spectrum(levels=levels, unit=params.omega_m), state
+
+    def blocks():
+        for i in range(na):
+            mirror = (c_vec if params.kappa_D == 0 else
+                      displaced_frame_amplitudes(
+                          mu, -float(params.kappa_D) * i, nc))
+            for j in range(nb):
+                yield (f"{i},{j},",
+                       params.rho_D * i + params.rho_S * j - kd2 * i * i,
+                       a_vec[i] * b_vec[j], mirror)
+
+    return cavity_exact(blocks(), params.omega_m, str(params.truncations))
 
 
 def _mirror_moments(params: ThreeMirrorParams) -> Tuple[float, float, float]:

@@ -8,6 +8,10 @@ with r = omega_f/omega_m and k = g/omega_m, eigenvectors D(k n)|m>.  With
 r and k^2 rational the spectrum is exact and the closed-form period
 tau = 2 pi p / omega_m (k^2 = q/p in lowest terms) applies to states
 occupying consecutive mirror levels.
+
+Both routes reuse the three-mirror displaced-mirror construction with one
+field mode: ``cavity_exact`` for the levels and state, ``cavity_dense``
+with rho_S = kappa_S = 0 and kappa_D = -k for the matrix.
 """
 
 from __future__ import annotations
@@ -20,8 +24,9 @@ from typing import Tuple
 import numpy as np
 
 from ..engine import Spectrum, StateDecomposition, _canonical_gamma, TWO_PI
-from ..fock import coherent_amplitudes, create, destroy, displaced_frame_amplitudes, number
+from ..fock import coherent_amplitudes, displaced_frame_amplitudes
 from ..oracle import DenseHamiltonian
+from .three_mirror import cavity_dense, cavity_exact
 
 __all__ = [
     "TwoMirrorParams",
@@ -30,8 +35,6 @@ __all__ = [
     "two_mirror_mean_energy",
     "two_mirror_spectrum",
 ]
-
-TAIL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -53,32 +56,27 @@ class TwoMirrorParams:
     omega_m: float = 1.0
     k_sign: int = 1
 
-    def __init__(self, r, k_squared, field_amplitudes, beta=0j,
-                 mirror_truncation: int = 40, omega_m: float = 1.0,
-                 k_sign: int = 1):
-        r = Fraction(r)
-        k_squared = Fraction(k_squared)
-        if k_squared < 0:
+    def __post_init__(self):
+        object.__setattr__(self, "r", Fraction(self.r))
+        object.__setattr__(self, "k_squared", Fraction(self.k_squared))
+        if self.k_squared < 0:
             raise ValueError("k_squared must be non-negative")
-        if k_sign not in (1, -1):
+        if self.k_sign not in (1, -1):
             raise ValueError("k_sign must be +1 or -1")
-        if not omega_m > 0:
+        if not self.omega_m > 0:
             raise ValueError("omega_m must be positive")
-        if mirror_truncation < 1:
+        if self.mirror_truncation < 1:
             raise ValueError("mirror_truncation must be >= 1")
-        amps = tuple(complex(c) for c in field_amplitudes)
+        amps = tuple(complex(c) for c in self.field_amplitudes)
         if not amps:
             raise ValueError("field_amplitudes must be non-empty")
         norm = math.fsum(abs(c) ** 2 for c in amps)
         if not abs(norm - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError(f"field amplitudes not normalized: {norm!r}")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "k_squared", k_squared)
         object.__setattr__(self, "field_amplitudes", amps)
-        object.__setattr__(self, "beta", complex(beta))
-        object.__setattr__(self, "mirror_truncation", int(mirror_truncation))
-        object.__setattr__(self, "omega_m", float(omega_m))
-        object.__setattr__(self, "k_sign", int(k_sign))
+        for name, kind in (("beta", complex), ("mirror_truncation", int),
+                           ("omega_m", float), ("k_sign", int)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
 
     @property
     def k(self) -> float:
@@ -107,40 +105,20 @@ class TwoMirrorParams:
                          for n, c in enumerate(self.field_amplitudes))
 
 
-def _block_value(params: TwoMirrorParams, n: int, m: int) -> Fraction:
-    return params.r * n + m - params.k_squared * n * n
-
-
 def two_mirror_spectrum(params: TwoMirrorParams
                         ) -> Tuple[Spectrum, StateDecomposition]:
     """Exact block spectrum and the state expanded in the block bases.
 
     Levels are labeled "n,m" (photon number, displaced mirror quantum)
-    with exact rational values in units hbar*omega_m.  Amplitudes are
-    C_n <m|D(-k n)|beta>; the mass lost to the mirror truncation must
-    stay below 1e-10 and the kept amplitudes are renormalized.
+    with exact rational values r n + m - k^2 n^2 in units hbar*omega_m.
+    Amplitudes are C_n <m|D(-k n)|beta>, tail-checked and renormalized
+    by ``cavity_exact``.
     """
     trunc = params.mirror_truncation
-    levels = []
-    entries = []
-    mass = 0.0
-    for n, c_n in enumerate(params.field_amplitudes):
-        block = displaced_frame_amplitudes(params.beta, params.k * n, trunc)
-        for m in range(trunc):
-            levels.append((f"{n},{m}", _block_value(params, n, m)))
-            amp = c_n * block[m]
-            if amp != 0:
-                mass += abs(amp) ** 2
-                entries.append((f"{n},{m}", amp))
-    tail = 1.0 - mass
-    if not tail < TAIL_TOL:
-        raise ValueError(
-            f"truncation too small: tail mass {tail:.3e} at "
-            f"mirror_truncation {trunc}")
-    scale = 1.0 / math.sqrt(mass)
-    state = StateDecomposition(
-        entries=[(label, amp * scale) for label, amp in entries])
-    return Spectrum(levels=levels, unit=params.omega_m), state
+    blocks = ((f"{n},", params.r * n - params.k_squared * n * n, c_n,
+               displaced_frame_amplitudes(params.beta, params.k * n, trunc))
+              for n, c_n in enumerate(params.field_amplitudes))
+    return cavity_exact(blocks, params.omega_m, f"mirror_truncation {trunc}")
 
 
 def two_mirror_mean_energy(params: TwoMirrorParams) -> float:
@@ -171,16 +149,9 @@ def two_mirror_gamma_closed_form(params: TwoMirrorParams, p: int) -> float:
 def two_mirror_dense(params: TwoMirrorParams
                      ) -> Tuple[DenseHamiltonian, np.ndarray]:
     """Truncated dense H (units hbar*omega_m) and the initial vector."""
-    nf = len(params.field_amplitudes)
     nm = params.mirror_truncation
-    n_f = number(nf)
-    eye_f = np.eye(nf)
-    eye_m = np.eye(nm)
-    x_m = destroy(nm) + create(nm)
-    h = (float(params.r) * np.kron(n_f, eye_m)
-         + np.kron(eye_f, number(nm))
-         - params.k * np.kron(n_f, x_m))
-    mirror, _ = coherent_amplitudes(params.beta, nm)
+    h = cavity_dense(float(params.r), 0.0, -params.k, 0.0,
+                     (len(params.field_amplitudes), 1, nm), params.omega_m)
+    mirror = coherent_amplitudes(params.beta, nm)
     psi0 = np.kron(np.asarray(params.field_amplitudes, dtype=complex), mirror)
-    psi0 = psi0 / np.linalg.norm(psi0)
-    return DenseHamiltonian(h, unit=params.omega_m), psi0
+    return h, psi0 / np.linalg.norm(psi0)

@@ -111,7 +111,7 @@ def test_criterion_02_free_field_period():
     t0 = time.monotonic()
     omega = 2.0
     rep = geometric_phase(*free_field_coherent(omega, 0.9, 30))
-    amps, _ = coherent_amplitudes(0.9, 30)
+    amps = coherent_amplitudes(0.9, 30)
     oracle = generic_gamma(free_field_dense(omega, 30), amps,
                            t_max=2.2 * rep.tau)
     rel = abs(oracle.tau - rep.tau) / rep.tau

@@ -5,6 +5,7 @@ import contextlib
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -178,6 +179,42 @@ class TestAnalyze:
         assert body["method"] == "oracle"
         assert float(body["tau"]) == pytest.approx(
             2.0 * math.pi / (math.sqrt(2.0) - 1.0), abs=1e-5)
+
+
+def shipped_with(name, **values):
+    """Text of the shipped config ``name`` with some ``key = value`` lines
+    replaced."""
+    text = (CONFIGS / name).read_text(encoding="utf-8")
+    for key, value in values.items():
+        text, count = re.subn(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+        assert count == 1, key
+    return text
+
+
+class TestCavityConfigs:
+    def test_rational_omega_m(self, tmp_path, capsys):
+        # the shipped ratios 2 and 3, written over omega_m = 3/2
+        scaled = write(tmp_path, shipped_with(
+            "three_mirror_exact.ini", omega_D="3", omega_S="9/2",
+            omega_m="3/2"))
+        code, out, err = run_cli(["analyze", "--config", scaled], capsys)
+        assert (code, err) == (0, "")
+        _, shipped, _ = run_cli(
+            ["analyze", "--config", str(CONFIGS / "three_mirror_exact.ini")],
+            capsys)
+        got, want = parse_report(out), parse_report(shipped)
+        assert got["phase-report"]["unit"] == "1.5"
+        for key in ("tau-cycles", "phi-over-pi", "gamma"):
+            assert got["phase-report"][key] == want["phase-report"][key]
+        assert got["branch-integers"] == want["branch-integers"]
+
+    @pytest.mark.parametrize("r", ["0", "-1"])
+    def test_verify_with_non_positive_r(self, tmp_path, capsys, r):
+        # any rational r is a valid one-mirror cavity, dense route included
+        path = write(tmp_path, shipped_with("two_mirror.ini", r=r))
+        code, out, err = run_cli(["verify", "--config", path], capsys)
+        assert (code, err) == (0, "")
+        assert parse_report(out)["verify"]["verdict"] == "pass"
 
 
 class TestVerify:

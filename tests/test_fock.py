@@ -46,18 +46,19 @@ class TestLadderOperators:
 class TestCoherent:
     def test_poisson_weights(self):
         alpha = 0.8 + 0.3j
-        amps, tail = coherent_amplitudes(alpha, 25, renormalize=False)
+        amps = displaced_frame_amplitudes(alpha, 0, 25)
         nbar = abs(alpha) ** 2
         for n in range(6):
             poisson = math.exp(-nbar) * nbar ** n / math.factorial(n)
             assert abs(abs(amps[n]) ** 2 - poisson) < 1e-15
 
     def test_tail_below_tolerance(self):
-        _, tail = coherent_amplitudes(1.0, 20)
+        raw = displaced_frame_amplitudes(1.0, 0, 20)
+        tail = 1.0 - float(np.sum(np.abs(raw) ** 2))
         assert 0 <= tail < 1e-10
 
     def test_renormalized_to_unity(self):
-        amps, _ = coherent_amplitudes(0.9, 18)
+        amps = coherent_amplitudes(0.9, 18)
         assert abs(np.vdot(amps, amps).real - 1.0) < 1e-14
 
     def test_undersized_truncation_is_an_error(self):
@@ -77,14 +78,14 @@ class TestCoherent:
     def test_eigenvector_of_destroy(self):
         alpha = 0.6 - 0.4j
         dim = 30
-        amps, _ = coherent_amplitudes(alpha, dim, renormalize=False)
+        amps = displaced_frame_amplitudes(alpha, 0, dim)
         resid = destroy(dim) @ amps - alpha * amps
         # exact except the top component lost to truncation
         assert np.max(np.abs(resid[:-1])) < 1e-14
 
     def test_mean_occupation(self):
         alpha = 1.1
-        amps, _ = coherent_amplitudes(alpha, 30)
+        amps = coherent_amplitudes(alpha, 30)
         nbar = float(np.real(np.conj(amps) @ number(30) @ amps))
         assert abs(nbar - abs(alpha) ** 2) < 1e-9
 
@@ -102,14 +103,17 @@ class TestDisplacedFrame:
         dim = 40
         got = displaced_frame_amplitudes(alpha, d, dim)
         D_minus = expm(-d * create(dim) + np.conj(d) * destroy(dim))
-        raw, _ = coherent_amplitudes(alpha, dim, renormalize=False)
+        raw = displaced_frame_amplitudes(alpha, 0, dim)
         want = D_minus @ raw
         assert np.max(np.abs(got[: dim // 2] - want[: dim // 2])) < 1e-12
 
     def test_zero_displacement_is_identity(self):
+        # no displacement leaves the raw (not renormalized) expansion,
+        # which the tests above take the truncation tail from
         alpha = 0.4 + 0.1j
         got = displaced_frame_amplitudes(alpha, 0.0, 15)
-        raw, _ = coherent_amplitudes(alpha, 15, renormalize=False)
+        raw = [math.exp(-abs(alpha) ** 2 / 2) * alpha ** n
+               / math.sqrt(math.factorial(n)) for n in range(15)]
         assert np.allclose(got, raw, atol=1e-15)
 
     def test_displacing_to_vacuum(self):

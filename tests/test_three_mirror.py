@@ -165,9 +165,9 @@ class TestClosedFormEquivalence:
                                 kappa_S=Fraction(1, 8),
                                 alpha=0.4, beta=0.5, mu=0.3 + 0.2j,
                                 truncations=(18, 18, 30))
-        a, _ = coherent_amplitudes(0.4, 18)
-        b, _ = coherent_amplitudes(0.5, 18)
-        m, _ = coherent_amplitudes(0.3 + 0.2j, 30)
+        a = coherent_amplitudes(0.4, 18)
+        b = coherent_amplitudes(0.5, 18)
+        m = coherent_amplitudes(0.3 + 0.2j, 30)
         lst = ThreeMirrorParams(rho_D=2, rho_S=3, kappa_D=Fraction(1, 4),
                                 kappa_S=Fraction(1, 8),
                                 alpha=list(a), beta=list(b), mu=list(m),

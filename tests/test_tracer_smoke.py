@@ -1,0 +1,55 @@
+"""The benchmark's tracer still finds every program name it rebinds.
+
+``perfbench/spans.py`` wraps the builders and engine calls that
+``aaphase.cli`` and ``aaphase.config`` look up at call time, and reads
+``.matrix`` and ``r[0].levels`` from what they return.  A renamed builder
+or a changed return shape passes every other test here and breaks only
+``perfbench/run.py --trace 1``; this test runs the tracer on three
+shipped configs to catch that.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from aaphase import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
+
+CALLS = (
+    ["verify", "--config", str(CONFIGS / "two_mirror.ini")],
+    ["analyze", "--config", str(CONFIGS / "three_mirror_exact.ini")],
+    ["constrain", "--config", str(CONFIGS / "partial_spectrum.ini"),
+     "--n-range", "8"],
+)
+
+
+def _load_spans():
+    # loaded from its file: the benchmark directory is not a package and
+    # its modules stay off sys.path
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", ROOT / "perfbench" / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _stdout(argv, capsys):
+    assert cli.main(argv) == 0
+    return capsys.readouterr().out
+
+
+def test_traced_runs_match_untraced(capsys):
+    untraced = [_stdout(argv, capsys) for argv in CALLS]
+    original_main = cli.main
+    tracer = _load_spans().Tracer()
+    tracer.install()
+    try:
+        traced = [_stdout(argv, capsys) for argv in CALLS]
+    finally:
+        tracer.uninstall()
+    assert cli.main is original_main
+    assert traced == untraced
+    metrics = tracer.metrics()
+    assert metrics["models.dense_bytes"] > 0
+    assert metrics["models.levels"] > 0

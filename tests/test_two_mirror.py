@@ -13,7 +13,7 @@ import pytest
 from scipy.linalg import eigh, expm
 
 from aaphase.engine import geometric_phase
-from aaphase.fock import create, destroy, number
+from aaphase.fock import coherent_amplitudes, create, destroy, number
 from aaphase.models import (
     TwoMirrorParams,
     two_mirror_dense,
@@ -206,6 +206,38 @@ class TestMeanEnergy:
         minus = two_mirror_mean_energy(make_params(SUP, 0.3, k_sign=-1))
         assert minus - plus == pytest.approx(
             4.0 * INV_SQRT2 * 0.3 * 0.5, rel=1e-12)
+
+
+def kron_dense(params):
+    """H and psi0 in the Kronecker-sum form, built independently."""
+    nf, nm = len(params.field_amplitudes), params.mirror_truncation
+    n_f = number(nf)
+    h = (float(params.r) * np.kron(n_f, np.eye(nm))
+         + np.kron(np.eye(nf), number(nm))
+         - params.k * np.kron(n_f, destroy(nm) + create(nm)))
+    psi0 = np.kron(np.asarray(params.field_amplitudes, dtype=complex),
+                   coherent_amplitudes(params.beta, nm))
+    return h, psi0 / np.linalg.norm(psi0)
+
+
+class TestDenseMatchesKroneckerForm:
+    # the shared block fill must reproduce the Kronecker sum bit for bit,
+    # signed zeros included, for any rational r (the params accept r <= 0)
+    @pytest.mark.parametrize("r", [Fraction(2), Fraction(3, 2), Fraction(0),
+                                   Fraction(-1)])
+    @pytest.mark.parametrize("k_sign", [1, -1])
+    @pytest.mark.parametrize("field", [SUP, VAC, ONE, (0.6, 0.0, 0.8)])
+    def test_bit_identical(self, r, k_sign, field):
+        params = make_params(field, 0.3 + 0.1j, r=r, k_sign=k_sign,
+                             mirror_truncation=30, omega_m=2.0)
+        h, psi0 = two_mirror_dense(params)
+        want_h, want_psi0 = kron_dense(params)
+        assert h.unit == 2.0
+        assert h.matrix.dtype == want_h.dtype == np.float64
+        assert np.array_equal(h.matrix.view(np.uint64),
+                              want_h.view(np.uint64))
+        assert psi0.dtype == want_psi0.dtype
+        assert np.array_equal(psi0.view(np.uint64), want_psi0.view(np.uint64))
 
 
 class TestFrequencyScaling:
