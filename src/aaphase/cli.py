@@ -10,6 +10,7 @@ occupied frequency spread, 64 usage or configuration errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from typing import List, Optional, Sequence, Tuple
@@ -46,7 +47,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process: argparse builds a help
+    formatter per argument, and parse_args leaves the parser as it was."""
     parser = _Parser(prog="aaphase",
                      description="Periods and geometric phases of cyclic "
                                  "quantum evolutions")
@@ -81,7 +85,7 @@ def cmd_analyze(run: LoadedRun, args) -> int:
             raise ConfigError(f"analyze needs a spectrum or a matrix; a "
                               f"{run.model} run has neither")
         # off its exact family a three-mirror run has no exact return
-        report = generic_gamma(run.dense, run.psi0, opts.t_max,
+        report = generic_gamma(run.hamiltonian, run.psi0, opts.t_max,
                                approximate=run.model == "three_mirror")
         _emit(format_phase_report(report), args.out)
         return EXIT_OK
@@ -130,7 +134,7 @@ def cmd_verify(run: LoadedRun, args) -> int:
     if not t_max < math.inf:
         raise ConfigError("t_max required: 2.2 periods is not finite")
     _finite(exact)
-    oracle = generic_gamma(run.dense, run.psi0, t_max)
+    oracle = generic_gamma(run.hamiltonian, run.psi0, t_max)
     rows: List[Tuple[str, str, str, float, bool]] = []
     d_tau = abs(oracle.tau - exact.tau) / exact.tau
     rows.append(("tau-relative", format_real(exact.tau),

@@ -39,7 +39,7 @@ from .models import (
     two_mirror_dense,
     two_mirror_spectrum,
 )
-from .oracle import DenseHamiltonian
+from .oracle import Hamiltonian
 from .rational import IncommensurableError, parse_rational, rationalize
 
 __all__ = [
@@ -159,15 +159,15 @@ def _run_options(cp: configparser.ConfigParser, flags: Mapping) -> RunOptions:
 class LoadedRun:
     """Everything a command needs, constructed except the oracle's input.
 
-    ``dense`` and ``psi0`` come from one call of ``build`` on first read:
-    the exact route never needs them, and the matrix is the largest
-    object a run holds (quadratic in the levels or the truncations).
+    ``hamiltonian`` and ``psi0`` come from one call of ``build`` on first
+    read: the exact route never needs them, and the matrix entries are
+    the largest object a run holds.
     """
 
     model: str
     spectrum: Optional[Spectrum] = None
     state: Optional[StateDecomposition] = None
-    build: Optional[Callable[[], Tuple[DenseHamiltonian, np.ndarray]]] = (
+    build: Optional[Callable[[], Tuple[Hamiltonian, np.ndarray]]] = (
         field(default=None, repr=False))
     partial: Optional[PartialSpectrum] = None
     trials: Tuple[Fraction, ...] = ()
@@ -175,7 +175,7 @@ class LoadedRun:
     options: RunOptions = RunOptions()
 
     @cached_property
-    def _built(self) -> Tuple[Optional[DenseHamiltonian], Optional[np.ndarray]]:
+    def _built(self) -> Tuple[Optional[Hamiltonian], Optional[np.ndarray]]:
         if self.build is None:
             return None, None
         try:
@@ -188,7 +188,7 @@ class LoadedRun:
                 f"the {self.model} matrix does not fit in memory") from exc
 
     @property
-    def dense(self) -> Optional[DenseHamiltonian]:
+    def hamiltonian(self) -> Optional[Hamiltonian]:
         return self._built[0]
 
     @property
@@ -273,7 +273,7 @@ def _load_two_mirror(sec) -> LoadedRun:
         field_amplitudes=_get(sec, "field_amplitudes", _complex_list),
         beta=_get(sec, "beta", parse_complex, "0+0 i"),
         mirror_truncation=_get(sec, "mirror_truncation", int, "40"),
-        omega_m=_get(sec, "omega_m", float, "1"),
+        omega_m=_get(sec, "omega_m", _number, "1"),
         k_sign=_get(sec, "k_sign", int, "1"))
     spectrum, state = two_mirror_spectrum(params)
     return LoadedRun(model="two_mirror", spectrum=spectrum, state=state,
@@ -326,8 +326,8 @@ def _load_raw_spectrum(sec) -> LoadedRun:
         entries=[(lab, a) for lab, a in zip(labels, amps) if a != 0])
     return LoadedRun(
         model="raw_spectrum", spectrum=spectrum, state=state,
-        build=lambda: (DenseHamiltonian(np.diag([float(v) for v in values]),
-                                        unit=unit),
+        build=lambda: (Hamiltonian.diagonal([float(v) for v in values],
+                                            unit=unit),
                        _normalized(np.asarray(amps, dtype=complex))))
 
 
@@ -344,8 +344,8 @@ def _load_dense_matrix(sec) -> LoadedRun:
         raise ConfigError("psi0 length does not match dimension")
     psi0 = _normalized(psi0)
     # checked here, not on first use: the matrix is the input itself
-    dense = DenseHamiltonian(matrix, unit=_get(sec, "unit", float, "1"))
-    return LoadedRun(model="dense_matrix", build=lambda: (dense, psi0))
+    h = Hamiltonian.from_dense(matrix, unit=_get(sec, "unit", float, "1"))
+    return LoadedRun(model="dense_matrix", build=lambda: (h, psi0))
 
 
 def _load_partial(sec) -> LoadedRun:
@@ -389,7 +389,7 @@ def load_config(path: str, flags: Optional[Mapping] = None) -> LoadedRun:
                           f"expected one of {', '.join(_LOADERS)}")
     options = _run_options(cp, flags or {})
     try:
-        # no numpy overflow warnings (as in LoadedRun.dense): the
+        # no numpy overflow warnings (as in LoadedRun._built): the
         # finiteness checks report a non-finite entry as a config error
         with np.errstate(over="ignore", invalid="ignore"):
             run = _LOADERS[model](_section(cp, model))

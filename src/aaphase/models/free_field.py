@@ -5,9 +5,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence, Tuple
 
+import numpy as np
+
 from ..engine import Spectrum, StateDecomposition
-from ..fock import coherent_amplitudes, number
-from ..oracle import DenseHamiltonian
+from ..fock import coherent_amplitudes
+from ..oracle import Hamiltonian
 
 __all__ = ["free_field", "free_field_coherent", "free_field_dense"]
 
@@ -36,5 +38,5 @@ def free_field_coherent(omega: float, alpha: complex, truncation: int
     return free_field(omega, occupied, [amps[n] for n in occupied])
 
 
-def free_field_dense(omega: float, dim: int) -> DenseHamiltonian:
-    return DenseHamiltonian(number(dim), unit=omega)
+def free_field_dense(omega: float, dim: int) -> Hamiltonian:
+    return Hamiltonian.diagonal(np.arange(dim, dtype=float), unit=omega)

@@ -15,7 +15,7 @@ from typing import Tuple
 import numpy as np
 
 from ..engine import Spectrum, StateDecomposition
-from ..oracle import DenseHamiltonian
+from ..oracle import Hamiltonian
 
 __all__ = ["SpinHalfParams", "spin_half", "spin_half_dense"]
 
@@ -46,7 +46,7 @@ def spin_half(params: SpinHalfParams) -> Tuple[Spectrum, StateDecomposition]:
     return spectrum, StateDecomposition(entries=entries)
 
 
-def spin_half_dense(params: SpinHalfParams) -> Tuple[DenseHamiltonian, np.ndarray]:
-    h = DenseHamiltonian(np.diag([-1.0, 1.0]), unit=params.mu_B0)
+def spin_half_dense(params: SpinHalfParams) -> Tuple[Hamiltonian, np.ndarray]:
+    h = Hamiltonian.diagonal([-1.0, 1.0], unit=params.mu_B0)
     up, down = _amplitudes(params.theta)
     return h, np.array([up, down], dtype=complex)

@@ -12,7 +12,7 @@ displaced oscillator and the spectrum is exact:
 lambda/(hbar*omega_m) = rho_D n_a + rho_S n_b + m - kappa_D^2 n_a^2.
 
 The one-mirror cavity shares this construction: ``cavity_exact`` builds
-the displaced-block levels and state, ``cavity_dense`` the block matrix.
+the displaced-block levels and state, ``cavity_dense`` the block entries.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from ..engine import Spectrum, StateDecomposition, TWO_PI, _canonical_gamma
 from ..fock import (TAIL_TOL, coherent_amplitudes, create, destroy,
                     displaced_frame_amplitudes, number)
-from ..oracle import DenseHamiltonian
+from ..oracle import Hamiltonian
 
 __all__ = [
     "ThreeMirrorParams",
@@ -124,14 +124,15 @@ def three_mirror_chi(params: ThreeMirrorParams, n_b: int) -> float:
 
 def cavity_dense(rho_D: float, rho_S: float, kappa_D: float, kappa_S: float,
                  truncations: Tuple[int, int, int],
-                 omega_m: float) -> DenseHamiltonian:
-    """Truncated dense three-mirror H in units hbar*omega_m (real symmetric).
+                 omega_m: float) -> Hamiltonian:
+    """Truncated three-mirror H in units hbar*omega_m (real symmetric).
 
-    H conserves n_a and n_b, so only the (n_a, n_b) diagonal blocks of
-    size n_c are filled.  Each entry sums the same products in the same
-    order as the Kronecker-product form of H, so the matrix is identical
-    to it without forming any full-size term.  The one-mirror cavity is
-    the case rho_S = kappa_S = 0 with a single n_b.
+    H conserves n_a and n_b, so it is block diagonal with one n_c x n_c
+    block per (n_a, n_b), and only the blocks' nonzero entries are
+    stored.  Each entry sums the same products in the same order as the
+    Kronecker-product form of H, so the entries are identical to it
+    without forming any full-size term.  The one-mirror cavity is the
+    case rho_S = kappa_S = 0 with a single n_b.
     """
     na, nb, nc = truncations
     eye_c, num_c = np.eye(nc), number(nc)
@@ -144,15 +145,13 @@ def cavity_dense(rho_D: float, rho_S: float, kappa_D: float, kappa_S: float,
               + kappa_D * (n_a * x_c)
               + num_c
               + kappa_S * (n_b * num_c)
-              + 0.5 * kappa_S * (n_b * (eye_c + sq_c)))
-    h = np.zeros((na * nb * nc,) * 2)
-    diag = np.arange(na * nb)
-    h.reshape(na * nb, nc, na * nb, nc)[diag, :, diag, :] = (
-        blocks.reshape(na * nb, nc, nc))
-    return DenseHamiltonian(h, unit=omega_m)
+              + 0.5 * kappa_S * (n_b * (eye_c + sq_c))).reshape(-1, nc, nc)
+    block, row, col = np.nonzero(blocks)
+    return Hamiltonian(na * nb * nc, block * nc + row, block * nc + col,
+                       blocks[block, row, col], unit=omega_m)
 
 
-def three_mirror_dense(params: ThreeMirrorParams) -> DenseHamiltonian:
+def three_mirror_dense(params: ThreeMirrorParams) -> Hamiltonian:
     return cavity_dense(float(params.rho_D), float(params.rho_S),
                         float(params.kappa_D), float(params.kappa_S),
                         params.truncations, params.omega_m)

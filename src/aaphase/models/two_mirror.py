@@ -11,7 +11,7 @@ occupying consecutive mirror levels.
 
 Both routes reuse the three-mirror displaced-mirror construction with one
 field mode: ``cavity_exact`` for the levels and state, ``cavity_dense``
-with rho_S = kappa_S = 0 and kappa_D = -k for the matrix.
+with rho_S = kappa_S = 0 and kappa_D = -k for the matrix entries.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from ..engine import Spectrum, StateDecomposition, _canonical_gamma, TWO_PI
 from ..fock import coherent_amplitudes, displaced_frame_amplitudes
-from ..oracle import DenseHamiltonian
+from ..oracle import Hamiltonian
 from .three_mirror import cavity_dense, cavity_exact
 
 __all__ = [
@@ -147,8 +147,8 @@ def two_mirror_gamma_closed_form(params: TwoMirrorParams, p: int) -> float:
 
 
 def two_mirror_dense(params: TwoMirrorParams
-                     ) -> Tuple[DenseHamiltonian, np.ndarray]:
-    """Truncated dense H (units hbar*omega_m) and the initial vector."""
+                     ) -> Tuple[Hamiltonian, np.ndarray]:
+    """Truncated H (units hbar*omega_m) and the initial vector."""
     nm = params.mirror_truncation
     h = cavity_dense(float(params.r), 0.0, -params.k, 0.0,
                      (len(params.field_amplitudes), 1, nm), params.omega_m)

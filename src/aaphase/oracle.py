@@ -1,12 +1,13 @@
-"""Brute-force reference route: dense evolution, period and phase detection.
+"""Brute-force reference route: block evolution, period and phase detection.
 
-Independent of the exact-arithmetic engine: a Hermitian matrix is
-diagonalized once, block by block over the connected components of its
-nonzero pattern, states are propagated by phase-advancing the
-eigencomponents (exactly unitary, no integrator error), the period is
-read off the first fidelity return, and the dynamical phase is the
-period times the mean energy, which is constant along the evolution.
-Every closed-form result is validated against this route.
+Independent of the exact-arithmetic engine: a Hermitian matrix, kept as
+its nonzero entries, is diagonalized once, block by block over the
+connected components of its nonzero pattern, states are propagated by
+phase-advancing the eigencomponents (exactly unitary, no integrator
+error), the period is read off the first fidelity return, and the
+dynamical phase is the period times the mean energy, which is constant
+along the evolution.  Every closed-form result is validated against this
+route.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from numpy.linalg import eigh
 from .engine import PhaseReport, TWO_PI, _canonical_gamma
 
 __all__ = [
-    "DenseHamiltonian",
     "EvolutionResult",
+    "Hamiltonian",
     "NoReturnError",
     "SpectralPropagator",
     "detect_period",
@@ -37,10 +38,9 @@ NORM_TOL = 1e-10
 # dropping them keeps the fidelity scan linear in the occupied levels.
 WEIGHT_FLOOR = 1e-16
 # Up to this dimension one dense eigh costs less than the block search
-# (about 0.05 ms, one eigh at dimension 16) plus one eigh per block.
+# (about 0.05 ms, one eigh at dimension 16) plus one eigh per block size.
 SMALL_DIMENSION = 32
-# No temporary array of the Hermiticity check or the fidelity scan holds
-# more entries than this.
+# No temporary array of the fidelity scan holds more entries than this.
 CHUNK_ENTRIES = 1 << 20
 # Largest grid the step rule may choose.
 MAX_STEPS = 1 << 21
@@ -51,57 +51,84 @@ class NoReturnError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class DenseHamiltonian:
-    """Explicit Hermitian matrix on a truncated Hilbert space.
+class Hamiltonian:
+    """Hermitian matrix on a truncated Hilbert space, kept as its entries.
 
-    ``matrix`` entries are dimensionless multiples of ``unit``; time
-    evolution uses angular frequencies matrix*unit (hbar = 1).  The array
-    is taken over (copied only to change its dtype) and made read-only.
+    Entry k is ``values[k]`` at row ``rows[k]`` and column ``cols[k]``;
+    entries are dimensionless multiples of ``unit``, and time evolution
+    uses angular frequencies H*unit (hbar = 1).  Zeros are dropped, the
+    rest are sorted by row, then column, and every array is read-only;
+    ``values`` is float64 for real input and complex128 otherwise.  No
+    N x N array is formed except on reading ``matrix``.
     """
 
-    matrix: np.ndarray
+    dimension: int
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
     unit: float = 1.0
 
-    def __init__(self, matrix, unit: float = 1.0):
-        m = np.asarray(matrix)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("matrix must be square")
-        scale, dev = _hermiticity(m)
-        if not math.isfinite(scale):
+    def __init__(self, dimension: int, rows, cols, values, unit: float = 1.0):
+        n = int(dimension)
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        values = np.asarray(values)
+        values = values.astype(np.float64 if np.isrealobj(values)
+                               else np.complex128)
+        if not (values.ndim == 1 and rows.shape == cols.shape == values.shape
+                and np.all((0 <= rows) & (rows < n) & (0 <= cols) & (cols < n))):
+            raise ValueError(f"need one row and column index inside "
+                             f"dimension {n} per value")
+        if not np.all(np.isfinite(values)):
             raise ValueError("matrix entries must be finite")
+        keep = values != 0
+        key = rows[keep] * n + cols[keep]
+        order = np.argsort(key, kind="stable")
+        key, values = key[order], values[keep][order]
+        same = np.flatnonzero(key[1:] == key[:-1])
+        if same.size:
+            raise ValueError("duplicate entry (%d, %d)"
+                             % divmod(int(key[same[0]]), n))
+        rows, cols = np.divmod(key, max(n, 1))
+        # each entry against its (j, i) partner; a missing partner is 0
+        mirror = cols * n + rows
+        at = np.minimum(np.searchsorted(key, mirror), max(key.size - 1, 0))
+        partner = np.where(key[at] == mirror, values[at], 0)
+        scale = float(np.max(np.abs(values), initial=0.0))
+        dev = float(np.max(np.abs(values - partner.conj()), initial=0.0))
         if dev > HERMITICITY_TOL * max(scale, 1e-300):
             raise ValueError(f"matrix is not Hermitian: max|H - H^dag| = {dev:g}")
         if not 0 < unit < math.inf:
             raise ValueError("unit must be positive and finite")
-        m = m.astype(np.float64 if np.isrealobj(m) else np.complex128, copy=False)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        for array in (rows, cols, values):
+            array.setflags(write=False)
+        object.__setattr__(self, "dimension", n)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "values", values)
         object.__setattr__(self, "unit", float(unit))
 
+    @classmethod
+    def from_dense(cls, matrix, unit: float = 1.0) -> "Hamiltonian":
+        """The entries of a square array that compare unequal to zero."""
+        m = np.asarray(matrix)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError("matrix must be square")
+        rows, cols = np.nonzero(m)
+        return cls(m.shape[0], rows, cols, m[rows, cols], unit)
+
+    @classmethod
+    def diagonal(cls, levels, unit: float = 1.0) -> "Hamiltonian":
+        """The diagonal matrix with these levels."""
+        index = np.arange(len(levels))
+        return cls(index.size, index, index, levels, unit)
+
     @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
-
-def _hermiticity(m: np.ndarray) -> Tuple[float, float]:
-    """(max|H|, max|H - H^dag|), taken a band of rows at a time.
-
-    Each band is compared from the diagonal on with the matching columns,
-    which covers every pair (i, j) once; narrow bands keep the transposed
-    reads in cache.  A NaN entry makes both maxima NaN.
-    """
-    n = m.shape[0]
-    rows = max(1, min(64, CHUNK_ENTRIES // max(n, 1)))
-    real = np.isrealobj(m)
-    scales, devs = [0.0], [0.0]
-    with np.errstate(invalid="ignore"):         # inf - inf: NaN, no warning
-        for start in range(0, n, rows):
-            band = m[start:start + rows]
-            mirror = m[start:, start:start + rows].T
-            scales.append(np.max(np.abs(band)))
-            devs.append(np.max(np.abs(band[:, start:]
-                                      - (mirror if real else mirror.conj()))))
-    return float(np.max(scales)), float(np.max(devs))
+    def matrix(self) -> np.ndarray:
+        """The dense array, built anew on every read."""
+        m = np.zeros((self.dimension,) * 2, dtype=self.values.dtype)
+        m[self.rows, self.cols] = self.values
+        return m
 
 
 def _grid_shape(steps: int, levels: int) -> Tuple[int, int]:
@@ -112,21 +139,20 @@ def _grid_shape(steps: int, levels: int) -> Tuple[int, int]:
     return fine, max(1, CHUNK_ENTRIES // max(levels, fine))
 
 
-def _components(matrix: np.ndarray) -> list:
-    """Index arrays of the connected components of the nonzero pattern,
-    ordered by their smallest index, with indices ascending in each.
+def _components(dimension: int, rows: np.ndarray,
+                cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(indices, sizes): the connected components of the pattern with an
+    edge (rows[k], cols[k]) per entry, as consecutive runs of ``indices``
+    of the given sizes, ordered by their smallest index, with indices
+    ascending in each.
 
-    Every entry that compares unequal to zero is an edge, so a purely
-    imaginary coupling counts.  Labels start as the indices and only
-    fall, always to an index of the same component: each round lowers
-    the label at each edge end's label to the other end's label, then
-    replaces every label by its label's label.  A round that moves
-    nothing leaves every index labelled with its component's least index.
+    Labels start as the indices and only fall, always to an index of the
+    same component: each round lowers the label at each edge end's label
+    to the other end's label, then replaces every label by its label's
+    label.  A round that moves nothing leaves every index labelled with
+    its component's least index.
     """
-    n = matrix.shape[0]
-    # flat indices: np.nonzero on the 2-D mask is several times slower
-    rows, cols = np.divmod(np.flatnonzero(matrix != 0), n)
-    labels = np.arange(n)
+    labels = np.arange(dimension)
     while True:
         new = labels.copy()
         np.minimum.at(new, labels[rows], labels[cols])
@@ -135,25 +161,27 @@ def _components(matrix: np.ndarray) -> list:
         if np.array_equal(new, labels):
             break
         labels = new
-    order = np.argsort(labels, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+    indices = np.argsort(labels, kind="stable")
+    starts = np.flatnonzero(np.diff(labels[indices], prepend=-1))
+    return indices, np.diff(starts, append=dimension)
 
 
 class SpectralPropagator:
     """One-time eigendecomposition of (H, psi0); evolution is then diagonal.
 
     H is split into the connected components of its nonzero pattern (for
-    the cavity models, the conserved photon-number blocks) and each block
-    is diagonalized on its own; matrices up to SMALL_DIMENSION are solved
-    whole.  The blocks come from the matrix alone, so the route stays
-    independent of any model labels or exact levels.
+    the cavity models, the conserved photon-number blocks), and the
+    blocks of each size are diagonalized in one stacked ``eigh``; 1 x 1
+    blocks are their own eigenvalue, and matrices up to SMALL_DIMENSION
+    are solved whole.  The blocks come from the stored entries alone, so
+    the route stays independent of any model labels or exact levels.
     Eigenvalues (ascending) and amplitudes span all blocks.  The
     survival amplitude <psi0|psi(t)> = sum_k |a_k|^2 exp(-i w_k t) needs
     only the occupied weights, so fidelity scans never materialize
     states; `state_at` reconstructs a state vector on demand.
     """
 
-    def __init__(self, hamiltonian: DenseHamiltonian, psi0: np.ndarray):
+    def __init__(self, hamiltonian: Hamiltonian, psi0: np.ndarray):
         psi0 = np.asarray(psi0, dtype=complex).ravel()
         if psi0.shape[0] != hamiltonian.dimension:
             raise ValueError("psi0 dimension mismatch")
@@ -161,28 +189,57 @@ class SpectralPropagator:
         if not abs(norm - 1.0) <= 1e-10:
             raise ValueError(f"psi0 not normalized: |psi0| = {norm!r}")
         self.hamiltonian = hamiltonian
-        matrix = hamiltonian.matrix
-        dim = hamiltonian.dimension
-        blocks = (_components(matrix) if dim > SMALL_DIMENSION
-                  else [np.arange(dim)])
-        values, amplitudes, vectors = [], [], []
-        for idx in blocks:
-            # real-symmetric input takes the faster LAPACK path
-            w, v = eigh(matrix[np.ix_(idx, idx)])
-            values.append(w)
-            amplitudes.append(v.conj().T @ psi0[idx])
-            vectors.append(v)
+        h, dim = hamiltonian, hamiltonian.dimension
+        indices, sizes = (_components(dim, h.rows, h.cols)
+                          if dim > SMALL_DIMENSION
+                          else (np.arange(dim), np.array([dim])))
+        # slot of each index: its place in `indices`, where component c
+        # holds the run starting at starts[c]
+        starts = np.cumsum(sizes) - sizes
+        slot = np.empty(dim, dtype=np.int64)
+        slot[indices] = np.arange(dim)
+        local = slot - np.repeat(starts, sizes)[slot]
+        entry_block = np.repeat(np.arange(sizes.size), sizes)[slot[h.rows]]
+        # eigenvalues and amplitudes in component order, as solving the
+        # blocks one by one and concatenating them gives
+        w = np.empty(dim)
+        amplitudes = np.empty(dim, dtype=complex)
+        groups = []
+        for size in np.unique(sizes):
+            members = np.flatnonzero(sizes == size)
+            slots = starts[members, None] + np.arange(size)
+            idx = indices[slots]
+            if size == 1:
+                # what LAPACK returns for a 1 x 1 matrix, without the call
+                on = h.rows == h.cols
+                diagonal = np.zeros(dim, dtype=h.values.dtype)
+                diagonal[h.rows[on]] = h.values[on]
+                values = diagonal[idx].real
+                vectors = np.ones((members.size, 1, 1), dtype=h.values.dtype)
+            else:
+                # entries of these blocks, and each block's place in the stack
+                mine = sizes[entry_block] == size
+                place = np.cumsum(sizes == size) - 1
+                stack = np.zeros((members.size, size, size),
+                                 dtype=h.values.dtype)
+                stack[place[entry_block[mine]], local[h.rows[mine]],
+                      local[h.cols[mine]]] = h.values[mine]
+                # real-symmetric input takes the faster LAPACK path
+                values, vectors = eigh(stack)
+            w[slots] = values
+            amplitudes[slots] = (vectors.conj().transpose(0, 2, 1)
+                                 @ psi0[idx][..., None])[..., 0]
+            groups.append((idx, vectors, slots))
         # ascending across blocks, as one solve of the whole matrix gives,
         # so the scan sums the levels in the same order
-        w = np.concatenate(values)
         order = np.argsort(w, kind="stable")
         rank = np.empty_like(order)
         rank[order] = np.arange(order.size)
-        positions = np.split(rank, np.cumsum([idx.size for idx in blocks])[:-1])
-        self._blocks = list(zip(blocks, vectors, positions))
+        self._groups = [(idx, vectors, rank[slots])
+                        for idx, vectors, slots in groups]
         self.eigenvalues = w[order]                 # in units of `unit`
         self.omegas = self.eigenvalues * hamiltonian.unit
-        a = np.concatenate(amplitudes)[order]
+        a = amplitudes[order]
         self.amplitudes = a
         self.weights = np.abs(a) ** 2
         # the phase advance is unitary by construction; what can fail is
@@ -231,8 +288,8 @@ class SpectralPropagator:
     def state_at(self, t: float) -> np.ndarray:
         coeffs = self.amplitudes * np.exp(-1j * self.omegas * t)
         state = np.empty(coeffs.size, dtype=complex)
-        for idx, v, pos in self._blocks:
-            state[idx] = v @ coeffs[pos]
+        for idx, vectors, pos in self._groups:
+            state[idx] = (vectors @ coeffs[pos][..., None])[..., 0]
         return state
 
     def mean_energy(self) -> float:
@@ -261,7 +318,7 @@ class EvolutionResult:
     propagator: SpectralPropagator
 
 
-def evolve(hamiltonian: DenseHamiltonian, psi0, t_max: float,
+def evolve(hamiltonian: Hamiltonian, psi0, t_max: float,
            steps: int = 4096, *,
            propagator: Union[SpectralPropagator, None] = None) -> EvolutionResult:
     """Evolve psi0 on a uniform grid over [0, t_max].
@@ -385,7 +442,7 @@ def detect_period(result: EvolutionResult, fidelity_tol: float = 1e-8, *,
     raise NoReturnError("no period detected <= t_max")
 
 
-def generic_gamma(hamiltonian: DenseHamiltonian, psi0, t_max: float, *,
+def generic_gamma(hamiltonian: Hamiltonian, psi0, t_max: float, *,
                   approximate: bool = False) -> PhaseReport:
     """Full numerical route: gamma = phi_est + tau_est<H>, mod 2*pi.
 

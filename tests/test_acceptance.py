@@ -48,7 +48,7 @@ from aaphase.models import (
     two_mirror_gamma_closed_form,
     two_mirror_spectrum,
 )
-from aaphase.oracle import DenseHamiltonian, SpectralPropagator, generic_gamma
+from aaphase.oracle import Hamiltonian, SpectralPropagator, generic_gamma
 from aaphase.rational import lcm_rationals
 
 TWO_PI = 2.0 * math.pi
@@ -354,10 +354,10 @@ def test_criterion_11_start_point_invariance():
         rep = geometric_phase(spectrum, state)
         values = [float(spectrum.value(lab)) for lab, _ in state.entries]
         psi0 = np.array([amp for _, amp in state.entries], dtype=complex)
-        dense = DenseHamiltonian(np.diag(values), unit=1.0)
-        prop = SpectralPropagator(dense, psi0)
+        h = Hamiltonian.diagonal(values, unit=1.0)
+        prop = SpectralPropagator(h, psi0)
         for t_start in rng.uniform(0.0, rep.tau, size=5):
-            restarted = generic_gamma(dense, prop.state_at(float(t_start)),
+            restarted = generic_gamma(h, prop.state_at(float(t_start)),
                                       t_max=2.2 * rep.tau)
             worst = max(worst, circ(restarted.gamma, rep.gamma))
     _record(11, worst <= 1e-6,

@@ -208,6 +208,21 @@ class TestCavityConfigs:
             assert got["phase-report"][key] == want["phase-report"][key]
         assert got["branch-integers"] == want["branch-integers"]
 
+    def test_rational_omega_m_on_two_mirror(self, tmp_path, capsys):
+        # r and k_squared are ratios to omega_m, so only the unit moves
+        text = (CONFIGS / "two_mirror.ini").read_text(encoding="utf-8")
+        assert text.endswith("mirror_truncation = 40\n")
+        scaled = write(tmp_path, text + "omega_m = 3/2\n")
+        code, out, err = run_cli(["analyze", "--config", scaled], capsys)
+        assert (code, err) == (0, "")
+        _, shipped, _ = run_cli(
+            ["analyze", "--config", str(CONFIGS / "two_mirror.ini")], capsys)
+        got, want = parse_report(out), parse_report(shipped)
+        assert got["phase-report"]["unit"] == "1.5"
+        for key in ("tau-cycles", "phi-over-pi"):
+            assert got["phase-report"][key] == want["phase-report"][key]
+        assert got["branch-integers"] == want["branch-integers"]
+
     @pytest.mark.parametrize("r", ["0", "-1"])
     def test_verify_with_non_positive_r(self, tmp_path, capsys, r):
         # any rational r is a valid one-mirror cavity, dense route included
@@ -416,6 +431,29 @@ class TestUsageErrors:
         assert exc.value.code == 64
 
 
+    def test_usage_error_leaves_the_parser_as_it_was(self, monkeypatch,
+                                                      capsys):
+        # the parser is built once per process and reused by every call
+        monkeypatch.setenv("COLUMNS", "80")     # argparse wraps usage to it
+        calls = [["analyze", "--config", "x.ini", "--bogus-flag"],
+                 ["analyze", "--config", str(CONFIGS / "spin_half.ini")],
+                 ["verify"]]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        for argv in calls:
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-m", "aaphase.cli", *argv],
+                capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": src})
+            assert (code, out, err) == (fresh.returncode, fresh.stdout,
+                                        fresh.stderr)
+        assert cli._build_parser() is cli._build_parser()
+
+
 class TestOutputFile:
     def test_out_flag_matches_stdout(self, tmp_path, capsys):
         config = write(tmp_path, SPIN)
@@ -454,7 +492,7 @@ class TestDenseOnDemand:
 
         for name in ("three_mirror_dense", "two_mirror_dense",
                      "spin_half_dense", "free_field_dense",
-                     "DenseHamiltonian"):
+                     "Hamiltonian"):
             monkeypatch.setattr(config_module, name, refuse)
         for config, want in zip(configs, expected):
             code, out, err = run_cli(["analyze", "--config", config], capsys)

@@ -17,7 +17,7 @@ from aaphase import oracle
 from aaphase.config import load_config
 from aaphase.oracle import (
     CHUNK_ENTRIES,
-    DenseHamiltonian,
+    Hamiltonian,
     NoReturnError,
     SpectralPropagator,
     _components,
@@ -52,77 +52,144 @@ def direct_survival(prop, times, chunk=4096):
 
 
 def diagonal_propagator(omegas, weights):
-    h = DenseHamiltonian(np.diag(np.asarray(omegas, dtype=float)))
+    h = Hamiltonian.from_dense(np.diag(np.asarray(omegas, dtype=float)))
     psi0 = np.sqrt(np.asarray(weights, dtype=float) / np.sum(weights))
     return SpectralPropagator(h, psi0.astype(complex))
 
 
-# several row bands of the Hermiticity check
+# more entries than CHUNK_ENTRIES
 CHUNKED_DIMENSION = math.isqrt(CHUNK_ENTRIES) + 100
+
+
+def entries(*triples):
+    """Hamiltonian.__init__ arguments (rows, cols, values) of triples."""
+    rows, cols, values = zip(*triples)
+    return list(rows), list(cols), list(values)
 
 
 class TestDenseHamiltonian:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
-            DenseHamiltonian(np.zeros((2, 3)))
+            Hamiltonian.from_dense(np.zeros((2, 3)))
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
-            DenseHamiltonian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            Hamiltonian.from_dense(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_rejects_bad_scales(self):
         with pytest.raises(ValueError, match="positive"):
-            DenseHamiltonian(np.eye(2), unit=0.0)
+            Hamiltonian.from_dense(np.eye(2), unit=0.0)
         with pytest.raises(ValueError, match="finite"):
-            DenseHamiltonian(np.eye(2), unit=math.inf)
+            Hamiltonian.from_dense(np.eye(2), unit=math.inf)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_entries(self, bad):
         # a NaN deviation would otherwise hide the asymmetry next to it
         with pytest.raises(ValueError, match="finite"):
-            DenseHamiltonian(np.array([[bad, 1.0], [0.0, 1.0]]))
+            Hamiltonian.from_dense(np.array([[bad, 1.0], [0.0, 1.0]]))
         with pytest.raises(ValueError, match="finite"):
-            DenseHamiltonian(np.array([[1.0, bad], [bad, 1.0]]))
+            Hamiltonian.from_dense(np.array([[1.0, bad], [bad, 1.0]]))
 
     def test_asymmetry_in_last_row_chunk_rejected(self, rng):
         n = CHUNKED_DIMENSION
         m = rng.normal(size=(n, n))
         m = m + m.T
-        DenseHamiltonian(m.copy())      # the Hamiltonian takes its array over
+        Hamiltonian.from_dense(m)
         m[n - 1, n - 2] += 1e-6
         with pytest.raises(ValueError, match="Hermitian"):
-            DenseHamiltonian(m)
+            Hamiltonian.from_dense(m)
 
     def test_complex_hermiticity_uses_the_conjugate(self, rng):
         n = CHUNKED_DIMENSION
         sym = rng.normal(size=(n, n))
         anti = rng.normal(size=(n, n))
         # sigma_y-type imaginary part: antisymmetric, so H = H^dag
-        h = DenseHamiltonian((sym + sym.T) + 1j * (anti - anti.T))
-        assert np.iscomplexobj(h.matrix)
+        h = Hamiltonian.from_dense((sym + sym.T) + 1j * (anti - anti.T))
+        assert np.iscomplexobj(h.values) and np.iscomplexobj(h.matrix)
         # a symmetric imaginary part gives H = H^T but not H^dag
         with pytest.raises(ValueError, match="Hermitian"):
-            DenseHamiltonian((sym + sym.T) + 1j * (anti + anti.T))
+            Hamiltonian.from_dense((sym + sym.T) + 1j * (anti + anti.T))
 
-    def test_takes_its_array_over(self):
-        m = np.diag([1.0, 2.0])
-        h = DenseHamiltonian(m)
-        assert np.shares_memory(h.matrix, m) and not m.flags.writeable
-        # a dtype change needs a new array; the input stays as it was
-        ints = np.eye(2, dtype=int)
-        assert DenseHamiltonian(ints).matrix.dtype == np.float64
-        assert ints.flags.writeable
+    def test_stores_sorted_entries_not_the_matrix(self, rng):
+        m = np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 0.0], [2.0, 0.0, -3.0]])
+        h = Hamiltonian.from_dense(m)
+        assert (h.dimension, h.rows.tolist(), h.cols.tolist(),
+                h.values.tolist()) == (3, [0, 0, 2, 2], [0, 2, 0, 2],
+                                       [1.0, 2.0, 2.0, -3.0])
+        assert np.array_equal(h.matrix, m) and not np.shares_memory(h.values, m)
+        assert m.flags.writeable
+        # entries in any order come out sorted by row, then column
+        order = rng.permutation(4)
+        shuffled = Hamiltonian(3, h.rows[order], h.cols[order],
+                               h.values[order])
+        assert np.array_equal(shuffled.rows, h.rows)
+        assert np.array_equal(shuffled.cols, h.cols)
+        assert np.array_equal(shuffled.values, h.values)
+        assert Hamiltonian.from_dense(np.eye(2, dtype=int)).values.dtype \
+            == np.float64
 
     def test_matrix_frozen(self):
-        h = DenseHamiltonian(np.eye(2))
+        h = Hamiltonian.from_dense(np.eye(2))
         assert h.dimension == 2
-        with pytest.raises(ValueError):
-            h.matrix[0, 0] = 5.0
+        for array in (h.rows, h.cols, h.values):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1
+        # the dense view is a new array on every read
+        h.matrix[0, 0] = 5.0
+        assert h.matrix[0, 0] == 1.0
+
+    def test_missing_partner_counts_as_zero(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            Hamiltonian(3, *entries((0, 0, 1.0), (0, 2, 0.5)))
+        # below the tolerance a one-sided entry is accepted and kept
+        h = Hamiltonian(3, *entries((0, 0, 1.0), (0, 2, 1e-13)))
+        assert h.values.tolist() == [1.0, 1e-13]
+
+    def test_conjugate_partner(self):
+        h = Hamiltonian(2, *entries((0, 1, 0.5j), (1, 0, -0.5j)))
+        assert np.array_equal(h.matrix, np.array([[0, 0.5j], [-0.5j, 0]]))
+        with pytest.raises(ValueError, match="Hermitian"):
+            Hamiltonian(2, *entries((0, 1, 0.5j), (1, 0, 0.5j)))
+
+    def test_imaginary_diagonal_rejected(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            Hamiltonian(2, *entries((0, 0, 1.0 + 1e-3j), (1, 1, 2.0)))
+        Hamiltonian(2, *entries((0, 0, 1.0 + 1e-13j), (1, 1, 2.0)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                     complex(1.0, math.nan),
+                                     complex(math.inf, 0.0)])
+    @pytest.mark.parametrize("at", [(0, 0), (0, 1), (1, 0)])
+    def test_non_finite_entry_anywhere(self, bad, at):
+        triples = {(0, 0): 1.0, (0, 1): 0.5, (1, 0): 0.5, (1, 1): 2.0}
+        triples[at] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Hamiltonian(2, *entries(*((i, j, v)
+                                      for (i, j), v in triples.items())))
+
+    def test_explicit_zeros_dropped(self):
+        h = Hamiltonian(3, *entries((0, 0, 1.0), (1, 2, 0.0), (2, 1, -0.0),
+                                    (2, 2, 0.0)))
+        assert (h.rows.tolist(), h.cols.tolist()) == ([0], [0])
+        # a zero never pairs with, or stands for, a missing partner
+        with pytest.raises(ValueError, match="Hermitian"):
+            Hamiltonian(2, *entries((0, 1, 1.0), (1, 0, 0.0)))
+
+    def test_duplicate_entry_refused(self):
+        with pytest.raises(ValueError, match=r"duplicate entry \(1, 0\)"):
+            Hamiltonian(2, *entries((0, 1, 0.5), (1, 0, 0.25), (1, 0, 0.25)))
+
+    def test_index_outside_dimension_refused(self):
+        with pytest.raises(ValueError, match="inside dimension"):
+            Hamiltonian(2, *entries((0, 2, 1.0), (2, 0, 1.0)))
+        with pytest.raises(ValueError, match="inside dimension"):
+            Hamiltonian(2, *entries((-1, 0, 1.0)))
 
 
 class TestPropagator:
     def test_psi0_validation(self):
-        h = DenseHamiltonian(np.diag([1.0, 2.0]))
+        h = Hamiltonian.from_dense(np.diag([1.0, 2.0]))
         with pytest.raises(ValueError, match="dimension mismatch"):
             SpectralPropagator(h, np.array([1.0, 0.0, 0.0]))
         with pytest.raises(ValueError, match="not normalized"):
@@ -133,7 +200,7 @@ class TestPropagator:
         dim = 6
         H = random_hermitian(rng, dim)
         psi0 = random_state(rng, dim)
-        h = DenseHamiltonian(H, unit=1.3 / 0.7)
+        h = Hamiltonian.from_dense(H, unit=1.3 / 0.7)
         prop = SpectralPropagator(h, psi0)
         for t in (0.3, 1.7, 4.9):
             U = expm(-1j * H * (1.3 / 0.7) * t)
@@ -147,7 +214,7 @@ class TestPropagator:
     def test_unitarity_and_energy_conservation(self, rng):
         dim = 8
         H = random_hermitian(rng, dim)
-        h = DenseHamiltonian(H)
+        h = Hamiltonian.from_dense(H)
         psi0 = random_state(rng, dim)
         prop = SpectralPropagator(h, psi0)
         e0 = prop.mean_energy()
@@ -157,12 +224,12 @@ class TestPropagator:
             assert abs(np.vdot(state, H @ state).real - e0) < 1e-11
 
     def test_stationary_spread(self):
-        h = DenseHamiltonian(np.diag([2.0, 2.0]))
+        h = Hamiltonian.from_dense(np.diag([2.0, 2.0]))
         prop = SpectralPropagator(h, np.array([0.6, 0.8]))
         assert prop.occupied_spread() == 0.0
 
     def test_expectation_value(self):
-        h = DenseHamiltonian(np.diag([2.0, 3.0]), unit=2.0)
+        h = Hamiltonian.from_dense(np.diag([2.0, 3.0]), unit=2.0)
         prop = SpectralPropagator(h, np.array([0.6, 0.8]))
         assert prop.mean_energy() == pytest.approx(
             2.0 * (0.36 * 2 + 0.64 * 3), rel=1e-14)
@@ -171,12 +238,12 @@ class TestPropagator:
         H = random_hermitian(rng, 9).real
         psi0 = random_state(rng, 9)
         want = float(np.real(np.vdot(psi0, H.astype(complex) @ psi0)))
-        got = SpectralPropagator(DenseHamiltonian(H, unit=1.5),
+        got = SpectralPropagator(Hamiltonian.from_dense(H, unit=1.5),
                                  psi0).mean_energy()
         assert got == pytest.approx(1.5 * want, rel=1e-13)
 
     def test_nan_psi0_rejected(self):
-        h = DenseHamiltonian(np.diag([1.0, 2.0]))
+        h = Hamiltonian.from_dense(np.diag([1.0, 2.0]))
         with pytest.raises(ValueError, match="not normalized"):
             SpectralPropagator(h, np.array([math.nan, 1.0]))
 
@@ -188,7 +255,7 @@ class TestPropagator:
 
         monkeypatch.setattr(oracle, "eigh", skewed)
         with pytest.raises(AssertionError, match="orthonormal"):
-            SpectralPropagator(DenseHamiltonian(np.diag([1.0, 2.0])),
+            SpectralPropagator(Hamiltonian.from_dense(np.diag([1.0, 2.0])),
                                np.array([0.6, 0.8]))
 
 
@@ -206,9 +273,9 @@ class TestBlocks:
         perm = rng.permutation(dim)
         H = block_diag(*blocks)[np.ix_(perm, perm)]
         psi0 = random_state(rng, dim)
-        h = DenseHamiltonian(H, unit=1.3 / 0.7)
+        h = Hamiltonian.from_dense(H, unit=1.3 / 0.7)
         prop = SpectralPropagator(h, psi0)
-        assert len(prop._blocks) == len(blocks)
+        assert sum(idx.shape[0] for idx, _, _ in prop._groups) == len(blocks)
         assert np.max(np.abs(np.sort(prop.eigenvalues)
                              - np.linalg.eigvalsh(H))) < 1e-12
         times = np.linspace(0.0, 6.0, 25)
@@ -221,25 +288,85 @@ class TestBlocks:
     def test_chain_of_blocks_stays_one_component(self, rng):
         sizes = [3, 2, 4, 1, 3]
         H = block_diag(*[random_hermitian(rng, s) for s in sizes])
-        assert len(_components(H)) == len(sizes)
+        assert len(components(H)) == len(sizes)
         # each block touches the next through one entry (and its mirror)
         ends = np.cumsum(sizes)[:-1]
         H[ends - 1, ends] = H[ends, ends - 1] = 0.25
         perm = rng.permutation(H.shape[0])
-        components = _components(H[np.ix_(perm, perm)])
-        assert len(components) == 1
-        assert np.array_equal(components[0], np.arange(H.shape[0]))
+        found = components(H[np.ix_(perm, perm)])
+        assert len(found) == 1
+        assert np.array_equal(found[0], np.arange(H.shape[0]))
 
 
-def bfs_components(matrix):
-    """Components of the nonzero pattern by breadth-first search: ordered
-    by their least index, indices ascending in each."""
-    linked = [set() for _ in range(matrix.shape[0])]
-    for i, j in zip(*np.nonzero(matrix)):
+def per_block_solve(h, psi0):
+    """(eigenvalues, amplitudes) in ascending order, one ``eigh`` per
+    breadth-first component of the dense matrix, concatenated."""
+    m = h.matrix
+    values, amplitudes = [], []
+    for idx in bfs_components(*pattern(m)):
+        w, v = np.linalg.eigh(m[np.ix_(idx, idx)])
+        values.append(w)
+        amplitudes.append(v.conj().T @ psi0[idx])
+    w = np.concatenate(values)
+    order = np.argsort(w, kind="stable")
+    return w[order], np.concatenate(amplitudes)[order]
+
+
+def assert_bitwise(got, want):
+    assert got.dtype == want.dtype
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestStackedSolve:
+    """Each stacked ``eigh`` matches one ``eigh`` per block, bit for bit,
+    and so does the order of the levels, ties included."""
+
+    @pytest.mark.parametrize("name", ["three_mirror_approximate.ini",
+                                      "two_mirror.ini"])
+    def test_shipped_configs(self, name):
+        run = load_config(CONFIGS / name)
+        h, psi0 = run.hamiltonian, run.psi0
+        assert h.dimension > oracle.SMALL_DIMENSION
+        prop = SpectralPropagator(h, psi0)
+        want_w, want_a = per_block_solve(h, psi0)
+        assert_bitwise(prop.eigenvalues, want_w)
+        assert_bitwise(prop.amplitudes, want_a)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_shuffled_complex_blocks(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        five = random_hermitian(rng, 5)
+        blocks = [random_hermitian(rng, 1), random_hermitian(rng, 2),
+                  five, five]
+        # scattered over shuffled indices, each block kept in its own
+        # order, so the two equal blocks tie level for level
+        H = np.zeros((13, 13), dtype=complex)
+        spots = np.split(rng.permutation(13), [1, 3, 8])
+        for block, idx in zip(blocks, spots):
+            idx = np.sort(idx)
+            H[np.ix_(idx, idx)] = block
+        h = Hamiltonian.from_dense(H)
+        psi0 = random_state(rng, H.shape[0])
+        # solve this small matrix by blocks
+        monkeypatch.setattr(oracle, "SMALL_DIMENSION", 0)
+        prop = SpectralPropagator(h, psi0)
+        monkeypatch.undo()
+        assert sum(idx.shape[0] for idx, _, _ in prop._groups) == 4
+        assert np.count_nonzero(np.diff(prop.eigenvalues) == 0) == 5
+        want_w, want_a = per_block_solve(h, psi0)
+        assert_bitwise(prop.eigenvalues, want_w)
+        assert_bitwise(prop.amplitudes, want_a)
+
+
+def bfs_components(n, rows, cols):
+    """Components of the pattern by breadth-first search: ordered by
+    their least index, indices ascending in each."""
+    linked = [set() for _ in range(n)]
+    for i, j in zip(rows, cols):
         linked[i].add(int(j))
         linked[j].add(int(i))
     seen, out = set(), []
-    for start in range(matrix.shape[0]):
+    for start in range(n):
         if start not in seen:
             seen.add(start)
             queue = [start]
@@ -249,6 +376,16 @@ def bfs_components(matrix):
                 queue.extend(fresh)
             out.append(np.array(sorted(queue)))
     return out
+
+
+def pattern(matrix):
+    """(dimension, rows, cols) of the nonzero entries of a matrix."""
+    return (matrix.shape[0], *np.nonzero(matrix))
+
+
+def components(matrix):
+    indices, sizes = _components(*pattern(matrix))
+    return np.split(indices, np.cumsum(sizes)[:-1])
 
 
 def sparse_hermitian(seed, kind):
@@ -268,8 +405,10 @@ def sparse_hermitian(seed, kind):
     return m
 
 
-def assert_same_components(matrix):
-    got, want = _components(matrix), bfs_components(matrix)
+def assert_same_components(n, rows, cols):
+    indices, sizes = _components(n, np.asarray(rows), np.asarray(cols))
+    got = np.split(indices, np.cumsum(sizes)[:-1]) if n else []
+    want = bfs_components(n, rows, cols)
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
@@ -279,39 +418,39 @@ class TestComponents:
     @pytest.mark.parametrize("kind", ["real", "complex", "imaginary"])
     @pytest.mark.parametrize("seed", range(8))
     def test_random_sparse_patterns(self, seed, kind):
-        assert_same_components(sparse_hermitian(seed, kind))
+        assert_same_components(*pattern(sparse_hermitian(seed, kind)))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_one_sided_entries_link(self, seed):
         # a coupling below the Hermiticity tolerance may have no mirror
-        assert_same_components(np.triu(sparse_hermitian(seed, "complex")))
-        assert_same_components(np.tril(sparse_hermitian(seed, "real")))
+        assert_same_components(
+            *pattern(np.triu(sparse_hermitian(seed, "complex"))))
+        assert_same_components(
+            *pattern(np.tril(sparse_hermitian(seed, "real"))))
 
     def test_zero_rows_are_their_own_components(self, rng):
         m = sparse_hermitian(3, "complex")
         lone = rng.choice(m.shape[0], m.shape[0] // 3, replace=False)
         m[lone, :] = m[:, lone] = 0.0
-        assert_same_components(m)
-        assert len(_components(np.zeros((5, 5)))) == 5
+        assert_same_components(*pattern(m))
+        assert len(components(np.zeros((5, 5)))) == 5
 
     @pytest.mark.parametrize("shuffle", [False, True])
     def test_long_path(self, rng, shuffle):
         n = 4000
-        # one byte per entry keeps the 4000 x 4000 pattern at 16 MB
-        m = np.zeros((n, n), dtype=np.int8)
-        m[np.arange(n - 1), np.arange(1, n)] = 1
-        m[np.arange(1, n), np.arange(n - 1)] = 1
+        rows = np.r_[np.arange(n - 1), np.arange(1, n)]
+        cols = np.r_[np.arange(1, n), np.arange(n - 1)]
         if shuffle:
             order = rng.permutation(n)
-            m = m[np.ix_(order, order)]
-        assert_same_components(m)
-        assert len(_components(m)) == 1
+            rows, cols = order[rows], order[cols]
+        assert_same_components(n, rows, cols)
+        assert _components(n, rows, cols)[1].tolist() == [n]
 
     def test_star(self):
         m = np.zeros((300, 300), dtype=complex)
         m[171, :], m[:, 171] = 0.5j, -0.5j
         m[171, 171] = 1.0
-        assert_same_components(m)
+        assert_same_components(*pattern(m))
 
     def test_interleaved_blocks(self, rng):
         sizes, stride = [5, 9, 1, 7], 4
@@ -319,8 +458,8 @@ class TestComponents:
         for offset, size in enumerate(sizes):
             idx = offset + stride * np.arange(size)
             m[np.ix_(idx, idx)] = random_hermitian(rng, size)
-        assert_same_components(m)
-        assert len(_components(m)) == len(sizes) + stride * max(sizes) \
+        assert_same_components(*pattern(m))
+        assert len(components(m)) == len(sizes) + stride * max(sizes) \
             - sum(sizes)
 
 
@@ -365,7 +504,7 @@ class TestSurvivalGrid:
 
 class TestEvolve:
     def test_argument_validation(self):
-        h = DenseHamiltonian(np.diag([1.0, 2.0]))
+        h = Hamiltonian.from_dense(np.diag([1.0, 2.0]))
         psi0 = np.array([0.6, 0.8])
         with pytest.raises(ValueError, match="steps"):
             evolve(h, psi0, 1.0, steps=1)
@@ -374,7 +513,7 @@ class TestEvolve:
 
     def test_overlap_track_on_three_mirror_matrix(self):
         run = load_config(CONFIGS / "three_mirror_exact.ini")
-        res = evolve(run.dense, run.psi0, 2.2 * TWO_PI, steps=3 * 4096)
+        res = evolve(run.hamiltonian, run.psi0, 2.2 * TWO_PI, steps=3 * 4096)
         want = direct_survival(res.propagator, res.times)
         assert np.max(np.abs(res.overlap_track - want)) <= 1e-12
         assert np.array_equal(res.fidelity_track, np.abs(res.overlap_track))
@@ -383,7 +522,7 @@ class TestEvolve:
 class TestDetectPeriod:
     def run_detect(self, values, weights, t_max, steps=8192, tol=1e-8):
         dim = len(values)
-        h = DenseHamiltonian(np.diag(np.asarray(values, dtype=float)))
+        h = Hamiltonian.from_dense(np.diag(np.asarray(values, dtype=float)))
         psi0 = np.sqrt(np.asarray(weights, dtype=float)).astype(complex)
         res = evolve(h, psi0, t_max, steps=steps)
         return detect_period(res, fidelity_tol=tol), h, res
@@ -417,7 +556,7 @@ class TestDetectPeriod:
         assert partial == pytest.approx(0.96, abs=1e-3)
 
     def test_no_return_raises(self):
-        h = DenseHamiltonian(np.diag([1.0, math.sqrt(2.0)]))
+        h = Hamiltonian.from_dense(np.diag([1.0, math.sqrt(2.0)]))
         psi0 = np.array([0.6, 0.8])
         res = evolve(h, psi0, 10.0, steps=4096)
         with pytest.raises(NoReturnError):
@@ -470,7 +609,7 @@ class TestPrune:
 class TestGenericGamma:
     def test_spin_half_value(self):
         theta = math.pi / 2
-        h = DenseHamiltonian(np.diag([-1.0, 1.0]))
+        h = Hamiltonian.from_dense(np.diag([-1.0, 1.0]))
         psi0 = np.array([math.cos(theta / 2), math.sin(theta / 2)],
                         dtype=complex)
         rep = generic_gamma(h, psi0, t_max=4.0)
@@ -480,7 +619,7 @@ class TestGenericGamma:
         assert rep.tau_cycles is None and rep.fidelity is None
 
     def test_stationary_short_circuit(self):
-        h = DenseHamiltonian(np.diag([2.0, 2.0]))
+        h = Hamiltonian.from_dense(np.diag([2.0, 2.0]))
         rep = generic_gamma(h, np.array([0.6, 0.8]), t_max=5.0)
         assert rep.stationary
         assert rep.gamma == 0.0 and math.isnan(rep.tau)
@@ -489,13 +628,13 @@ class TestGenericGamma:
     def test_two_irrational_levels_still_return_exactly(self):
         # any two-level system is cyclic: the gap sqrt(2) - 1 returns at
         # t = 2*pi/(sqrt(2) - 1), irrational but exact
-        h = DenseHamiltonian(np.diag([1.0, math.sqrt(2.0)]))
+        h = Hamiltonian.from_dense(np.diag([1.0, math.sqrt(2.0)]))
         rep = generic_gamma(h, np.array([0.6, 0.8]), t_max=20.0)
         assert abs(rep.tau - TWO_PI / (math.sqrt(2.0) - 1.0)) < 1e-6
 
     def test_no_return_propagates(self):
         # three mutually incommensurable gaps: nothing returns by t = 10
-        h = DenseHamiltonian(np.diag([0.0, 1.0, math.sqrt(2.0)]))
+        h = Hamiltonian.from_dense(np.diag([0.0, 1.0, math.sqrt(2.0)]))
         psi0 = np.array([0.6, 0.6, math.sqrt(0.28)], dtype=complex)
         with pytest.raises(NoReturnError):
             generic_gamma(h, psi0, t_max=10.0)
@@ -504,7 +643,7 @@ class TestGenericGamma:
         # a slightly detuned third level spoils the exact return at
         # t = 4*pi (1 - F ~ 1e-6): strict mode must refuse, approximate
         # mode must accept and report the achieved fidelity
-        h = DenseHamiltonian(np.diag([0.0, 1.0, 0.5 + 1e-3]))
+        h = Hamiltonian.from_dense(np.diag([0.0, 1.0, 0.5 + 1e-3]))
         psi0 = np.sqrt(np.array([0.49, 0.49, 0.02])).astype(complex)
         with pytest.raises(NoReturnError):
             generic_gamma(h, psi0, t_max=4.3 * math.pi)
@@ -519,7 +658,7 @@ class TestGenericGamma:
 class TestDefaultGrid:
     # levels {0, 3000, 3000.5}: the fast phase needs far more than the
     # 4096 points per cycle of the base rule
-    H = DenseHamiltonian(np.diag([0.0, 3000.0, 3000.5]))
+    H = Hamiltonian.from_dense(np.diag([0.0, 3000.0, 3000.5]))
     PSI0 = np.array([0.6, 0.6, math.sqrt(0.28)], dtype=complex)
 
     @staticmethod
@@ -542,7 +681,7 @@ class TestDefaultGrid:
         assert 3000.5 * t_max / (steps - 1) <= oracle.SCAN_BAND
 
     def test_base_rule_when_the_spread_is_narrow(self, monkeypatch):
-        h = DenseHamiltonian(np.diag([2.0, 3.0]))
+        h = Hamiltonian.from_dense(np.diag([2.0, 3.0]))
         psi0 = np.array([0.6, 0.8], dtype=complex)
         assert self.grid_steps(monkeypatch, h, psi0, t_max=7.0) == 2 * 4096
 

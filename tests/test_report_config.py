@@ -192,7 +192,7 @@ class TestSpinConfig:
         run = load_config(write_config(tmp_path, text))
         assert run.model == "spin_half"
         assert run.spectrum is not None and run.state is not None
-        assert run.dense is not None and run.psi0 is not None
+        assert run.hamiltonian is not None and run.psi0 is not None
         assert run.spectrum.unit == 2.0
         assert run.options == RunOptions()
 
@@ -205,14 +205,14 @@ class TestFreeFieldConfig:
                 + f" = 0 2 5\namplitudes = {a}; {a}; {a}\n")
         run = load_config(write_config(tmp_path, text))
         assert run.spectrum.value("5") == 5
-        assert run.dense.dimension == 6
+        assert run.hamiltonian.dimension == 6
         assert run.psi0[2] == pytest.approx(a)
 
     def test_coherent_form(self, tmp_path):
         text = ("[run]\nmodel = free_field\n\n"
                 "[free_field]\nomega = 1\nalpha = 0.9\ntruncation = 18\n")
         run = load_config(write_config(tmp_path, text))
-        assert run.dense.dimension == 18
+        assert run.hamiltonian.dimension == 18
         assert abs(np.linalg.norm(run.psi0) - 1.0) < 1e-12
 
     def test_exactly_one_input_form(self, tmp_path):
@@ -285,7 +285,7 @@ class TestDenseMatrixConfig:
                 "[dense_matrix]\ndimension = 2\n"
                 "entries = 2, 0, 0, 3\npsi0 = 1, 1\n")
         run = load_config(write_config(tmp_path, text))
-        assert run.dense.dimension == 2
+        assert run.hamiltonian.dimension == 2
         assert run.psi0[0] == pytest.approx(1 / math.sqrt(2))
         assert run.spectrum is None
 
@@ -351,7 +351,7 @@ class TestThreeMirrorConfig:
         run = load_config(write_config(tmp_path, text))
         # rho_D = 5/2, kappa_D = 1/4: exact family, spectrum available
         assert run.spectrum is not None
-        assert run.dense.dimension == 10 * 10 * 26
+        assert run.hamiltonian.dimension == 10 * 10 * 26
         assert run.spectrum.value("1,0,0") == Fraction(5, 2) - Fraction(1, 16)
 
     def test_squeezed_coupling_disables_exact_route(self, tmp_path):
@@ -360,7 +360,7 @@ class TestThreeMirrorConfig:
                 "truncations = 6 6 10\n")
         run = load_config(write_config(tmp_path, text))
         assert run.spectrum is None
-        assert run.dense is not None
+        assert run.hamiltonian is not None
 
 
 SPIN_RUN = "[run]\nmodel = spin_half\n\n[spin_half]\ntheta = 1.1\n"

@@ -1,6 +1,7 @@
 """Two driven modes sharing a mirror: exact family, chi law, dense route."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,7 @@ from aaphase.models import (
     three_mirror_scaled_mean_energy,
 )
 from aaphase.models.three_mirror import three_mirror_chi
-from aaphase.oracle import generic_gamma
+from aaphase.oracle import SpectralPropagator, generic_gamma
 
 from conftest import circ
 
@@ -232,6 +233,20 @@ class TestDenseBuild:
     def test_blockwise_build_equals_kronecker_sum(self, params):
         assert np.array_equal(three_mirror_dense(params).matrix,
                               kronecker_dense(params))
+
+    def test_build_and_solve_never_form_the_matrix(self):
+        # 144 blocks of 20: the 2880 x 2880 matrix alone would take 66 MB
+        params = ThreeMirrorParams(rho_D=2, rho_S=3, kappa_D=1e-3,
+                                   kappa_S=1e-3, alpha=0.7, beta=0.5,
+                                   mu=0.6 + 0.2j, truncations=(12, 12, 20))
+        psi0 = three_mirror_initial_state(params)
+        tracemalloc.start()
+        try:
+            SpectralPropagator(three_mirror_dense(params), psi0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
 
 class TestChiLaw:
