@@ -37,8 +37,11 @@ NORM_TOL = 1e-10
 # Weights below this floor cannot move any detection tolerance used here;
 # dropping them keeps the fidelity scan linear in the occupied levels.
 WEIGHT_FLOOR = 1e-16
-# Up to this dimension one dense eigh costs less than the block search
-# (about 0.05 ms, one eigh at dimension 16) plus one eigh per block size.
+# Up to this dimension one whole eigh costs no more than the block route
+# (component search plus one stacked eigh per block size): on random
+# Hermitian matrices with blocks of 1, 2 or 4 (2-core Xeon, OpenBLAS) the
+# whole solve wins at 8 and 16, the two are within 0.05 ms at 24 and 32,
+# and the block route is ahead from 48.
 SMALL_DIMENSION = 32
 # No temporary array of the fidelity scan holds more entries than this.
 CHUNK_ENTRIES = 1 << 20
@@ -171,10 +174,10 @@ class SpectralPropagator:
 
     H is split into the connected components of its nonzero pattern (for
     the cavity models, the conserved photon-number blocks), and the
-    blocks of each size are diagonalized in one stacked ``eigh``; 1 x 1
-    blocks are their own eigenvalue, and matrices up to SMALL_DIMENSION
-    are solved whole.  The blocks come from the stored entries alone, so
-    the route stays independent of any model labels or exact levels.
+    blocks of each size are diagonalized in one stacked ``eigh``;
+    matrices up to SMALL_DIMENSION are solved whole.  The blocks come
+    from the stored entries alone, so the route stays independent of any
+    model labels or exact levels.
     Eigenvalues (ascending) and amplitudes span all blocks.  The
     survival amplitude <psi0|psi(t)> = sum_k |a_k|^2 exp(-i w_k t) needs
     only the occupied weights, so fidelity scans never materialize
@@ -209,23 +212,14 @@ class SpectralPropagator:
             members = np.flatnonzero(sizes == size)
             slots = starts[members, None] + np.arange(size)
             idx = indices[slots]
-            if size == 1:
-                # what LAPACK returns for a 1 x 1 matrix, without the call
-                on = h.rows == h.cols
-                diagonal = np.zeros(dim, dtype=h.values.dtype)
-                diagonal[h.rows[on]] = h.values[on]
-                values = diagonal[idx].real
-                vectors = np.ones((members.size, 1, 1), dtype=h.values.dtype)
-            else:
-                # entries of these blocks, and each block's place in the stack
-                mine = sizes[entry_block] == size
-                place = np.cumsum(sizes == size) - 1
-                stack = np.zeros((members.size, size, size),
-                                 dtype=h.values.dtype)
-                stack[place[entry_block[mine]], local[h.rows[mine]],
-                      local[h.cols[mine]]] = h.values[mine]
-                # real-symmetric input takes the faster LAPACK path
-                values, vectors = eigh(stack)
+            # entries of these blocks, and each block's place in the stack
+            mine = sizes[entry_block] == size
+            place = np.cumsum(sizes == size) - 1
+            stack = np.zeros((members.size, size, size), dtype=h.values.dtype)
+            stack[place[entry_block[mine]], local[h.rows[mine]],
+                  local[h.cols[mine]]] = h.values[mine]
+            # real-symmetric input takes the faster LAPACK path
+            values, vectors = eigh(stack)
             w[slots] = values
             amplitudes[slots] = (vectors.conj().transpose(0, 2, 1)
                                  @ psi0[idx][..., None])[..., 0]
