@@ -95,8 +95,7 @@ def cmd_analyze(run: LoadedRun, args) -> int:
               f"reason: {verdict.reason}\n", args.out)
         print(f"non-cyclic: {verdict.reason}", file=sys.stderr)
         return EXIT_NON_CYCLIC
-    report = _finite(geometric_phase(run.spectrum, run.state,
-                                     cyclicality=verdict))
+    report = _finite(geometric_phase(run.spectrum, run.state))
     _emit(format_phase_report(report, verdict), args.out)
     return EXIT_OK
 
@@ -128,7 +127,7 @@ def cmd_verify(run: LoadedRun, args) -> int:
     verdict = check_cyclicality(run.spectrum, run.state)
     if verdict.kind != "cyclic":
         raise ConfigError(f"nothing to verify for a {verdict.kind} state")
-    exact = geometric_phase(run.spectrum, run.state, cyclicality=verdict)
+    exact = geometric_phase(run.spectrum, run.state)
     opts = run.options
     t_max = 2.2 * exact.tau if opts.t_max is None else opts.t_max
     if not t_max < math.inf:

@@ -5,12 +5,16 @@ period is 2*pi times the LCM of the inverse level spacings, the total
 phase follows from any one occupied level via its branch integer, and the
 geometric phase is the total phase plus the winding of the mean energy.
 
-Eigenvalues are `fractions.Fraction` in units of ``Spectrum.unit``, with
-hbar = 1: the unit is the only scale, and times are in 1/unit.  A
-float eigenvalue marks a failed rationalization and is tolerated only
-when at most two distinct values are occupied (two-level evolutions are
-cyclic regardless of commensurability); with three or more distinct
-values a float renders the state non-cyclic.
+Exact eigenvalues are integer numerators p_k over one common
+denominator D (``Spectrum.denominator``), in units of ``Spectrum.unit``
+with hbar = 1: the unit is the only scale, and times are in 1/unit.
+With G = gcd(p_k - p_0) over the occupied levels the period is
+L = D/G cycles, and the branch data are integers: n_0 = floor(p_0/G +
+1/2), phi/(2*pi) = n_0 - p_0/G and n_k = n_0 + (p_k - p_0)/G.  A float
+eigenvalue marks a failed rationalization and is tolerated only when at
+most two distinct values are occupied (two-level evolutions are cyclic
+regardless of commensurability); with three or more distinct values a
+float renders the state non-cyclic.
 """
 
 from __future__ import annotations
@@ -18,9 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Mapping, NamedTuple, Sequence, Tuple, Union
-
-from .rational import lcm_rationals
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 __all__ = [
     "Cyclicality",
@@ -37,7 +39,7 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-Value = Union[Fraction, float]
+Value = Union[int, float]
 NORMALIZATION_TOL = 1e-12
 
 
@@ -45,42 +47,43 @@ class NonCyclicError(ValueError):
     """The state does not undergo cyclic motion under this spectrum."""
 
 
-def _coerce_value(v) -> Value:
-    """Fractions (and ints/strings) stay exact; bare floats stay floats."""
-    return v if isinstance(v, float) else Fraction(v)
-
-
 @dataclass(frozen=True)
 class Spectrum:
     """Occupied-or-not eigenvalue table: (label, value) pairs in `unit`.
 
-    Labels are unique; values may repeat (degeneracy allowed).
+    An int value is a numerator over ``denominator``; a float value is
+    the level itself and marks a failed rationalization.  The
+    constructor also takes Fraction and "p/q" values and puts every
+    rational over their least common denominator.  Labels are unique;
+    values may repeat (degeneracy allowed).
     """
 
     levels: Tuple[Tuple[str, Value], ...]
     unit: float = 1.0
+    denominator: int = 1
 
-    def __init__(self, levels, unit: float = 1.0):
-        lv = tuple((str(lab), _coerce_value(val)) for lab, val in levels)
+    def __init__(self, levels, unit: float = 1.0, denominator: int = 1):
+        lv = [(str(lab), val) for lab, val in levels]
         if not lv:
             raise ValueError("spectrum needs at least one level")
-        labels = [lab for lab, _ in lv]
-        if len(set(labels)) != len(labels):
+        if len({lab for lab, _ in lv}) != len(lv):
             raise ValueError("spectrum labels must be unique")
         if not 0 < unit < math.inf:
             raise ValueError("unit must be positive and finite")
-        object.__setattr__(self, "levels", lv)
+        if not (isinstance(denominator, int) and denominator > 0):
+            raise ValueError("denominator must be a positive integer")
+        if not all(isinstance(val, (int, float)) for _, val in lv):
+            exact = [val if isinstance(val, float) else
+                     Fraction(val, denominator) if isinstance(val, int) else
+                     Fraction(val) for _, val in lv]
+            denominator = math.lcm(*(f.denominator for f in exact
+                                     if not isinstance(f, float)))
+            lv = [(lab, f if isinstance(f, float) else
+                   f.numerator * (denominator // f.denominator))
+                  for (lab, _), f in zip(lv, exact)]
+        object.__setattr__(self, "levels", tuple(lv))
         object.__setattr__(self, "unit", float(unit))
-
-    def value(self, label: str) -> Value:
-        for lab, val in self.levels:
-            if lab == label:
-                return val
-        raise KeyError(label)
-
-    @property
-    def labels(self) -> Tuple[str, ...]:
-        return tuple(lab for lab, _ in self.levels)
+        object.__setattr__(self, "denominator", denominator)
 
 
 @dataclass(frozen=True)
@@ -107,36 +110,13 @@ class StateDecomposition:
             raise ValueError(f"state not normalized: sum |a|^2 = {total!r}")
         object.__setattr__(self, "entries", ent)
 
-    @property
-    def labels(self) -> Tuple[str, ...]:
-        return tuple(lab for lab, _ in self.entries)
-
-    def weights(self) -> dict[str, float]:
-        return {lab: abs(a) ** 2 for lab, a in self.entries}
-
-
-class _Occupation(NamedTuple):
-    """One pass over the occupied levels of a (spectrum, state) pair."""
-
-    spectrum: Spectrum
-    state: StateDecomposition
-    levels: List[Tuple[str, Value, float]]   # (label, value, weight)
-    distinct: List[Value]                    # first-seen order
-    exact: bool                              # every distinct value a Fraction
-
 
 @dataclass(frozen=True)
 class Cyclicality:
-    """Verdict of `check_cyclicality`.
-
-    ``occupation`` is the pass the verdict was read from; handing the
-    verdict to `geometric_phase` lets it reuse that pass.
-    """
+    """Verdict of `check_cyclicality`."""
 
     kind: str  # "cyclic" | "stationary" | "non-cyclic"
     reason: Union[str, None] = None
-    occupation: Union[_Occupation, None] = field(
-        default=None, compare=False, repr=False)
 
     def __str__(self) -> str:
         return self.kind if self.reason is None else f"{self.kind}({self.reason})"
@@ -166,22 +146,36 @@ class PhaseReport:
     fidelity: Union[float, None] = None
 
 
-def _occupy(spectrum: Spectrum, state: StateDecomposition) -> _Occupation:
-    """Occupied (label, value, weight) triples and their distinct values.
+def _occupy(spectrum: Spectrum, state: StateDecomposition
+            ) -> Tuple[List[tuple], Dict[object, Value]]:
+    """Occupied (label, value, key, weight) and {key: value} over the
+    distinct values, in first-seen order.
 
-    Errors on labels missing from the spectrum.  Equal values merge by
-    hash (``Fraction`` and ``float`` hash consistently), keeping the
-    first one seen.
+    Errors on labels missing from the spectrum.  A float equal to a
+    rational level p/D gets the key p, so it merges onto the value seen
+    first; other floats are their own keys.
     """
     table = dict(spectrum.levels)
+    d = spectrum.denominator
     levels = []
+    distinct: Dict[object, Value] = {}
     for lab, amp in state.entries:
         if lab not in table:
             raise ValueError(f"state/spectrum mismatch: unknown label {lab!r}")
-        levels.append((lab, table[lab], abs(amp) ** 2))
-    distinct = list(dict.fromkeys(v for _, v, _ in levels))
-    exact = all(isinstance(v, Fraction) for v in distinct)
-    return _Occupation(spectrum, state, levels, distinct, exact)
+        val = table[lab]
+        key = (val if isinstance(val, int) or not math.isfinite(val)
+               else Fraction(val) * d)
+        distinct.setdefault(key, val)
+        levels.append((lab, val, key, abs(amp) ** 2))
+    return levels, distinct
+
+
+def _verdict(distinct: Sequence[Value]) -> Cyclicality:
+    if len(distinct) == 1:
+        return Cyclicality("stationary")
+    if len(distinct) == 2 or all(isinstance(v, int) for v in distinct):
+        return Cyclicality("cyclic")
+    return Cyclicality("non-cyclic", "incommensurable")
 
 
 def check_cyclicality(spectrum: Spectrum, state: StateDecomposition) -> Cyclicality:
@@ -193,53 +187,42 @@ def check_cyclicality(spectrum: Spectrum, state: StateDecomposition) -> Cyclical
     when all are exact rationals; any float (= failed rationalization)
     makes the spacings incommensurable.
     """
-    occ = _occupy(spectrum, state)
-    if len(occ.distinct) == 1:
-        return Cyclicality("stationary", occupation=occ)
-    if len(occ.distinct) == 2 or occ.exact:
-        return Cyclicality("cyclic", occupation=occ)
-    return Cyclicality("non-cyclic", "incommensurable", occupation=occ)
+    return _verdict(list(_occupy(spectrum, state)[1].values()))
 
 
-def _branch_data(distinct: Sequence[Value]):
-    """(L, phi_over_2pi, {value: n}) for the distinct occupied values of a
-    stationary or cyclic state.
+def _branch_data(distinct: Sequence[Value], denominator: int):
+    """(L, phi_over_2pi, [n per value]) for the distinct occupied values
+    of a stationary or cyclic state, ints being numerators over
+    ``denominator``.
 
     One value lambda (stationary) has L = 1/|lambda| (the
     single-exponential special case; infinite for lambda = 0), phi = 0
-    exactly and branch integer sign(lambda).  Otherwise L is the LCM of
-    the inverse spacings from the first level; every pairwise spacing is
-    an integer combination of these, so L is also the LCM over all
-    pairs.  For two levels L = |1/(lambda_1 - lambda_0)| whatever the
-    number type, which also covers the irrational two-level case in
-    floats.  The canonical branch puts phi/(2*pi) = n - lambda*L in
-    (-1/2, 1/2], the same value for every occupied lambda (their
-    differences lambda_k*L - lambda_i*L are integers by construction of
-    L); in exact arithmetic this is asserted, in floats the branch
-    integers are rounded.
+    exactly and branch integer sign(lambda).  Exact values p_k have
+    L = D/G with G = gcd(p_k - p_0): L*(p_k - p_i)/D is an integer for
+    all pairs exactly when L*G/D is, as G is an integer combination of
+    the spacings and divides each.  The canonical branch puts
+    phi/(2*pi) = n - lambda*L in (-1/2, 1/2], the same value for every
+    occupied lambda.  Two values with a float among them are taken in
+    floats, L = |1/(lambda_1 - lambda_0)|, and their branch integers are
+    rounded.
     """
     ref = distinct[0]
     if len(distinct) == 1:
-        # returned before the LCM arithmetic, where 1 - lambda*(1/lambda)
-        # need not round to 0 for a float lambda
-        L = 1 / abs(ref) if ref else math.inf
-        return L, Fraction(0), {ref: (ref > 0) - (ref < 0)}
-    if len(distinct) == 2:
-        L = abs(1 / (distinct[1] - ref))
-    else:
-        L = lcm_rationals(1 / (v - ref) for v in distinct[1:])
-    g_ref = ref * L
-    n_ref = math.floor(g_ref + Fraction(1, 2))
-    phi_over_2pi = n_ref - g_ref  # in (-1/2, 1/2]
-    branch = {}
-    for v in distinct:
-        n_v = v * L + phi_over_2pi
-        branch[v] = round(n_v)
-        if isinstance(n_v, Fraction) and n_v != branch[v]:
-            raise AssertionError(
-                "internal consistency: branch integer is not an integer "
-                f"for eigenvalue {v} (got {n_v})")
-    return L, phi_over_2pi, branch
+        # phi = 0 exactly: for a float lambda, 1 - lambda*(1/lambda) need
+        # not round to 0
+        lam = Fraction(ref, denominator) if isinstance(ref, int) else ref
+        return (1 / abs(lam) if lam else math.inf), Fraction(0), \
+            [(ref > 0) - (ref < 0)]
+    if all(isinstance(v, int) for v in distinct):
+        g = math.gcd(*(p - ref for p in distinct[1:]))
+        n_ref = (2 * ref + g) // (2 * g)  # floor(ref/g + 1/2)
+        return (Fraction(denominator, g), Fraction(n_ref * g - ref, g),
+                [n_ref + (p - ref) // g for p in distinct])
+    v0, v1 = (v / denominator if isinstance(v, int) else v for v in distinct)
+    L = abs(1 / (v1 - v0))
+    g_ref = v0 * L
+    phi_over_2pi = math.floor(g_ref + 0.5) - g_ref  # in (-1/2, 1/2]
+    return L, phi_over_2pi, [round(v * L + phi_over_2pi) for v in (v0, v1)]
 
 
 def _canonical_gamma(total: float) -> float:
@@ -255,8 +238,7 @@ def _canonical_gamma(total: float) -> float:
     return g
 
 
-def geometric_phase(spectrum: Spectrum, state: StateDecomposition, *,
-                    cyclicality: Union[Cyclicality, None] = None
+def geometric_phase(spectrum: Spectrum, state: StateDecomposition
                     ) -> PhaseReport:
     """Full closed-form report: gamma = phi + tau<H>, reduced to [0, 2*pi).
 
@@ -264,39 +246,40 @@ def geometric_phase(spectrum: Spectrum, state: StateDecomposition, *,
     gamma/(2*pi) = sum_k w_k n_k + (phi/2*pi)(sum_k w_k - 1) modulo 1,
     which keeps float magnitudes at the size of the branch integers
     instead of tau*<H>.  Stationary states report gamma = 0 with the
-    `stationary` flag set.  A ``cyclicality`` verdict that
-    `check_cyclicality` returned for this same (spectrum, state) pair is
-    reused instead of classifying the state again.  A non-cyclic state
-    raises NonCyclicError.
+    `stationary` flag set.  A non-cyclic state raises NonCyclicError.
     """
-    occ = cyclicality.occupation if cyclicality is not None else None
-    if occ is None or occ.spectrum is not spectrum or occ.state is not state:
-        cyclicality = check_cyclicality(spectrum, state)
-        occ = cyclicality.occupation
-    if cyclicality.kind == "non-cyclic":
-        raise NonCyclicError(f"non-cyclic state: {cyclicality.reason}")
-    L, phi2pi, branch = _branch_data(occ.distinct)
+    levels, distinct = _occupy(spectrum, state)
+    values = list(distinct.values())
+    verdict = _verdict(values)
+    if verdict.kind == "non-cyclic":
+        raise NonCyclicError(f"non-cyclic state: {verdict.reason}")
+    d = spectrum.denominator
+    L, phi2pi, ns = _branch_data(values, d)
+    branch = dict(zip(distinct, ns))
 
-    total_weight = math.fsum(w for _, _, w in occ.levels)
+    total_weight = math.fsum(w for *_, w in levels)
     # Weights are renormalized so the 1e-12 normalization slack cannot be
     # amplified by large branch integers; summing w*(n - n_min) keeps the
     # float magnitudes at the spread of the branch integers, and the
     # integer n_min drops out of the mod-1 reduction.
-    n_min = min(branch.values())
-    acc = math.fsum((w / total_weight) * (branch[val] - n_min)
-                    for _, val, w in occ.levels)
+    n_min = min(ns)
+    acc = math.fsum((w / total_weight) * (branch[key] - n_min)
+                    for _, _, key, w in levels)
     gamma = _canonical_gamma(TWO_PI * (acc - math.floor(acc)))
+    # p/d of two ints is the correctly rounded float of the level
+    mean = math.fsum(w * (v / d if isinstance(v, int) else v)
+                     for _, v, _, w in levels)
 
     return PhaseReport(
         method="full-spectrum", unit=spectrum.unit,
         tau_cycles=L, tau=TWO_PI * float(L) / spectrum.unit,
-        phi_over_pi=(2 * phi2pi) if occ.exact else None,
+        phi_over_pi=(2 * phi2pi if all(isinstance(v, int) for v in values)
+                     else None),
         phi=TWO_PI * float(phi2pi),
         gamma=gamma,
-        mean_energy=spectrum.unit * math.fsum(w * float(v)
-                                              for _, v, w in occ.levels),
-        branch_integers={lab: branch[val] for lab, val, _ in occ.levels},
-        stationary=cyclicality.kind == "stationary")
+        mean_energy=spectrum.unit * mean,
+        branch_integers={lab: branch[key] for lab, _, key, _ in levels},
+        stationary=verdict.kind == "stationary")
 
 
 def gauge_shift(spectrum: Spectrum, c: Union[Fraction, int, float]) -> Spectrum:
@@ -306,8 +289,10 @@ def gauge_shift(spectrum: Spectrum, c: Union[Fraction, int, float]) -> Spectrum:
     and the total phase but not the geometric phase.
     """
     shift = c if isinstance(c, float) else Fraction(c)
+    d = spectrum.denominator
     # a Fraction plus a float is the float sum of the two as floats
-    return Spectrum([(lab, val + shift) for lab, val in spectrum.levels],
+    return Spectrum([(lab, (Fraction(v, d) if isinstance(v, int) else v)
+                      + shift) for lab, v in spectrum.levels],
                     unit=spectrum.unit)
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -25,7 +24,7 @@ def free_field(omega: float, occupied_n: Sequence[int],
         raise ValueError("Fock indices must be non-negative")
     if len(ns) != len(amplitudes):
         raise ValueError("one amplitude per occupied level required")
-    spectrum = Spectrum(levels=[(str(n), Fraction(n)) for n in ns], unit=omega)
+    spectrum = Spectrum(levels=[(str(n), int(n)) for n in ns], unit=omega)
     state = StateDecomposition(
         entries=[(str(n), a) for n, a in zip(ns, amplitudes)])
     return spectrum, state

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Tuple
 
 import numpy as np
@@ -38,7 +37,7 @@ def _amplitudes(theta: float) -> Tuple[complex, complex]:
 
 def spin_half(params: SpinHalfParams) -> Tuple[Spectrum, StateDecomposition]:
     spectrum = Spectrum(
-        levels=[("up", Fraction(-1)), ("down", Fraction(1))],
+        levels=[("up", -1), ("down", 1)],
         unit=params.mu_B0)
     up, down = _amplitudes(params.theta)
     entries = [(label, amp) for label, amp in (("up", up), ("down", down))

@@ -25,8 +25,7 @@ from typing import Iterable, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..engine import Spectrum, StateDecomposition, TWO_PI, _canonical_gamma
-from ..fock import (TAIL_TOL, coherent_amplitudes, create, destroy,
-                    displaced_frame_amplitudes, number)
+from ..fock import TAIL_TOL, coherent_amplitudes, displaced_frame_amplitudes
 from ..oracle import Hamiltonian
 
 __all__ = [
@@ -128,27 +127,33 @@ def cavity_dense(rho_D: float, rho_S: float, kappa_D: float, kappa_S: float,
     """Truncated three-mirror H in units hbar*omega_m (real symmetric).
 
     H conserves n_a and n_b, so it is block diagonal with one n_c x n_c
-    block per (n_a, n_b), and only the blocks' nonzero entries are
-    stored.  Each entry sums the same products in the same order as the
-    Kronecker-product form of H, so the entries are identical to it
-    without forming any full-size term.  The one-mirror cavity is the
-    case rho_S = kappa_S = 0 with a single n_b.
+    block per (n_a, n_b), and each block is a band: its diagonal, the
+    x_c = c + c^dag band at distance 1 and the c^2 + c^dag^2 band at
+    distance 2.  The diagonal sums all six terms in the order of the
+    Kronecker-product form of H, so a non-finite ratio shows there; off
+    the diagonal that form adds exact zeros to one nonzero product, so
+    each band is that product.  The entries are identical to the
+    Kronecker form without forming any block.  The one-mirror cavity is
+    the case rho_S = kappa_S = 0 with a single n_b.
     """
     na, nb, nc = truncations
-    eye_c, num_c = np.eye(nc), number(nc)
-    x_c = destroy(nc) + create(nc)
-    sq_c = destroy(nc) @ destroy(nc) + create(nc) @ create(nc)
-    n_a = np.arange(na, dtype=float)[:, None, None, None]
-    n_b = np.arange(nb, dtype=float)[None, :, None, None]
-    blocks = (rho_D * (n_a * eye_c)
-              + rho_S * (n_b * eye_c)
-              + kappa_D * (n_a * x_c)
-              + num_c
-              + kappa_S * (n_b * num_c)
-              + 0.5 * kappa_S * (n_b * (eye_c + sq_c))).reshape(-1, nc, nc)
-    block, row, col = np.nonzero(blocks)
-    return Hamiltonian(na * nb * nc, block * nc + row, block * nc + col,
-                       blocks[block, row, col], unit=omega_m)
+    n_a = np.repeat(np.arange(na, dtype=float), nb)[:, None]
+    n_b = np.tile(np.arange(nb, dtype=float), na)[:, None]
+    m = np.arange(nc, dtype=float)
+    root = np.sqrt(m[1:])
+    bands = (rho_D * n_a + rho_S * n_b + kappa_D * (n_a * 0.0) + m
+             + kappa_S * (n_b * m) + 0.5 * kappa_S * n_b,
+             kappa_D * (n_a * root),
+             0.5 * kappa_S * (n_b * (root[:-1] * root[1:])))
+    start = np.arange(na * nb)[:, None] * nc
+    entries = []
+    for k, band in enumerate(bands):
+        row = (start + np.arange(nc - k)).ravel()
+        entries.append((row, row + k, band.ravel()))
+        if k:
+            entries.append((row + k, row, band.ravel()))
+    rows, cols, values = (np.concatenate(part) for part in zip(*entries))
+    return Hamiltonian(na * nb * nc, rows, cols, values, unit=omega_m)
 
 
 def three_mirror_dense(params: ThreeMirrorParams) -> Hamiltonian:
@@ -173,17 +178,22 @@ def cavity_exact(blocks: Iterable[Tuple[str, Fraction, complex, np.ndarray]],
 
     Each block is (label prefix, exact offset, field amplitude, mirror
     amplitudes in the block's displaced basis) and holds level
-    offset + m, labeled prefix + m, for every mirror quantum m.  The mass
-    lost to the truncation (described by ``truncation`` in the error)
-    must stay below 1e-10, and the kept amplitudes are renormalized.
+    offset + m, labeled prefix + m, for every mirror quantum m.  The
+    levels are integer numerators over D, the least common denominator
+    of the offsets.  The mass lost to the truncation (described by
+    ``truncation`` in the error) must stay below 1e-10, and the kept
+    amplitudes are renormalized.
     """
+    blocks = list(blocks)
+    d = math.lcm(*(offset.denominator for _, offset, _, _ in blocks))
     levels = []
     entries = []
     mass = 0.0
     for prefix, offset, weight, mirror in blocks:
+        base = offset.numerator * (d // offset.denominator)
         for m, mirror_amp in enumerate(mirror):
             label = f"{prefix}{m}"
-            levels.append((label, offset + m))
+            levels.append((label, base + d * m))
             amp = weight * mirror_amp
             if amp != 0:
                 mass += abs(amp) ** 2
@@ -195,7 +205,7 @@ def cavity_exact(blocks: Iterable[Tuple[str, Fraction, complex, np.ndarray]],
     scale = 1.0 / math.sqrt(mass)
     state = StateDecomposition(
         entries=[(label, amp * scale) for label, amp in entries])
-    return Spectrum(levels=levels, unit=unit), state
+    return Spectrum(levels=levels, unit=unit, denominator=d), state
 
 
 def three_mirror_exact(params: ThreeMirrorParams

@@ -69,6 +69,10 @@ def lcm_rationals(values: Iterable[RationalLike]) -> Fraction:
     spacing set signals a stationary state, which the caller must handle
     through the single-eigenvalue special case.  A zero value (a zero
     spacing) has no multiple and raises ValueError too.
+
+    The engine computes the period on integer numerators instead; this
+    rational form stays as the independent reference its tests check it
+    against.
     """
     exact = [Fraction(v) for v in values]
     if not exact:

@@ -8,7 +8,7 @@ digits, which round-trips IEEE doubles exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 from .constraints import CyclicityCandidate
 from .engine import Cyclicality, PhaseReport
@@ -19,7 +19,6 @@ __all__ = [
     "format_phase_report",
     "format_real",
     "format_verify_table",
-    "parse_report",
 ]
 
 DELIM = " | "
@@ -100,31 +99,3 @@ def format_candidate_table(
             lines.append(DELIM.join((format_rational(trial),
                                      "yes" if ok else "no")))
     return "\n".join(lines) + "\n"
-
-
-def parse_report(text: str) -> Dict[str, Dict[str, str]]:
-    """Parse a structured report back into {section: {key: value}}.
-
-    Table sections map each row's first cell to the remaining cells
-    joined by the delimiter; used by round-trip and golden-file tests.
-    """
-    sections: Dict[str, Dict[str, str]] = {}
-    current: Dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = {}
-            sections[line[1:-1]] = current
-            continue
-        if DELIM in line:
-            head, _, rest = line.partition(DELIM)
-            current[head.strip()] = rest
-        elif ": " in line:
-            key, _, value = line.partition(": ")
-            current[key] = value
-        elif line.endswith(":"):
-            current[line[:-1]] = ""
-    return sections
-

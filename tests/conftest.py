@@ -1,12 +1,15 @@
-"""Shared fixtures: seeded RNG, random fixture builders, angle helpers."""
+"""Shared fixtures: seeded RNG, random fixture builders, angle helpers,
+level lookup and report parsing."""
 
 import math
 from fractions import Fraction
+from typing import Dict
 
 import numpy as np
 import pytest
 
 from aaphase.engine import Spectrum, StateDecomposition
+from aaphase.report import DELIM
 
 TWO_PI = 2.0 * math.pi
 
@@ -20,6 +23,42 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def level(spectrum: Spectrum, label: str):
+    """The level of ``label``: Fraction(p, D) for an integer numerator p
+    over the spectrum's denominator D, the float itself otherwise."""
+    value = dict(spectrum.levels)[label]
+    if isinstance(value, float):
+        return value
+    return Fraction(value, spectrum.denominator)
+
+
+def parse_report(text: str) -> Dict[str, Dict[str, str]]:
+    """Parse a structured report back into {section: {key: value}}.
+
+    Table sections map each row's first cell to the remaining cells
+    joined by the delimiter; used by round-trip and golden-file tests.
+    """
+    sections: Dict[str, Dict[str, str]] = {}
+    current: Dict[str, str] = {}
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            current = {}
+            sections[line[1:-1]] = current
+            continue
+        if DELIM in line:
+            head, _, rest = line.partition(DELIM)
+            current[head.strip()] = rest
+        elif ": " in line:
+            key, _, value = line.partition(": ")
+            current[key] = value
+        elif line.endswith(":"):
+            current[line[:-1]] = ""
+    return sections
 
 
 def circ(a: float, b: float) -> float:

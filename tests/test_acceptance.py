@@ -14,6 +14,7 @@ import numpy as np
 from conftest import (
     ACCEPTANCE_LINES,
     circ,
+    level,
     random_exact_fixture,
     random_fraction,
 )
@@ -183,7 +184,7 @@ def test_criterion_05_route_consistency():
         spectrum, state = _bounded_fixture(rng, 2, 4, 6, 4, 500)
         rep = geometric_phase(spectrum, state)
         for label, n in rep.branch_integers.items():
-            lam = spectrum.value(label)
+            lam = level(spectrum, label)
             if lam == 0:
                 continue
             routes += 1
@@ -213,7 +214,7 @@ def test_criterion_06_phase_rationality():
             continue
         # defining relation, checked per level in rational arithmetic
         for label, n in branch.items():
-            if phi_over_pi != 2 * (n - spectrum.value(label) * L):
+            if phi_over_pi != 2 * (n - level(spectrum, label) * L):
                 failures += 1
     _record(6, failures == 0,
             f"200 fixtures with >2 levels, {failures} failures")
@@ -352,7 +353,7 @@ def test_criterion_11_start_point_invariance():
     for _ in range(20):
         spectrum, state = _bounded_fixture(rng, 2, 4, 4, 3, 40)
         rep = geometric_phase(spectrum, state)
-        values = [float(spectrum.value(lab)) for lab, _ in state.entries]
+        values = [float(level(spectrum, lab)) for lab, _ in state.entries]
         psi0 = np.array([amp for _, amp in state.entries], dtype=complex)
         h = Hamiltonian.diagonal(values, unit=1.0)
         prop = SpectralPropagator(h, psi0)

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from aaphase import cli
 from aaphase import config as config_module
-from aaphase.report import parse_report
+from conftest import parse_report
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 GOLDEN = Path(__file__).resolve().parent / "golden"

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from aaphase.engine import (
     Cyclicality,
@@ -24,9 +24,8 @@ from aaphase.engine import (
     gauge_shift,
     geometric_phase,
 )
-from aaphase.engine import _branch_data
 from aaphase.rational import lcm_rationals
-from conftest import circ
+from conftest import circ, level
 
 TWO_PI = 2.0 * math.pi
 EQUAL = [("a", math.sqrt(0.5)), ("b", math.sqrt(0.5))]
@@ -39,9 +38,9 @@ def spectrum2(va, vb, unit=1.0):
 class TestSpectrumValidation:
     def test_coercion(self):
         sp = Spectrum(levels=[("a", 2), ("b", "3/4"), ("c", 0.25)])
-        assert sp.value("a") == Fraction(2)
-        assert sp.value("b") == Fraction(3, 4)
-        v = sp.value("c")
+        assert level(sp, "a") == Fraction(2)
+        assert level(sp, "b") == Fraction(3, 4)
+        v = level(sp, "c")
         assert isinstance(v, float) and v == 0.25
 
     def test_labels_unique(self):
@@ -58,11 +57,24 @@ class TestSpectrumValidation:
         with pytest.raises(ValueError, match="finite"):
             Spectrum(levels=[("a", 1)], unit=math.inf)
 
-    def test_lookup(self):
-        sp = spectrum2(2, 3)
-        assert sp.labels == ("a", "b")
-        with pytest.raises(KeyError):
-            sp.value("nope")
+    def test_rationals_share_one_denominator(self):
+        sp = Spectrum(levels=[("a", "1/2"), ("b", Fraction(-2, 3)),
+                              ("c", 0.25), ("d", 5)])
+        assert sp.denominator == 6
+        assert sp.levels == (("a", 3), ("b", -4), ("c", 0.25), ("d", 30))
+        assert all(type(v) in (int, float) for _, v in sp.levels)
+        # ints given with a denominator are numerators over it
+        sp = Spectrum(levels=[("a", 3), ("b", 5)], denominator=4)
+        assert sp.levels == (("a", 3), ("b", 5)) and sp.denominator == 4
+        sp = Spectrum(levels=[("a", 3), ("b", Fraction(1, 6))], denominator=4)
+        assert sp.denominator == 12
+        assert (level(sp, "a"), level(sp, "b")) == (Fraction(3, 4),
+                                                    Fraction(1, 6))
+
+    def test_denominator_positive_integer(self):
+        for bad in (0, -2, 1.5):
+            with pytest.raises(ValueError, match="denominator"):
+                Spectrum(levels=[("a", 1)], denominator=bad)
 
 
 class TestStateValidation:
@@ -80,10 +92,10 @@ class TestStateValidation:
         with pytest.raises(ValueError, match="unique"):
             StateDecomposition(entries=[("a", 0.6), ("a", 0.8)])
 
-    def test_weights(self):
+    def test_entries_are_complex(self):
         st_ = StateDecomposition(entries=[("a", 0.6), ("b", 0.8j)])
-        w = st_.weights()
-        assert math.isclose(w["a"], 0.36) and math.isclose(w["b"], 0.64)
+        assert st_.entries == (("a", 0.6 + 0j), ("b", 0.8j))
+        assert all(type(a) is complex for _, a in st_.entries)
 
     def test_unknown_label_errors_at_use(self):
         sp = spectrum2(2, 3)
@@ -142,17 +154,6 @@ class TestCyclicality:
         st_ = StateDecomposition(
             entries=[(lab, math.sqrt(1 / len(values))) for lab in labels])
         assert str(check_cyclicality(sp, st_)) == verdict
-
-    def test_verdict_reused_only_for_its_own_pair(self):
-        sp = spectrum2(2, 3)
-        st_ = StateDecomposition(entries=EQUAL)
-        verdict = check_cyclicality(sp, st_)
-        assert geometric_phase(sp, st_, cyclicality=verdict) == \
-            geometric_phase(sp, st_)
-        # a verdict for another spectrum is recomputed, not trusted
-        other = spectrum2(2, 5)
-        assert geometric_phase(other, st_, cyclicality=verdict) == \
-            geometric_phase(other, st_)
 
 
 class TestTwoLevelExact:
@@ -316,13 +317,13 @@ class TestSingleRouteValidation:
 class TestGaugeShift:
     def test_exact_shift_stays_exact(self):
         sp = gauge_shift(spectrum2(2, 3), Fraction(-1, 2))
-        assert sp.value("a") == Fraction(3, 2)
-        assert sp.value("b") == Fraction(5, 2)
+        assert sp.levels == (("a", 3), ("b", 5)) and sp.denominator == 2
         assert sp.unit == 1.0
 
     def test_float_shift_floats_everything(self):
         sp = gauge_shift(spectrum2(2, 3), 0.5)
-        assert isinstance(sp.value("a"), float) and sp.value("a") == 2.5
+        assert sp.levels == (("a", 2.5), ("b", 3.5))
+        assert all(type(v) is float for _, v in sp.levels)
 
     def test_float_shift_preserves_gamma(self):
         st_ = StateDecomposition(entries=EQUAL)
@@ -365,7 +366,7 @@ def test_branch_identity_is_exact(fix):
     rep = geometric_phase(spectrum, state)
     assert -1 < rep.phi_over_pi <= 1
     for lab, n in rep.branch_integers.items():
-        assert rep.phi_over_pi == 2 * (n - spectrum.value(lab) * rep.tau_cycles)
+        assert rep.phi_over_pi == 2 * (n - level(spectrum, lab) * rep.tau_cycles)
 
 
 @settings(deadline=None)
@@ -380,13 +381,13 @@ def test_gamma_against_exact_recomputation(fix):
     gamma_exact = TWO_PI * float(acc)
     assert circ(rep.gamma, gamma_exact) < 1e-6
 
-    mh = sum((w * spectrum.value(lab) for lab, w in weights.items()),
+    mh = sum((w * level(spectrum, lab) for lab, w in weights.items()),
              Fraction(0))
     g_tau = gamma_from_single_eigenvalue_tau(
-        spectrum.value(state.labels[0]), mh, tau_cycles=rep.tau_cycles)
+        level(spectrum, state.entries[0][0]), mh, tau_cycles=rep.tau_cycles)
     assert circ(g_tau, gamma_exact) < 1e-9
-    for lab in state.labels:
-        lam = spectrum.value(lab)
+    for lab, _ in state.entries:
+        lam = level(spectrum, lab)
         if lam == 0:
             continue
         matched = rep.phi_over_pi - 2 * rep.branch_integers[lab]
@@ -408,6 +409,55 @@ def test_reference_spacing_lcm_equals_all_pairs_lcm(values):
         lcm_rationals([1 / s for s in pairs])
 
 
+def fraction_branch_reference(values):
+    """(L, phi/pi, [n per value]) in Fraction arithmetic: L is the LCM of
+    the inverse spacings from the first level, phi/(2*pi) = n_0 - v_0*L
+    with n_0 = floor(v_0*L + 1/2), and n_k = v_k*L + phi/(2*pi)."""
+    ref = values[0]
+    L = lcm_rationals(1 / (v - ref) for v in values[1:])
+    n_ref = math.floor(ref * L + Fraction(1, 2))
+    phi_over_2pi = n_ref - ref * L
+    ns = [v * L + phi_over_2pi for v in values]
+    assert all(n.denominator == 1 for n in ns)
+    return L, 2 * phi_over_2pi, [int(n) for n in ns]
+
+
+@st.composite
+def exact_spectra(draw):
+    """3-8 distinct rationals with denominators <= 1000, zero and negative
+    values included.  Every other draw builds the levels on a grid of
+    step s around v_0 = (k + 1/2)*g*s, g the gcd of the grid offsets, so
+    that p_0/G = v_0*L = k + 1/2 is a tie of the canonical branch."""
+    n = draw(st.integers(3, 8))
+    if draw(st.booleans()):
+        return draw(st.lists(
+            st.fractions(min_value=Fraction(-1000), max_value=Fraction(1000),
+                         max_denominator=1000),
+            min_size=n, max_size=n, unique=True))
+    step = draw(st.fractions(min_value=Fraction(1, 500), max_value=20,
+                             max_denominator=500))
+    offsets = [0] + draw(st.lists(st.integers(-50, 50).filter(bool),
+                                  min_size=n - 1, max_size=n - 1, unique=True))
+    ref = (draw(st.integers(-20, 20)) + Fraction(1, 2)) \
+        * math.gcd(*offsets) * step
+    return [ref + o * step for o in offsets]
+
+
+@settings(deadline=None)
+@given(exact_spectra())
+def test_integer_branch_data_matches_fraction_reference(values):
+    labels = [f"L{i}" for i in range(len(values))]
+    spectrum = Spectrum(levels=list(zip(labels, values)))
+    state = StateDecomposition(
+        entries=[(lab, math.sqrt(1 / len(values))) for lab in labels])
+    rep = geometric_phase(spectrum, state)
+    L, phi_over_pi, ns = fraction_branch_reference(values)
+    assert isinstance(rep.tau_cycles, Fraction) and rep.tau_cycles == L
+    assert isinstance(rep.phi_over_pi, Fraction)
+    assert rep.phi_over_pi == phi_over_pi
+    assert rep.branch_integers == dict(zip(labels, ns))
+
+
 @settings(deadline=None)
 @given(exact_fixtures(),
        st.fractions(min_value=Fraction(-5), max_value=Fraction(5),
@@ -425,15 +475,13 @@ def test_gauge_invariance(fix, c):
 
 def two_level_float_reference(distinct):
     """The separate float routine that two irrational levels used to take;
-    the branch routine must reproduce it bit for bit."""
+    the engine must reproduce it bit for bit."""
     v0, v1 = float(distinct[0]), float(distinct[1])
     L = 1.0 / abs(v1 - v0)
     g0 = v0 * L
     n0 = math.floor(g0 + 0.5)
     phi_over_2pi = n0 - g0
-    branch = {}
-    for v in distinct:
-        branch[v] = round(float(v) * L + phi_over_2pi)
+    branch = [round(float(v) * L + phi_over_2pi) for v in distinct]
     return L, phi_over_2pi, branch
 
 
@@ -446,12 +494,18 @@ level_st = st.one_of(
 
 @settings(deadline=None, max_examples=300)
 @given(level_st, level_st)
+# a float beside a rational stored as a numerator over D > 1
+@example(Fraction(1, 2), math.sqrt(2))
+@example(math.sqrt(2), Fraction(-7, 3))
 def test_two_level_branch_data_matches_float_formula(v0, v1):
     assume(isinstance(v0, float) or isinstance(v1, float))
     assume(v0 != v1 and math.isfinite(1.0 / abs(float(v1) - float(v0))))
-    L, phi2pi, branch = _branch_data([v0, v1])
-    want_L, want_phi2pi, want_branch = two_level_float_reference([v0, v1])
-    assert isinstance(L, float) and L.hex() == want_L.hex()
-    assert isinstance(phi2pi, float) and phi2pi.hex() == want_phi2pi.hex()
-    assert branch == want_branch
-    assert all(type(n) is int for n in branch.values())
+    rep = geometric_phase(spectrum2(v0, v1), StateDecomposition(entries=EQUAL))
+    want_L, want_phi2pi, (n0, n1) = two_level_float_reference([v0, v1])
+    assert isinstance(rep.tau_cycles, float)
+    assert rep.tau_cycles.hex() == want_L.hex()
+    assert rep.tau.hex() == (TWO_PI * want_L).hex()
+    assert rep.phi.hex() == (TWO_PI * want_phi2pi).hex()
+    assert rep.phi_over_pi is None
+    assert rep.branch_integers == {"a": n0, "b": n1}
+    assert all(type(n) is int for n in rep.branch_integers.values())

@@ -33,7 +33,7 @@ class TestSpinHalf:
 
     def test_north_pole_is_stationary(self):
         sp, state = spin_half(SpinHalfParams(theta=0.0))
-        assert state.labels == ("up",)
+        assert [lab for lab, _ in state.entries] == ["up"]
         assert check_cyclicality(sp, state).kind == "stationary"
         assert geometric_phase(sp, state).gamma == 0.0
 

@@ -23,8 +23,8 @@ from aaphase.report import (
     format_phase_report,
     format_real,
     format_verify_table,
-    parse_report,
 )
+from conftest import level, parse_report
 
 
 class TestRealFormatting:
@@ -204,7 +204,7 @@ class TestFreeFieldConfig:
                 "[free_field]\nomega = 3\nocc".replace("occ", "occupied_n")
                 + f" = 0 2 5\namplitudes = {a}; {a}; {a}\n")
         run = load_config(write_config(tmp_path, text))
-        assert run.spectrum.value("5") == 5
+        assert level(run.spectrum, "5") == 5
         assert run.hamiltonian.dimension == 6
         assert run.psi0[2] == pytest.approx(a)
 
@@ -238,22 +238,22 @@ class TestRawSpectrumConfig:
                 "[raw_spectrum]\nlevels = 0.5 3/2\n"
                 "amplitudes = 0.6; 0.8\n")
         run = load_config(write_config(tmp_path, text))
-        assert run.spectrum.value("0") == Fraction(1, 2)
-        assert run.spectrum.value("1") == Fraction(3, 2)
+        assert level(run.spectrum, "0") == Fraction(1, 2)
+        assert level(run.spectrum, "1") == Fraction(3, 2)
 
     def test_repeating_decimal_recovers_thirds(self, tmp_path):
         text = ("[run]\nmodel = raw_spectrum\n\n"
                 "[raw_spectrum]\nlevels = 0 0.3333333333\n"
                 "amplitudes = 0.6; 0.8\n")
         run = load_config(write_config(tmp_path, text))
-        assert run.spectrum.value("1") == Fraction(1, 3)
+        assert level(run.spectrum, "1") == Fraction(1, 3)
 
     def test_irrational_survives_as_float(self, tmp_path):
         text = ("[run]\nmodel = raw_spectrum\n\n"
                 "[raw_spectrum]\nlevels = 0 1.4142135623730951\n"
                 "amplitudes = 0.6; 0.8\n")
         run = load_config(write_config(tmp_path, text))
-        v = run.spectrum.value("1")
+        v = level(run.spectrum, "1")
         assert isinstance(v, float) and v == math.sqrt(2.0)
 
     def test_custom_labels_and_unit(self, tmp_path):
@@ -261,7 +261,7 @@ class TestRawSpectrumConfig:
                 "[raw_spectrum]\nlevels = 2 3\namplitudes = 0.6; 0.8\n"
                 "labels = lo hi\nunit = 2.5\n")
         run = load_config(write_config(tmp_path, text))
-        assert run.spectrum.value("hi") == 3
+        assert level(run.spectrum, "hi") == 3
         assert run.spectrum.unit == 2.5
 
     def test_zero_amplitudes_drop_from_state(self, tmp_path):
@@ -269,7 +269,7 @@ class TestRawSpectrumConfig:
                 "[raw_spectrum]\nlevels = 2 3 4\n"
                 "amplitudes = 0.6; 0; 0.8\n")
         run = load_config(write_config(tmp_path, text))
-        assert run.state.labels == ("0", "2")
+        assert [lab for lab, _ in run.state.entries] == ["0", "2"]
 
     def test_label_count_mismatch(self, tmp_path):
         text = ("[run]\nmodel = raw_spectrum\n\n"
@@ -352,7 +352,7 @@ class TestThreeMirrorConfig:
         # rho_D = 5/2, kappa_D = 1/4: exact family, spectrum available
         assert run.spectrum is not None
         assert run.hamiltonian.dimension == 10 * 10 * 26
-        assert run.spectrum.value("1,0,0") == Fraction(5, 2) - Fraction(1, 16)
+        assert level(run.spectrum, "1,0,0") == Fraction(5, 2) - Fraction(1, 16)
 
     def test_squeezed_coupling_disables_exact_route(self, tmp_path):
         text = ("[run]\nmodel = three_mirror\n\n"

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh
 
 from aaphase.engine import geometric_phase
@@ -21,7 +22,7 @@ from aaphase.models import (
 from aaphase.models.three_mirror import three_mirror_chi
 from aaphase.oracle import SpectralPropagator, generic_gamma
 
-from conftest import circ
+from conftest import circ, level
 
 TWO_PI = 2.0 * math.pi
 
@@ -106,8 +107,32 @@ class TestExactRoute:
     def test_decoupled_spectrum_values(self):
         p = decoupled_params()
         sp, state = three_mirror_exact(p)
-        assert sp.value("1,2,3") == 2 + 6 + 3
-        assert sp.value("0,0,0") == 0
+        assert level(sp, "1,2,3") == 2 + 6 + 3
+        assert level(sp, "0,0,0") == 0
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.fractions(min_value=Fraction(1, 9), max_value=9,
+                        max_denominator=12).filter(lambda f: f.denominator > 1),
+           st.fractions(min_value=Fraction(1, 9), max_value=9,
+                        max_denominator=12).filter(lambda f: f.denominator > 1),
+           st.fractions(min_value=-3, max_value=3,
+                        max_denominator=9).filter(lambda f: f.denominator > 1),
+           st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 5)))
+    def test_levels_match_block_formula(self, rho_D, rho_S, kappa_D,
+                                        truncations):
+        # vacuum inputs occupy one level, so every truncation passes the
+        # tail check; all levels are still listed
+        p = ThreeMirrorParams(rho_D=rho_D, rho_S=rho_S, kappa_D=kappa_D,
+                              truncations=truncations)
+        sp, _ = three_mirror_exact(p)
+        assert all(type(v) is int for _, v in sp.levels)
+        na, nb, nc = truncations
+        assert len(sp.levels) == na * nb * nc
+        for i in range(na):
+            for j in range(nb):
+                for m in range(nc):
+                    assert level(sp, f"{i},{j},{m}") == (
+                        rho_D * i + rho_S * j + m - kappa_D ** 2 * i * i)
 
     def test_decoupled_matches_closed_form(self):
         p = decoupled_params()

@@ -23,7 +23,7 @@ from aaphase.models import (
 )
 from aaphase.oracle import generic_gamma
 
-from conftest import circ
+from conftest import circ, level
 
 TWO_PI = 2.0 * math.pi
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -100,11 +100,12 @@ class TestBlockDiagonalization:
     def test_spectrum_labels_and_values(self):
         params = make_params(SUP, 0.0)
         sp, state = two_mirror_spectrum(params)
-        assert sp.value("1,3") == float(params.r) * 1 + 3 - Fraction(1, 2)
-        assert sp.value("0,2") == 2
+        assert level(sp, "1,3") == float(params.r) * 1 + 3 - Fraction(1, 2)
+        assert level(sp, "0,2") == 2
         assert sp.unit == params.omega_m
         # beta = 0: the n = 0 block occupies only m = 0
-        assert "0,0" in state.labels and "0,1" not in state.labels
+        occupied = dict(state.entries)
+        assert "0,0" in occupied and "0,1" not in occupied
 
     def test_truncation_tail_is_an_error(self):
         with pytest.raises(ValueError, match="truncation too small"):
