@@ -20,8 +20,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Mapping, Optional, Tuple, Union
 
-import numpy as np
-
 from .constraints import PartialSpectrum
 from .engine import Spectrum, StateDecomposition
 from .models import (
@@ -178,7 +176,10 @@ class LoadedRun:
     def _built(self) -> Tuple[Optional[Hamiltonian], Optional[np.ndarray]]:
         if self.build is None:
             return None, None
+        import numpy as np
         try:
+            # no numpy overflow warnings: the finiteness checks report a
+            # non-finite entry as a config error
             with np.errstate(over="ignore", invalid="ignore"):
                 return self.build()
         except ValueError as exc:
@@ -196,8 +197,11 @@ class LoadedRun:
         return self._built[1]
 
 
-def _normalized(psi0: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(psi0))
+def _normalized(psi0) -> np.ndarray:
+    import numpy as np
+    psi0 = np.asarray(psi0, dtype=complex)
+    with np.errstate(over="ignore"):   # an overflow to inf fails below
+        norm = float(np.linalg.norm(psi0))
     if not 0 < norm < math.inf:
         raise ConfigError(f"psi0 cannot be normalized: |psi0| = {norm!r}")
     return psi0 / norm
@@ -255,6 +259,7 @@ def _load_free_field(sec) -> LoadedRun:
         spectrum, state = free_field_coherent(omega, alpha, dim)
 
     def build():
+        import numpy as np
         psi0 = np.zeros(dim, dtype=complex)
         for label, amp in state.entries:
             psi0[int(label)] = amp
@@ -303,9 +308,12 @@ def _load_three_mirror(sec) -> LoadedRun:
         alpha=mode("alpha"), beta=mode("beta"), mu=mode("mu"),
         truncations=_get(sec, "truncations", _each(int), "15 15 25"),
         omega_m=float(unit))
-    psi0 = three_mirror_initial_state(params)
-    run = LoadedRun(model="three_mirror",
-                    build=lambda: (three_mirror_dense(params), psi0))
+
+    def build():
+        psi0 = three_mirror_initial_state(params)
+        return three_mirror_dense(params), psi0
+
+    run = LoadedRun(model="three_mirror", build=build)
     if params.exact_family:
         run.spectrum, run.state = three_mirror_exact(params)
     return run
@@ -328,10 +336,11 @@ def _load_raw_spectrum(sec) -> LoadedRun:
         model="raw_spectrum", spectrum=spectrum, state=state,
         build=lambda: (Hamiltonian.diagonal([float(v) for v in values],
                                             unit=unit),
-                       _normalized(np.asarray(amps, dtype=complex))))
+                       _normalized(amps)))
 
 
 def _load_dense_matrix(sec) -> LoadedRun:
+    import numpy as np
     dim = _get(sec, "dimension", int)
     entries = _get(sec, "entries", lambda text: _complex_list(text, ","))
     if len(entries) != dim * dim:
@@ -389,10 +398,7 @@ def load_config(path: str, flags: Optional[Mapping] = None) -> LoadedRun:
                           f"expected one of {', '.join(_LOADERS)}")
     options = _run_options(cp, flags or {})
     try:
-        # no numpy overflow warnings (as in LoadedRun._built): the
-        # finiteness checks report a non-finite entry as a config error
-        with np.errstate(over="ignore", invalid="ignore"):
-            run = _LOADERS[model](_section(cp, model))
+        run = _LOADERS[model](_section(cp, model))
     except (IncommensurableError, ConfigError):
         raise
     except (ValueError, TypeError) as exc:

@@ -35,12 +35,22 @@ __all__ = [
     "gamma_from_single_eigenvalue_tau",
     "gauge_shift",
     "geometric_phase",
+    "squared_norm",
 ]
 
 TWO_PI = 2.0 * math.pi
 
 Value = Union[int, float]
 NORMALIZATION_TOL = 1e-12
+
+
+def squared_norm(amplitudes) -> float:
+    """sum |a|^2, correctly rounded; inf where an |a| or its square
+    overflows, which Python floats report by raising OverflowError."""
+    try:
+        return math.fsum(abs(a) ** 2 for a in amplitudes)
+    except OverflowError:
+        return math.inf
 
 
 class NonCyclicError(ValueError):
@@ -105,7 +115,7 @@ class StateDecomposition:
             raise ValueError("state labels must be unique")
         if any(a == 0 for _, a in ent):
             raise ValueError("zero-amplitude entries must be absent")
-        total = math.fsum(abs(a) ** 2 for _, a in ent)
+        total = squared_norm(a for _, a in ent)
         if not abs(total - 1.0) <= NORMALIZATION_TOL:  # NaN fails too
             raise ValueError(f"state not normalized: sum |a|^2 = {total!r}")
         object.__setattr__(self, "entries", ent)

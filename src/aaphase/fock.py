@@ -1,45 +1,30 @@
-"""Truncated Fock-space operators and coherent-state expansions.
+"""Coherent-state expansions in a truncated Fock space.
 
-Shared plumbing for the optomechanical models: ladder operators as dense
-arrays, coherent amplitudes with explicit truncation-tail accounting,
-and amplitudes of displaced coherent states in a displaced Fock basis.
+Shared plumbing for the optomechanical models: coherent amplitudes with
+explicit truncation-tail accounting, and amplitudes of displaced
+coherent states in a displaced Fock basis.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 __all__ = [
     "coherent_amplitudes",
-    "create",
-    "destroy",
     "displaced_frame_amplitudes",
-    "number",
 ]
 
 TAIL_TOL = 1e-10
 
 
-def destroy(dim: int) -> np.ndarray:
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1)
-
-
-def create(dim: int) -> np.ndarray:
-    return destroy(dim).T.copy()
-
-
-def number(dim: int) -> np.ndarray:
-    return np.diag(np.arange(dim, dtype=float))
-
-
 def _raw_coherent(alpha: complex, dim: int) -> np.ndarray:
     """exp(-|a|^2/2) a^n / sqrt(n!) by stable recurrence."""
+    import numpy as np
     amps = np.empty(dim, dtype=complex)
-    r = abs(alpha)
+    try:
+        r = abs(alpha)
+    except OverflowError:                 # |alpha| past the float range
+        r = math.inf
     amps[0] = math.exp(-0.5 * r * r)      # r ** 2 raises OverflowError
     for n in range(1, dim):
         amps[n] = amps[n - 1] * alpha / math.sqrt(n)
@@ -52,6 +37,7 @@ def coherent_amplitudes(alpha: complex, truncation: int) -> np.ndarray:
     The tail mass 1 - sum|A_n|^2 must stay below 1e-10; larger tails are
     an error, not something to paper over by renormalizing harder.
     """
+    import numpy as np
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
     amps = _raw_coherent(alpha, truncation)
@@ -70,7 +56,10 @@ def displaced_frame_amplitudes(alpha: complex, d: complex,
 
     D(-d)|alpha> = exp(i Im(d* alpha)) |alpha - d>, so the result is the
     coherent expansion of alpha - d times a global phase.  No tail check
-    here; callers account for the displaced tail themselves.
+    here; callers account for the displaced tail themselves, and their
+    tail checks reject a result that overflowed.
     """
-    phase = np.exp(1j * (np.conj(d) * alpha).imag)
-    return phase * _raw_coherent(complex(alpha) - complex(d), truncation)
+    import numpy as np
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = np.exp(1j * (np.conj(d) * alpha).imag)
+        return phase * _raw_coherent(complex(alpha) - complex(d), truncation)

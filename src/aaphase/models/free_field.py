@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from typing import Sequence, Tuple
 
-import numpy as np
-
 from ..engine import Spectrum, StateDecomposition
 from ..fock import coherent_amplitudes
 from ..oracle import Hamiltonian
@@ -38,4 +36,5 @@ def free_field_coherent(omega: float, alpha: complex, truncation: int
 
 
 def free_field_dense(omega: float, dim: int) -> Hamiltonian:
+    import numpy as np
     return Hamiltonian.diagonal(np.arange(dim, dtype=float), unit=omega)

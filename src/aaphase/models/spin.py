@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-import numpy as np
-
 from ..engine import Spectrum, StateDecomposition
 from ..oracle import Hamiltonian
 
@@ -46,6 +44,7 @@ def spin_half(params: SpinHalfParams) -> Tuple[Spectrum, StateDecomposition]:
 
 
 def spin_half_dense(params: SpinHalfParams) -> Tuple[Hamiltonian, np.ndarray]:
+    import numpy as np
     h = Hamiltonian.diagonal([-1.0, 1.0], unit=params.mu_B0)
     up, down = _amplitudes(params.theta)
     return h, np.array([up, down], dtype=complex)

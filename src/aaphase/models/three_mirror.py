@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from ..engine import Spectrum, StateDecomposition, TWO_PI, _canonical_gamma
 from ..fock import TAIL_TOL, coherent_amplitudes, displaced_frame_amplitudes
 from ..oracle import Hamiltonian
@@ -103,12 +101,14 @@ class ThreeMirrorParams:
 
 def _mode_vector(mode: ModeInput, truncation: int,
                  name: str) -> Tuple[np.ndarray, Optional[complex]]:
+    import numpy as np
     if _is_scalar(mode):
         return coherent_amplitudes(complex(mode), truncation), complex(mode)
     vec = np.asarray(mode, dtype=complex)
     if vec.ndim != 1 or vec.size < 1 or vec.size > truncation:
         raise ValueError(f"{name} amplitude list does not fit truncation")
-    norm = float(np.sum(np.abs(vec) ** 2))
+    with np.errstate(over="ignore"):   # an overflow to inf fails below
+        norm = float(np.sum(np.abs(vec) ** 2))
     if not abs(norm - 1.0) <= 1e-12:  # NaN fails too
         raise ValueError(f"{name} amplitudes not normalized: {norm!r}")
     if vec.size < truncation:
@@ -136,6 +136,7 @@ def cavity_dense(rho_D: float, rho_S: float, kappa_D: float, kappa_S: float,
     Kronecker form without forming any block.  The one-mirror cavity is
     the case rho_S = kappa_S = 0 with a single n_b.
     """
+    import numpy as np
     na, nb, nc = truncations
     n_a = np.repeat(np.arange(na, dtype=float), nb)[:, None]
     n_b = np.tile(np.arange(nb, dtype=float), na)[:, None]
@@ -163,6 +164,7 @@ def three_mirror_dense(params: ThreeMirrorParams) -> Hamiltonian:
 
 
 def three_mirror_initial_state(params: ThreeMirrorParams) -> np.ndarray:
+    import numpy as np
     na, nb, nc = params.truncations
     a_vec, _ = _mode_vector(params.alpha, na, "alpha")
     b_vec, _ = _mode_vector(params.beta, nb, "beta")
@@ -191,7 +193,8 @@ def cavity_exact(blocks: Iterable[Tuple[str, Fraction, complex, np.ndarray]],
     mass = 0.0
     for prefix, offset, weight, mirror in blocks:
         base = offset.numerator * (d // offset.denominator)
-        for m, mirror_amp in enumerate(mirror):
+        weight = complex(weight)  # numpy scalar arithmetic per level is slower
+        for m, mirror_amp in enumerate(mirror.tolist()):
             label = f"{prefix}{m}"
             levels.append((label, base + d * m))
             amp = weight * mirror_amp
@@ -248,6 +251,7 @@ def _mirror_moments(params: ThreeMirrorParams) -> Tuple[float, float, float]:
     operators forces the conjugation even though it is easy to lose
     when transcribing the sums.
     """
+    import numpy as np
     nc = params.truncations[2]
     m_vec, _ = _mode_vector(params.mu, nc, "mu")
     ns = np.arange(nc)
@@ -261,6 +265,7 @@ def _mirror_moments(params: ThreeMirrorParams) -> Tuple[float, float, float]:
 
 def three_mirror_scaled_mean_energy(params: ThreeMirrorParams) -> float:
     """<H>/(hbar*omega_m) for the product initial state."""
+    import numpy as np
     na, nb, _ = params.truncations
     a_vec, _ = _mode_vector(params.alpha, na, "alpha")
     b_vec, _ = _mode_vector(params.beta, nb, "beta")

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-import numpy as np
-
-from ..engine import Spectrum, StateDecomposition, _canonical_gamma, TWO_PI
+from ..engine import (Spectrum, StateDecomposition, _canonical_gamma, TWO_PI,
+                      squared_norm)
 from ..fock import coherent_amplitudes, displaced_frame_amplitudes
 from ..oracle import Hamiltonian
 from .three_mirror import cavity_dense, cavity_exact
@@ -70,7 +69,7 @@ class TwoMirrorParams:
         amps = tuple(complex(c) for c in self.field_amplitudes)
         if not amps:
             raise ValueError("field_amplitudes must be non-empty")
-        norm = math.fsum(abs(c) ** 2 for c in amps)
+        norm = squared_norm(amps)
         if not abs(norm - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError(f"field amplitudes not normalized: {norm!r}")
         object.__setattr__(self, "field_amplitudes", amps)
@@ -149,6 +148,7 @@ def two_mirror_gamma_closed_form(params: TwoMirrorParams, p: int) -> float:
 def two_mirror_dense(params: TwoMirrorParams
                      ) -> Tuple[Hamiltonian, np.ndarray]:
     """Truncated H (units hbar*omega_m) and the initial vector."""
+    import numpy as np
     nm = params.mirror_truncation
     h = cavity_dense(float(params.r), 0.0, -params.k, 0.0,
                      (len(params.field_amplitudes), 1, nm), params.omega_m)

@@ -8,6 +8,10 @@ error), the period is read off the first fidelity return, and the
 dynamical phase is the period times the mean energy, which is constant
 along the evolution.  Every closed-form result is validated against this
 route.
+
+numpy is imported inside the functions that use it, so that importing
+this module (and with it the command-line front end) does not load it:
+the exact route never builds an array.
 """
 
 from __future__ import annotations
@@ -16,9 +20,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from typing import Tuple, Union
-
-import numpy as np
-from numpy.linalg import eigh
 
 from .engine import PhaseReport, TWO_PI, _canonical_gamma
 
@@ -49,6 +50,13 @@ CHUNK_ENTRIES = 1 << 20
 MAX_STEPS = 1 << 21
 
 
+def eigh(a):
+    """numpy.linalg.eigh; a module attribute looked up at call time, so a
+    test or a tracer can substitute it."""
+    import numpy as np
+    return np.linalg.eigh(a)
+
+
 class NoReturnError(RuntimeError):
     """No fidelity return was found within t_max."""
 
@@ -72,6 +80,7 @@ class Hamiltonian:
     unit: float = 1.0
 
     def __init__(self, dimension: int, rows, cols, values, unit: float = 1.0):
+        import numpy as np
         n = int(dimension)
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
@@ -97,8 +106,9 @@ class Hamiltonian:
         mirror = cols * n + rows
         at = np.minimum(np.searchsorted(key, mirror), max(key.size - 1, 0))
         partner = np.where(key[at] == mirror, values[at], 0)
-        scale = float(np.max(np.abs(values), initial=0.0))
-        dev = float(np.max(np.abs(values - partner.conj()), initial=0.0))
+        with np.errstate(over="ignore"):   # entries near the float range
+            scale = float(np.max(np.abs(values), initial=0.0))
+            dev = float(np.max(np.abs(values - partner.conj()), initial=0.0))
         if dev > HERMITICITY_TOL * max(scale, 1e-300):
             raise ValueError(f"matrix is not Hermitian: max|H - H^dag| = {dev:g}")
         if not 0 < unit < math.inf:
@@ -114,6 +124,7 @@ class Hamiltonian:
     @classmethod
     def from_dense(cls, matrix, unit: float = 1.0) -> "Hamiltonian":
         """The entries of a square array that compare unequal to zero."""
+        import numpy as np
         m = np.asarray(matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("matrix must be square")
@@ -123,12 +134,14 @@ class Hamiltonian:
     @classmethod
     def diagonal(cls, levels, unit: float = 1.0) -> "Hamiltonian":
         """The diagonal matrix with these levels."""
+        import numpy as np
         index = np.arange(len(levels))
         return cls(index.size, index, index, levels, unit)
 
     @property
     def matrix(self) -> np.ndarray:
         """The dense array, built anew on every read."""
+        import numpy as np
         m = np.zeros((self.dimension,) * 2, dtype=self.values.dtype)
         m[self.rows, self.cols] = self.values
         return m
@@ -155,6 +168,7 @@ def _components(dimension: int, rows: np.ndarray,
     label.  A round that moves nothing leaves every index labelled with
     its component's least index.
     """
+    import numpy as np
     labels = np.arange(dimension)
     while True:
         new = labels.copy()
@@ -185,6 +199,7 @@ class SpectralPropagator:
     """
 
     def __init__(self, hamiltonian: Hamiltonian, psi0: np.ndarray):
+        import numpy as np
         psi0 = np.asarray(psi0, dtype=complex).ravel()
         if psi0.shape[0] != hamiltonian.dimension:
             raise ValueError("psi0 dimension mismatch")
@@ -252,6 +267,7 @@ class SpectralPropagator:
     def survival_amplitude(self, times) -> np.ndarray:
         """<psi0|psi(t)> for a few arbitrary times, via the occupied levels
         only; whole grids go through `survival_grid`."""
+        import numpy as np
         t = np.atleast_1d(np.asarray(times, dtype=float))
         return np.exp(-1j * np.outer(t, self._occ_omega)) @ self._occ_w
 
@@ -264,6 +280,7 @@ class SpectralPropagator:
         own points: about (n/B + B) * levels exponentials instead of
         n * levels.  Coarse rows go in chunks under CHUNK_ENTRIES.
         """
+        import numpy as np
         t = np.asarray(times, dtype=float)
         omega = self._occ_omega
         fine, rows = _grid_shape(t.size, omega.size)
@@ -277,9 +294,10 @@ class SpectralPropagator:
         return out.ravel()[:t.size]
 
     def fidelity(self, times) -> np.ndarray:
-        return np.abs(self.survival_amplitude(times))
+        return abs(self.survival_amplitude(times))
 
     def state_at(self, t: float) -> np.ndarray:
+        import numpy as np
         coeffs = self.amplitudes * np.exp(-1j * self.omegas * t)
         state = np.empty(coeffs.size, dtype=complex)
         for idx, vectors, pos in self._groups:
@@ -321,6 +339,7 @@ def evolve(hamiltonian: Hamiltonian, psi0, t_max: float,
     An existing propagator for the same (H, psi0) pair may be passed to
     skip rediagonalization.
     """
+    import numpy as np
     if steps < 2:
         raise ValueError("steps must be >= 2")
     if not t_max > 0:
@@ -354,6 +373,7 @@ def _prune(prop: SpectralPropagator, times: np.ndarray, fid: np.ndarray,
     within |nu_k - nu_j| dt + 2 CERTIFICATE_TOL.  The margin covers
     rounding and the levels below CERTIFICATE_FLOOR.
     """
+    import numpy as np
     w, nu = prop._occ_w, prop._occ_nu
     dt, heavy = times[1] - times[0], w >= CERTIFICATE_FLOOR
     margin = (32 * np.spacing(1.0 + np.max(np.abs(prop._occ_omega)) * times[-1])
@@ -376,6 +396,7 @@ def _refine(prop: SpectralPropagator, lo: float, hi: float, t: float) -> float:
     g = Re(conj B B') = 0 (B as in `_prune`), bisecting whenever a step
     leaves the bracket or meets g' >= 0.  B, B' and B'' share one
     exponential per occupied level."""
+    import numpy as np
     w, nu = prop._occ_w, prop._occ_nu
     for _ in range(100):    # a cap: bisecting a grid bracket takes < 60 steps
         terms = w * np.exp(-1j * nu * t)
@@ -408,6 +429,7 @@ def detect_period(result: EvolutionResult, fidelity_tol: float = 1e-8, *,
     phi_est = arg<psi0|psi(tau)> in (-pi, pi].  Stationary input
     degenerates to the first grid peak; callers screen it beforehand.
     """
+    import numpy as np
     if not 0 < fidelity_tol <= 1e-3:
         raise ValueError("fidelity_tol must be in (0, 1e-3]")
     fid, times, prop = result.fidelity_track, result.times, result.propagator

@@ -1,5 +1,5 @@
 """Shared fixtures: seeded RNG, random fixture builders, angle helpers,
-level lookup and report parsing."""
+level lookup, report parsing and dense ladder operators."""
 
 import math
 from fractions import Fraction
@@ -59,6 +59,21 @@ def parse_report(text: str) -> Dict[str, Dict[str, str]]:
         elif line.endswith(":"):
             current[line[:-1]] = ""
     return sections
+
+
+def destroy(dim: int) -> np.ndarray:
+    """Truncated annihilation operator as a dense array."""
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1)
+
+
+def create(dim: int) -> np.ndarray:
+    return destroy(dim).T.copy()
+
+
+def number(dim: int) -> np.ndarray:
+    return np.diag(np.arange(dim, dtype=float))
 
 
 def circ(a: float, b: float) -> float:

@@ -488,11 +488,11 @@ class TestDenseOnDemand:
                     for config in configs]
 
         def refuse(*args, **kwargs):
-            raise AssertionError("analyze built the dense matrix")
+            raise AssertionError("analyze built the dense matrix or psi0")
 
         for name in ("three_mirror_dense", "two_mirror_dense",
                      "spin_half_dense", "free_field_dense",
-                     "Hamiltonian"):
+                     "three_mirror_initial_state", "Hamiltonian"):
             monkeypatch.setattr(config_module, name, refuse)
         for config, want in zip(configs, expected):
             code, out, err = run_cli(["analyze", "--config", config], capsys)
@@ -561,6 +561,34 @@ def test_exact_route_import_leaves_oracle_unloaded(module):
         == "False False"
 
 
+def test_cli_import_loads_every_module_but_numpy():
+    # numpy is imported where an array is built; every module of the
+    # package is still imported eagerly
+    src = Path(cli.__file__).resolve().parents[1]
+    modules = sorted(".".join(path.relative_to(src).with_suffix("").parts)
+                     .removesuffix(".__init__")
+                     for path in (src / "aaphase").rglob("*.py"))
+    assert "aaphase.oracle" in modules
+    assert _loaded_after_import("aaphase.cli", ["numpy", *modules]) \
+        == " ".join(["False"] + ["True"] * len(modules))
+
+
+def test_exact_runs_leave_numpy_unloaded():
+    runs = [["analyze", "--config", str(CONFIGS / name)]
+            for name in ("spin_half.ini", "raw_spectrum.ini",
+                         "free_field_fock.ini")]
+    runs.append(["constrain", "--config",
+                 str(CONFIGS / "partial_spectrum.ini")])
+    probe = ("import sys, aaphase.cli\n"
+             f"codes = [aaphase.cli.main(argv) for argv in {runs!r}]\n"
+             "print(codes, 'numpy' in sys.modules)")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.splitlines()[-1] == "[0, 0, 0, 0] False"
+
+
 class TestInputGuards:
     @pytest.mark.parametrize("psi0", ["0, 0", "nan, 1", "inf, 1"])
     def test_unnormalizable_psi0_rejected(self, tmp_path, capsys, psi0):
@@ -584,6 +612,25 @@ class TestInputGuards:
             ["analyze", "--config", write(tmp_path, text)], capsys)
         assert code == 64 and out == ""
         assert err == f"config error: {key}: non-finite complex entry 'nan'\n"
+
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    @pytest.mark.parametrize("text, message", [
+        (RAW_TWO_LEVEL.replace("0.6; 0.8", "1e200; 0.5"),
+         "state not normalized: sum |a|^2 = inf"),
+        ("[run]\nmodel = free_field\n\n[free_field]\noccupied_n = 0 1\n"
+         "amplitudes = 1e200; 0.5\n", "state not normalized: sum |a|^2 = inf"),
+        ("[run]\nmodel = two_mirror\n\n[two_mirror]\nr = 2\n"
+         "k_squared = 1/2\nfield_amplitudes = 1e200\n",
+         "field amplitudes not normalized: inf"),
+    ], ids=["raw_spectrum", "free_field", "two_mirror"])
+    def test_overflowing_norm_exits_64(self, tmp_path, capsys, command, text,
+                                       message):
+        # |a|^2 past the float range is an unnormalized state, not a
+        # traceback (whose exit 1 would read as a verify disagreement)
+        code, out, err = run_cli(
+            [command, "--config", write(tmp_path, text)], capsys)
+        assert (code, out) == (64, "")
+        assert err == f"config error: {message}\n"
 
     def test_huge_coupling_exits_64(self, tmp_path, capsys):
         text = ("[run]\nmodel = three_mirror\n\n[three_mirror]\nomega_D = 2\n"

@@ -1,4 +1,5 @@
-"""The installed program needs numpy only; scipy is a test dependency."""
+"""The installed program needs numpy only, and only where it builds an
+array; scipy is a test dependency."""
 
 import ast
 import re
@@ -10,14 +11,22 @@ ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "aaphase").rglob("*.py"))
 
 
-def imported_modules(path):
+def imported_modules(path, eager=False):
     """Every module an import statement in the file names, at any depth,
-    so imports inside functions count too."""
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    so imports inside functions count too; with ``eager``, only those
+    that run on importing the file: outside function bodies, class
+    bodies included."""
+    nodes = list(ast.parse(path.read_text(encoding="utf-8")).body)
+    while nodes:
+        node = nodes.pop()
+        if eager and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                       ast.Lambda)):
+            continue
         if isinstance(node, ast.Import):
             yield from (alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             yield node.module
+        nodes.extend(ast.iter_child_nodes(node))
 
 
 def test_sources_found():
@@ -35,6 +44,25 @@ def test_lazy_import_is_found(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("def f():\n    from scipy.linalg import eigh\n")
     assert list(imported_modules(probe)) == ["scipy.linalg"]
+
+
+@pytest.mark.parametrize("path", SOURCES,
+                         ids=lambda p: str(p.relative_to(ROOT / "src")))
+def test_no_eager_numpy_import(path):
+    # the exact route builds no array, so importing the program must not
+    # cost a numpy import
+    assert [name for name in imported_modules(path, eager=True)
+            if name.partition(".")[0] == "numpy"] == []
+
+
+def test_eager_import_is_found(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import os\nif os:\n    from numpy import pi\n"
+                     "class C:\n    import numpy.linalg\n"
+                     "    def f(self):\n        import numpy\n"
+                     "def g():\n    import numpy as np\n")
+    assert sorted(imported_modules(probe, eager=True)) \
+        == ["numpy", "numpy.linalg", "os"]
 
 
 def test_runtime_dependencies_are_numpy_only():

@@ -1,4 +1,5 @@
-"""Truncated Fock-space operators and coherent expansions."""
+"""Truncated Fock-space operators (the tests' reference ladder
+operators) and coherent expansions."""
 
 import math
 
@@ -6,13 +7,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from aaphase.fock import (
-    coherent_amplitudes,
-    create,
-    destroy,
-    displaced_frame_amplitudes,
-    number,
-)
+from aaphase.fock import coherent_amplitudes, displaced_frame_amplitudes
+from conftest import create, destroy, number
 
 
 class TestLadderOperators:

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh
 
 from aaphase.engine import geometric_phase
-from aaphase.fock import coherent_amplitudes, create, destroy, number
+from aaphase.fock import coherent_amplitudes
 from aaphase.models import (
     ThreeMirrorParams,
     three_mirror_dense,
@@ -22,7 +22,7 @@ from aaphase.models import (
 from aaphase.models.three_mirror import three_mirror_chi
 from aaphase.oracle import SpectralPropagator, generic_gamma
 
-from conftest import circ, level
+from conftest import circ, create, destroy, level, number
 
 TWO_PI = 2.0 * math.pi
 

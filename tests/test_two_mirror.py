@@ -13,7 +13,7 @@ import pytest
 from scipy.linalg import eigh, expm
 
 from aaphase.engine import geometric_phase
-from aaphase.fock import coherent_amplitudes, create, destroy, number
+from aaphase.fock import coherent_amplitudes
 from aaphase.models import (
     TwoMirrorParams,
     two_mirror_dense,
@@ -23,7 +23,7 @@ from aaphase.models import (
 )
 from aaphase.oracle import generic_gamma
 
-from conftest import circ, level
+from conftest import circ, create, destroy, level, number
 
 TWO_PI = 2.0 * math.pi
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
