@@ -95,9 +95,18 @@ def cmd_analyze(run: LoadedRun, args) -> int:
               f"reason: {verdict.reason}\n", args.out)
         print(f"non-cyclic: {verdict.reason}", file=sys.stderr)
         return EXIT_NON_CYCLIC
-    report = _finite(geometric_phase(run.spectrum, run.state))
+    report = _finite(_exact(run))
     _emit(format_phase_report(report, verdict), args.out)
     return EXIT_OK
+
+
+def _exact(run: LoadedRun):
+    """The exact route's report; a number past the float range in it is
+    a config error, as an infinite tau is."""
+    try:
+        return geometric_phase(run.spectrum, run.state)
+    except OverflowError as exc:   # huge levels or branch integers
+        raise ConfigError(f"the exact route leaves the float range: {exc}")
 
 
 def _finite(report):
@@ -127,7 +136,7 @@ def cmd_verify(run: LoadedRun, args) -> int:
     verdict = check_cyclicality(run.spectrum, run.state)
     if verdict.kind != "cyclic":
         raise ConfigError(f"nothing to verify for a {verdict.kind} state")
-    exact = geometric_phase(run.spectrum, run.state)
+    exact = _exact(run)
     opts = run.options
     t_max = 2.2 * exact.tau if opts.t_max is None else opts.t_max
     if not t_max < math.inf:

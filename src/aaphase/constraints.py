@@ -118,49 +118,61 @@ class GaugedCandidate:
         return self.candidate.m
 
 
-def _reference_pair(ps: PartialSpectrum) -> Tuple[Fraction, Fraction]:
+def _reference_pair(ps: PartialSpectrum) -> Tuple[int, int, int]:
+    """(a, b, d): the reference eigenvalues lam1 = a/d and lam2 = b/d
+    over their least common denominator d."""
     if len(ps.known) < 2:
         raise ValueError("two known eigenvalues required")
     lam1, lam2 = ps.eigenvalues[:2]
     if lam1 == lam2:
         raise ValueError("reference eigenvalues must differ")
-    return lam1, lam2
+    d = math.lcm(lam1.denominator, lam2.denominator)
+    return (lam1.numerator * (d // lam1.denominator),
+            lam2.numerator * (d // lam2.denominator), d)
 
 
 def enumerate_candidates(ps: PartialSpectrum,
                          n_range: int = 16) -> List[CyclicityCandidate]:
     """All (phi, tau) candidates with branch integers bounded by n_range.
 
-    Pairs (n, m) with |n|, |m| <= n_range, n != m and tau > 0 are
-    generated, reduced to one representative per (phi mod 2*pi, tau)
-    class, and sorted by tau ascending with |n| + |m| breaking ties.
-    The representative is the member of the class with phi/2pi in
+    Pairs (n, m) with |n|, |m| <= n_range, n != m and tau > 0, one per
+    (phi mod 2*pi, tau) class, sorted by tau ascending.  The
+    representative is the member of the class with phi/2pi in
     (-1/2, 1/2], mirroring the branch convention of the full-spectrum
     route; enlarging n_range only ever appends classes.
+
+    With lam1 = a/d and lam2 = b/d over their least common denominator
+    and s = a - b, tau = (n - m)*d/s, and adding 1 to both n and m adds
+    1 to phi/2pi = (a*m - b*n)/s.  A class is therefore one value of
+    n - m, of the sign of s and at most 2*n_range in size, and its
+    representative has m = floor(b*(n - m)/s + 1/2).
     """
-    lam1, lam2 = _reference_pair(ps)
+    a, b, d = _reference_pair(ps)
     if n_range < 1:
         raise ValueError("n_range must be >= 1")
-    denom = lam1 - lam2
-    seen = {}
-    for n in range(-n_range, n_range + 1):
-        for m in range(-n_range, n_range + 1):
-            if n == m:
-                continue
-            tau = Fraction(n - m, 1) / denom
-            if tau <= 0:
-                continue
-            phi2pi = (lam1 * m - lam2 * n) / denom
-            # shift both integers so the representative phase is canonical
-            k = math.ceil(phi2pi - Fraction(1, 2))
-            key = (phi2pi - k, tau)
-            if key not in seen:
-                seen[key] = CyclicityCandidate(
-                    tau_cycles=tau, n=n - k, m=m - k,
-                    phi_over_pi=2 * (phi2pi - k))
-    return sorted(seen.values(),
-                  key=lambda c: (c.tau_cycles, abs(c.n) + abs(c.m),
-                                 c.phi_over_pi))
+    s = a - b
+    out = []
+    for size in range(1, 2 * n_range + 1):
+        delta = size if s > 0 else -size            # n - m
+        m = (2 * b * delta + s) // (2 * s)
+        out.append(CyclicityCandidate(
+            tau_cycles=Fraction(delta * d, s), n=m + delta, m=m,
+            phi_over_pi=Fraction(2 * (m * s - b * delta), s)))
+    return out
+
+
+def _gauge(candidate: CyclicityCandidate,
+           ps: PartialSpectrum) -> Tuple[int, int, int]:
+    """(c, e, s): the shift that sets phi = 0 is c/e, with e = d*(n - m),
+    and the shifted reference eigenvalues are n*s/e and m*s/e, so the
+    period is e/s from either one (checked against the candidate's)."""
+    a, b, d = _reference_pair(ps)
+    n, m, s = candidate.n, candidate.m, a - b
+    e = d * (n - m)
+    tau = candidate.tau_cycles
+    assert tau.numerator * s == tau.denominator * e, \
+        "gauge changed the period"
+    return a * m - b * n, e, s
 
 
 def gauge_to_zero_phi(candidate: CyclicityCandidate,
@@ -168,15 +180,12 @@ def gauge_to_zero_phi(candidate: CyclicityCandidate,
     """Spectral shift removing the total phase of the candidate.
 
     The period is unchanged by the shift and equals n/lam1 against the
-    shifted reference eigenvalue (Fraction arithmetic, checked).
+    shifted reference eigenvalue (checked, in integers).
     """
-    lam1, lam2 = _reference_pair(ps)
-    n, m = candidate.n, candidate.m
-    c = (lam1 * m - lam2 * n) / Fraction(n - m)
-    g1, g2 = lam1 + c, lam2 + c
-    tau = Fraction(n, 1) / g1 if n != 0 else Fraction(m, 1) / g2
-    assert tau == candidate.tau_cycles, "gauge changed the period"
-    return GaugedCandidate(candidate=candidate, shift=c, lam1=g1, lam2=g2)
+    c, e, s = _gauge(candidate, ps)
+    return GaugedCandidate(candidate=candidate, shift=Fraction(c, e),
+                           lam1=Fraction(candidate.n * s, e),
+                           lam2=Fraction(candidate.m * s, e))
 
 
 def constrain_unknown(gauged: GaugedCandidate,
@@ -197,25 +206,27 @@ def gamma_candidates(candidate: CyclicityCandidate, mean_H,
 
     The candidate's own branch gives gamma = 2*pi*tau_cycles*(<H> + shift)
     mod 2*pi and heads the list.  With exact (Fraction) mean energy the
-    gauged ratio <H'>/lam1' = a/b is rational and the run over admissible
-    branch integers yields exactly b distinct values, appended first-seen
-    for n = 1..b.  Float mean energies cannot certify rationality, so
-    only the single candidate value is returned.  The candidate is gauged
-    against the reference pair of ``ps``.
+    gauged ratio <H'>/lam1' = p/q is rational and the run over admissible
+    branch integers yields exactly q distinct values (j*p mod q)/q,
+    appended first-seen for j = 1..q.  Float mean energies cannot certify
+    rationality, so only the single candidate value is returned.  The
+    candidate is gauged against the reference pair of ``ps``.  Turns are
+    integer ratios, and int / int is correctly rounded.
     """
-    gauged = gauge_to_zero_phi(candidate, ps)
-    exact = not isinstance(mean_H, float)
-    tau = gauged.tau_cycles
-    if exact:
-        own_turns = (Fraction(mean_H) + gauged.shift) * tau
-        own = _canonical_gamma(TWO_PI * float(own_turns % 1))
-        values = dict.fromkeys([own])  # first-seen order, hashed dedupe
-        base, n0 = ((gauged.lam1, gauged.n) if gauged.n != 0
-                    else (gauged.lam2, gauged.m))
-        ratio = (Fraction(mean_H) + gauged.shift) / base
-        for j in range(1, ratio.denominator + 1):
-            turns = (j * ratio) % 1
-            values.setdefault(_canonical_gamma(TWO_PI * float(turns)))
-        return list(values)
-    mean = float(mean_H) + float(gauged.shift)
-    return [_canonical_gamma(TWO_PI * float(tau) * mean)]
+    c, e, s = _gauge(candidate, ps)
+    if isinstance(mean_H, float):
+        mean = float(mean_H) + float(Fraction(c, e))
+        return [_canonical_gamma(
+            TWO_PI * float(candidate.tau_cycles) * mean)]
+    mean = Fraction(mean_H)
+    # <H'> = top/(v*e), so <H'>*tau = top/(v*s) and <H'>/lam1' =
+    # top/(v*n*s) (lam2' and m when n = 0)
+    v = mean.denominator
+    top = mean.numerator * e + v * c
+    own = _canonical_gamma(TWO_PI * float(Fraction(top, v * s) % 1))
+    ratio = Fraction(top, v * (candidate.n or candidate.m) * s)
+    p, q = ratio.numerator, ratio.denominator
+    # dict keys: first-seen order, hashed dedupe
+    return list(dict.fromkeys(
+        [own, *(_canonical_gamma(TWO_PI * (j * p % q / q))
+                for j in range(1, q + 1))]))

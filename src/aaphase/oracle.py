@@ -93,6 +93,13 @@ class Hamiltonian:
                              f"dimension {n} per value")
         if not np.all(np.isfinite(values)):
             raise ValueError("matrix entries must be finite")
+        with np.errstate(over="ignore"):
+            size = np.abs(values)
+        if not np.all(size < math.inf):
+            # |H - H^dag| and its scale would both be inf, and
+            # inf > 1e-12*inf is false
+            raise ValueError("matrix entries must have a finite modulus")
+        scale = float(np.max(size, initial=0.0))
         keep = values != 0
         key = rows[keep] * n + cols[keep]
         order = np.argsort(key, kind="stable")
@@ -107,7 +114,6 @@ class Hamiltonian:
         at = np.minimum(np.searchsorted(key, mirror), max(key.size - 1, 0))
         partner = np.where(key[at] == mirror, values[at], 0)
         with np.errstate(over="ignore"):   # entries near the float range
-            scale = float(np.max(np.abs(values), initial=0.0))
             dev = float(np.max(np.abs(values - partner.conj()), initial=0.0))
         if dev > HERMITICITY_TOL * max(scale, 1e-300):
             raise ValueError(f"matrix is not Hermitian: max|H - H^dag| = {dev:g}")
@@ -223,7 +229,8 @@ class SpectralPropagator:
         w = np.empty(dim)
         amplitudes = np.empty(dim, dtype=complex)
         groups = []
-        for size in np.unique(sizes):
+        # np.unique would import numpy.ma on first use
+        for size in np.flatnonzero(np.bincount(sizes)):
             members = np.flatnonzero(sizes == size)
             slots = starts[members, None] + np.arange(size)
             idx = indices[slots]
@@ -379,7 +386,8 @@ def _prune(prop: SpectralPropagator, times: np.ndarray, fid: np.ndarray,
     margin = (32 * np.spacing(1.0 + np.max(np.abs(prop._occ_omega)) * times[-1])
               + prop.weights.sum() - w.sum()
               + dt * (w[~heavy] @ np.abs(nu[~heavy])))
-    floor = 1.0 - fidelity_tol - dt * dt * (w @ nu ** 2) / 2 - margin
+    # (dt*nu)^2, not dt^2*nu^2: nu^2 alone overflows for huge frequencies
+    floor = 1.0 - fidelity_tol - (w @ (dt * nu) ** 2) / 2 - margin
     w, nu = w[heavy], nu[heavy]                 # ascending in nu
     phases = np.exp(-1j * np.outer(times[peaks], nu))
     # an elementwise sum: a threaded complex gemv of this size costs ms
@@ -398,19 +406,22 @@ def _refine(prop: SpectralPropagator, lo: float, hi: float, t: float) -> float:
     exponential per occupied level."""
     import numpy as np
     w, nu = prop._occ_w, prop._occ_nu
-    for _ in range(100):    # a cap: bisecting a grid bracket takes < 60 steps
-        terms = w * np.exp(-1j * nu * t)
-        b, db, ddb = terms.sum(), -1j * (terms @ nu), -(terms @ nu ** 2)
-        g = (b.conjugate() * db).real
-        slope = abs(db) ** 2 + (b.conjugate() * ddb).real
-        lo, hi = (t if g >= 0 else lo), (t if g <= 0 else hi)
-        step = t - g / slope if slope < 0 else math.nan
-        if abs(step - t) <= 4 * np.spacing(t):     # converged to rounding
-            return min(max(step, lo), hi)
-        new = step if lo < step < hi else 0.5 * (lo + hi)
-        if new == t:
-            break
-        t = new
+    # huge frequencies overflow the slope; a non-finite slope bisects.
+    # 100 is a cap: bisecting a grid bracket takes < 60 steps
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(100):
+            terms = w * np.exp(-1j * nu * t)
+            b, db, ddb = terms.sum(), -1j * (terms @ nu), -(terms @ nu ** 2)
+            g = (b.conjugate() * db).real
+            slope = abs(db) ** 2 + (b.conjugate() * ddb).real
+            lo, hi = (t if g >= 0 else lo), (t if g <= 0 else hi)
+            step = t - g / slope if slope < 0 else math.nan
+            if abs(step - t) <= 4 * np.spacing(t):  # converged to rounding
+                return min(max(step, lo), hi)
+            new = step if lo < step < hi else 0.5 * (lo + hi)
+            if new == t:
+                break
+            t = new
     return t
 
 

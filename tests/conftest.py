@@ -1,5 +1,6 @@
 """Shared fixtures: seeded RNG, random fixture builders, angle helpers,
-level lookup, report parsing and dense ladder operators."""
+level lookup, report parsing, dense ladder operators and the Fraction
+reference of the constraint solver."""
 
 import math
 from fractions import Fraction
@@ -8,7 +9,8 @@ from typing import Dict
 import numpy as np
 import pytest
 
-from aaphase.engine import Spectrum, StateDecomposition
+from aaphase.constraints import CyclicityCandidate, GaugedCandidate
+from aaphase.engine import Spectrum, StateDecomposition, _canonical_gamma
 from aaphase.report import DELIM
 
 TWO_PI = 2.0 * math.pi
@@ -108,3 +110,56 @@ def random_exact_fixture(rng, min_levels=2, max_levels=5):
     amps /= np.linalg.norm(amps)
     state = StateDecomposition(entries=list(zip(labels, amps)))
     return spectrum, state
+
+
+def reference_candidates(lam1: Fraction, lam2: Fraction, n_range: int):
+    """`enumerate_candidates` in Fraction arithmetic over every (n, m):
+    the classes (phi mod 2*pi, tau) in first-seen order, each with the
+    representative of phi/2pi in (-1/2, 1/2], sorted by tau, |n| + |m|
+    and phi."""
+    denom = lam1 - lam2
+    seen = {}
+    for n in range(-n_range, n_range + 1):
+        for m in range(-n_range, n_range + 1):
+            if n == m:
+                continue
+            tau = Fraction(n - m, 1) / denom
+            if tau <= 0:
+                continue
+            phi2pi = (lam1 * m - lam2 * n) / denom
+            k = math.ceil(phi2pi - Fraction(1, 2))
+            key = (phi2pi - k, tau)
+            if key not in seen:
+                seen[key] = CyclicityCandidate(
+                    tau_cycles=tau, n=n - k, m=m - k,
+                    phi_over_pi=2 * (phi2pi - k))
+    return sorted(seen.values(),
+                  key=lambda c: (c.tau_cycles, abs(c.n) + abs(c.m),
+                                 c.phi_over_pi))
+
+
+def reference_gauge(candidate, lam1: Fraction, lam2: Fraction):
+    """`gauge_to_zero_phi` in Fraction arithmetic."""
+    n, m = candidate.n, candidate.m
+    c = (lam1 * m - lam2 * n) / Fraction(n - m)
+    g1, g2 = lam1 + c, lam2 + c
+    tau = Fraction(n, 1) / g1 if n != 0 else Fraction(m, 1) / g2
+    assert tau == candidate.tau_cycles, "gauge changed the period"
+    return GaugedCandidate(candidate=candidate, shift=c, lam1=g1, lam2=g2)
+
+
+def reference_gammas(candidate, mean_H, lam1: Fraction, lam2: Fraction):
+    """`gamma_candidates` in Fraction arithmetic: the candidate's own
+    gamma, then (j*<H'>/lam1' mod 1) turns for j = 1..denominator."""
+    gauged = reference_gauge(candidate, lam1, lam2)
+    tau = gauged.tau_cycles
+    if isinstance(mean_H, float):
+        mean = float(mean_H) + float(gauged.shift)
+        return [_canonical_gamma(TWO_PI * float(tau) * mean)]
+    own_turns = (Fraction(mean_H) + gauged.shift) * tau
+    values = dict.fromkeys([_canonical_gamma(TWO_PI * float(own_turns % 1))])
+    base = gauged.lam1 if gauged.n != 0 else gauged.lam2
+    ratio = (Fraction(mean_H) + gauged.shift) / base
+    for j in range(1, ratio.denominator + 1):
+        values.setdefault(_canonical_gamma(TWO_PI * float((j * ratio) % 1)))
+    return list(values)

@@ -535,17 +535,18 @@ def _loaded_after_import(module: str, names) -> str:
                           env={**os.environ, "PYTHONPATH": src}).stdout.strip()
 
 
-def test_oracle_runs_leave_scipy_unloaded():
+def test_oracle_runs_leave_scipy_and_numpy_ma_unloaded():
     # scipy is a test dependency only: an analyze that splits a 2880-dim
     # matrix into its blocks and a verify that runs both routes load no
-    # scipy module
+    # scipy module, and no numpy.ma, whose first import costs over 10 ms
     runs = [["analyze", "--config",
              str(CONFIGS / "three_mirror_approximate.ini")],
             ["verify", "--config", str(CONFIGS / "three_mirror_exact.ini")]]
     probe = ("import sys, aaphase.cli\n"
              f"codes = [aaphase.cli.main(argv) for argv in {runs!r}]\n"
              "print(codes, [name for name in sys.modules\n"
-             "              if name.partition('.')[0] == 'scipy'])")
+             "              if name.partition('.')[0] == 'scipy'\n"
+             "              or name == 'numpy.ma'])")
     src = str(Path(cli.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", probe], check=True,
                          capture_output=True, text=True,
@@ -655,6 +656,45 @@ class TestInputGuards:
             env={**os.environ, "PYTHONPATH": src})
         assert (done.returncode, done.stdout) == (64, "")
         assert done.stderr == "config error: matrix entries must be finite\n"
+
+    @pytest.mark.parametrize("psi0", ["1, 0", "0.6, 0.8"])
+    def test_non_hermitian_past_the_float_range_exits_64(self, tmp_path,
+                                                        capsys, psi0):
+        # |entry| overflows, so |H - H^dag| and its scale would both be
+        # inf and pass the Hermiticity guard: a "stationary" report
+        # (1, 0) or a traceback (0.6, 0.8)
+        text = ("[run]\nmodel = dense_matrix\n\n[dense_matrix]\n"
+                "dimension = 2\nentries = 1.5e308+1.5e308i, 0, 0, 1\n"
+                f"psi0 = {psi0}\n\n[options]\nt_max = 10\n")
+        code, out, err = run_cli(
+            ["analyze", "--config", write(tmp_path, text)], capsys)
+        assert (code, out) == (64, "")
+        assert err == ("config error: matrix entries must have a finite "
+                       "modulus\n")
+
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    def test_branch_integers_past_the_float_range_exit_64(
+            self, tmp_path, capsys, command):
+        # the gamma sum converts branch integers near 1e308 to floats
+        text = shipped_with("two_mirror.ini", r="1e308")
+        code, out, err = run_cli(
+            [command, "--config", write(tmp_path, text)], capsys)
+        assert (code, out) == (64, "")
+        assert err == ("config error: the exact route leaves the float "
+                       "range: int too large to convert to float\n")
+
+    def test_huge_frequencies_verify_without_warnings(self, tmp_path,
+                                                      capsys):
+        # omega^2 overflows; the prune bound squares dt*omega instead,
+        # and the suite turns any numpy warning into an error
+        text = shipped_with("free_field_coherent.ini", omega="1e200")
+        code, out, err = run_cli(
+            ["verify", "--config", write(tmp_path, text)], capsys)
+        assert (code, err) == (0, "")
+        rows = parse_report(out)["verify"]
+        assert rows["tau-relative"].startswith(
+            "6.2831853071795862e-200 | 6.2831853071795862e-200 | 0 |")
+        assert rows["verdict"] == "pass"
 
     @pytest.mark.parametrize("command, text, key", [
         ("analyze", DENSE_IRRATIONAL + "\n[options]\nt_max = -3\n", "t_max"),

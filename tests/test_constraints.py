@@ -16,7 +16,8 @@ from aaphase.constraints import (
 )
 from aaphase.engine import Spectrum, StateDecomposition, geometric_phase
 
-from conftest import circ
+from conftest import circ, reference_candidates, reference_gammas, \
+    reference_gauge
 
 TWO_PI = 2.0 * math.pi
 
@@ -211,3 +212,32 @@ def test_gauge_and_own_gamma(pair):
         # mean energy sitting on a reference level winds integrally
         vals = gamma_candidates(c, lam1, ps)
         assert vals[0] == 0.0
+
+
+big_fraction_st = st.builds(Fraction, st.integers(-10**6, 10**6),
+                            st.integers(1, 10**6))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.tuples(big_fraction_st, big_fraction_st).filter(
+           lambda t: t[0] != t[1]),
+       st.integers(1, 12), st.integers(-10**6, 10**6), st.integers(1, 500),
+       st.floats(-1e6, 1e6))
+def test_integer_solver_matches_fraction_reference(pair, n_range, i, j,
+                                                   float_mean):
+    # enumeration, gauge and gamma values equal the Fraction formulas
+    # over every (n, m), to the bit
+    lam1, lam2 = pair
+    ps = two_known(lam1, lam2)
+    cands = enumerate_candidates(ps, n_range)
+    assert cands == reference_candidates(lam1, lam2, n_range)
+    for c in cands[:3] + cands[-1:]:
+        gauged = reference_gauge(c, lam1, lam2)
+        assert gauge_to_zero_phi(c, ps) == gauged
+        # an exact <H> whose gauged ratio <H'>/lam1' is i/j yields at
+        # most j + 1 values, whatever the size of the levels
+        base = gauged.lam1 if gauged.n else gauged.lam2
+        for mean in (base * Fraction(i, j) - gauged.shift, float_mean):
+            got = gamma_candidates(c, mean, ps)
+            want = reference_gammas(c, mean, lam1, lam2)
+            assert [g.hex() for g in got] == [g.hex() for g in want]
