@@ -4,7 +4,9 @@ Exit codes: 0 success (verify: all comparisons pass), 1 verify found a
 disagreement, 2 physical impossibility (non-cyclic state, stationary
 state at eigenvalue 0, irrational constraint input), 3 oracle found no
 return within t_max or its grid would need more than 2^21 steps for the
-occupied frequency spread, 64 usage or configuration errors.
+occupied frequency spread, 64 usage or configuration errors (among them
+a constrain call whose candidates would list more than MAX_GAMMA_VALUES
+= 10^6 gamma values).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .config import FLAGS, ConfigError, LoadedRun, load_config
 from .constraints import constrain_unknown, enumerate_candidates, \
-    gamma_candidates, gauge_to_zero_phi
+    gamma_candidates, gamma_count, gauge_to_zero_phi
 from .engine import NonCyclicError, check_cyclicality, geometric_phase
 from .oracle import NoReturnError, generic_gamma
 from .rational import IncommensurableError
@@ -37,6 +39,8 @@ EXIT_NO_RETURN = 3
 EXIT_USAGE = 64
 # largest disagreement in tau (relative), phi and gamma (rad) verify passes
 VERIFY_TOL = 1e-6
+# most gamma values one constrain call may list, over all its candidates
+MAX_GAMMA_VALUES = 10 ** 6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -163,6 +167,12 @@ def cmd_constrain(run: LoadedRun, args) -> int:
     if len(run.partial.known) < 2:
         raise ConfigError("constrain needs at least two known eigenvalues")
     candidates = enumerate_candidates(run.partial, run.options.n_range)
+    if run.mean_energy_input is not None and sum(
+            gamma_count(cand, run.mean_energy_input, run.partial)
+            for cand in candidates) > MAX_GAMMA_VALUES:
+        raise ConfigError(
+            f"constrain would list more than {MAX_GAMMA_VALUES} gamma "
+            f"values over its {len(candidates)} candidates")
     gammas = []
     for cand in candidates:
         if run.mean_energy_input is None:

@@ -198,8 +198,15 @@ class LoadedRun:
 
 
 def _normalized(psi0) -> np.ndarray:
+    """psi0 / |psi0|, with psi0 first scaled by the power of two at its
+    largest component: exact, so the norm neither underflows nor
+    overflows, and wherever it did neither the bits are unchanged."""
     import numpy as np
-    psi0 = np.asarray(psi0, dtype=complex)
+    psi0 = np.ascontiguousarray(psi0, dtype=complex)
+    parts = psi0.view(float)
+    top = float(np.max(np.abs(parts), initial=0.0))
+    if 0 < top < math.inf:              # nan, inf and zero fail below
+        psi0 = np.ldexp(parts, -math.frexp(top)[1]).view(complex)
     with np.errstate(over="ignore"):   # an overflow to inf fails below
         norm = float(np.linalg.norm(psi0))
     if not 0 < norm < math.inf:

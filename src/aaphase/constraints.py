@@ -30,6 +30,7 @@ __all__ = [
     "constrain_unknown",
     "enumerate_candidates",
     "gamma_candidates",
+    "gamma_count",
     "gauge_to_zero_phi",
 ]
 
@@ -200,6 +201,28 @@ def constrain_unknown(gauged: GaugedCandidate,
     return ((trial + gauged.shift) * gauged.tau_cycles).denominator == 1
 
 
+def _gauged_mean(candidate: CyclicityCandidate, mean: Fraction,
+                 ps: PartialSpectrum) -> Tuple[int, int, int]:
+    """(top, v, s): <H'> = top/(v*e) in the gauge of `_gauge`, so
+    <H'>*tau = top/(v*s) and <H'>/lam1' = top/(v*n*s) (lam2' and m
+    when n = 0)."""
+    c, e, s = _gauge(candidate, ps)
+    v = mean.denominator
+    return mean.numerator * e + v * c, v, s
+
+
+def gamma_count(candidate: CyclicityCandidate, mean_H,
+                ps: PartialSpectrum) -> int:
+    """How many values `gamma_candidates` lists for the candidate, read
+    off the gauged ratio p/q without building the list: q (the
+    candidate's own value is one of them), or 1 for a float mean."""
+    if isinstance(mean_H, float):
+        return 1
+    top, v, s = _gauged_mean(candidate, Fraction(mean_H), ps)
+    bottom = abs(v * (candidate.n or candidate.m) * s)
+    return bottom // math.gcd(top, bottom)
+
+
 def gamma_candidates(candidate: CyclicityCandidate, mean_H,
                      ps: PartialSpectrum) -> List[float]:
     """Geometric-phase values compatible with the candidate, in [0, 2*pi).
@@ -213,16 +236,12 @@ def gamma_candidates(candidate: CyclicityCandidate, mean_H,
     candidate is gauged against the reference pair of ``ps``.  Turns are
     integer ratios, and int / int is correctly rounded.
     """
-    c, e, s = _gauge(candidate, ps)
     if isinstance(mean_H, float):
+        c, e, _ = _gauge(candidate, ps)
         mean = float(mean_H) + float(Fraction(c, e))
         return [_canonical_gamma(
             TWO_PI * float(candidate.tau_cycles) * mean)]
-    mean = Fraction(mean_H)
-    # <H'> = top/(v*e), so <H'>*tau = top/(v*s) and <H'>/lam1' =
-    # top/(v*n*s) (lam2' and m when n = 0)
-    v = mean.denominator
-    top = mean.numerator * e + v * c
+    top, v, s = _gauged_mean(candidate, Fraction(mean_H), ps)
     own = _canonical_gamma(TWO_PI * float(Fraction(top, v * s) % 1))
     ratio = Fraction(top, v * (candidate.n or candidate.m) * s)
     p, q = ratio.numerator, ratio.denominator

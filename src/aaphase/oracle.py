@@ -9,6 +9,11 @@ dynamical phase is the period times the mean energy, which is constant
 along the evolution.  Every closed-form result is validated against this
 route.
 
+The survival amplitude is scanned in two passes: a coarse pass bounds
+|<psi0|psi(t)>| near every COARSE_STRIDE-th grid point, and the fine
+grid is evaluated only where that bound leaves room for a return, with
+the same bits as a scan of the whole grid.
+
 numpy is imported inside the functions that use it, so that importing
 this module (and with it the command-line front end) does not load it:
 the exact route never builds an array.
@@ -18,7 +23,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Tuple, Union
 
 from .engine import PhaseReport, TWO_PI, _canonical_gamma
@@ -48,6 +52,12 @@ SMALL_DIMENSION = 32
 CHUNK_ENTRIES = 1 << 20
 # Largest grid the step rule may choose.
 MAX_STEPS = 1 << 21
+# The scan's coarse pass takes every COARSE_STRIDE-th grid point; each
+# coarse value bounds the fidelity COARSE_STRIDE // 2 steps either side.
+COARSE_STRIDE = 16
+# Largest fidelity_tol that detect_period accepts; the scan evaluates
+# every point near which a return within it can lie.
+MAX_FIDELITY_TOL = 1e-3
 
 
 def eigh(a):
@@ -61,7 +71,6 @@ class NoReturnError(RuntimeError):
     """No fidelity return was found within t_max."""
 
 
-@dataclass(frozen=True)
 class Hamiltonian:
     """Hermitian matrix on a truncated Hilbert space, kept as its entries.
 
@@ -73,11 +82,7 @@ class Hamiltonian:
     N x N array is formed except on reading ``matrix``.
     """
 
-    dimension: int
-    rows: np.ndarray
-    cols: np.ndarray
-    values: np.ndarray
-    unit: float = 1.0
+    __slots__ = ("dimension", "rows", "cols", "values", "unit")
 
     def __init__(self, dimension: int, rows, cols, values, unit: float = 1.0):
         import numpy as np
@@ -121,11 +126,8 @@ class Hamiltonian:
             raise ValueError("unit must be positive and finite")
         for array in (rows, cols, values):
             array.setflags(write=False)
-        object.__setattr__(self, "dimension", n)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "unit", float(unit))
+        self.dimension, self.rows, self.cols = n, rows, cols
+        self.values, self.unit = values, float(unit)
 
     @classmethod
     def from_dense(cls, matrix, unit: float = 1.0) -> "Hamiltonian":
@@ -254,7 +256,10 @@ class SpectralPropagator:
         self._groups = [(idx, vectors, rank[slots])
                         for idx, vectors, slots in groups]
         self.eigenvalues = w[order]                 # in units of `unit`
-        self.omegas = self.eigenvalues * hamiltonian.unit
+        # frequencies past the float range are inf here; the step rule
+        # of generic_gamma refuses their spread
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.omegas = self.eigenvalues * hamiltonian.unit
         a = amplitudes[order]
         self.amplitudes = a
         self.weights = np.abs(a) ** 2
@@ -268,7 +273,9 @@ class SpectralPropagator:
         self._occ = self.weights > WEIGHT_FLOOR
         self._occ_w = self.weights[self._occ]
         self._occ_omega = self.omegas[self._occ]
-        self._occ_nu = self._occ_omega - self._occ_omega @ self._occ_w / total
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._occ_nu = (self._occ_omega
+                            - self._occ_omega @ self._occ_w / total)
         self.psi0 = psi0
 
     def survival_amplitude(self, times) -> np.ndarray:
@@ -278,27 +285,85 @@ class SpectralPropagator:
         t = np.atleast_1d(np.asarray(times, dtype=float))
         return np.exp(-1j * np.outer(t, self._occ_omega)) @ self._occ_w
 
-    def survival_grid(self, times) -> np.ndarray:
-        """<psi0|psi(t)> on a uniform grid ``times = linspace(0, t_max, n)``.
+    def survival_grid(self, times) -> Tuple[np.ndarray, np.ndarray]:
+        """(index, overlap): <psi0|psi(t)> at ``times[index]`` on a uniform
+        grid ``times = linspace(0, t_max, n)``, wherever a return can be.
 
         For k = a*B + b, exp(-i w t_k) = exp(-i w t_{aB}) exp(-i w t_b),
-        so the amplitude is the (n/B x levels) @ (levels x B) product of
-        weighted coarse factors and fine factors, taken from the grid's
-        own points: about (n/B + B) * levels exponentials instead of
-        n * levels.  Coarse rows go in chunks under CHUNK_ENTRIES.
+        so the amplitude on the whole grid is the (n/B x levels) @
+        (levels x B) product of weighted coarse factors and fine factors,
+        taken from the grid's own points; coarse rows go in chunks under
+        CHUNK_ENTRIES.  A coarse pass takes that product with every
+        COARSE_STRIDE-th fine column and the last point's only, for A(t)
+        and for D(t) = sum_k p_k h nu_k exp(-i w_k t), h being
+        COARSE_STRIDE // 2 steps and nu_k as in `_prune`, whose shifted
+        amplitude has h |B'| = |D|.  Within h of such a point t_c,
+        |A| <= |A(t_c)| + |D(t_c)| + h^2 sigma^2 / 2, and no grid point is
+        further than h from one.  The fine pass multiplies out the rows of
+        B points that meet a window [t_c - h - 2 dt, t_c + h + dt] around
+        a t_c where this bound reaches `_prune`'s floor for
+        MAX_FIDELITY_TOL less dt sum_k p_k |nu_k| (at least dt |B'|): every
+        grid peak that `_prune` can keep is then evaluated with both
+        neighbours and the point before them.  Each product takes at least
+        two rows, because numpy multiplies a single row by gemv, which
+        rounds differently; a row that the whole-grid product took alone,
+        in a chunk of one, is taken alone.  So every value equals the
+        whole-grid product's bit for bit.
         """
         import numpy as np
         t = np.asarray(times, dtype=float)
-        omega = self._occ_omega
-        fine, rows = _grid_shape(t.size, omega.size)
+        n, omega, w = t.size, self._occ_omega, self._occ_w
+        fine, rows = _grid_shape(n, omega.size)
         factors = np.exp(-1j * np.outer(omega, t[:fine]))
         coarse = t[::fine]
-        out = np.empty((coarse.size, fine), dtype=complex)
+        cols = np.arange(0, fine, COARSE_STRIDE)
+        if (n - 1) % fine % COARSE_STRIDE:
+            cols = np.append(cols, (n - 1) % fine)
+        reach = COARSE_STRIDE // 2
+        hnu = reach * (t[1] - t[0]) * self._occ_nu
+        pair = np.concatenate((factors[:, cols] * w[:, None],
+                               factors[:, cols] * (w * hnu)[:, None]), axis=1)
+        # the bound needs no particular bits, so its coarse factors are
+        # products exp(-i w t_{a1 S B}) exp(-i w t_{a2 B}) for a = a1 S + a2:
+        # about 2 sqrt(n/B) exponentials per level instead of n/B
+        split = min(math.isqrt(coarse.size - 1) + 1, rows)
+        lows = np.exp(-1j * np.outer(coarse[:split], omega))
+        chunk = rows // split * split
+        bound = np.empty((-(-coarse.size // split) * split, cols.size))
+        for start in range(0, coarse.size, chunk):
+            tops = np.exp(-1j * np.outer(coarse[start:start + chunk:split],
+                                         omega))
+            both = np.abs((tops[:, None] * lows).reshape(-1, omega.size)
+                          @ pair)
+            bound[start:start + both.shape[0]] = (both[:, :cols.size]
+                                                  + both[:, cols.size:])
+        bound = bound[:coarse.size] + (w @ hnu ** 2) / 2
+        floor, margin = _floor(self, t, MAX_FIDELITY_TOL)
+        # a kept peak has fid >= floor - dt |B'|; the coarse values round
+        # as fid does, up to one ulp per level in each sum
+        floor -= (w @ np.abs((t[1] - t[0]) * self._occ_nu)
+                  + 2 * (margin + omega.size * np.spacing(1.0)))
+        at = np.arange(0, coarse.size * fine, fine)[:, None] + cols
+        at = at[(bound >= floor) & (at < n)]
+        # rows from each window's first point to its last, as +1 and -1
+        # marks whose running sum is positive inside a window
+        marks = np.zeros(coarse.size + 1, dtype=np.int64)
+        np.add.at(marks, np.maximum(at - reach - 2, 0) // fine, 1)
+        np.add.at(marks, np.minimum(at + reach + 1, n - 1) // fine + 1, -1)
+        need = np.flatnonzero(np.cumsum(marks[:-1]))
+        out = [np.empty((0, fine), dtype=complex)]
         for start in range(0, coarse.size, rows):
-            head = np.exp(-1j * np.outer(coarse[start:start + rows], omega))
-            head *= self._occ_w
-            out[start:start + rows] = head @ factors
-        return out.ravel()[:t.size]
+            batch = need[(start <= need) & (need < start + rows)]
+            if batch.size:
+                # a lone row goes in twice, unless its chunk has one row
+                alone = batch.size == 1 < min(rows, coarse.size - start)
+                head = np.exp(-1j * np.outer(coarse[batch.repeat(1 + alone)],
+                                             omega))
+                head *= w
+                out.append((head @ factors)[:batch.size])
+        index = (need[:, None] * fine + np.arange(fine)).ravel()
+        keep = index < n
+        return index[keep], np.concatenate(out).ravel()[keep]
 
     def fidelity(self, times) -> np.ndarray:
         return abs(self.survival_amplitude(times))
@@ -316,31 +381,40 @@ class SpectralPropagator:
         return float(self.weights @ self.omegas)
 
     def occupied_spread(self) -> float:
-        """Spread of occupied angular frequencies; zero means stationary."""
+        """Spread of occupied angular frequencies; zero means stationary.
+        A frequency past the float range is inf, and so is the spread
+        (in Python floats, without a warning)."""
         if self._occ_omega.size == 0:
             return 0.0
-        return float(self._occ_omega.max() - self._occ_omega.min())
+        hi, lo = float(self._occ_omega.max()), float(self._occ_omega.min())
+        return hi - lo if -math.inf < lo and hi < math.inf else math.inf
 
 
-@dataclass(frozen=True)
 class EvolutionResult:
-    """Time grid with the survival-amplitude track.
+    """The survival amplitude on a uniform grid, where a return can be.
 
-    States are reconstructed on demand from the propagator: a dense
-    state per grid point would not fit in memory for the larger cavity
-    runs.
+    ``times`` is the whole grid; ``overlap_track`` and ``fidelity_track``
+    hold <psi0|psi(t)> and its modulus at ``times[index]``, ``index``
+    ascending (`SpectralPropagator.survival_grid`).  States are
+    reconstructed on demand from the propagator: a dense state per grid
+    point would not fit in memory for the larger cavity runs.
     """
 
-    times: np.ndarray
-    overlap_track: np.ndarray
-    fidelity_track: np.ndarray
-    propagator: SpectralPropagator
+    __slots__ = ("times", "index", "overlap_track", "fidelity_track",
+                 "propagator")
+
+    def __init__(self, times, index, overlap_track,
+                 propagator: SpectralPropagator):
+        self.times, self.index, self.propagator = times, index, propagator
+        self.overlap_track = overlap_track
+        self.fidelity_track = abs(overlap_track)
 
 
 def evolve(hamiltonian: Hamiltonian, psi0, t_max: float,
            steps: int = 4096, *,
            propagator: Union[SpectralPropagator, None] = None) -> EvolutionResult:
-    """Evolve psi0 on a uniform grid over [0, t_max].
+    """Evolve psi0 on a uniform grid over [0, t_max], evaluating the
+    survival amplitude only near the points where a return can be.
 
     Norm preservation is exact by construction (diagonal phase advance).
     An existing propagator for the same (H, psi0) pair may be passed to
@@ -353,9 +427,7 @@ def evolve(hamiltonian: Hamiltonian, psi0, t_max: float,
         raise ValueError("t_max must be positive")
     prop = propagator or SpectralPropagator(hamiltonian, psi0)
     times = np.linspace(0.0, float(t_max), int(steps))
-    overlap = prop.survival_grid(times)
-    return EvolutionResult(times=times, overlap_track=overlap,
-                           fidelity_track=np.abs(overlap), propagator=prop)
+    return EvolutionResult(times, *prop.survival_grid(times), prop)
 
 
 # Grid peaks this far below full fidelity are still candidates; the strict
@@ -369,29 +441,38 @@ CERTIFICATE_FLOOR = 1e-8
 CERTIFICATE_TOL = 1e-6
 
 
+def _floor(prop: SpectralPropagator, times: np.ndarray,
+           fidelity_tol: float) -> Tuple[float, float]:
+    """(floor, margin) of `_prune` on the uniform grid ``times``."""
+    import numpy as np
+    w, nu = prop._occ_w, prop._occ_nu
+    dt, light = times[1] - times[0], w < CERTIFICATE_FLOOR
+    margin = (32 * np.spacing(1.0 + np.max(np.abs(prop._occ_omega)) * times[-1])
+              + prop.weights.sum() - w.sum()
+              + dt * (w[light] @ np.abs(nu[light])))
+    # (dt*nu)^2, not dt^2*nu^2: nu^2 alone overflows for huge frequencies
+    return 1.0 - fidelity_tol - (w @ (dt * nu) ** 2) / 2 - margin, margin
+
+
 def _prune(prop: SpectralPropagator, times: np.ndarray, fid: np.ndarray,
            peaks: np.ndarray, fidelity_tol: float, certify: bool) -> np.ndarray:
-    """The peaks i whose bracket [t_i - dt, t_i + dt] can hold a return.
+    """The grid peaks i (fidelity ``fid``) whose bracket
+    [t_i - dt, t_i + dt] can hold a return.
 
     With nu_k = omega_k - sum_j p_j omega_j, B(t) = sum_k p_k exp(-i nu_k t)
     has |B| = |A| and |B''| <= sigma^2 = sum_k p_k nu_k^2, so there
-    |A| <= fid[i] + dt |B'(t_i)| + dt^2 sigma^2 / 2.  A certified return
+    |A| <= fid_i + dt |B'(t_i)| + dt^2 sigma^2 / 2.  A certified return
     also needs heavy levels adjacent in frequency to be in phase at t_i
     within |nu_k - nu_j| dt + 2 CERTIFICATE_TOL.  The margin covers
     rounding and the levels below CERTIFICATE_FLOOR.
     """
     import numpy as np
-    w, nu = prop._occ_w, prop._occ_nu
-    dt, heavy = times[1] - times[0], w >= CERTIFICATE_FLOOR
-    margin = (32 * np.spacing(1.0 + np.max(np.abs(prop._occ_omega)) * times[-1])
-              + prop.weights.sum() - w.sum()
-              + dt * (w[~heavy] @ np.abs(nu[~heavy])))
-    # (dt*nu)^2, not dt^2*nu^2: nu^2 alone overflows for huge frequencies
-    floor = 1.0 - fidelity_tol - (w @ (dt * nu) ** 2) / 2 - margin
-    w, nu = w[heavy], nu[heavy]                 # ascending in nu
-    phases = np.exp(-1j * np.outer(times[peaks], nu))
+    floor, margin = _floor(prop, times, fidelity_tol)
+    heavy = prop._occ_w >= CERTIFICATE_FLOOR
+    w, nu, dt = prop._occ_w[heavy], prop._occ_nu[heavy], times[1] - times[0]
+    phases = np.exp(-1j * np.outer(times[peaks], nu))      # ascending in nu
     # an elementwise sum: a threaded complex gemv of this size costs ms
-    ok = fid[peaks] + dt * np.abs((phases * (nu * w)).sum(axis=1)) >= floor
+    ok = fid + dt * np.abs((phases * (nu * w)).sum(axis=1)) >= floor
     if certify:
         turn = np.abs(np.angle(phases[:, 1:] * phases[:, :-1].conj()))
         ok &= np.all(turn <= np.diff(nu) * dt + 2 * CERTIFICATE_TOL + margin,
@@ -429,8 +510,13 @@ def detect_period(result: EvolutionResult, fidelity_tol: float = 1e-8, *,
                   approximate: bool = False) -> Tuple[float, float]:
     """First fidelity return: (tau_est, phi_est).
 
-    Local fidelity maxima after t=0 that `_prune` keeps are refined in
-    time order by `_refine`; the first refined peak reaching
+    Grid peaks after t=0 are the evaluated points whose two grid
+    neighbours are evaluated and no higher, and the last grid point when
+    the one before it is evaluated and no higher; of a run of equal
+    peaks only the first counts.  `evolve` evaluates every peak that
+    `_prune` can keep with its neighbours and the point before them, so
+    the peaks `_prune` keeps are those of the whole grid.  They are
+    refined in time order by `_refine`; the first refined peak reaching
     1 - |<psi0|psi(tau)>| <= fidelity_tol is the period estimate, so
     partial revivals are examined and rejected rather than mistaken for
     the return.  Unless ``approximate``, every occupied level of weight
@@ -441,20 +527,27 @@ def detect_period(result: EvolutionResult, fidelity_tol: float = 1e-8, *,
     degenerates to the first grid peak; callers screen it beforehand.
     """
     import numpy as np
-    if not 0 < fidelity_tol <= 1e-3:
+    if not 0 < fidelity_tol <= MAX_FIDELITY_TOL:
         raise ValueError("fidelity_tol must be in (0, 1e-3]")
-    fid, times, prop = result.fidelity_track, result.times, result.propagator
-    n = fid.size
-    peaks = np.flatnonzero(
-        (fid[1:-1] >= fid[:-2]) & (fid[1:-1] >= fid[2:])) + 1
-    if n >= 2 and fid[-1] >= fid[-2]:
-        peaks = np.append(peaks, n - 1)
+    fid, index = result.fidelity_track, result.index
+    times, prop = result.times, result.propagator
+    n = times.size
+    step = np.diff(index)
+    # positions in the evaluated arrays
+    peaks = np.flatnonzero((step[:-1] == 1) & (step[1:] == 1)
+                           & (fid[1:-1] >= fid[:-2])
+                           & (fid[1:-1] >= fid[2:])) + 1
+    if step.size and index[-1] == n - 1 and step[-1] == 1 \
+            and fid[-1] >= fid[-2]:
+        peaks = np.append(peaks, fid.size - 1)
     peaks = peaks[fid[peaks] >= 1.0 - SCAN_BAND]
-    peaks = peaks[np.diff(peaks, prepend=-2) != 1]  # one bracket per plateau
+    # one bracket per plateau
+    peaks = peaks[np.diff(index[peaks], prepend=-2) != 1]
     certified = prop.omegas[prop.weights >= CERTIFICATE_FLOOR]
     size = max(1, CHUNK_ENTRIES // prop._occ_w.size)
     for start in range(0, peaks.size, size):
-        for i in _prune(prop, times, fid, peaks[start:start + size],
+        chunk = peaks[start:start + size]
+        for i in _prune(prop, times, fid[chunk], index[chunk],
                         fidelity_tol, not approximate):
             tau = _refine(prop, times[max(i - 1, 0)],
                           times[min(i + 1, n - 1)], times[i])
@@ -484,25 +577,28 @@ def generic_gamma(hamiltonian: Hamiltonian, psi0, t_max: float, *,
     if not 0 < t_max < math.inf:
         raise ValueError("t_max must be positive and finite")
     prop = SpectralPropagator(hamiltonian, psi0)
-    e_mean = prop.mean_energy()
     spread = prop.occupied_spread()
     if spread == 0.0:
         return PhaseReport(method="oracle", unit=hamiltonian.unit,
                            tau_cycles=None, tau=math.nan,
                            phi_over_pi=None, phi=0.0, gamma=0.0,
-                           mean_energy=e_mean, branch_integers={},
-                           stationary=True, fidelity=1.0)
+                           mean_energy=prop.mean_energy(),
+                           branch_integers={}, stationary=True, fidelity=1.0)
     # 4096 points per natural cycle 2*pi/unit, and at least enough that
     # no two occupied phases drift apart by more than SCAN_BAND radians
-    # per step, so no return peak falls between grid points
+    # per step, so no return peak falls between grid points.  Both
+    # products may be inf, so they meet the cap before any rounding up
     cycles = max(1.0, float(t_max) * hamiltonian.unit / TWO_PI)
-    needed = math.ceil(spread * t_max / SCAN_BAND) + 1
+    span = spread * t_max / SCAN_BAND
+    needed = math.ceil(span) + 1 if span < math.inf else span
     if needed > MAX_STEPS:
         raise NoReturnError(
             f"the occupied frequency spread {spread:.6g} needs "
             f"{needed} grid steps up to t_max = {t_max:g}, above the "
             f"cap of {MAX_STEPS}; set a shorter t_max")
-    steps = max(int(min(4096 * math.ceil(cycles), MAX_STEPS)), needed)
+    steps = max(4096 * math.ceil(cycles) if cycles <= MAX_STEPS // 4096
+                else MAX_STEPS, needed)
+    e_mean = prop.mean_energy()
     result = evolve(hamiltonian, psi0, t_max, steps=steps, propagator=prop)
     tau_est, phi_est = detect_period(
         result, fidelity_tol=1e-4 if approximate else 1e-8,

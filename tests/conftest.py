@@ -163,3 +163,29 @@ def reference_gammas(candidate, mean_H, lam1: Fraction, lam2: Fraction):
     for j in range(1, ratio.denominator + 1):
         values.setdefault(_canonical_gamma(TWO_PI * float((j * ratio) % 1)))
     return list(values)
+
+
+def whole_grid_survival(prop, times) -> np.ndarray:
+    """<psi0|psi(t)> at every point of the uniform grid ``times``, as one
+    (n/B x levels) @ (levels x B) product in chunks of coarse rows: the
+    reference that `SpectralPropagator.survival_grid` must equal bit for
+    bit wherever it evaluates."""
+    from aaphase.oracle import _grid_shape
+    t = np.asarray(times, dtype=float)
+    omega = prop._occ_omega
+    fine, rows = _grid_shape(t.size, omega.size)
+    factors = np.exp(-1j * np.outer(omega, t[:fine]))
+    coarse = t[::fine]
+    out = np.empty((coarse.size, fine), dtype=complex)
+    for start in range(0, coarse.size, rows):
+        head = np.exp(-1j * np.outer(coarse[start:start + rows], omega))
+        head *= prop._occ_w
+        out[start:start + rows] = head @ factors
+    return out.ravel()[:t.size]
+
+
+def whole_grid_result(prop, times):
+    """An `EvolutionResult` that holds every point of the grid."""
+    from aaphase.oracle import EvolutionResult
+    return EvolutionResult(times, np.arange(times.size),
+                           whole_grid_survival(prop, times), prop)

@@ -392,6 +392,40 @@ class TestConstrain:
         assert code == 64
         assert "partial_spectrum" in err
 
+    @pytest.mark.parametrize("old, new", [
+        ("known = 2 3", "known = 1.5e308 3"),
+        ("known = 2 3", "known = 1e154 3"),
+        ("mean_energy = 5/2", "mean_energy = 5/2000003"),
+    ], ids=["huge-level", "large-level", "large-denominator"])
+    def test_gamma_count_past_the_cap_exits_64(self, tmp_path, capsys,
+                                               monkeypatch, old, new):
+        # each of these ran for more than 20 s listing gamma values; the
+        # count is read off the candidates before any list is built
+        monkeypatch.setattr(cli, "gamma_candidates", None)
+        text = PARTIAL.replace(old, new)
+        code, out, err = run_cli(
+            ["constrain", "--config", write(tmp_path, text)], capsys)
+        assert (code, out) == (64, "")
+        assert err == (f"config error: constrain would list more than "
+                       f"{cli.MAX_GAMMA_VALUES} gamma values over its 32 "
+                       f"candidates\n")
+
+    def test_gamma_count_at_the_cap_passes(self, tmp_path, capsys,
+                                           monkeypatch):
+        text = PARTIAL.replace("mean_energy = 5/2", "mean_energy = 5/202")
+        code, out, _ = run_cli(["constrain", "--config",
+                                write(tmp_path, text), "--n-range", "2"],
+                               capsys)
+        assert code == 0
+        listed = sum(len(line.split(" | ")[4].split())
+                     for line in out.splitlines()[2:6])
+        monkeypatch.setattr(cli, "MAX_GAMMA_VALUES", listed)
+        assert run_cli(["constrain", "--config", write(tmp_path, text),
+                        "--n-range", "2"], capsys)[:2] == (0, out)
+        monkeypatch.setattr(cli, "MAX_GAMMA_VALUES", listed - 1)
+        assert run_cli(["constrain", "--config", write(tmp_path, text),
+                        "--n-range", "2"], capsys)[0] == 64
+
     @pytest.mark.parametrize("flags, options", [
         (["--n-range", "0"], ""),
         ([], "\n[options]\nn_range = 0\n"),
@@ -632,6 +666,43 @@ class TestInputGuards:
             [command, "--config", write(tmp_path, text)], capsys)
         assert (code, out) == (64, "")
         assert err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("command, text, spread", [
+        ("analyze", "[run]\nmodel = dense_matrix\n\n[dense_matrix]\n"
+         "dimension = 2\nentries = 1.5e308, 0, 0, -1.5e308\n"
+         "psi0 = 0.6, 0.8\n\n[options]\nt_max = 10\n", "inf"),
+        ("analyze", shipped_with("dense_matrix.ini", t_max="1.5e308"), "2"),
+        ("verify", shipped_with("free_field_coherent.ini", omega="1.5e308"),
+         "inf"),
+        ("verify", shipped_with("raw_spectrum.ini", unit="1.5e308"), "inf"),
+        ("verify", shipped_with("raw_spectrum.ini", levels="0 1 1.5e308"),
+         "1.5e+308"),
+        ("verify", shipped_with("spin_half.ini", mu_B0="1.5e308"), "inf"),
+        # one level times unit overflows: not a stationary state
+        ("analyze", "[run]\nmodel = dense_matrix\n\n[dense_matrix]\n"
+         "dimension = 2\nentries = 1e308, 0, 0, 1\npsi0 = 1, 0\n"
+         "unit = 10\n\n[options]\nt_max = 8\n", "inf"),
+    ], ids=["dense-spread", "dense-t_max", "free_field-omega", "raw-unit",
+            "raw-levels", "spin-mu_B0", "dense-unit"])
+    def test_step_rule_past_the_float_range_exits_3(self, tmp_path, capsys,
+                                                    command, text, spread):
+        # spread * t_max overflows to inf: the grid would need infinitely
+        # many steps, which math.ceil cannot count (a traceback, exit 1);
+        # the suite also turns numpy's overflow warnings into errors
+        code, out, err = run_cli(
+            [command, "--config", write(tmp_path, text)], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"oracle: the occupied frequency spread "
+                              f"{spread} needs inf grid steps up to t_max")
+        assert len(err.splitlines()) == 1
+
+    def test_underflowing_psi0_is_normalized(self, tmp_path, capsys):
+        # |psi0|^2 = 1e-320 is subnormal, so psi0 / |psi0| missed the unit
+        # norm by 5.6e-6 and the oracle refused it with a traceback
+        runs = [run_cli(["analyze", "--config", write(
+                    tmp_path, shipped_with("dense_matrix.ini", psi0=psi0))],
+                    capsys) for psi0 in ("1e-160, 0", "1, 0")]
+        assert runs[0] == runs[1] and runs[0][0] == 0 and runs[0][2] == ""
 
     def test_huge_coupling_exits_64(self, tmp_path, capsys):
         text = ("[run]\nmodel = three_mirror\n\n[three_mirror]\nomega_D = 2\n"

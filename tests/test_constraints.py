@@ -12,6 +12,7 @@ from aaphase.constraints import (
     constrain_unknown,
     enumerate_candidates,
     gamma_candidates,
+    gamma_count,
     gauge_to_zero_phi,
 )
 from aaphase.engine import Spectrum, StateDecomposition, geometric_phase
@@ -241,3 +242,4 @@ def test_integer_solver_matches_fraction_reference(pair, n_range, i, j,
             got = gamma_candidates(c, mean, ps)
             want = reference_gammas(c, mean, lam1, lam2)
             assert [g.hex() for g in got] == [g.hex() for g in want]
+            assert gamma_count(c, mean, ps) == len(got)

@@ -55,6 +55,17 @@ def test_no_eager_numpy_import(path):
             if name.partition(".")[0] == "numpy"] == []
 
 
+def test_oracle_imports_no_dataclasses():
+    # every run compiles oracle.py from source where bytecode is not
+    # written; its classes are plain __slots__ classes
+    from aaphase import oracle
+    assert "dataclasses" not in imported_modules(
+        ROOT / "src" / "aaphase" / "oracle.py")
+    for cls in (oracle.Hamiltonian, oracle.EvolutionResult):
+        assert "__slots__" in vars(cls)
+        assert "__dataclass_fields__" not in vars(cls)
+
+
 def test_eager_import_is_found(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("import os\nif os:\n    from numpy import pi\n"

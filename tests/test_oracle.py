@@ -28,7 +28,7 @@ from aaphase.oracle import (
     generic_gamma,
 )
 
-from conftest import circ
+from conftest import circ, whole_grid_result, whole_grid_survival
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -463,7 +463,47 @@ class TestComponents:
             - sum(sizes)
 
 
+def same_bits(a, b):
+    """Equal arrays down to the sign of zero."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+@st.composite
+def commensurate_levels(draw):
+    """Levels p/q with random weights, so that returns recur, or random
+    real levels, on a grid of a few periods."""
+    count = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    q = draw(st.integers(1, 4))
+    values = (rng.integers(-20, 21, count) / q if draw(st.booleans())
+              else rng.uniform(-20.0, 20.0, count))
+    weights = rng.uniform(0.01, 1.0, count) ** draw(st.sampled_from((1, 8)))
+    return values, weights, draw(st.floats(0.05, 3.0)) * TWO_PI * q
+
+
 class TestSurvivalGrid:
+    @settings(max_examples=60, deadline=None)
+    @given(case=commensurate_levels(),
+           steps=st.sampled_from([2, 3, 17, 4099, 64 * 64, 2 ** 14 + 1]),
+           chunk=st.sampled_from([CHUNK_ENTRIES, 64, 200, 1000]))
+    def test_windows_equal_the_whole_grid(self, case, steps, chunk):
+        """At every evaluated point the windowed overlap is the whole-grid
+        product's, bit for bit, also with coarse rows in several chunks
+        and a last chunk of one row."""
+        values, weights, t_max = case
+        prop = diagonal_propagator(values, weights)
+        times = np.linspace(0.0, t_max, steps)
+        with mock.patch.object(oracle, "CHUNK_ENTRIES", chunk):
+            index, overlap = prop.survival_grid(times)
+            want = whole_grid_survival(prop, times)
+        assert np.all(np.diff(index) > 0)
+        assert index.size == 0 or 0 <= index[0] and index[-1] < steps
+        assert same_bits(overlap, want[index])
+        # t = 0 is a full return, so its point is always evaluated
+        assert index.size and index[0] == 0 and overlap[0] == want[0]
+
     @settings(max_examples=30, deadline=None)
     @given(levels=st.integers(1, 300),
            steps=st.sampled_from([2, 3, 4099, 64 * 64, 2 ** 16 + 1]),
@@ -475,9 +515,10 @@ class TestSurvivalGrid:
         prop = diagonal_propagator(rng.uniform(-scale, scale, levels),
                                    rng.uniform(0.01, 1.0, levels))
         times = np.linspace(0.0, t_max, steps)
-        grid = prop.survival_grid(times)
-        assert grid.shape == (steps,) and times[-1] == t_max
-        assert np.max(np.abs(grid - direct_survival(prop, times))) <= 1e-12
+        index, overlap = prop.survival_grid(times)
+        assert times[-1] == t_max and index.shape == overlap.shape
+        want = direct_survival(prop, times[index])
+        assert np.max(np.abs(overlap - want)) <= 1e-12
 
     def test_coarse_rows_in_several_chunks(self, rng):
         levels = 1500
@@ -488,18 +529,17 @@ class TestSurvivalGrid:
         # do not fit in one chunk
         assert levels * (math.isqrt(steps - 1) + 1) > CHUNK_ENTRIES
         assert levels * fine <= CHUNK_ENTRIES and rows < coarse
-        prop = diagonal_propagator(rng.uniform(-50.0, 50.0, levels),
+        # integer levels return at every multiple of 2 pi, one of them
+        # in each chunk of coarse rows
+        prop = diagonal_propagator(rng.integers(-50, 51, levels),
                                    rng.uniform(0.01, 1.0, levels))
-        times = np.linspace(0.0, 10.0, steps)
-        grid = prop.survival_grid(times)
-        # both sides of every chunk boundary, a sample, and t_max
-        edges = [np.arange((k * rows - 1) * fine, (k * rows + 1) * fine)
-                 for k in range(1, -(-coarse // rows))]
-        index = np.unique(np.concatenate(
-            [*edges, np.arange(0, steps, 997), [steps - 1]]))
-        index = index[index < steps]
+        times = np.linspace(0.0, 2 * TWO_PI, steps)
+        index, overlap = prop.survival_grid(times)
+        assert np.unique(index // fine // rows).size == 2
+        assert index.size < steps / 50
+        assert same_bits(overlap, whole_grid_survival(prop, times)[index])
         want = direct_survival(prop, times[index])
-        assert np.max(np.abs(grid[index] - want)) <= 1e-12
+        assert np.max(np.abs(overlap - want)) <= 1e-12
 
 
 class TestEvolve:
@@ -514,7 +554,9 @@ class TestEvolve:
     def test_overlap_track_on_three_mirror_matrix(self):
         run = load_config(CONFIGS / "three_mirror_exact.ini")
         res = evolve(run.hamiltonian, run.psi0, 2.2 * TWO_PI, steps=3 * 4096)
-        want = direct_survival(res.propagator, res.times)
+        assert res.times.size == 3 * 4096
+        assert 0 < res.index.size < res.times.size
+        want = direct_survival(res.propagator, res.times[res.index])
         assert np.max(np.abs(res.overlap_track - want)) <= 1e-12
         assert np.array_equal(res.fidelity_track, np.abs(res.overlap_track))
 
@@ -604,6 +646,80 @@ class TestPrune:
         with mock.patch.object(oracle, "_prune", lambda p, t, f, peaks, *a:
                                peaks):
             assert detect() == pruned
+
+
+@st.composite
+def scan_cases(draw):
+    """`detuned_spectra` with, half the time, one level moved 100 higher,
+    so that the occupied spread sets the grid (more than 4096 points per
+    cycle); the grid follows the step rule of `generic_gamma`."""
+    values, weights, t_max, _, approximate = draw(detuned_spectra())
+    if draw(st.booleans()):
+        values = values[:-1] + [values[-1] + 100]
+    tol = draw(st.sampled_from((1e-8, 1e-4)))
+    return values, weights, t_max, tol, approximate
+
+
+def grid_steps(prop, t_max):
+    return max(4096 * math.ceil(max(1.0, t_max / TWO_PI)),
+               math.ceil(prop.occupied_spread() * t_max
+                         / oracle.SCAN_BAND) + 1)
+
+
+def detect_or_none(result, tol, approximate):
+    try:
+        return detect_period(result, tol, approximate=approximate)
+    except NoReturnError:
+        return None
+
+
+class TestWindowedScan:
+    """`detect_period` on the windows `evolve` evaluates returns what it
+    returns on every grid point."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=scan_cases())
+    def test_same_return_as_the_whole_grid(self, case):
+        values, weights, t_max, tol, approximate = case
+        prop = diagonal_propagator(values, weights)
+        steps = grid_steps(prop, t_max)
+        res = evolve(prop.hamiltonian, prop.psi0, t_max, steps=steps,
+                     propagator=prop)
+        whole = whole_grid_result(prop, res.times)
+        assert res.times.size == steps
+        found = detect_or_none(res, tol, approximate)
+        assert found == detect_or_none(whole, tol, approximate)
+        if found is not None:
+            assert all(map(math.isfinite, found))
+
+    def test_spread_sets_the_grid(self):
+        prop = diagonal_propagator([0.0, 1.0, 101.5], [0.49, 0.49, 0.02])
+        t_max = 4.3 * math.pi
+        assert grid_steps(prop, t_max) > 4096 * math.ceil(t_max / TWO_PI)
+        res = evolve(prop.hamiltonian, prop.psi0, t_max,
+                     steps=grid_steps(prop, t_max), propagator=prop)
+        for tol, approximate in ((1e-8, False), (1e-4, True)):
+            tau, phi = detect_period(res, tol, approximate=approximate)
+            assert abs(tau - 2 * TWO_PI) < 1e-6
+            assert (tau, phi) == detect_period(
+                whole_grid_result(prop, res.times), tol,
+                approximate=approximate)
+
+    @pytest.mark.parametrize("name", ["two_mirror", "three_mirror_exact",
+                                      "free_field_coherent", "spin_half",
+                                      "raw_spectrum"])
+    def test_shipped_configs(self, name):
+        run = load_config(CONFIGS / f"{name}.ini")
+        prop = SpectralPropagator(run.hamiltonian, run.psi0)
+        t_max = 2.2 * TWO_PI / run.hamiltonian.unit * 4
+        res = evolve(run.hamiltonian, run.psi0, t_max,
+                     steps=grid_steps(prop, t_max), propagator=prop)
+        assert res.index.size < res.times.size / 4
+        whole = whole_grid_result(prop, res.times)
+        for tol, approximate in ((1e-8, False), (1e-4, True)):
+            found = detect_or_none(res, tol, approximate)
+            assert found is not None
+            assert found == detect_or_none(whole, tol, approximate)
 
 
 class TestGenericGamma:

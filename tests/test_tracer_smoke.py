@@ -11,7 +11,7 @@ shipped configs to catch that.
 import importlib.util
 from pathlib import Path
 
-from aaphase import cli
+from aaphase import cli, oracle
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -39,9 +39,14 @@ def _stdout(argv, capsys):
     return capsys.readouterr().out
 
 
-def test_traced_runs_match_untraced(capsys):
+def test_traced_runs_match_untraced(capsys, monkeypatch):
     untraced = [_stdout(argv, capsys) for argv in CALLS]
     original_main = cli.main
+    # the grid the verify call scans, seen under the tracer's wrapper
+    grids = []
+    evolve = oracle.evolve
+    monkeypatch.setattr(oracle, "evolve", lambda *a, **k: grids.append(
+        k["steps"]) or evolve(*a, **k))
     tracer = _load_spans().Tracer()
     tracer.install()
     try:
@@ -53,3 +58,8 @@ def test_traced_runs_match_untraced(capsys):
     metrics = tracer.metrics()
     assert metrics["models.dense_bytes"] > 0
     assert metrics["models.levels"] > 0
+    # the scan runs inside oracle.evolve, and grid_steps counts the whole
+    # grid, not the points the scan evaluates
+    assert len(grids) == 1
+    assert metrics["oracle.scan_s"] > 0
+    assert metrics["oracle.grid_steps"] == grids[0]
