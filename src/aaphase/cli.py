@@ -5,8 +5,8 @@ disagreement, 2 physical impossibility (non-cyclic state, stationary
 state at eigenvalue 0, irrational constraint input), 3 oracle found no
 return within t_max or its grid would need more than 2^21 steps for the
 occupied frequency spread, 64 usage or configuration errors (among them
-a constrain call whose candidates would list more than MAX_GAMMA_VALUES
-= 10^6 gamma values).
+a constrain call with n_range above MAX_N_RANGE = 1000, or whose
+candidates would list more than MAX_GAMMA_VALUES = 10^6 gamma values).
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ EXIT_USAGE = 64
 VERIFY_TOL = 1e-6
 # most gamma values one constrain call may list, over all its candidates
 MAX_GAMMA_VALUES = 10 ** 6
+MAX_N_RANGE = 1000   # largest n_range constrain takes (2*n_range rows)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -166,6 +167,8 @@ def cmd_constrain(run: LoadedRun, args) -> int:
         raise ConfigError("constrain needs a [partial_spectrum] model")
     if len(run.partial.known) < 2:
         raise ConfigError("constrain needs at least two known eigenvalues")
+    if run.options.n_range > MAX_N_RANGE:
+        raise ConfigError(f"n_range must be <= {MAX_N_RANGE} for constrain")
     candidates = enumerate_candidates(run.partial, run.options.n_range)
     if run.mean_energy_input is not None and sum(
             gamma_count(cand, run.mean_energy_input, run.partial)

@@ -245,7 +245,7 @@ def gamma_candidates(candidate: CyclicityCandidate, mean_H,
     own = _canonical_gamma(TWO_PI * float(Fraction(top, v * s) % 1))
     ratio = Fraction(top, v * (candidate.n or candidate.m) * s)
     p, q = ratio.numerator, ratio.denominator
-    # dict keys: first-seen order, hashed dedupe
+    # dict keys: first-seen order, hashed dedupe; a listed value is at
+    # most 2*pi*(1 - 1/q), clear of the sliver `_canonical_gamma` folds
     return list(dict.fromkeys(
-        [own, *(_canonical_gamma(TWO_PI * (j * p % q / q))
-                for j in range(1, q + 1))]))
+        [own, *(TWO_PI * (j * p % q / q) for j in range(1, q + 1))]))

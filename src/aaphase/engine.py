@@ -14,7 +14,8 @@ L = D/G cycles, and the branch data are integers: n_0 = floor(p_0/G +
 eigenvalue marks a failed rationalization and is tolerated only when at
 most two distinct values are occupied (two-level evolutions are cyclic
 regardless of commensurability); with three or more distinct values a
-float renders the state non-cyclic.
+float renders the state non-cyclic.  The spectrum keeps its label table,
+the state its weights |a|^2, and a verdict and a report join them once.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ __all__ = [
     "gamma_from_single_eigenvalue_tau",
     "gauge_shift",
     "geometric_phase",
-    "squared_norm",
+    "squared_moduli",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -44,45 +45,43 @@ Value = Union[int, float]
 NORMALIZATION_TOL = 1e-12
 
 
-def squared_norm(amplitudes) -> float:
-    """sum |a|^2, correctly rounded; inf where an |a| or its square
-    overflows, which Python floats report by raising OverflowError."""
+def squared_moduli(amplitudes) -> Tuple[float, ...]:
+    """|a|^2 per amplitude; (inf,) where an |a| or its square overflows,
+    which Python floats report by raising OverflowError."""
     try:
-        return math.fsum(abs(a) ** 2 for a in amplitudes)
+        return tuple(abs(a) ** 2 for a in amplitudes)
     except OverflowError:
-        return math.inf
+        return (math.inf,)
 
 
 class NonCyclicError(ValueError):
     """The state does not undergo cyclic motion under this spectrum."""
 
 
-@dataclass(frozen=True)
 class Spectrum:
     """Occupied-or-not eigenvalue table: (label, value) pairs in `unit`.
 
     An int value is a numerator over ``denominator``; a float value is
     the level itself and marks a failed rationalization.  The
     constructor also takes Fraction and "p/q" values and puts every
-    rational over their least common denominator.  Labels are unique;
-    values may repeat (degeneracy allowed).
+    rational over their least common denominator.  ``table`` maps the
+    unique labels to the values, which may repeat (degeneracy allowed).
     """
 
-    levels: Tuple[Tuple[str, Value], ...]
-    unit: float = 1.0
-    denominator: int = 1
+    __slots__ = ("levels", "unit", "denominator", "table")
 
     def __init__(self, levels, unit: float = 1.0, denominator: int = 1):
         lv = [(str(lab), val) for lab, val in levels]
         if not lv:
             raise ValueError("spectrum needs at least one level")
-        if len({lab for lab, _ in lv}) != len(lv):
+        table = dict(lv)
+        if len(table) != len(lv):
             raise ValueError("spectrum labels must be unique")
         if not 0 < unit < math.inf:
             raise ValueError("unit must be positive and finite")
         if not (isinstance(denominator, int) and denominator > 0):
             raise ValueError("denominator must be a positive integer")
-        if not all(isinstance(val, (int, float)) for _, val in lv):
+        if not all(isinstance(val, (int, float)) for val in table.values()):
             exact = [val if isinstance(val, float) else
                      Fraction(val, denominator) if isinstance(val, int) else
                      Fraction(val) for _, val in lv]
@@ -91,34 +90,35 @@ class Spectrum:
             lv = [(lab, f if isinstance(f, float) else
                    f.numerator * (denominator // f.denominator))
                   for (lab, _), f in zip(lv, exact)]
-        object.__setattr__(self, "levels", tuple(lv))
-        object.__setattr__(self, "unit", float(unit))
-        object.__setattr__(self, "denominator", denominator)
+            table = dict(lv)
+        self.levels, self.table = tuple(lv), table
+        self.unit, self.denominator = float(unit), denominator
 
 
-@dataclass(frozen=True)
 class StateDecomposition:
     """Complex amplitudes of the state over spectrum labels.
 
     Zero-amplitude entries are rejected so the entry list IS the occupied
-    set; total weight must be 1 within 1e-12.
+    set; total weight must be 1 within 1e-12.  ``weights`` holds |a|^2
+    per entry and ``total`` their correctly rounded sum.
     """
 
-    entries: Tuple[Tuple[str, complex], ...]
+    __slots__ = ("entries", "weights", "total", "_join")
 
     def __init__(self, entries):
         ent = tuple((str(lab), complex(a)) for lab, a in entries)
         if not ent:
             raise ValueError("state needs at least one entry")
-        labels = [lab for lab, _ in ent]
-        if len(set(labels)) != len(labels):
+        if len({lab for lab, _ in ent}) != len(ent):
             raise ValueError("state labels must be unique")
         if any(a == 0 for _, a in ent):
             raise ValueError("zero-amplitude entries must be absent")
-        total = squared_norm(a for _, a in ent)
+        weights = squared_moduli(a for _, a in ent)
+        total = math.fsum(weights)
         if not abs(total - 1.0) <= NORMALIZATION_TOL:  # NaN fails too
             raise ValueError(f"state not normalized: sum |a|^2 = {total!r}")
-        object.__setattr__(self, "entries", ent)
+        self.entries, self.weights, self.total = ent, weights, total
+        self._join = None
 
 
 @dataclass(frozen=True)
@@ -157,27 +157,36 @@ class PhaseReport:
 
 
 def _occupy(spectrum: Spectrum, state: StateDecomposition
-            ) -> Tuple[List[tuple], Dict[object, Value]]:
-    """Occupied (label, value, key, weight) and {key: value} over the
-    distinct values, in first-seen order.
+            ) -> Tuple[List[object], Dict[object, Value]]:
+    """The key of each occupied level, in entry order, and {key: value}
+    over the distinct values, in first-seen order.
 
     Errors on labels missing from the spectrum.  A float equal to a
     rational level p/D gets the key p, so it merges onto the value seen
     first; other floats are their own keys.
     """
-    table = dict(spectrum.levels)
+    table = spectrum.table
     d = spectrum.denominator
-    levels = []
+    keys = []
     distinct: Dict[object, Value] = {}
-    for lab, amp in state.entries:
-        if lab not in table:
+    for lab, _ in state.entries:
+        val = table.get(lab)
+        if val is None:
             raise ValueError(f"state/spectrum mismatch: unknown label {lab!r}")
-        val = table[lab]
         key = (val if isinstance(val, int) or not math.isfinite(val)
                else Fraction(val) * d)
         distinct.setdefault(key, val)
-        levels.append((lab, val, key, abs(amp) ** 2))
-    return levels, distinct
+        keys.append(key)
+    return keys, distinct
+
+
+def _joined(spectrum: Spectrum, state: StateDecomposition
+            ) -> Tuple[List[object], Dict[object, Value]]:
+    """`_occupy` once per pair: the state keeps its join with the last
+    spectrum it met, so classifying and then reporting join once."""
+    if state._join is None or state._join[0] is not spectrum:
+        state._join = (spectrum, *_occupy(spectrum, state))
+    return state._join[1:]
 
 
 def _verdict(distinct: Sequence[Value]) -> Cyclicality:
@@ -197,7 +206,7 @@ def check_cyclicality(spectrum: Spectrum, state: StateDecomposition) -> Cyclical
     when all are exact rationals; any float (= failed rationalization)
     makes the spacings incommensurable.
     """
-    return _verdict(list(_occupy(spectrum, state)[1].values()))
+    return _verdict(list(_joined(spectrum, state)[1].values()))
 
 
 def _branch_data(distinct: Sequence[Value], denominator: int):
@@ -258,7 +267,7 @@ def geometric_phase(spectrum: Spectrum, state: StateDecomposition
     instead of tau*<H>.  Stationary states report gamma = 0 with the
     `stationary` flag set.  A non-cyclic state raises NonCyclicError.
     """
-    levels, distinct = _occupy(spectrum, state)
+    keys, distinct = _joined(spectrum, state)
     values = list(distinct.values())
     verdict = _verdict(values)
     if verdict.kind == "non-cyclic":
@@ -267,18 +276,18 @@ def geometric_phase(spectrum: Spectrum, state: StateDecomposition
     L, phi2pi, ns = _branch_data(values, d)
     branch = dict(zip(distinct, ns))
 
-    total_weight = math.fsum(w for *_, w in levels)
     # Weights are renormalized so the 1e-12 normalization slack cannot be
     # amplified by large branch integers; summing w*(n - n_min) keeps the
     # float magnitudes at the spread of the branch integers, and the
     # integer n_min drops out of the mod-1 reduction.
     n_min = min(ns)
-    acc = math.fsum((w / total_weight) * (branch[key] - n_min)
-                    for _, _, key, w in levels)
+    acc = math.fsum((w / state.total) * (branch[key] - n_min)
+                    for key, w in zip(keys, state.weights))
     gamma = _canonical_gamma(TWO_PI * (acc - math.floor(acc)))
-    # p/d of two ints is the correctly rounded float of the level
-    mean = math.fsum(w * (v / d if isinstance(v, int) else v)
-                     for _, v, _, w in levels)
+    # p/d is the correctly rounded level, as is each float merged onto it
+    level = {key: v / d if isinstance(v, int) else v
+             for key, v in distinct.items()}
+    mean = math.fsum(w * level[key] for key, w in zip(keys, state.weights))
 
     return PhaseReport(
         method="full-spectrum", unit=spectrum.unit,
@@ -288,7 +297,8 @@ def geometric_phase(spectrum: Spectrum, state: StateDecomposition
         phi=TWO_PI * float(phi2pi),
         gamma=gamma,
         mean_energy=spectrum.unit * mean,
-        branch_integers={lab: branch[key] for lab, _, key, _ in levels},
+        branch_integers={lab: branch[key]
+                         for (lab, _), key in zip(state.entries, keys)},
         stationary=verdict.kind == "stationary")
 
 

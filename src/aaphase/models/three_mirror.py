@@ -173,30 +173,26 @@ def three_mirror_initial_state(params: ThreeMirrorParams) -> np.ndarray:
     return psi0 / np.linalg.norm(psi0)
 
 
-def cavity_exact(blocks: Iterable[Tuple[str, Fraction, complex, np.ndarray]],
-                 unit: float, truncation: str
+def cavity_exact(blocks: Iterable[Tuple[str, int, complex, np.ndarray]],
+                 denominator: int, unit: float, truncation: str
                  ) -> Tuple[Spectrum, StateDecomposition]:
     """Exact levels and state of a mirror displaced by the field.
 
-    Each block is (label prefix, exact offset, field amplitude, mirror
-    amplitudes in the block's displaced basis) and holds level
-    offset + m, labeled prefix + m, for every mirror quantum m.  The
-    levels are integer numerators over D, the least common denominator
-    of the offsets.  The mass lost to the truncation (described by
+    Each block is (label prefix, offset numerator over ``denominator``,
+    field amplitude, mirror amplitudes in the block's displaced basis)
+    and holds level offset + m, labeled prefix + m, for every mirror
+    quantum m.  The mass lost to the truncation (described by
     ``truncation`` in the error) must stay below 1e-10, and the kept
     amplitudes are renormalized.
     """
-    blocks = list(blocks)
-    d = math.lcm(*(offset.denominator for _, offset, _, _ in blocks))
     levels = []
     entries = []
     mass = 0.0
-    for prefix, offset, weight, mirror in blocks:
-        base = offset.numerator * (d // offset.denominator)
+    for prefix, base, weight, mirror in blocks:
         weight = complex(weight)  # numpy scalar arithmetic per level is slower
         for m, mirror_amp in enumerate(mirror.tolist()):
             label = f"{prefix}{m}"
-            levels.append((label, base + d * m))
+            levels.append((label, base + denominator * m))
             amp = weight * mirror_amp
             if amp != 0:
                 mass += abs(amp) ** 2
@@ -208,7 +204,13 @@ def cavity_exact(blocks: Iterable[Tuple[str, Fraction, complex, np.ndarray]],
     scale = 1.0 / math.sqrt(mass)
     state = StateDecomposition(
         entries=[(label, amp * scale) for label, amp in entries])
-    return Spectrum(levels=levels, unit=unit, denominator=d), state
+    return Spectrum(levels=levels, unit=unit, denominator=denominator), state
+
+
+def over_one_denominator(*ratios: Fraction) -> Tuple[int, ...]:
+    """The numerators of the ratios over their lcm denominator D, then D."""
+    d = math.lcm(*(r.denominator for r in ratios))
+    return (*(r.numerator * (d // r.denominator) for r in ratios), d)
 
 
 def three_mirror_exact(params: ThreeMirrorParams
@@ -228,7 +230,8 @@ def three_mirror_exact(params: ThreeMirrorParams
     if params.kappa_D != 0 and mu is None:
         raise ValueError(
             "exact route needs a coherent mirror state when C_D != 0")
-    kd2 = params.kappa_D * params.kappa_D
+    rho_d, rho_s, kd2, d = over_one_denominator(
+        params.rho_D, params.rho_S, params.kappa_D * params.kappa_D)
 
     def blocks():
         for i in range(na):
@@ -236,11 +239,10 @@ def three_mirror_exact(params: ThreeMirrorParams
                       displaced_frame_amplitudes(
                           mu, -float(params.kappa_D) * i, nc))
             for j in range(nb):
-                yield (f"{i},{j},",
-                       params.rho_D * i + params.rho_S * j - kd2 * i * i,
+                yield (f"{i},{j},", rho_d * i + rho_s * j - kd2 * i * i,
                        a_vec[i] * b_vec[j], mirror)
 
-    return cavity_exact(blocks(), params.omega_m, str(params.truncations))
+    return cavity_exact(blocks(), d, params.omega_m, str(params.truncations))
 
 
 def _mirror_moments(params: ThreeMirrorParams) -> Tuple[float, float, float]:

@@ -22,10 +22,10 @@ from fractions import Fraction
 from typing import Tuple
 
 from ..engine import (Spectrum, StateDecomposition, _canonical_gamma, TWO_PI,
-                      squared_norm)
+                      squared_moduli)
 from ..fock import coherent_amplitudes, displaced_frame_amplitudes
 from ..oracle import Hamiltonian
-from .three_mirror import cavity_dense, cavity_exact
+from .three_mirror import cavity_dense, cavity_exact, over_one_denominator
 
 __all__ = [
     "TwoMirrorParams",
@@ -69,7 +69,7 @@ class TwoMirrorParams:
         amps = tuple(complex(c) for c in self.field_amplitudes)
         if not amps:
             raise ValueError("field_amplitudes must be non-empty")
-        norm = squared_norm(amps)
+        norm = math.fsum(squared_moduli(amps))
         if not abs(norm - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError(f"field amplitudes not normalized: {norm!r}")
         object.__setattr__(self, "field_amplitudes", amps)
@@ -114,10 +114,12 @@ def two_mirror_spectrum(params: TwoMirrorParams
     by ``cavity_exact``.
     """
     trunc = params.mirror_truncation
-    blocks = ((f"{n},", params.r * n - params.k_squared * n * n, c_n,
+    r, k2, d = over_one_denominator(params.r, params.k_squared)
+    blocks = ((f"{n},", r * n - k2 * n * n, c_n,
                displaced_frame_amplitudes(params.beta, params.k * n, trunc))
               for n, c_n in enumerate(params.field_amplitudes))
-    return cavity_exact(blocks, params.omega_m, f"mirror_truncation {trunc}")
+    return cavity_exact(blocks, d, params.omega_m,
+                        f"mirror_truncation {trunc}")
 
 
 def two_mirror_mean_energy(params: TwoMirrorParams) -> float:

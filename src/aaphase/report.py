@@ -88,7 +88,8 @@ def format_candidate_table(
              DELIM.join(("n", "m", "phi (pi units)",
                          "tau (2*pi*hbar/unit units)", "gamma candidates"))]
     for cand, gs in zip(candidates, gammas):
-        cell = " ".join(format_real(g) for g in gs) if gs else "none"
+        # one format operation per cell, the bytes of format_real per value
+        cell = ("%.17g " * len(gs))[:-1] % tuple(gs) if gs else "none"
         lines.append(DELIM.join((str(cand.n), str(cand.m),
                                  format_rational(cand.phi_over_pi),
                                  format_rational(cand.tau_cycles), cell)))

@@ -1,6 +1,6 @@
 """Shared fixtures: seeded RNG, random fixture builders, angle helpers,
 level lookup, report parsing, dense ladder operators and the Fraction
-reference of the constraint solver."""
+references of the cavity levels and of the constraint solver."""
 
 import math
 from fractions import Fraction
@@ -30,7 +30,7 @@ def pytest_terminal_summary(terminalreporter):
 def level(spectrum: Spectrum, label: str):
     """The level of ``label``: Fraction(p, D) for an integer numerator p
     over the spectrum's denominator D, the float itself otherwise."""
-    value = dict(spectrum.levels)[label]
+    value = spectrum.table[label]
     if isinstance(value, float):
         return value
     return Fraction(value, spectrum.denominator)
@@ -110,6 +110,20 @@ def random_exact_fixture(rng, min_levels=2, max_levels=5):
     amps /= np.linalg.norm(amps)
     state = StateDecomposition(entries=list(zip(labels, amps)))
     return spectrum, state
+
+
+def reference_three_mirror_levels(rho_D, rho_S, kappa_D, truncations):
+    """{"n_a,n_b,m": rho_D n_a + rho_S n_b + m - kappa_D^2 n_a^2}, each
+    level a Fraction computed block by block."""
+    na, nb, nc = truncations
+    return {f"{i},{j},{m}": rho_D * i + rho_S * j + m - kappa_D ** 2 * i * i
+            for i in range(na) for j in range(nb) for m in range(nc)}
+
+
+def reference_two_mirror_levels(r, k_squared, photons, mirror):
+    """{"n,m": r n + m - k^2 n^2}, each level a Fraction."""
+    return {f"{n},{m}": r * n + m - k_squared * n * n
+            for n in range(photons) for m in range(mirror)}
 
 
 def reference_candidates(lam1: Fraction, lam2: Fraction, n_range: int):

@@ -426,6 +426,29 @@ class TestConstrain:
         assert run_cli(["constrain", "--config", write(tmp_path, text),
                         "--n-range", "2"], capsys)[0] == 64
 
+    def test_n_range_at_the_cap_passes(self, tmp_path, capsys):
+        code, out, err = run_cli(
+            ["constrain", "--config", write(tmp_path, PARTIAL),
+             "--n-range", str(cli.MAX_N_RANGE)], capsys)
+        assert (code, err) == (0, "")
+        rows = out.split("[admissibility]")[0].splitlines()[2:]
+        assert len(rows) == 2 * cli.MAX_N_RANGE
+
+    @pytest.mark.parametrize("flags, options", [
+        (["--n-range", str(cli.MAX_N_RANGE + 1)], ""),
+        ([], f"\n[options]\nn_range = {cli.MAX_N_RANGE + 1}\n"),
+    ], ids=["flag", "options"])
+    def test_n_range_past_the_cap_exits_64(self, tmp_path, capsys,
+                                           monkeypatch, flags, options):
+        # refused before the candidates are enumerated: 10^5 took 8 s
+        monkeypatch.setattr(cli, "enumerate_candidates", None)
+        code, out, err = run_cli(
+            ["constrain", "--config", write(tmp_path, PARTIAL + options)]
+            + flags, capsys)
+        assert (code, out) == (64, "")
+        assert err == (f"config error: n_range must be <= "
+                       f"{cli.MAX_N_RANGE} for constrain\n")
+
     @pytest.mark.parametrize("flags, options", [
         (["--n-range", "0"], ""),
         ([], "\n[options]\nn_range = 0\n"),
@@ -893,9 +916,21 @@ class TestOptionsBeforeModel:
         assert err.startswith("config error:") and len(err.splitlines()) == 1
 
 
+# finite values at the edges of the float range: squares that overflow
+# or underflow, and the smallest subnormal
+EXTREME_TOKENS = ("1.5e308", "-1.5e308", "1e154", "-1e154", "1e-160",
+                  "1e-300", "5e-324")
 SWEEP_TOKENS = ("inf", "-inf", "nan", "1e400", "1" + "0" * 400, "0", "-1",
-                "abc", "")
+                "abc", "", *EXTREME_TOKENS)
 NON_FINITE = SWEEP_TOKENS[:5]
+COMMANDS = ("analyze", "verify", "constrain")
+
+
+def _read(name):
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",),
+                                   interpolation=None)
+    cp.read(CONFIGS / name)
+    return cp
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.ini")))
@@ -904,9 +939,7 @@ def test_malformed_config_sweep(tmp_path, capsys, name):
     under every command: an exit code, never an exception; non-finite
     numbers are configuration errors, and an unparsable model entry is
     one that names its key."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",),
-                                   interpolation=None)
-    cp.read(CONFIGS / name)
+    cp = _read(name)
     sections = [s for s in (cp["run"]["model"], "options") if s in cp]
     path = tmp_path / name
     escaped, wrong, unnamed = [], [], []
@@ -917,7 +950,7 @@ def test_malformed_config_sweep(tmp_path, capsys, name):
                 cp[section][key] = token
                 with open(path, "w", encoding="utf-8") as fh:
                     cp.write(fh)
-                for command in ("analyze", "verify", "constrain"):
+                for command in COMMANDS:
                     case = (key, token, command)
                     capsys.readouterr()
                     try:
@@ -939,6 +972,55 @@ def test_malformed_config_sweep(tmp_path, capsys, name):
     assert escaped == []
     assert wrong == []
     assert unnamed == []
+
+
+def _lists(cp):
+    """(key, separator, elements) of each model value with more than one
+    element: ',' or ';' separated where the text has one, whitespace
+    otherwise."""
+    section = cp[cp["run"]["model"]]
+    for key, text in section.items():
+        sep = "," if "," in text else ";" if ";" in text else None
+        items = [piece.strip() for piece in text.split(sep)]
+        if len(items) > 1:
+            yield key, sep, items
+
+
+@pytest.mark.parametrize("name", sorted(
+    p.name for p in CONFIGS.glob("*.ini") if any(_lists(_read(p.name)))))
+def test_extreme_list_element_sweep(tmp_path, capsys, name):
+    """Every element of every list value, set alone to each non-finite or
+    extreme token, under every command: a documented exit code and at
+    most one stderr line, never an exception; a non-finite element is a
+    configuration error."""
+    cp = _read(name)
+    section = cp[cp["run"]["model"]]
+    path = tmp_path / name
+    failures = []
+    for key, sep, items in list(_lists(cp)):
+        original = section[key]
+        for index in range(len(items)):
+            for token in (*NON_FINITE, *EXTREME_TOKENS):
+                element = items[:index] + [token] + items[index + 1:]
+                section[key] = (f"{sep} " if sep else " ").join(element)
+                with open(path, "w", encoding="utf-8") as fh:
+                    cp.write(fh)
+                for command in COMMANDS:
+                    case = (key, index, token, command)
+                    capsys.readouterr()
+                    try:
+                        code = cli.main([command, "--config", str(path)])
+                    except Exception as exc:  # any escape is the failure
+                        failures.append(case + (repr(exc),))
+                        continue
+                    err = capsys.readouterr().err
+                    allowed = {0, 2, 3, 64} | ({1} if command == "verify"
+                                               else set())
+                    if (code not in allowed or len(err.splitlines()) > 1
+                            or (token in NON_FINITE and code != 64)):
+                        failures.append(case + (code, err))
+        section[key] = original
+    assert failures == []
 
 
 # Keys each model section reads, the [options] keys and a few strangers.
@@ -965,7 +1047,7 @@ SIZE_KEYS = ("truncation", "mirror_truncation", "truncations", "dimension",
              "occupied_n", "k_sign")
 TOKENS = ("0", "1", "-1", "2", "3", "1/2", "7/3", "0.5", "1e-3", "20",
           "1e400", "inf", "-inf", "nan", "abc", "", "on", "0.6+0.8 i",
-          "-0.3 i", "1.4142135623730951", "1e200")
+          "-0.3 i", "1.4142135623730951", "1e200", *EXTREME_TOKENS)
 
 
 def _value(key):

@@ -66,6 +66,15 @@ def test_oracle_imports_no_dataclasses():
         assert "__dataclass_fields__" not in vars(cls)
 
 
+def test_exact_route_classes_are_slotted():
+    # the spectrum and the state are built once per run and read level by
+    # level; plain __slots__ classes, as the oracle's
+    from aaphase import engine
+    for cls in (engine.Spectrum, engine.StateDecomposition):
+        assert "__slots__" in vars(cls)
+        assert "__dataclass_fields__" not in vars(cls)
+
+
 def test_eager_import_is_found(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("import os\nif os:\n    from numpy import pi\n"

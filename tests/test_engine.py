@@ -8,11 +8,13 @@ be verified without tolerances.
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from aaphase import cli, engine
 from aaphase.engine import (
     Cyclicality,
     NonCyclicError,
@@ -28,6 +30,7 @@ from aaphase.rational import lcm_rationals
 from conftest import circ, level
 
 TWO_PI = 2.0 * math.pi
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 EQUAL = [("a", math.sqrt(0.5)), ("b", math.sqrt(0.5))]
 
 
@@ -102,6 +105,34 @@ class TestStateValidation:
         bad = StateDecomposition(entries=[("a", 0.6), ("zz", 0.8)])
         with pytest.raises(ValueError, match="unknown label"):
             geometric_phase(sp, bad)
+
+
+class TestJoin:
+    def test_analyze_joins_spectrum_and_state_once(self, monkeypatch,
+                                                   capsys):
+        # the verdict and the report share one join of the pair
+        joins = []
+        occupy = engine._occupy
+        monkeypatch.setattr(engine, "_occupy",
+                            lambda *pair: joins.append(pair) or occupy(*pair))
+        assert cli.main(["analyze", "--config",
+                         str(CONFIGS / "three_mirror_exact.ini")]) == 0
+        assert len(joins) == 1
+
+    def test_join_follows_the_spectrum(self):
+        # one state against two spectra with the same labels, in turn
+        first, second = spectrum2(2, 3), spectrum2(2, Fraction(5, 2))
+        state = StateDecomposition(entries=[("a", 0.6), ("b", 0.8)])
+        for sp in (first, second, first):
+            fresh = StateDecomposition(entries=[("a", 0.6), ("b", 0.8)])
+            assert vars(geometric_phase(sp, state)) == \
+                vars(geometric_phase(sp, fresh))
+        assert geometric_phase(second, state).tau_cycles == 2
+
+    def test_state_keeps_its_weights(self):
+        state = StateDecomposition(entries=[("a", 0.6), ("b", 0.8j)])
+        assert state.weights == (abs(0.6) ** 2, abs(0.8j) ** 2)
+        assert state.total == math.fsum(state.weights)
 
 
 class TestCyclicality:

@@ -127,6 +127,14 @@ class TestCandidateTableFormat:
         assert parsed["admissibility"]["1/2"] == "no"
 
 
+    @given(st.lists(st.floats(), min_size=1, max_size=8))
+    def test_gamma_cell_has_the_bytes_of_format_real(self, gs):
+        cand = CyclicityCandidate(tau_cycles=Fraction(1), n=1, m=0,
+                                  phi_over_pi=Fraction(0))
+        row = format_candidate_table([cand], [gs]).splitlines()[2]
+        assert row == "1 | 0 | 0 | 1 | " + " ".join(map(format_real, gs))
+
+
 class TestComplexParsing:
     @pytest.mark.parametrize("text,expect", [
         ("0.75", 0.75 + 0j),

@@ -22,7 +22,8 @@ from aaphase.models import (
 from aaphase.models.three_mirror import three_mirror_chi
 from aaphase.oracle import SpectralPropagator, generic_gamma
 
-from conftest import circ, create, destroy, level, number
+from conftest import (circ, create, destroy, level, number,
+                      reference_three_mirror_levels)
 
 TWO_PI = 2.0 * math.pi
 
@@ -112,27 +113,26 @@ class TestExactRoute:
 
     @settings(deadline=None, max_examples=60)
     @given(st.fractions(min_value=Fraction(1, 9), max_value=9,
-                        max_denominator=12).filter(lambda f: f.denominator > 1),
+                        max_denominator=10 ** 6).filter(
+                            lambda f: f.denominator > 1),
            st.fractions(min_value=Fraction(1, 9), max_value=9,
-                        max_denominator=12).filter(lambda f: f.denominator > 1),
+                        max_denominator=10 ** 6).filter(
+                            lambda f: f.denominator > 1),
            st.fractions(min_value=-3, max_value=3,
-                        max_denominator=9).filter(lambda f: f.denominator > 1),
+                        max_denominator=10 ** 6).filter(
+                            lambda f: f.denominator > 1),
            st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 5)))
     def test_levels_match_block_formula(self, rho_D, rho_S, kappa_D,
                                         truncations):
-        # vacuum inputs occupy one level, so every truncation passes the
-        # tail check; all levels are still listed
+        # the integer block offsets against the Fraction formula; vacuum
+        # inputs occupy one level, so every truncation passes the tail
+        # check, and all levels are still listed
         p = ThreeMirrorParams(rho_D=rho_D, rho_S=rho_S, kappa_D=kappa_D,
                               truncations=truncations)
         sp, _ = three_mirror_exact(p)
         assert all(type(v) is int for _, v in sp.levels)
-        na, nb, nc = truncations
-        assert len(sp.levels) == na * nb * nc
-        for i in range(na):
-            for j in range(nb):
-                for m in range(nc):
-                    assert level(sp, f"{i},{j},{m}") == (
-                        rho_D * i + rho_S * j + m - kappa_D ** 2 * i * i)
+        assert {lab: level(sp, lab) for lab, _ in sp.levels} == \
+            reference_three_mirror_levels(rho_D, rho_S, kappa_D, truncations)
 
     def test_decoupled_matches_closed_form(self):
         p = decoupled_params()

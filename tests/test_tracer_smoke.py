@@ -58,6 +58,11 @@ def test_traced_runs_match_untraced(capsys, monkeypatch):
     metrics = tracer.metrics()
     assert metrics["models.dense_bytes"] > 0
     assert metrics["models.levels"] > 0
+    # the exact calls classify, then report: both engine spans and the
+    # occupied count read nonzero only while the CLI calls both
+    assert metrics["engine.occupied"] > 0
+    assert metrics["engine.cyclicality_s"] > 0
+    assert metrics["engine.phase_s"] > 0
     # the scan runs inside oracle.evolve, and grid_steps counts the whole
     # grid, not the points the scan evaluates
     assert len(grids) == 1

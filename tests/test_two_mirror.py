@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh, expm
 
 from aaphase.engine import geometric_phase
@@ -23,7 +24,8 @@ from aaphase.models import (
 )
 from aaphase.oracle import generic_gamma
 
-from conftest import circ, create, destroy, level, number
+from conftest import (circ, create, destroy, level, number,
+                      reference_two_mirror_levels)
 
 TWO_PI = 2.0 * math.pi
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -106,6 +108,22 @@ class TestBlockDiagonalization:
         # beta = 0: the n = 0 block occupies only m = 0
         occupied = dict(state.entries)
         assert "0,0" in occupied and "0,1" not in occupied
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.fractions(min_value=Fraction(1, 9), max_value=9,
+                        max_denominator=10 ** 6),
+           st.fractions(min_value=0, max_value=9, max_denominator=10 ** 6),
+           st.integers(1, 5), st.integers(1, 6))
+    def test_levels_match_block_formula(self, r, k_squared, photons, mirror):
+        # the integer block offsets against the Fraction formula; the
+        # field starts in |0>, so the state is the mirror vacuum
+        params = TwoMirrorParams(
+            r=r, k_squared=k_squared, mirror_truncation=mirror,
+            field_amplitudes=(1,) + (0,) * (photons - 1))
+        sp, _ = two_mirror_spectrum(params)
+        assert all(type(v) is int for _, v in sp.levels)
+        assert {lab: level(sp, lab) for lab, _ in sp.levels} == \
+            reference_two_mirror_levels(r, k_squared, photons, mirror)
 
     def test_truncation_tail_is_an_error(self):
         with pytest.raises(ValueError, match="truncation too small"):
