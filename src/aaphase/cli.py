@@ -6,7 +6,8 @@ state at eigenvalue 0, irrational constraint input), 3 oracle found no
 return within t_max or its grid would need more than 2^21 steps for the
 occupied frequency spread, 64 usage or configuration errors (among them
 a constrain call with n_range above MAX_N_RANGE = 1000, or whose
-candidates would list more than MAX_GAMMA_VALUES = 10^6 gamma values).
+candidates would list more than MAX_GAMMA_VALUES = 10^6 gamma values,
+and an --out path that cannot be written).
 """
 
 from __future__ import annotations
@@ -47,6 +48,8 @@ MAX_N_RANGE = 1000   # largest n_range constrain takes (2*n_range rows)
 class _Parser(argparse.ArgumentParser):
     """argparse front end whose usage failures exit with code 64."""
 
+    __slots__ = ()
+
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
@@ -75,8 +78,12 @@ def _build_parser() -> _Parser:
 
 def _emit(text: str, out_path: Optional[str]) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out_path}: "
+                              f"{exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -84,11 +91,11 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 def cmd_analyze(run: LoadedRun, args) -> int:
     opts = run.options
     if run.spectrum is None or run.state is None:
-        if opts.t_max is None:
-            raise ConfigError("t_max required for the brute-force route")
         if run.build is None:
             raise ConfigError(f"analyze needs a spectrum or a matrix; a "
                               f"{run.model} run has neither")
+        if opts.t_max is None:
+            raise ConfigError("t_max required for the brute-force route")
         # off its exact family a three-mirror run has no exact return
         report = generic_gamma(run.hamiltonian, run.psi0, opts.t_max,
                                approximate=run.model == "three_mirror")

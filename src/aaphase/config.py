@@ -15,9 +15,7 @@ from __future__ import annotations
 import cmath
 import configparser
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Mapping, Optional, Tuple, Union
 
 from .constraints import PartialSpectrum
@@ -117,12 +115,13 @@ def _number(text: str) -> Union[Fraction, float]:
         return float(text.strip())
 
 
-@dataclass(frozen=True)
 class RunOptions:
     """[options] with command-line flags on top; None: derived per run."""
 
-    t_max: Optional[float] = None
-    n_range: int = 16
+    __slots__ = ("t_max", "n_range")
+
+    def __init__(self, t_max: Optional[float] = None, n_range: int = 16):
+        self.t_max, self.n_range = t_max, n_range
 
 
 # option -> (type, range test, range in words); NaN fails every test
@@ -153,7 +152,6 @@ def _run_options(cp: configparser.ConfigParser, flags: Mapping) -> RunOptions:
     return RunOptions(**values)
 
 
-@dataclass
 class LoadedRun:
     """Everything a command needs, constructed except the oracle's input.
 
@@ -162,39 +160,45 @@ class LoadedRun:
     the largest object a run holds.
     """
 
-    model: str
-    spectrum: Optional[Spectrum] = None
-    state: Optional[StateDecomposition] = None
-    build: Optional[Callable[[], Tuple[Hamiltonian, np.ndarray]]] = (
-        field(default=None, repr=False))
-    partial: Optional[PartialSpectrum] = None
-    trials: Tuple[Fraction, ...] = ()
-    mean_energy_input: Union[Fraction, float, None] = None
-    options: RunOptions = RunOptions()
+    __slots__ = ("model", "spectrum", "state", "build", "partial", "trials",
+                 "mean_energy_input", "options", "_built")
 
-    @cached_property
-    def _built(self) -> Tuple[Optional[Hamiltonian], Optional[np.ndarray]]:
-        if self.build is None:
-            return None, None
+    def __init__(self, model: str, spectrum: Optional[Spectrum] = None,
+                 state: Optional[StateDecomposition] = None,
+                 build: Optional[Callable[[], Tuple[Hamiltonian,
+                                                    np.ndarray]]] = None,
+                 partial: Optional[PartialSpectrum] = None,
+                 trials: Tuple[Fraction, ...] = (),
+                 mean_energy_input: Union[Fraction, float, None] = None):
+        self.model, self.spectrum, self.state = model, spectrum, state
+        self.build, self.partial, self.trials = build, partial, trials
+        self.mean_energy_input = mean_energy_input
+        self.options = RunOptions()
+        self._built = None
+
+    def _dense(self) -> Tuple[Optional[Hamiltonian], Optional[np.ndarray]]:
+        if self._built is not None or self.build is None:
+            return self._built or (None, None)
         import numpy as np
         try:
             # no numpy overflow warnings: the finiteness checks report a
             # non-finite entry as a config error
             with np.errstate(over="ignore", invalid="ignore"):
-                return self.build()
+                self._built = self.build()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         except MemoryError as exc:
             raise ConfigError(
                 f"the {self.model} matrix does not fit in memory") from exc
+        return self._built
 
     @property
     def hamiltonian(self) -> Optional[Hamiltonian]:
-        return self._built[0]
+        return self._dense()[0]
 
     @property
     def psi0(self) -> Optional[np.ndarray]:
-        return self._built[1]
+        return self._dense()[1]
 
 
 def _normalized(psi0) -> np.ndarray:

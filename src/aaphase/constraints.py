@@ -17,7 +17,6 @@ gauged frame.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
 
@@ -44,7 +43,6 @@ def _as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
 class PartialSpectrum:
     """Known portion of the occupied spectrum, exact and dimensionless.
 
@@ -52,8 +50,7 @@ class PartialSpectrum:
     multiples of ``unit``.
     """
 
-    known: Tuple[Tuple[str, Fraction], ...]
-    unit: float = 1.0
+    __slots__ = ("known", "unit")
 
     def __init__(self, known: Sequence, unit: float = 1.0):
         entries = tuple((str(label), _as_fraction(value))
@@ -65,15 +62,13 @@ class PartialSpectrum:
             raise ValueError("known eigenvalues must be distinct")
         if not 0 < unit < math.inf:
             raise ValueError("unit must be positive and finite")
-        object.__setattr__(self, "known", entries)
-        object.__setattr__(self, "unit", float(unit))
+        self.known, self.unit = entries, float(unit)
 
     @property
     def eigenvalues(self) -> Tuple[Fraction, ...]:
         return tuple(v for _, v in self.known)
 
 
-@dataclass(frozen=True, order=True)
 class CyclicityCandidate:
     """One admissible (phi, tau) pair, exact.
 
@@ -82,17 +77,21 @@ class CyclicityCandidate:
     the defining relations, which hold exactly by construction.
     """
 
-    tau_cycles: Fraction
-    n: int
-    m: int
-    phi_over_pi: Fraction
+    __slots__ = ("tau_cycles", "n", "m", "phi_over_pi")
 
-    def __post_init__(self):
-        if self.tau_cycles <= 0:
+    def __init__(self, tau_cycles: Fraction, n: int, m: int,
+                 phi_over_pi: Fraction):
+        if tau_cycles <= 0:
             raise ValueError("tau must be positive")
+        self.tau_cycles, self.n, self.m = tau_cycles, n, m
+        self.phi_over_pi = phi_over_pi
+
+    def __eq__(self, other):
+        return isinstance(other, CyclicityCandidate) and (
+            (self.tau_cycles, self.n, self.m, self.phi_over_pi)
+            == (other.tau_cycles, other.n, other.m, other.phi_over_pi))
 
 
-@dataclass(frozen=True)
 class GaugedCandidate:
     """Candidate with the spectral shift that sets phi = 0.
 
@@ -101,10 +100,17 @@ class GaugedCandidate:
     and the period is tau_cycles = n/lam1 (m/lam2 when n = 0).
     """
 
-    candidate: CyclicityCandidate
-    shift: Fraction
-    lam1: Fraction
-    lam2: Fraction
+    __slots__ = ("candidate", "shift", "lam1", "lam2")
+
+    def __init__(self, candidate: CyclicityCandidate, shift: Fraction,
+                 lam1: Fraction, lam2: Fraction):
+        self.candidate, self.shift = candidate, shift
+        self.lam1, self.lam2 = lam1, lam2
+
+    def __eq__(self, other):
+        return isinstance(other, GaugedCandidate) and (
+            (self.candidate, self.shift, self.lam1, self.lam2)
+            == (other.candidate, other.shift, other.lam1, other.lam2))
 
     @property
     def tau_cycles(self) -> Fraction:

@@ -21,7 +21,6 @@ the state its weights |a|^2, and a verdict and a report join them once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
@@ -32,9 +31,6 @@ __all__ = [
     "Spectrum",
     "StateDecomposition",
     "check_cyclicality",
-    "gamma_from_single_eigenvalue_phi",
-    "gamma_from_single_eigenvalue_tau",
-    "gauge_shift",
     "geometric_phase",
     "squared_moduli",
 ]
@@ -121,18 +117,16 @@ class StateDecomposition:
         self._join = None
 
 
-@dataclass(frozen=True)
 class Cyclicality:
     """Verdict of `check_cyclicality`."""
 
-    kind: str  # "cyclic" | "stationary" | "non-cyclic"
-    reason: Union[str, None] = None
+    __slots__ = ("kind", "reason")
 
-    def __str__(self) -> str:
-        return self.kind if self.reason is None else f"{self.kind}({self.reason})"
+    def __init__(self, kind: str, reason: Union[str, None] = None):
+        self.kind = kind  # "cyclic" | "stationary" | "non-cyclic"
+        self.reason = reason
 
 
-@dataclass(frozen=True)
 class PhaseReport:
     """(tau, phi, gamma) with branch integers and method provenance.
 
@@ -143,17 +137,22 @@ class PhaseReport:
     in (-pi, pi], ``gamma`` in [0, 2*pi).
     """
 
-    method: str
-    unit: float
-    tau_cycles: Union[Fraction, float, None]
-    tau: float
-    phi_over_pi: Union[Fraction, None]
-    phi: float
-    gamma: float
-    mean_energy: float
-    branch_integers: Mapping[str, int] = field(default_factory=dict)
-    stationary: bool = False
-    fidelity: Union[float, None] = None
+    __slots__ = ("method", "unit", "tau_cycles", "tau", "phi_over_pi", "phi",
+                 "gamma", "mean_energy", "branch_integers", "stationary",
+                 "fidelity")
+
+    def __init__(self, method: str, unit: float,
+                 tau_cycles: Union[Fraction, float, None], tau: float,
+                 phi_over_pi: Union[Fraction, None], phi: float,
+                 gamma: float, mean_energy: float,
+                 branch_integers: Mapping[str, int],
+                 stationary: bool = False,
+                 fidelity: Union[float, None] = None):
+        self.method, self.unit = method, unit
+        self.tau_cycles, self.tau = tau_cycles, tau
+        self.phi_over_pi, self.phi, self.gamma = phi_over_pi, phi, gamma
+        self.mean_energy, self.branch_integers = mean_energy, branch_integers
+        self.stationary, self.fidelity = stationary, fidelity
 
 
 def _occupy(spectrum: Spectrum, state: StateDecomposition
@@ -300,61 +299,3 @@ def geometric_phase(spectrum: Spectrum, state: StateDecomposition
         branch_integers={lab: branch[key]
                          for (lab, _), key in zip(state.entries, keys)},
         stationary=verdict.kind == "stationary")
-
-
-def gauge_shift(spectrum: Spectrum, c: Union[Fraction, int, float]) -> Spectrum:
-    """Shift every eigenvalue by c (same unit); labels preserved.
-
-    Adding a multiple of the identity to H moves the spectrum's origin
-    and the total phase but not the geometric phase.
-    """
-    shift = c if isinstance(c, float) else Fraction(c)
-    d = spectrum.denominator
-    # a Fraction plus a float is the float sum of the two as floats
-    return Spectrum([(lab, (Fraction(v, d) if isinstance(v, int) else v)
-                      + shift) for lab, v in spectrum.levels],
-                    unit=spectrum.unit)
-
-
-def gamma_from_single_eigenvalue_phi(lam: Union[Fraction, float],
-                                     mean_H: Union[Fraction, float],
-                                     phi_over_pi: Fraction) -> float:
-    """gamma from one nonzero eigenvalue and an externally known total phase.
-
-    gamma = phi * (1 - <H>/lambda) mod 2*pi, valid on the branch where
-    lambda*tau = -phi exactly; feed the branch-matched phase
-    phi_over_pi - 2*n_lambda (n_lambda the level's branch integer), not
-    an arbitrary representative.  lambda and <H> share one energy unit;
-    the phase is exact, in pi units.  With exact lam and mean_H the
-    mod-2*pi reduction happens in rational arithmetic.
-    """
-    if lam == 0:
-        raise ValueError("zero eigenvalue carries no period information: "
-                         "phi is already 0 mod 2*pi; use a nonzero eigenvalue")
-    a = Fraction(phi_over_pi)
-    if isinstance(lam, Fraction) and isinstance(mean_H, Fraction):
-        return _canonical_gamma(math.pi * float((a * (1 - mean_H / lam)) % 2))
-    # a mod 2 first: keeps the float product small when the branch
-    # integer inside a is large.
-    k, b = divmod(a, 2)
-    u = 1.0 - float(mean_H) / float(lam)
-    total = 2.0 * math.fmod(int(k) * u, 1.0) + float(b) * u
-    return _canonical_gamma(math.pi * math.fmod(total, 2.0))
-
-
-def gamma_from_single_eigenvalue_tau(lam: Union[Fraction, float],
-                                     mean_H: Union[Fraction, float],
-                                     tau_cycles: Fraction) -> float:
-    """gamma from one eigenvalue and an externally known period.
-
-    gamma = tau(<H> - lambda) mod 2*pi.  lambda and <H> share one
-    energy unit; the period is exact, in 2*pi/unit units.  With exact
-    lam and mean_H the reduction happens in rational arithmetic.
-    """
-    tc = Fraction(tau_cycles)
-    if tc <= 0:
-        raise ValueError("tau must be positive")
-    if isinstance(lam, Fraction) and isinstance(mean_H, Fraction):
-        return _canonical_gamma(TWO_PI * float(((mean_H - lam) * tc) % 1))
-    return _canonical_gamma(TWO_PI * math.fmod(
-        (float(mean_H) - float(lam)) * float(tc), 1.0))

@@ -5,8 +5,6 @@ from .free_field import free_field, free_field_coherent, free_field_dense
 from .two_mirror import (
     TwoMirrorParams,
     two_mirror_dense,
-    two_mirror_gamma_closed_form,
-    two_mirror_mean_energy,
     two_mirror_spectrum,
 )
 from .three_mirror import (
@@ -33,7 +31,5 @@ __all__ = [
     "three_mirror_initial_state",
     "three_mirror_scaled_mean_energy",
     "two_mirror_dense",
-    "two_mirror_gamma_closed_form",
-    "two_mirror_mean_energy",
     "two_mirror_spectrum",
 ]

@@ -8,7 +8,6 @@ exactly and gamma = pi*(1 - cos(theta)) follows from the general rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Tuple
 
 from ..engine import Spectrum, StateDecomposition
@@ -17,16 +16,15 @@ from ..oracle import Hamiltonian
 __all__ = ["SpinHalfParams", "spin_half", "spin_half_dense"]
 
 
-@dataclass(frozen=True)
 class SpinHalfParams:
-    mu_B0: float = 1.0
-    theta: float = 0.0
+    __slots__ = ("mu_B0", "theta")
 
-    def __post_init__(self):
-        if not self.mu_B0 > 0:
+    def __init__(self, mu_B0: float = 1.0, theta: float = 0.0):
+        if not mu_B0 > 0:
             raise ValueError("mu_B0 must be positive")
-        if not 0.0 <= self.theta <= math.pi:
+        if not 0.0 <= theta <= math.pi:
             raise ValueError("theta must lie in [0, pi]")
+        self.mu_B0, self.theta = mu_B0, theta
 
 
 def _amplitudes(theta: float) -> Tuple[complex, complex]:

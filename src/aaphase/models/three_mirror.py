@@ -18,7 +18,6 @@ the displaced-block levels and state, ``cavity_dense`` the block entries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
@@ -28,7 +27,6 @@ from ..oracle import Hamiltonian
 
 __all__ = [
     "ThreeMirrorParams",
-    "three_mirror_chi",
     "three_mirror_dense",
     "three_mirror_exact",
     "three_mirror_gamma_closed_form",
@@ -44,46 +42,37 @@ def _is_scalar(mode: ModeInput) -> bool:
     return isinstance(mode, (int, float, complex))
 
 
-@dataclass(frozen=True)
 class ThreeMirrorParams:
     """Frequency ratios, couplings in omega_m units, and the product state.
 
     rho_D = omega_D/omega_m, rho_S = omega_S/omega_m, kappa_D = C_D/omega_m,
-    kappa_S = C_S/omega_m; pass Fractions to enable the exact C_S = 0
-    route.  Each mode is either a complex coherent amplitude or an
+    kappa_S = C_S/omega_m; pass Fractions (or ints) to enable the exact
+    C_S = 0 route.  Each mode is either a complex coherent amplitude or an
     explicit normalized amplitude list.
     """
 
-    rho_D: Ratio
-    rho_S: Ratio
-    kappa_D: Ratio = 0
-    kappa_S: Ratio = 0
-    alpha: ModeInput = 0j
-    beta: ModeInput = 0j
-    mu: ModeInput = 0j
-    truncations: Tuple[int, int, int] = (15, 15, 25)
-    omega_m: float = 1.0
+    __slots__ = ("rho_D", "rho_S", "kappa_D", "kappa_S", "alpha", "beta",
+                 "mu", "truncations", "omega_m")
 
-    def __post_init__(self):
-        for name in ("rho_D", "rho_S", "kappa_D", "kappa_S"):
-            value = getattr(self, name)
-            if isinstance(value, int):
-                object.__setattr__(self, name, Fraction(value))
-        if not float(self.rho_D) > 0 or not float(self.rho_S) > 0:
+    def __init__(self, rho_D: Ratio, rho_S: Ratio, kappa_D: Ratio = 0,
+                 kappa_S: Ratio = 0, alpha: ModeInput = 0j,
+                 beta: ModeInput = 0j, mu: ModeInput = 0j,
+                 truncations: Tuple[int, int, int] = (15, 15, 25),
+                 omega_m: float = 1.0):
+        self.rho_D, self.rho_S, self.kappa_D, self.kappa_S = (
+            Fraction(r) if isinstance(r, int) else r
+            for r in (rho_D, rho_S, kappa_D, kappa_S))
+        if not float(rho_D) > 0 or not float(rho_S) > 0:
             raise ValueError("frequency ratios must be positive")
-        if not self.omega_m > 0:
+        if not omega_m > 0:
             raise ValueError("omega_m must be positive")
-        trunc = tuple(int(t) for t in self.truncations)
+        trunc = tuple(int(t) for t in truncations)
         if len(trunc) != 3 or any(t < 1 for t in trunc):
             raise ValueError("three positive truncations required")
-        object.__setattr__(self, "truncations", trunc)
-        for name in ("alpha", "beta", "mu"):
-            mode = getattr(self, name)
-            if _is_scalar(mode):
-                object.__setattr__(self, name, complex(mode))
-            else:
-                object.__setattr__(
-                    self, name, tuple(complex(c) for c in mode))
+        self.alpha, self.beta, self.mu = (
+            complex(m) if _is_scalar(m) else tuple(complex(c) for c in m)
+            for m in (alpha, beta, mu))
+        self.truncations, self.omega_m = trunc, omega_m
 
     @property
     def coherent_product(self) -> bool:
@@ -114,11 +103,6 @@ def _mode_vector(mode: ModeInput, truncation: int,
     if vec.size < truncation:
         vec = np.pad(vec, (0, truncation - vec.size))
     return vec, None
-
-
-def three_mirror_chi(params: ThreeMirrorParams, n_b: int) -> float:
-    """Block mirror frequency sqrt(omega_m*(omega_m + 2*C_S*n_b))."""
-    return params.omega_m * math.sqrt(1.0 + 2.0 * float(params.kappa_S) * n_b)
 
 
 def cavity_dense(rho_D: float, rho_S: float, kappa_D: float, kappa_S: float,

@@ -17,12 +17,10 @@ with rho_S = kappa_S = 0 and kappa_D = -k for the matrix entries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from typing import Sequence, Tuple
 
-from ..engine import (Spectrum, StateDecomposition, _canonical_gamma, TWO_PI,
-                      squared_moduli)
+from ..engine import Spectrum, StateDecomposition, squared_moduli
 from ..fock import coherent_amplitudes, displaced_frame_amplitudes
 from ..oracle import Hamiltonian
 from .three_mirror import cavity_dense, cavity_exact, over_one_denominator
@@ -30,13 +28,10 @@ from .three_mirror import cavity_dense, cavity_exact, over_one_denominator
 __all__ = [
     "TwoMirrorParams",
     "two_mirror_dense",
-    "two_mirror_gamma_closed_form",
-    "two_mirror_mean_energy",
     "two_mirror_spectrum",
 ]
 
 
-@dataclass(frozen=True)
 class TwoMirrorParams:
     """Exact couplings plus the initial product state.
 
@@ -47,61 +42,35 @@ class TwoMirrorParams:
     coherent state |beta>.
     """
 
-    r: Fraction
-    k_squared: Fraction
-    field_amplitudes: Tuple[complex, ...]
-    beta: complex = 0j
-    mirror_truncation: int = 40
-    omega_m: float = 1.0
-    k_sign: int = 1
+    __slots__ = ("r", "k_squared", "field_amplitudes", "beta",
+                 "mirror_truncation", "omega_m", "k_sign")
 
-    def __post_init__(self):
-        object.__setattr__(self, "r", Fraction(self.r))
-        object.__setattr__(self, "k_squared", Fraction(self.k_squared))
+    def __init__(self, r: Fraction, k_squared: Fraction,
+                 field_amplitudes: Sequence[complex], beta: complex = 0j,
+                 mirror_truncation: int = 40, omega_m: float = 1.0,
+                 k_sign: int = 1):
+        self.r, self.k_squared = Fraction(r), Fraction(k_squared)
         if self.k_squared < 0:
             raise ValueError("k_squared must be non-negative")
-        if self.k_sign not in (1, -1):
+        if k_sign not in (1, -1):
             raise ValueError("k_sign must be +1 or -1")
-        if not self.omega_m > 0:
+        if not omega_m > 0:
             raise ValueError("omega_m must be positive")
-        if self.mirror_truncation < 1:
+        if mirror_truncation < 1:
             raise ValueError("mirror_truncation must be >= 1")
-        amps = tuple(complex(c) for c in self.field_amplitudes)
+        amps = tuple(complex(c) for c in field_amplitudes)
         if not amps:
             raise ValueError("field_amplitudes must be non-empty")
         norm = math.fsum(squared_moduli(amps))
         if not abs(norm - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError(f"field amplitudes not normalized: {norm!r}")
-        object.__setattr__(self, "field_amplitudes", amps)
-        for name, kind in (("beta", complex), ("mirror_truncation", int),
-                           ("omega_m", float), ("k_sign", int)):
-            object.__setattr__(self, name, kind(getattr(self, name)))
+        self.field_amplitudes, self.beta = amps, complex(beta)
+        self.mirror_truncation = int(mirror_truncation)
+        self.omega_m, self.k_sign = float(omega_m), int(k_sign)
 
     @property
     def k(self) -> float:
         return self.k_sign * math.sqrt(float(self.k_squared))
-
-    @property
-    def omega_f(self) -> float:
-        return float(self.r) * self.omega_m
-
-    @property
-    def g(self) -> float:
-        return self.k * self.omega_m
-
-    @property
-    def p(self) -> int:
-        """Denominator of k^2 = q/p in lowest terms."""
-        return self.k_squared.denominator
-
-    @property
-    def q(self) -> int:
-        return self.k_squared.numerator
-
-    @property
-    def mean_photon(self) -> float:
-        return math.fsum(n * abs(c) ** 2
-                         for n, c in enumerate(self.field_amplitudes))
 
 
 def two_mirror_spectrum(params: TwoMirrorParams
@@ -120,31 +89,6 @@ def two_mirror_spectrum(params: TwoMirrorParams
               for n, c_n in enumerate(params.field_amplitudes))
     return cavity_exact(blocks, d, params.omega_m,
                         f"mirror_truncation {trunc}")
-
-
-def two_mirror_mean_energy(params: TwoMirrorParams) -> float:
-    """<H> = hbar*omega_m[(r - 2k Re beta)<n>_f + |beta|^2], hbar = 1."""
-    nbar = params.mean_photon
-    return params.omega_m * (
-        (float(params.r) - 2.0 * params.k * params.beta.real) * nbar
-        + abs(params.beta) ** 2)
-
-
-def two_mirror_gamma_closed_form(params: TwoMirrorParams, p: int) -> float:
-    """gamma = 2 pi [1 + p(r - 2k Re beta)<n>_f + p|beta|^2] mod 2 pi.
-
-    The stated premises are 0 in the occupied spectrum (so phi = 2 pi)
-    and tau = 2 pi p/omega_m; outside them the value deviates from the
-    full-spectrum gamma in controlled ways that the tests pin down.  The
-    prefactor is p, not p/omega_m: gamma is dimensionless and the tau
-    substitution fixes the printed factor.
-    """
-    if p < 1:
-        raise ValueError("p must be a positive integer")
-    nbar = params.mean_photon
-    turns = 1.0 + p * ((float(params.r) - 2.0 * params.k * params.beta.real)
-                       * nbar + abs(params.beta) ** 2)
-    return _canonical_gamma(TWO_PI * math.fmod(turns, 1.0))
 
 
 def two_mirror_dense(params: TwoMirrorParams

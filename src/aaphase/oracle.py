@@ -2,12 +2,12 @@
 
 Independent of the exact-arithmetic engine: a Hermitian matrix, kept as
 its nonzero entries, is diagonalized once, block by block over the
-connected components of its nonzero pattern, states are propagated by
-phase-advancing the eigencomponents (exactly unitary, no integrator
-error), the period is read off the first fidelity return, and the
-dynamical phase is the period times the mean energy, which is constant
-along the evolution.  Every closed-form result is validated against this
-route.
+connected components of its nonzero pattern, the survival amplitude
+sums the weight of each eigencomponent under its phase advance (exactly
+unitary, no integrator error), the period is read off the first fidelity
+return, and the dynamical phase is the period times the mean energy,
+which is constant along the evolution.  Every closed-form result is
+validated against this route.
 
 The survival amplitude is scanned in two passes: a coarse pass bounds
 |<psi0|psi(t)>| near every COARSE_STRIDE-th grid point, and the fine
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Tuple, Union
+from typing import Tuple
 
 from .engine import PhaseReport, TWO_PI, _canonical_gamma
 
@@ -200,11 +200,14 @@ class SpectralPropagator:
     matrices up to SMALL_DIMENSION are solved whole.  The blocks come
     from the stored entries alone, so the route stays independent of any
     model labels or exact levels.
-    Eigenvalues (ascending) and amplitudes span all blocks.  The
-    survival amplitude <psi0|psi(t)> = sum_k |a_k|^2 exp(-i w_k t) needs
-    only the occupied weights, so fidelity scans never materialize
-    states; `state_at` reconstructs a state vector on demand.
+    Eigenvalues (ascending) and weights |<k|psi0>|^2 span all blocks; the
+    eigenvectors are dropped once psi0 is projected on them.  The survival
+    amplitude <psi0|psi(t)> = sum_k |a_k|^2 exp(-i w_k t) and the fidelity
+    need only the occupied weights, so no state is ever formed.
     """
+
+    __slots__ = ("eigenvalues", "omegas", "weights", "_occ_w", "_occ_omega",
+                 "_occ_nu")
 
     def __init__(self, hamiltonian: Hamiltonian, psi0: np.ndarray):
         import numpy as np
@@ -214,7 +217,6 @@ class SpectralPropagator:
         norm = float(np.linalg.norm(psi0))
         if not abs(norm - 1.0) <= 1e-10:
             raise ValueError(f"psi0 not normalized: |psi0| = {norm!r}")
-        self.hamiltonian = hamiltonian
         h, dim = hamiltonian, hamiltonian.dimension
         indices, sizes = (_components(dim, h.rows, h.cols)
                           if dim > SMALL_DIMENSION
@@ -230,12 +232,10 @@ class SpectralPropagator:
         # blocks one by one and concatenating them gives
         w = np.empty(dim)
         amplitudes = np.empty(dim, dtype=complex)
-        groups = []
         # np.unique would import numpy.ma on first use
         for size in np.flatnonzero(np.bincount(sizes)):
             members = np.flatnonzero(sizes == size)
             slots = starts[members, None] + np.arange(size)
-            idx = indices[slots]
             # entries of these blocks, and each block's place in the stack
             mine = sizes[entry_block] == size
             place = np.cumsum(sizes == size) - 1
@@ -246,23 +246,16 @@ class SpectralPropagator:
             values, vectors = eigh(stack)
             w[slots] = values
             amplitudes[slots] = (vectors.conj().transpose(0, 2, 1)
-                                 @ psi0[idx][..., None])[..., 0]
-            groups.append((idx, vectors, slots))
+                                 @ psi0[indices[slots]][..., None])[..., 0]
         # ascending across blocks, as one solve of the whole matrix gives,
         # so the scan sums the levels in the same order
         order = np.argsort(w, kind="stable")
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        self._groups = [(idx, vectors, rank[slots])
-                        for idx, vectors, slots in groups]
         self.eigenvalues = w[order]                 # in units of `unit`
         # frequencies past the float range are inf here; the step rule
         # of generic_gamma refuses their spread
         with np.errstate(over="ignore", invalid="ignore"):
             self.omegas = self.eigenvalues * hamiltonian.unit
-        a = amplitudes[order]
-        self.amplitudes = a
-        self.weights = np.abs(a) ** 2
+        self.weights = np.abs(amplitudes[order]) ** 2
         # the phase advance is unitary by construction; what can fail is
         # the orthonormality of the eigenbasis, which moves the weights
         total = float(self.weights.sum())
@@ -270,13 +263,12 @@ class SpectralPropagator:
             raise AssertionError(
                 f"eigenbasis not orthonormal: weights sum to {total!r}, "
                 f"|psi0|^2 = {norm * norm!r}")
-        self._occ = self.weights > WEIGHT_FLOOR
-        self._occ_w = self.weights[self._occ]
-        self._occ_omega = self.omegas[self._occ]
+        occupied = self.weights > WEIGHT_FLOOR
+        self._occ_w = self.weights[occupied]
+        self._occ_omega = self.omegas[occupied]
         with np.errstate(over="ignore", invalid="ignore"):
             self._occ_nu = (self._occ_omega
                             - self._occ_omega @ self._occ_w / total)
-        self.psi0 = psi0
 
     def survival_amplitude(self, times) -> np.ndarray:
         """<psi0|psi(t)> for a few arbitrary times, via the occupied levels
@@ -368,14 +360,6 @@ class SpectralPropagator:
     def fidelity(self, times) -> np.ndarray:
         return abs(self.survival_amplitude(times))
 
-    def state_at(self, t: float) -> np.ndarray:
-        import numpy as np
-        coeffs = self.amplitudes * np.exp(-1j * self.omegas * t)
-        state = np.empty(coeffs.size, dtype=complex)
-        for idx, vectors, pos in self._groups:
-            state[idx] = (vectors @ coeffs[pos][..., None])[..., 0]
-        return state
-
     def mean_energy(self) -> float:
         """<psi0|H|psi0> = unit * sum_k w_k lambda_k, constant in time."""
         return float(self.weights @ self.omegas)
@@ -395,9 +379,7 @@ class EvolutionResult:
 
     ``times`` is the whole grid; ``overlap_track`` and ``fidelity_track``
     hold <psi0|psi(t)> and its modulus at ``times[index]``, ``index``
-    ascending (`SpectralPropagator.survival_grid`).  States are
-    reconstructed on demand from the propagator: a dense state per grid
-    point would not fit in memory for the larger cavity runs.
+    ascending (`SpectralPropagator.survival_grid`).
     """
 
     __slots__ = ("times", "index", "overlap_track", "fidelity_track",
@@ -410,24 +392,18 @@ class EvolutionResult:
         self.fidelity_track = abs(overlap_track)
 
 
-def evolve(hamiltonian: Hamiltonian, psi0, t_max: float,
-           steps: int = 4096, *,
-           propagator: Union[SpectralPropagator, None] = None) -> EvolutionResult:
-    """Evolve psi0 on a uniform grid over [0, t_max], evaluating the
-    survival amplitude only near the points where a return can be.
-
-    Norm preservation is exact by construction (diagonal phase advance).
-    An existing propagator for the same (H, psi0) pair may be passed to
-    skip rediagonalization.
-    """
+def evolve(propagator: SpectralPropagator, t_max: float, *,
+           steps: int) -> EvolutionResult:
+    """The survival amplitude on a uniform grid of ``steps`` points over
+    [0, t_max], evaluated only near the points where a return can be."""
     import numpy as np
     if steps < 2:
         raise ValueError("steps must be >= 2")
     if not t_max > 0:
         raise ValueError("t_max must be positive")
-    prop = propagator or SpectralPropagator(hamiltonian, psi0)
     times = np.linspace(0.0, float(t_max), int(steps))
-    return EvolutionResult(times, *prop.survival_grid(times), prop)
+    return EvolutionResult(times, *propagator.survival_grid(times),
+                           propagator)
 
 
 # Grid peaks this far below full fidelity are still candidates; the strict
@@ -599,7 +575,7 @@ def generic_gamma(hamiltonian: Hamiltonian, psi0, t_max: float, *,
     steps = max(4096 * math.ceil(cycles) if cycles <= MAX_STEPS // 4096
                 else MAX_STEPS, needed)
     e_mean = prop.mean_energy()
-    result = evolve(hamiltonian, psi0, t_max, steps=steps, propagator=prop)
+    result = evolve(prop, t_max, steps=steps)
     tau_est, phi_est = detect_period(
         result, fidelity_tol=1e-4 if approximate else 1e-8,
         approximate=approximate)

@@ -9,20 +9,16 @@ exact and approximate numbers.
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 __all__ = [
     "IncommensurableError",
     "format_rational",
-    "lcm_rationals",
     "parse_rational",
     "rationalize",
 ]
-
-RationalLike = Union[Fraction, int, str]
 
 
 class IncommensurableError(ValueError):
@@ -55,32 +51,6 @@ def format_rational(x: Fraction) -> str:
     Round-trips bit-exactly through `parse_rational`.
     """
     return str(Fraction(x))
-
-
-def lcm_rationals(values: Iterable[RationalLike]) -> Fraction:
-    """Least common multiple of nonzero rationals.
-
-    Returns the smallest L > 0 such that L/|x| is a positive integer for
-    every x.  Signs are ignored: spacings come in +/- pairs and the
-    recurrence condition is sign-insensitive; repeats change nothing.
-    For reduced |x| = p/q the result is lcm(all p) / gcd(all q).
-
-    Raises ValueError("empty spacing set") on empty input; an empty
-    spacing set signals a stationary state, which the caller must handle
-    through the single-eigenvalue special case.  A zero value (a zero
-    spacing) has no multiple and raises ValueError too.
-
-    The engine computes the period on integer numerators instead; this
-    rational form stays as the independent reference its tests check it
-    against.
-    """
-    exact = [Fraction(v) for v in values]
-    if not exact:
-        raise ValueError("empty spacing set")
-    if not all(exact):
-        raise ValueError("lcm_rationals needs nonzero values")
-    return Fraction(math.lcm(*(abs(f.numerator) for f in exact)),
-                    math.gcd(*(f.denominator for f in exact)))
 
 
 def rationalize(x: Union[float, int, Fraction], max_denominator: int,

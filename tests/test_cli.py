@@ -149,6 +149,16 @@ class TestAnalyze:
         assert code == 64
         assert "t_max required" in err
 
+    @pytest.mark.parametrize("flags", [[], ["--t-max", "5"]])
+    def test_partial_spectrum_has_no_route(self, capsys, flags):
+        # no spectrum and no matrix: asking for t_max would mislead
+        code, out, err = run_cli(
+            ["analyze", "--config", str(CONFIGS / "partial_spectrum.ini"),
+             *flags], capsys)
+        assert (code, out) == (64, "")
+        assert err == ("config error: analyze needs a spectrum or a matrix; "
+                       "a partial_spectrum run has neither\n")
+
     def test_dense_no_return_within_horizon(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["analyze", "--config", write(tmp_path, DENSE_IRRATIONAL),
@@ -520,6 +530,22 @@ class TestOutputFile:
             ["analyze", "--config", config, "--out", str(out_file)], capsys)
         assert code == 0 and out == ""
         assert out_file.read_text(encoding="utf-8") == stdout_text
+
+    @pytest.mark.parametrize("command, config", [
+        ("analyze", "spin_half.ini"), ("verify", "raw_spectrum.ini"),
+        ("constrain", "partial_spectrum.ini")])
+    @pytest.mark.parametrize("where, reason", [
+        ("missing/report.txt", "No such file or directory"),
+        (".", "Is a directory")], ids=["missing-directory", "directory"])
+    def test_unwritable_out_exits_64(self, tmp_path, capsys, command, config,
+                                     where, reason):
+        # exit 1 means only that verify found a disagreement
+        path = tmp_path / where
+        code, out, err = run_cli(
+            [command, "--config", str(CONFIGS / config), "--out", str(path)],
+            capsys)
+        assert (code, out) == (64, "")
+        assert err == f"config error: cannot write {path}: {reason}\n"
 
     def test_byte_determinism(self, tmp_path, capsys):
         config = write(tmp_path, RAW_TWO_LEVEL)

@@ -1,8 +1,13 @@
 """The installed program needs numpy only, and only where it builds an
-array; scipy is a test dependency."""
+array; scipy is a test dependency.  Its records are plain classes, so
+importing it loads no dataclasses machinery."""
 
 import ast
+import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -55,24 +60,45 @@ def test_no_eager_numpy_import(path):
             if name.partition(".")[0] == "numpy"] == []
 
 
-def test_oracle_imports_no_dataclasses():
-    # every run compiles oracle.py from source where bytecode is not
-    # written; its classes are plain __slots__ classes
-    from aaphase import oracle
-    assert "dataclasses" not in imported_modules(
-        ROOT / "src" / "aaphase" / "oracle.py")
-    for cls in (oracle.Hamiltonian, oracle.EvolutionResult):
-        assert "__slots__" in vars(cls)
-        assert "__dataclass_fields__" not in vars(cls)
+@pytest.mark.parametrize("path", SOURCES,
+                         ids=lambda p: str(p.relative_to(ROOT / "src")))
+def test_no_dataclasses_import(path):
+    # every record is a plain __slots__ class; the dataclasses module
+    # pulls in inspect, which costs milliseconds on every run
+    assert "dataclasses" not in list(imported_modules(path))
+
+
+def _modules():
+    for path in SOURCES:
+        parts = path.relative_to(ROOT / "src").with_suffix("").parts
+        yield importlib.import_module(".".join(
+            parts[:-1] if parts[-1] == "__init__" else parts))
 
 
 def test_exact_route_classes_are_slotted():
-    # the spectrum and the state are built once per run and read level by
-    # level; plain __slots__ classes, as the oracle's
-    from aaphase import engine
-    for cls in (engine.Spectrum, engine.StateDecomposition):
-        assert "__slots__" in vars(cls)
-        assert "__dataclass_fields__" not in vars(cls)
+    # every record the program defines is a plain __slots__ class, as
+    # the spectrum and the state that the exact route reads level by
+    # level; exceptions keep their own attributes
+    classes = [cls for module in _modules() for cls in vars(module).values()
+               if isinstance(cls, type) and cls.__module__ == module.__name__
+               and not issubclass(cls, BaseException)]
+    assert len(classes) >= 16
+    for cls in classes:
+        assert "__slots__" in vars(cls), cls
+        assert "__dataclass_fields__" not in vars(cls), cls
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    # compared with the modules loaded before the import: a site hook can
+    # load modules at interpreter start
+    probe = ("import sys; before = set(sys.modules); import aaphase.cli; "
+             "print(*sorted({'dataclasses', 'inspect'} "
+             "& (set(sys.modules) - before)))")
+    done = subprocess.run([sys.executable, "-c", probe], check=True,
+                          capture_output=True, text=True,
+                          env={**os.environ,
+                               "PYTHONPATH": str(ROOT / "src")})
+    assert done.stdout.strip() == ""
 
 
 def test_eager_import_is_found(tmp_path):

@@ -16,22 +16,28 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from aaphase import cli, engine
 from aaphase.engine import (
-    Cyclicality,
     NonCyclicError,
     Spectrum,
     StateDecomposition,
     check_cyclicality,
+    geometric_phase,
+)
+from conftest import circ, level
+from paper import (
     gamma_from_single_eigenvalue_phi,
     gamma_from_single_eigenvalue_tau,
     gauge_shift,
-    geometric_phase,
+    lcm_rationals,
 )
-from aaphase.rational import lcm_rationals
-from conftest import circ, level
 
 TWO_PI = 2.0 * math.pi
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 EQUAL = [("a", math.sqrt(0.5)), ("b", math.sqrt(0.5))]
+
+
+def fields(record):
+    """Every slot of a plain record, by name."""
+    return {name: getattr(record, name) for name in type(record).__slots__}
 
 
 def spectrum2(va, vb, unit=1.0):
@@ -125,8 +131,8 @@ class TestJoin:
         state = StateDecomposition(entries=[("a", 0.6), ("b", 0.8)])
         for sp in (first, second, first):
             fresh = StateDecomposition(entries=[("a", 0.6), ("b", 0.8)])
-            assert vars(geometric_phase(sp, state)) == \
-                vars(geometric_phase(sp, fresh))
+            assert fields(geometric_phase(sp, state)) == \
+                fields(geometric_phase(sp, fresh))
         assert geometric_phase(second, state).tau_cycles == 2
 
     def test_state_keeps_its_weights(self):
@@ -158,7 +164,6 @@ class TestCyclicality:
         verdict = check_cyclicality(sp, st_)
         assert verdict.kind == "non-cyclic"
         assert verdict.reason == "incommensurable"
-        assert str(verdict) == "non-cyclic(incommensurable)"
         with pytest.raises(NonCyclicError, match="incommensurable"):
             geometric_phase(sp, st_)
 
@@ -167,7 +172,6 @@ class TestCyclicality:
         sp = Spectrum(levels=[("a", 0), ("b", 1), ("c", math.sqrt(2))])
         st_ = StateDecomposition(entries=EQUAL)
         assert check_cyclicality(sp, st_).kind == "cyclic"
-        assert str(Cyclicality("cyclic")) == "cyclic"
 
     @pytest.mark.parametrize("values, verdict", [
         ([0.5, Fraction(1, 2)], "stationary"),
@@ -184,7 +188,9 @@ class TestCyclicality:
         sp = Spectrum(levels=list(zip(labels, values)))
         st_ = StateDecomposition(
             entries=[(lab, math.sqrt(1 / len(values))) for lab in labels])
-        assert str(check_cyclicality(sp, st_)) == verdict
+        got = check_cyclicality(sp, st_)
+        assert (f"{got.kind}({got.reason})" if got.reason
+                else got.kind) == verdict
 
 
 class TestTwoLevelExact:

@@ -205,23 +205,24 @@ class TestPropagator:
         for t in (0.3, 1.7, 4.9):
             U = expm(-1j * H * (1.3 / 0.7) * t)
             want_state = U @ psi0
-            got_state = prop.state_at(t)
-            assert np.max(np.abs(got_state - want_state)) < 1e-12
             want_surv = complex(np.vdot(psi0, want_state))
             got_surv = complex(prop.survival_amplitude(t)[0])
             assert abs(got_surv - want_surv) < 1e-12
 
     def test_unitarity_and_energy_conservation(self, rng):
+        # states from the independent route: psi(t) = expm(-iHt) psi0
         dim = 8
         H = random_hermitian(rng, dim)
         h = Hamiltonian.from_dense(H)
         psi0 = random_state(rng, dim)
         prop = SpectralPropagator(h, psi0)
+        assert abs(prop.weights.sum() - 1.0) < 1e-12
         e0 = prop.mean_energy()
         for t in np.linspace(0.0, 9.0, 13):
-            state = prop.state_at(float(t))
-            assert abs(np.linalg.norm(state) - 1.0) < 1e-12
+            state = expm(-1j * H * t) @ psi0
             assert abs(np.vdot(state, H @ state).real - e0) < 1e-11
+            assert abs(prop.fidelity(float(t))[0]
+                       - abs(np.vdot(psi0, state))) < 1e-12
 
     def test_stationary_spread(self):
         h = Hamiltonian.from_dense(np.diag([2.0, 2.0]))
@@ -275,7 +276,7 @@ class TestBlocks:
         psi0 = random_state(rng, dim)
         h = Hamiltonian.from_dense(H, unit=1.3 / 0.7)
         prop = SpectralPropagator(h, psi0)
-        assert sum(idx.shape[0] for idx, _, _ in prop._groups) == len(blocks)
+        assert _components(dim, h.rows, h.cols)[1].size == len(blocks)
         assert np.max(np.abs(np.sort(prop.eigenvalues)
                              - np.linalg.eigvalsh(H))) < 1e-12
         times = np.linspace(0.0, 6.0, 25)
@@ -283,7 +284,6 @@ class TestBlocks:
         for t, got in zip(times, survival):
             want_state = expm(-1j * H * (1.3 / 0.7) * t) @ psi0
             assert abs(got - np.vdot(psi0, want_state)) < 1e-12
-            assert np.max(np.abs(prop.state_at(t) - want_state)) < 1e-12
 
     def test_chain_of_blocks_stays_one_component(self, rng):
         sizes = [3, 2, 4, 1, 3]
@@ -330,7 +330,7 @@ class TestStackedSolve:
         prop = SpectralPropagator(h, psi0)
         want_w, want_a = per_block_solve(h, psi0)
         assert_bitwise(prop.eigenvalues, want_w)
-        assert_bitwise(prop.amplitudes, want_a)
+        assert_bitwise(prop.weights, np.abs(want_a) ** 2)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_shuffled_complex_blocks(self, seed, monkeypatch):
@@ -351,11 +351,11 @@ class TestStackedSolve:
         monkeypatch.setattr(oracle, "SMALL_DIMENSION", 0)
         prop = SpectralPropagator(h, psi0)
         monkeypatch.undo()
-        assert sum(idx.shape[0] for idx, _, _ in prop._groups) == 4
+        assert _components(13, h.rows, h.cols)[1].size == 4
         assert np.count_nonzero(np.diff(prop.eigenvalues) == 0) == 5
         want_w, want_a = per_block_solve(h, psi0)
         assert_bitwise(prop.eigenvalues, want_w)
-        assert_bitwise(prop.amplitudes, want_a)
+        assert_bitwise(prop.weights, np.abs(want_a) ** 2)
 
 
 def bfs_components(n, rows, cols):
@@ -546,14 +546,16 @@ class TestEvolve:
     def test_argument_validation(self):
         h = Hamiltonian.from_dense(np.diag([1.0, 2.0]))
         psi0 = np.array([0.6, 0.8])
+        prop = SpectralPropagator(h, psi0)
         with pytest.raises(ValueError, match="steps"):
-            evolve(h, psi0, 1.0, steps=1)
+            evolve(prop, 1.0, steps=1)
         with pytest.raises(ValueError, match="t_max"):
-            evolve(h, psi0, 0.0)
+            evolve(prop, 0.0, steps=4096)
 
     def test_overlap_track_on_three_mirror_matrix(self):
         run = load_config(CONFIGS / "three_mirror_exact.ini")
-        res = evolve(run.hamiltonian, run.psi0, 2.2 * TWO_PI, steps=3 * 4096)
+        res = evolve(SpectralPropagator(run.hamiltonian, run.psi0),
+                     2.2 * TWO_PI, steps=3 * 4096)
         assert res.times.size == 3 * 4096
         assert 0 < res.index.size < res.times.size
         want = direct_survival(res.propagator, res.times[res.index])
@@ -566,7 +568,7 @@ class TestDetectPeriod:
         dim = len(values)
         h = Hamiltonian.from_dense(np.diag(np.asarray(values, dtype=float)))
         psi0 = np.sqrt(np.asarray(weights, dtype=float)).astype(complex)
-        res = evolve(h, psi0, t_max, steps=steps)
+        res = evolve(SpectralPropagator(h, psi0), t_max, steps=steps)
         return detect_period(res, fidelity_tol=tol), h, res
 
     def test_tolerance_validation(self):
@@ -600,7 +602,7 @@ class TestDetectPeriod:
     def test_no_return_raises(self):
         h = Hamiltonian.from_dense(np.diag([1.0, math.sqrt(2.0)]))
         psi0 = np.array([0.6, 0.8])
-        res = evolve(h, psi0, 10.0, steps=4096)
+        res = evolve(SpectralPropagator(h, psi0), 10.0, steps=4096)
         with pytest.raises(NoReturnError):
             detect_period(res)
 
@@ -633,8 +635,7 @@ class TestPrune:
         steps = max(4096 * math.ceil(t_max / TWO_PI),
                     math.ceil(prop.occupied_spread() * t_max
                               / oracle.SCAN_BAND) + 1)
-        res = evolve(prop.hamiltonian, prop.psi0, t_max, steps=steps,
-                     propagator=prop)
+        res = evolve(prop, t_max, steps=steps)
 
         def detect():
             try:
@@ -683,8 +684,7 @@ class TestWindowedScan:
         values, weights, t_max, tol, approximate = case
         prop = diagonal_propagator(values, weights)
         steps = grid_steps(prop, t_max)
-        res = evolve(prop.hamiltonian, prop.psi0, t_max, steps=steps,
-                     propagator=prop)
+        res = evolve(prop, t_max, steps=steps)
         whole = whole_grid_result(prop, res.times)
         assert res.times.size == steps
         found = detect_or_none(res, tol, approximate)
@@ -696,8 +696,7 @@ class TestWindowedScan:
         prop = diagonal_propagator([0.0, 1.0, 101.5], [0.49, 0.49, 0.02])
         t_max = 4.3 * math.pi
         assert grid_steps(prop, t_max) > 4096 * math.ceil(t_max / TWO_PI)
-        res = evolve(prop.hamiltonian, prop.psi0, t_max,
-                     steps=grid_steps(prop, t_max), propagator=prop)
+        res = evolve(prop, t_max, steps=grid_steps(prop, t_max))
         for tol, approximate in ((1e-8, False), (1e-4, True)):
             tau, phi = detect_period(res, tol, approximate=approximate)
             assert abs(tau - 2 * TWO_PI) < 1e-6
@@ -712,8 +711,7 @@ class TestWindowedScan:
         run = load_config(CONFIGS / f"{name}.ini")
         prop = SpectralPropagator(run.hamiltonian, run.psi0)
         t_max = 2.2 * TWO_PI / run.hamiltonian.unit * 4
-        res = evolve(run.hamiltonian, run.psi0, t_max,
-                     steps=grid_steps(prop, t_max), propagator=prop)
+        res = evolve(prop, t_max, steps=grid_steps(prop, t_max))
         assert res.index.size < res.times.size / 4
         whole = whole_grid_result(prop, res.times)
         for tol, approximate in ((1e-8, False), (1e-4, True)):
@@ -781,7 +779,7 @@ class TestDefaultGrid:
     def grid_steps(monkeypatch, h, psi0, **kwargs):
         seen = []
 
-        def record(hamiltonian, psi0, t_max, steps=4096, *, propagator=None):
+        def record(propagator, t_max, *, steps):
             seen.append(steps)
             raise NoReturnError("stop")
 
@@ -809,7 +807,7 @@ class TestDefaultGrid:
         # 5457 grid peaks reach the scan band up to t_max; golden section
         # refined the 2183 before the return at 4*pi, 50 evaluations each
         t_max = 27.6
-        res = evolve(self.H, self.PSI0, t_max,
+        res = evolve(SpectralPropagator(self.H, self.PSI0), t_max,
                      steps=math.ceil(3000.5 * t_max / oracle.SCAN_BAND) + 1)
         refined, evaluated = [], []
         monkeypatch.setattr(oracle, "_refine", lambda *a: refined.append(a)

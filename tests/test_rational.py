@@ -9,10 +9,10 @@ from hypothesis import given, strategies as st
 from aaphase.rational import (
     IncommensurableError,
     format_rational,
-    lcm_rationals,
     parse_rational,
     rationalize,
 )
+from paper import lcm_rationals
 
 fractions_st = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=50)

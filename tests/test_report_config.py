@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 from aaphase import cli
 from aaphase.config import (
     ConfigError,
-    RunOptions,
     load_config,
     parse_complex,
 )
@@ -202,7 +201,7 @@ class TestSpinConfig:
         assert run.spectrum is not None and run.state is not None
         assert run.hamiltonian is not None and run.psi0 is not None
         assert run.spectrum.unit == 2.0
-        assert run.options == RunOptions()
+        assert (run.options.t_max, run.options.n_range) == (None, 16)
 
 
 class TestFreeFieldConfig:
@@ -378,7 +377,7 @@ class TestOptions:
     def test_options_section_and_casting(self, tmp_path):
         text = SPIN_RUN + "\n[options]\nt_max = 12.5\nn_range = 4\n"
         run = load_config(write_config(tmp_path, text))
-        assert run.options == RunOptions(t_max=12.5, n_range=4)
+        assert (run.options.t_max, run.options.n_range) == (12.5, 4)
         assert isinstance(run.options.n_range, int)
         run = load_config(write_config(tmp_path, SPIN_RUN))
         assert (run.options.t_max, run.options.n_range) == (None, 16)

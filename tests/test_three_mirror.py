@@ -19,11 +19,11 @@ from aaphase.models import (
     three_mirror_initial_state,
     three_mirror_scaled_mean_energy,
 )
-from aaphase.models.three_mirror import three_mirror_chi
 from aaphase.oracle import SpectralPropagator, generic_gamma
 
 from conftest import (circ, create, destroy, level, number,
                       reference_three_mirror_levels)
+from paper import three_mirror_chi
 
 TWO_PI = 2.0 * math.pi
 

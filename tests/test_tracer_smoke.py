@@ -5,10 +5,14 @@
 ``.matrix`` and ``r[0].levels`` from what they return.  A renamed builder
 or a changed return shape passes every other test here and breaks only
 ``perfbench/run.py --trace 1``; this test runs the tracer on three
-shipped configs to catch that.
+shipped configs to catch that.  The benchmark's self-tests also import
+the three-mirror closed form from ``aaphase.models``, which the last
+test calls as they do.
 """
 
 import importlib.util
+import math
+from fractions import Fraction
 from pathlib import Path
 
 from aaphase import cli, oracle
@@ -68,3 +72,20 @@ def test_traced_runs_match_untraced(capsys, monkeypatch):
     assert len(grids) == 1
     assert metrics["oracle.scan_s"] > 0
     assert metrics["oracle.grid_steps"] == grids[0]
+
+
+def test_three_mirror_closed_form_as_the_benchmark_calls_it():
+    from aaphase.models import ThreeMirrorParams, \
+        three_mirror_gamma_closed_form
+
+    alpha, beta, mu = 0.3 + 0.6j, -0.5j, 0.2 - 0.55j
+    params = ThreeMirrorParams(rho_D=2, rho_S=3, kappa_D=Fraction(1, 10),
+                               kappa_S=0, alpha=alpha, beta=beta, mu=mu)
+    # an int kappa_S = 0 counts as exact, so the run takes the exact route
+    assert params.exact_family
+    # gamma = 2 pi [1 + p <H>/omega_m], the coherent-product bracket
+    bracket = (abs(alpha) ** 2 * (2 + 2 * 0.1 * mu.real)
+               + abs(beta) ** 2 * 3 + abs(mu) ** 2)
+    want = 2 * math.pi * math.fmod(1 + 100 * bracket, 1.0)
+    got = three_mirror_gamma_closed_form(params, 100)
+    assert abs(got - want) < 1e-9

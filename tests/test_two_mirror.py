@@ -15,17 +15,21 @@ from scipy.linalg import eigh, expm
 
 from aaphase.engine import geometric_phase
 from aaphase.fock import coherent_amplitudes
-from aaphase.models import (
-    TwoMirrorParams,
-    two_mirror_dense,
-    two_mirror_gamma_closed_form,
-    two_mirror_mean_energy,
-    two_mirror_spectrum,
-)
+from aaphase.models import TwoMirrorParams, two_mirror_dense, \
+    two_mirror_spectrum
 from aaphase.oracle import generic_gamma
 
 from conftest import (circ, create, destroy, level, number,
                       reference_two_mirror_levels)
+from paper import (
+    two_mirror_g,
+    two_mirror_gamma_closed_form,
+    two_mirror_mean_energy,
+    two_mirror_mean_photon,
+    two_mirror_omega_f,
+    two_mirror_p,
+    two_mirror_q,
+)
 
 TWO_PI = 2.0 * math.pi
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -61,11 +65,11 @@ class TestParams:
 
     def test_derived_quantities(self):
         p = make_params(SUP, 0.3, omega_m=2.0)
-        assert (p.p, p.q) == (2, 1)
+        assert (two_mirror_p(p), two_mirror_q(p)) == (2, 1)
         assert p.k == pytest.approx(INV_SQRT2)
-        assert p.omega_f == pytest.approx(4.0)
-        assert p.g == pytest.approx(2.0 * INV_SQRT2)
-        assert p.mean_photon == pytest.approx(0.5)
+        assert two_mirror_omega_f(p) == pytest.approx(4.0)
+        assert two_mirror_g(p) == pytest.approx(2.0 * INV_SQRT2)
+        assert two_mirror_mean_photon(p) == pytest.approx(0.5)
         neg = make_params(SUP, 0.3, k_sign=-1)
         assert neg.k == pytest.approx(-INV_SQRT2)
 
@@ -141,9 +145,9 @@ class TestClosedFormGrid:
         params = make_params(SUP, beta)
         sp, state = two_mirror_spectrum(params)
         rep = geometric_phase(sp, state)
-        assert rep.tau_cycles == params.p == 2
+        assert rep.tau_cycles == two_mirror_p(params) == 2
         assert rep.phi_over_pi == 0
-        closed = two_mirror_gamma_closed_form(params, params.p)
+        closed = two_mirror_gamma_closed_form(params, two_mirror_p(params))
         assert circ(closed, rep.gamma) < 1e-12
 
     def test_pure_one_photon_breaks_the_period_premise(self):
@@ -154,7 +158,7 @@ class TestClosedFormGrid:
         rep = geometric_phase(sp, state)
         assert rep.tau_cycles == 1
         assert rep.phi_over_pi == 1
-        closed = two_mirror_gamma_closed_form(params, params.p)
+        closed = two_mirror_gamma_closed_form(params, two_mirror_p(params))
         assert circ(closed, rep.gamma) == pytest.approx(math.pi, abs=1e-12)
 
     @pytest.mark.parametrize("beta", BETAS[1:])
@@ -167,7 +171,7 @@ class TestClosedFormGrid:
         assert rep.tau_cycles == 1
         assert rep.phi_over_pi == 0
         assert circ(rep.gamma, TWO_PI * abs(beta) ** 2) < 1e-10
-        closed = two_mirror_gamma_closed_form(params, params.p)
+        closed = two_mirror_gamma_closed_form(params, two_mirror_p(params))
         assert circ(closed, rep.gamma) == pytest.approx(
             circ(TWO_PI * abs(beta) ** 2, 0.0), abs=1e-10)
 
@@ -176,7 +180,8 @@ class TestClosedFormGrid:
         sp, state = two_mirror_spectrum(params)
         rep = geometric_phase(sp, state)
         assert rep.stationary and rep.gamma == 0.0
-        assert two_mirror_gamma_closed_form(params, params.p) == 0.0
+        p = two_mirror_p(params)
+        assert two_mirror_gamma_closed_form(params, p) == 0.0
         h, psi0 = two_mirror_dense(params)
         orc = generic_gamma(h, psi0, t_max=4.0 * TWO_PI)
         assert orc.stationary and orc.gamma == 0.0
@@ -278,8 +283,8 @@ class TestFrequencyScaling:
         params = make_params(SUP, 0.3, omega_m=2.0)
         sp, state = two_mirror_spectrum(params)
         rep = geometric_phase(sp, state)
-        nbar = params.mean_photon
-        turns_bad = 1.0 + (params.p / params.omega_m) * (
+        nbar = two_mirror_mean_photon(params)
+        turns_bad = 1.0 + (two_mirror_p(params) / params.omega_m) * (
             (float(params.r) - 2.0 * params.k * params.beta.real) * nbar
             + abs(params.beta) ** 2)
         gamma_bad = TWO_PI * math.fmod(turns_bad, 1.0)
