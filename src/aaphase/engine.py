@@ -60,14 +60,18 @@ class Spectrum:
     An int value is a numerator over ``denominator``; a float value is
     the level itself and marks a failed rationalization.  The
     constructor also takes Fraction and "p/q" values and puts every
-    rational over their least common denominator.  ``table`` maps the
-    unique labels to the values, which may repeat (degeneracy allowed).
+    rational over their least common denominator; pairs of a str label
+    and an int value are kept as given.  ``table`` maps the unique
+    labels to the values, which may repeat (degeneracy allowed).
     """
 
     __slots__ = ("levels", "unit", "denominator", "table")
 
     def __init__(self, levels, unit: float = 1.0, denominator: int = 1):
-        lv = [(str(lab), val) for lab, val in levels]
+        lv = tuple(levels)
+        plain = all(type(lab) is str and type(val) is int for lab, val in lv)
+        if not plain:
+            lv = tuple((str(lab), val) for lab, val in lv)
         if not lv:
             raise ValueError("spectrum needs at least one level")
         table = dict(lv)
@@ -77,7 +81,8 @@ class Spectrum:
             raise ValueError("unit must be positive and finite")
         if not (isinstance(denominator, int) and denominator > 0):
             raise ValueError("denominator must be a positive integer")
-        if not all(isinstance(val, (int, float)) for val in table.values()):
+        if not (plain or all(isinstance(val, (int, float))
+                             for val in table.values())):
             exact = [val if isinstance(val, float) else
                      Fraction(val, denominator) if isinstance(val, int) else
                      Fraction(val) for _, val in lv]
@@ -96,13 +101,16 @@ class StateDecomposition:
 
     Zero-amplitude entries are rejected so the entry list IS the occupied
     set; total weight must be 1 within 1e-12.  ``weights`` holds |a|^2
-    per entry and ``total`` their correctly rounded sum.
+    per entry and ``total`` their correctly rounded sum.  Pairs of a str
+    label and a complex amplitude are kept as given.
     """
 
     __slots__ = ("entries", "weights", "total", "_join")
 
     def __init__(self, entries):
-        ent = tuple((str(lab), complex(a)) for lab, a in entries)
+        ent = tuple(entries)
+        if not all(type(lab) is str and type(a) is complex for lab, a in ent):
+            ent = tuple((str(lab), complex(a)) for lab, a in ent)
         if not ent:
             raise ValueError("state needs at least one entry")
         if len({lab for lab, _ in ent}) != len(ent):
@@ -165,13 +173,16 @@ def _occupy(spectrum: Spectrum, state: StateDecomposition
     first; other floats are their own keys.
     """
     table = spectrum.table
+    values = [table.get(lab) for lab, _ in state.entries]
+    if None in values:
+        lab = state.entries[values.index(None)][0]
+        raise ValueError(f"state/spectrum mismatch: unknown label {lab!r}")
+    if all(type(val) is int for val in values):
+        return values, dict(zip(values, values))
     d = spectrum.denominator
     keys = []
     distinct: Dict[object, Value] = {}
-    for lab, _ in state.entries:
-        val = table.get(lab)
-        if val is None:
-            raise ValueError(f"state/spectrum mismatch: unknown label {lab!r}")
+    for val in values:
         key = (val if isinstance(val, int) or not math.isfinite(val)
                else Fraction(val) * d)
         distinct.setdefault(key, val)

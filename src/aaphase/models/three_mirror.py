@@ -172,11 +172,16 @@ def cavity_exact(blocks: Iterable[Tuple[str, int, complex, np.ndarray]],
     levels = []
     entries = []
     mass = 0.0
+    suffixes = []
     for prefix, base, weight, mirror in blocks:
         weight = complex(weight)  # numpy scalar arithmetic per level is slower
-        for m, mirror_amp in enumerate(mirror.tolist()):
-            label = f"{prefix}{m}"
-            levels.append((label, base + denominator * m))
+        amps = mirror.tolist()
+        if len(suffixes) < len(amps):
+            suffixes = [str(m) for m in range(len(amps))]
+        labels = [prefix + m for m in suffixes[:len(amps)]]
+        levels += zip(labels, range(base, base + denominator * len(amps),
+                                    denominator))
+        for label, mirror_amp in zip(labels, amps):
             amp = weight * mirror_amp
             if amp != 0:
                 mass += abs(amp) ** 2

@@ -12,7 +12,11 @@ validated against this route.
 The survival amplitude is scanned in two passes: a coarse pass bounds
 |<psi0|psi(t)>| near every COARSE_STRIDE-th grid point, and the fine
 grid is evaluated only where that bound leaves room for a return, with
-the same bits as a scan of the whole grid.
+the same bits as a scan of the whole grid.  The scan holds one
+levels x B table of phase factors (B about sqrt(steps)), forms the
+coarse bound in chunks of at most COARSE_ENTRIES entries, and never
+forms the grid: ``EvolutionResult.times`` is a `Grid`, which computes
+its points where they are read.
 
 numpy is imported inside the functions that use it, so that importing
 this module (and with it the command-line front end) does not load it:
@@ -29,6 +33,7 @@ from .engine import PhaseReport, TWO_PI, _canonical_gamma
 
 __all__ = [
     "EvolutionResult",
+    "Grid",
     "Hamiltonian",
     "NoReturnError",
     "SpectralPropagator",
@@ -50,6 +55,9 @@ WEIGHT_FLOOR = 1e-16
 SMALL_DIMENSION = 32
 # No temporary array of the fidelity scan holds more entries than this.
 CHUNK_ENTRIES = 1 << 20
+# Entries per chunk of the coarse bound's phase table (one row when a
+# row is longer): 512 KiB of complex values.
+COARSE_ENTRIES = 1 << 15
 # Largest grid the step rule may choose.
 MAX_STEPS = 1 << 21
 # The scan's coarse pass takes every COARSE_STRIDE-th grid point; each
@@ -153,6 +161,57 @@ class Hamiltonian:
         m = np.zeros((self.dimension,) * 2, dtype=self.values.dtype)
         m[self.rows, self.cols] = self.values
         return m
+
+
+def _phases(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """exp(-1j * np.outer(a, b)) bit for bit, in one array: the exponent
+    -1j * x is (+0.0, -x) exactly, so -a b is written into the imaginary
+    part of a zeroed table and exp runs in place."""
+    import numpy as np
+    table = np.zeros((a.size, b.size), dtype=complex)
+    np.multiply.outer(a, -b, out=table.imag)
+    return np.exp(table, out=table)
+
+
+class Grid:
+    """The uniform grid ``np.linspace(0, t_max, size)``, computed where read.
+
+    An int, a slice or an index array selects points with linspace's own
+    bits: point i is i * step + 0.0, or i / (size - 1) * t_max + 0.0 when
+    the step t_max / (size - 1) rounds to 0, and the last point is t_max.
+    """
+
+    __slots__ = ("size", "t_max")
+
+    def __init__(self, size: int, t_max: float):
+        self.size, self.t_max = int(size), float(t_max)
+
+    def __getitem__(self, key):
+        import numpy as np
+        n, t_max = self.size, self.t_max
+        div = n - 1
+        step = t_max / div
+        if isinstance(key, slice):
+            i = np.arange(*key.indices(n))
+        elif isinstance(key, (int, np.integer)) or not np.ndim(key):
+            # one point in Python floats, whose arithmetic is numpy's: a
+            # few array operations per point would cost the small scans
+            # more than the whole linspace did
+            i = range(n)[key]
+            if i == div:
+                return np.float64(t_max)
+            return np.float64((i / div * t_max if step == 0 else i * step)
+                              + 0.0)
+        else:
+            i = np.asarray(key)
+            if np.any((i < -n) | (i >= n)):
+                raise IndexError("grid index out of range")
+            i = np.where(i < 0, i + n, i)
+        t = (i / div * t_max if step == 0 else i * step) + 0.0
+        return np.where(i == div, t_max, t)
+
+    def __array__(self, dtype=None, copy=None):
+        return self[:] if dtype is None else self[:].astype(dtype)
 
 
 def _grid_shape(steps: int, levels: int) -> Tuple[int, int]:
@@ -274,18 +333,20 @@ class SpectralPropagator:
         """<psi0|psi(t)> for a few arbitrary times, via the occupied levels
         only; whole grids go through `survival_grid`."""
         import numpy as np
-        t = np.atleast_1d(np.asarray(times, dtype=float))
-        return np.exp(-1j * np.outer(t, self._occ_omega)) @ self._occ_w
+        t = np.atleast_1d(np.asarray(times, dtype=float)).ravel()
+        return _phases(t, self._occ_omega) @ self._occ_w
 
     def survival_grid(self, times) -> Tuple[np.ndarray, np.ndarray]:
         """(index, overlap): <psi0|psi(t)> at ``times[index]`` on a uniform
-        grid ``times = linspace(0, t_max, n)``, wherever a return can be.
+        grid ``times``, a `Grid` or the array ``linspace(0, t_max, n)``,
+        wherever a return can be.  Only the grid points it uses are read.
 
         For k = a*B + b, exp(-i w t_k) = exp(-i w t_{aB}) exp(-i w t_b),
         so the amplitude on the whole grid is the (n/B x levels) @
         (levels x B) product of weighted coarse factors and fine factors,
         taken from the grid's own points; coarse rows go in chunks under
-        CHUNK_ENTRIES.  A coarse pass takes that product with every
+        CHUNK_ENTRIES, and the fine factors are the scan's one
+        levels x B table.  A coarse pass takes that product with every
         COARSE_STRIDE-th fine column and the last point's only, for A(t)
         and for D(t) = sum_k p_k h nu_k exp(-i w_k t), h being
         COARSE_STRIDE // 2 steps and nu_k as in `_prune`, whose shifted
@@ -303,54 +364,57 @@ class SpectralPropagator:
         whole-grid product's bit for bit.
         """
         import numpy as np
-        t = np.asarray(times, dtype=float)
-        n, omega, w = t.size, self._occ_omega, self._occ_w
+        n, omega, w = times.size, self._occ_omega, self._occ_w
         fine, rows = _grid_shape(n, omega.size)
-        factors = np.exp(-1j * np.outer(omega, t[:fine]))
-        coarse = t[::fine]
+        coarse = times[::fine]
         cols = np.arange(0, fine, COARSE_STRIDE)
         if (n - 1) % fine % COARSE_STRIDE:
             cols = np.append(cols, (n - 1) % fine)
         reach = COARSE_STRIDE // 2
-        hnu = reach * (t[1] - t[0]) * self._occ_nu
-        pair = np.concatenate((factors[:, cols] * w[:, None],
-                               factors[:, cols] * (w * hnu)[:, None]), axis=1)
-        # the bound needs no particular bits, so its coarse factors are
-        # products exp(-i w t_{a1 S B}) exp(-i w t_{a2 B}) for a = a1 S + a2:
-        # about 2 sqrt(n/B) exponentials per level instead of n/B
-        split = min(math.isqrt(coarse.size - 1) + 1, rows)
-        lows = np.exp(-1j * np.outer(coarse[:split], omega))
-        chunk = rows // split * split
+        dt = times[1] - times[0]
+        hnu = reach * dt * self._occ_nu
+        # the bound needs no particular bits: it runs before the fine
+        # factors exist, on its own factors of the columns, and its coarse
+        # factors are products exp(-i w t_{a1 S B}) exp(-i w t_{a2 B}) for
+        # a = a1 S + a2: about 2 sqrt(n/B) exponentials per level instead
+        # of n/B, multiplied out in chunks of COARSE_ENTRIES
+        chunk_rows = max(1, COARSE_ENTRIES // omega.size)
+        split = min(math.isqrt(coarse.size - 1) + 1, chunk_rows)
+        lows = _phases(coarse[:split], omega)
+        edge = _phases(omega, times[cols])
+        pair = np.concatenate((edge * w[:, None], edge * (w * hnu)[:, None]),
+                              axis=1)
+        chunk = chunk_rows // split * split
         bound = np.empty((-(-coarse.size // split) * split, cols.size))
         for start in range(0, coarse.size, chunk):
-            tops = np.exp(-1j * np.outer(coarse[start:start + chunk:split],
-                                         omega))
+            tops = _phases(coarse[start:start + chunk:split], omega)
             both = np.abs((tops[:, None] * lows).reshape(-1, omega.size)
                           @ pair)
             bound[start:start + both.shape[0]] = (both[:, :cols.size]
                                                   + both[:, cols.size:])
         bound = bound[:coarse.size] + (w @ hnu ** 2) / 2
-        floor, margin = _floor(self, t, MAX_FIDELITY_TOL)
+        floor, margin = _floor(self, times, MAX_FIDELITY_TOL)
         # a kept peak has fid >= floor - dt |B'|; the coarse values round
         # as fid does, up to one ulp per level in each sum
-        floor -= (w @ np.abs((t[1] - t[0]) * self._occ_nu)
+        floor -= (w @ np.abs(dt * self._occ_nu)
                   + 2 * (margin + omega.size * np.spacing(1.0)))
-        at = np.arange(0, coarse.size * fine, fine)[:, None] + cols
-        at = at[(bound >= floor) & (at < n)]
+        row, col = np.nonzero(bound >= floor)
+        at = row * fine + cols[col]
+        at = at[at < n]
         # rows from each window's first point to its last, as +1 and -1
         # marks whose running sum is positive inside a window
         marks = np.zeros(coarse.size + 1, dtype=np.int64)
         np.add.at(marks, np.maximum(at - reach - 2, 0) // fine, 1)
         np.add.at(marks, np.minimum(at + reach + 1, n - 1) // fine + 1, -1)
         need = np.flatnonzero(np.cumsum(marks[:-1]))
+        factors = _phases(omega, times[:fine])
         out = [np.empty((0, fine), dtype=complex)]
         for start in range(0, coarse.size, rows):
             batch = need[(start <= need) & (need < start + rows)]
             if batch.size:
                 # a lone row goes in twice, unless its chunk has one row
                 alone = batch.size == 1 < min(rows, coarse.size - start)
-                head = np.exp(-1j * np.outer(coarse[batch.repeat(1 + alone)],
-                                             omega))
+                head = _phases(coarse[batch.repeat(1 + alone)], omega)
                 head *= w
                 out.append((head @ factors)[:batch.size])
         index = (need[:, None] * fine + np.arange(fine)).ravel()
@@ -377,9 +441,10 @@ class SpectralPropagator:
 class EvolutionResult:
     """The survival amplitude on a uniform grid, where a return can be.
 
-    ``times`` is the whole grid; ``overlap_track`` and ``fidelity_track``
-    hold <psi0|psi(t)> and its modulus at ``times[index]``, ``index``
-    ascending (`SpectralPropagator.survival_grid`).
+    ``times`` is the whole grid, a `Grid` from `evolve`; ``overlap_track``
+    and ``fidelity_track`` hold <psi0|psi(t)> and its modulus at
+    ``times[index]``, ``index`` ascending
+    (`SpectralPropagator.survival_grid`).
     """
 
     __slots__ = ("times", "index", "overlap_track", "fidelity_track",
@@ -396,12 +461,11 @@ def evolve(propagator: SpectralPropagator, t_max: float, *,
            steps: int) -> EvolutionResult:
     """The survival amplitude on a uniform grid of ``steps`` points over
     [0, t_max], evaluated only near the points where a return can be."""
-    import numpy as np
     if steps < 2:
         raise ValueError("steps must be >= 2")
     if not t_max > 0:
         raise ValueError("t_max must be positive")
-    times = np.linspace(0.0, float(t_max), int(steps))
+    times = Grid(steps, t_max)
     return EvolutionResult(times, *propagator.survival_grid(times),
                            propagator)
 
@@ -446,7 +510,7 @@ def _prune(prop: SpectralPropagator, times: np.ndarray, fid: np.ndarray,
     floor, margin = _floor(prop, times, fidelity_tol)
     heavy = prop._occ_w >= CERTIFICATE_FLOOR
     w, nu, dt = prop._occ_w[heavy], prop._occ_nu[heavy], times[1] - times[0]
-    phases = np.exp(-1j * np.outer(times[peaks], nu))      # ascending in nu
+    phases = _phases(times[peaks], nu)                      # ascending in nu
     # an elementwise sum: a threaded complex gemv of this size costs ms
     ok = fid + dt * np.abs((phases * (nu * w)).sum(axis=1)) >= floor
     if certify:

@@ -5,23 +5,26 @@ shares no code with the phase-advance implementation.
 """
 
 import math
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import block_diag, expm
 
 from aaphase import oracle
 from aaphase.config import load_config
 from aaphase.oracle import (
     CHUNK_ENTRIES,
+    Grid,
     Hamiltonian,
     NoReturnError,
     SpectralPropagator,
     _components,
     _grid_shape,
+    _phases,
     _refine,
     detect_period,
     evolve,
@@ -469,6 +472,55 @@ def same_bits(a, b):
                                                  b.view(np.int64))
 
 
+class TestGrid:
+    @settings(max_examples=60, deadline=None)
+    @given(size=st.integers(2, 3000),
+           t_max=st.floats(5e-324, 1e300),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(size=2, t_max=1.0, seed=0)
+    @example(size=7, t_max=5e-324, seed=1)      # the step rounds to 0
+    @example(size=4099, t_max=1e300, seed=2)
+    def test_points_are_linspace_bits(self, size, t_max, seed):
+        want = np.linspace(0.0, t_max, size)
+        grid = Grid(size, t_max)
+        assert grid.size == size
+        every = [grid[i] for i in range(size)]
+        assert all(type(t) is np.float64 for t in every)
+        assert same_bits(np.array(every), want)
+        assert same_bits(grid[-1], want[-1]) and grid[-1] == t_max
+        assert same_bits(grid[np.int64(-size)], want[0])
+        for key in (slice(None), slice(None, None, 16), slice(3, -2, 5),
+                    slice(None, None, -3), slice(size, None)):
+            assert same_bits(grid[key], want[key])
+        picks = np.random.default_rng(seed).integers(-size, size, 50)
+        assert same_bits(grid[picks], want[picks])
+        assert same_bits(grid[picks.tolist()], want[picks])
+        assert same_bits(np.asarray(grid, dtype=float), want)
+        for bad in (size, -size - 1, np.array([0, size])):
+            with pytest.raises(IndexError):
+                grid[bad]
+
+
+FREQUENCIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -3e-320,
+                     1e300, -1e300]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+class TestPhases:
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.lists(FREQUENCIES, max_size=6),
+           b=st.lists(FREQUENCIES, max_size=6))
+    @example(a=[0.0, -0.0, 5e-324, -2.5, 1e300], b=[-0.0, 1e-310, 1e300, 3.0])
+    def test_equals_the_outer_exponential(self, a, b):
+        """Also where a product overflows or the exponential is NaN."""
+        a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+        with np.errstate(all="ignore"):
+            want = np.exp(-1j * np.outer(a, b))
+            got = _phases(a, b)
+        assert got.dtype == want.dtype and same_bits(got, want)
+
+
 @st.composite
 def commensurate_levels(draw):
     """Levels p/q with random weights, so that returns recur, or random
@@ -561,6 +613,25 @@ class TestEvolve:
         want = direct_survival(res.propagator, res.times[res.index])
         assert np.max(np.abs(res.overlap_track - want)) <= 1e-12
         assert np.array_equal(res.fidelity_track, np.abs(res.overlap_track))
+
+    def test_memory_holds_no_grid(self):
+        """The result holds less than the grid's times would take, and
+        the scan's peak is about its one levels x B phase table plus one
+        chunk of the coarse bound's."""
+        run = load_config(CONFIGS / "three_mirror_exact.ini")
+        prop = SpectralPropagator(run.hamiltonian, run.psi0)
+        steps = 3 * 4096
+        fine, _ = _grid_shape(steps, prop._occ_w.size)
+        table = prop._occ_w.size * fine * 16
+        tracemalloc.start()
+        try:
+            res = evolve(prop, 2.2 * TWO_PI, steps=steps)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.times.size == steps
+        assert held < steps * 8
+        assert peak < 1.5 * table + oracle.COARSE_ENTRIES * 16
 
 
 class TestDetectPeriod:
