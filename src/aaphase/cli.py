@@ -1,22 +1,24 @@
 """Command-line front end: analyze, verify, and constrain commands.
 
-Exit codes: 0 success (verify: all comparisons pass), 1 verify found a
-disagreement, 2 physical impossibility (non-cyclic state, stationary
-state at eigenvalue 0, irrational constraint input), 3 oracle found no
-return within t_max or its grid would need more than 2^21 steps for the
-occupied frequency spread, 64 usage or configuration errors (among them
-a constrain call with n_range above MAX_N_RANGE = 1000, or whose
-candidates would list more than MAX_GAMMA_VALUES = 10^6 gamma values,
-and an --out path that cannot be written).
+Exit codes: 0 success (verify: all comparisons pass; -h or --help: the
+usage line), 1 verify found a disagreement, 2 physical impossibility
+(non-cyclic state, stationary state at eigenvalue 0, irrational
+constraint input), 3 oracle found no return within t_max or its grid
+would need more than 2^21 steps for the occupied frequency spread, 64
+usage errors (one stderr line "usage error: ..." naming the word) or
+configuration errors (among them a constrain call with n_range above
+MAX_N_RANGE = 1000, or whose candidates would list more than
+MAX_GAMMA_VALUES = 10^6 gamma values, and an --out path or a stdout
+that cannot be written).
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import math
+import os
+import re
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .config import FLAGS, ConfigError, LoadedRun, load_config
 from .constraints import constrain_unknown, enumerate_candidates, \
@@ -24,12 +26,8 @@ from .constraints import constrain_unknown, enumerate_candidates, \
 from .engine import NonCyclicError, check_cyclicality, geometric_phase
 from .oracle import NoReturnError, generic_gamma
 from .rational import IncommensurableError
-from .report import (
-    format_candidate_table,
-    format_phase_report,
-    format_real,
-    format_verify_table,
-)
+from .report import format_candidate_table, format_phase_report, \
+    format_real, format_verify_table
 
 __all__ = ["main"]
 
@@ -45,70 +43,39 @@ MAX_GAMMA_VALUES = 10 ** 6
 MAX_N_RANGE = 1000   # largest n_range constrain takes (2*n_range rows)
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse front end whose usage failures exit with code 64."""
-
-    __slots__ = ()
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-@functools.cache
-def _build_parser() -> _Parser:
-    """The parser, built once per process: argparse builds a help
-    formatter per argument, and parse_args leaves the parser as it was."""
-    parser = _Parser(prog="aaphase",
-                     description="Periods and geometric phases of cyclic "
-                                 "quantum evolutions")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_Parser)
-    for name, text in (("analyze", "exact-route phase report"),
-                       ("verify", "exact route vs brute-force oracle"),
-                       ("constrain", "partial-spectrum candidates")):
-        cmd = sub.add_parser(name, help=text)
-        cmd.add_argument("--config", required=True, metavar="<path>")
-        cmd.add_argument("--out", metavar="<path>")
-        for name, cast in FLAGS.items():
-            cmd.add_argument("--" + name.replace("_", "-"), type=cast,
-                             dest=name)
-    return parser
-
-
 def _emit(text: str, out_path: Optional[str]) -> None:
-    if out_path:
-        try:
+    try:
+        if out_path:
             with open(out_path, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        except OSError as exc:
-            raise ConfigError(f"cannot write {out_path}: "
-                              f"{exc.strerror or exc}") from exc
-    else:
-        sys.stdout.write(text)
+        else:       # flushed here, so a full device fails inside the guard
+            print(text, end="", flush=True)
+    except OSError as exc:
+        if not out_path:    # what stays buffered goes nowhere at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise ConfigError(f"cannot write {out_path or '<stdout>'}: "
+                          f"{exc.strerror or exc}") from exc
 
 
-def cmd_analyze(run: LoadedRun, args) -> int:
-    opts = run.options
+def cmd_analyze(run: LoadedRun, out: Optional[str]) -> int:
     if run.spectrum is None or run.state is None:
         if run.build is None:
             raise ConfigError(f"analyze needs a spectrum or a matrix; a "
                               f"{run.model} run has neither")
-        if opts.t_max is None:
+        if run.options.t_max is None:
             raise ConfigError("t_max required for the brute-force route")
         # off its exact family a three-mirror run has no exact return
-        report = generic_gamma(run.hamiltonian, run.psi0, opts.t_max,
+        report = generic_gamma(run.hamiltonian, run.psi0, run.options.t_max,
                                approximate=run.model == "three_mirror")
-        _emit(format_phase_report(report), args.out)
+        _emit(format_phase_report(report), out)
         return EXIT_OK
     verdict = check_cyclicality(run.spectrum, run.state)
     if verdict.kind == "non-cyclic":
         _emit(f"[phase-report]\ncyclicality: {verdict.kind}\n"
-              f"reason: {verdict.reason}\n", args.out)
+              f"reason: {verdict.reason}\n", out)
         print(f"non-cyclic: {verdict.reason}", file=sys.stderr)
         return EXIT_NON_CYCLIC
-    report = _finite(_exact(run))
-    _emit(format_phase_report(report, verdict), args.out)
+    _emit(format_phase_report(_finite(_exact(run)), verdict), out)
     return EXIT_OK
 
 
@@ -132,44 +99,36 @@ def _finite(report):
 
 def _mod_distance(a: float, b: float) -> float:
     """Distance between two angles mod 2*pi."""
-    d = math.fmod(a - b, 2.0 * math.pi)
-    if d < -math.pi:
-        d += 2.0 * math.pi
-    elif d > math.pi:
-        d -= 2.0 * math.pi
-    return abs(d)
+    d = abs(math.fmod(a - b, 2.0 * math.pi))
+    return 2.0 * math.pi - d if d > math.pi else d
 
 
-def cmd_verify(run: LoadedRun, args) -> int:
+def cmd_verify(run: LoadedRun, out: Optional[str]) -> int:
     if run.spectrum is None or run.state is None or run.build is None:
-        raise ConfigError(
-            "verify needs a model with both an exact spectrum and a "
-            "dense matrix form")
+        raise ConfigError("verify needs a model with both an exact "
+                          "spectrum and a dense matrix form")
     verdict = check_cyclicality(run.spectrum, run.state)
     if verdict.kind != "cyclic":
         raise ConfigError(f"nothing to verify for a {verdict.kind} state")
     exact = _exact(run)
-    opts = run.options
-    t_max = 2.2 * exact.tau if opts.t_max is None else opts.t_max
+    t_max = run.options.t_max or 2.2 * exact.tau    # t_max > 0 when set
     if not t_max < math.inf:
         raise ConfigError("t_max required: 2.2 periods is not finite")
     _finite(exact)
     oracle = generic_gamma(run.hamiltonian, run.psi0, t_max)
-    rows: List[Tuple[str, str, str, float, bool]] = []
-    d_tau = abs(oracle.tau - exact.tau) / exact.tau
-    rows.append(("tau-relative", format_real(exact.tau),
-                 format_real(oracle.tau), d_tau, d_tau <= VERIFY_TOL))
-    d_phi = _mod_distance(oracle.phi, exact.phi)
-    rows.append(("phi-mod-2pi", format_real(exact.phi),
-                 format_real(oracle.phi), d_phi, d_phi <= VERIFY_TOL))
-    d_gamma = _mod_distance(oracle.gamma, exact.gamma)
-    rows.append(("gamma-mod-2pi", format_real(exact.gamma),
-                 format_real(oracle.gamma), d_gamma, d_gamma <= VERIFY_TOL))
-    _emit(format_verify_table(rows), args.out)
+    rows = []
+    for name, want, got in (("tau-relative", exact.tau, oracle.tau),
+                            ("phi-mod-2pi", exact.phi, oracle.phi),
+                            ("gamma-mod-2pi", exact.gamma, oracle.gamma)):
+        delta = (abs(got - want) / want if name == "tau-relative"
+                 else _mod_distance(got, want))
+        rows.append((name, format_real(want), format_real(got), delta,
+                     delta <= VERIFY_TOL))
+    _emit(format_verify_table(rows), out)
     return EXIT_OK if all(ok for *_, ok in rows) else EXIT_VERIFY_FAIL
 
 
-def cmd_constrain(run: LoadedRun, args) -> int:
+def cmd_constrain(run: LoadedRun, out: Optional[str]) -> int:
     if run.partial is None:
         raise ConfigError("constrain needs a [partial_spectrum] model")
     if len(run.partial.known) < 2:
@@ -183,34 +142,85 @@ def cmd_constrain(run: LoadedRun, args) -> int:
         raise ConfigError(
             f"constrain would list more than {MAX_GAMMA_VALUES} gamma "
             f"values over its {len(candidates)} candidates")
-    gammas = []
-    for cand in candidates:
-        if run.mean_energy_input is None:
-            gammas.append([])
-        else:
-            gammas.append(gamma_candidates(cand, run.mean_energy_input,
-                                           ps=run.partial))
+    gammas = [[] if run.mean_energy_input is None else gamma_candidates(
+        cand, run.mean_energy_input, ps=run.partial) for cand in candidates]
     admissibility = []
     if candidates and run.trials:
         gauged = gauge_to_zero_phi(candidates[0], run.partial)
         admissibility = [(trial, constrain_unknown(gauged, trial))
                          for trial in run.trials]
-    _emit(format_candidate_table(candidates, gammas, admissibility),
-          args.out)
+    _emit(format_candidate_table(candidates, gammas, admissibility), out)
     return EXIT_OK
 
 
 _COMMANDS = {"analyze": cmd_analyze, "verify": cmd_verify,
              "constrain": cmd_constrain}
 
+USAGE = ("usage: aaphase {analyze,verify,constrain} --config <path> "
+         "[--out <path>] [--t-max <float>] [--n-range <int>]\n")
+_CASTS = {"config": str, "out": str, **FLAGS}    # every command's options
+# flag spellings: -h, and each prefix that one flag's name alone has
+_SPELLINGS = {"-h": "help", **{
+    "--" + key[:i].replace("_", "-"): key for key in ("help", *_CASTS)
+    for i in range(1, len(key) + 1)
+    if sum(other.startswith(key[:i]) for other in ("help", *_CASTS)) == 1}}
+
+
+class UsageError(ConfigError):
+    """A malformed command line: exit 64 with one "usage error:" line."""
+
+
+def _flag(token: str) -> Optional[Tuple[str, Optional[str]]]:
+    """(option, text after "=" or None) for a flag token, ("", None) for
+    an unknown one, None for a value: argparse's rules for these flags."""
+    head, eq, value = token.partition("=")
+    if head in _SPELLINGS:
+        return _SPELLINGS[head], value if eq else None
+    if token[:1] != "-" or token == "-" or not token.startswith("-h") and (
+            " " in token or re.match(r"-\d+$|-\d*\.\d+$", token)):
+        return None
+    return "", None
+
+
+def _parse(argv: Sequence[str]):
+    """(command, {option: value}) read from ``argv`` in one pass, the last
+    of a repeated flag winning; (None, None) for -h or --help."""
+    tokens = iter(argv)
+    command = next(tokens, "")
+    if _flag(command) == ("help", None):
+        return None, None
+    if command not in _COMMANDS:
+        raise UsageError(f"{command!r} is not analyze, verify or constrain")
+    options = dict.fromkeys(_CASTS)
+    for token in tokens:
+        key, value = _flag(token) or ("", None)
+        if (key, value) == ("help", None):
+            return None, None
+        if not _CASTS.get(key):
+            raise UsageError(f"unrecognized argument {token!r}")
+        # the next token is the value unless it is a flag; "--" never is
+        if value is None and _flag(value := next(tokens, "--")):
+            raise UsageError(f"{token} expects a value")
+        try:
+            options[key] = _CASTS[key](value)
+        except ValueError:
+            raise UsageError(f"invalid value {value!r} for {token}") from None
+    if options["config"] is None:
+        raise UsageError("--config <path> is required")
+    return command, options
+
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        run = load_config(args.config, vars(args))
-        return _COMMANDS[args.command](run, args)
+        command, options = _parse(sys.argv[1:] if argv is None else argv)
+        if command is None:
+            _emit(USAGE, None)
+            return EXIT_OK
+        run = load_config(options["config"], options)
+        return _COMMANDS[command](run, options["out"])
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        kind = "usage" if isinstance(exc, UsageError) else "config"
+        print(f"{kind} error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (IncommensurableError, NonCyclicError) as exc:
         print(f"non-cyclic: {exc}", file=sys.stderr)

@@ -1,7 +1,11 @@
 """Shared fixtures: seeded RNG, random fixture builders, angle helpers,
-level lookup, report parsing, dense ladder operators and the Fraction
-references of the cavity levels and of the constraint solver."""
+level lookup, report parsing, dense ladder operators, the Fraction
+references of the cavity levels and of the constraint solver, and the
+references of the command-line parse and of the verify angle distance."""
 
+import argparse
+import contextlib
+import io
 import math
 from fractions import Fraction
 from typing import Dict
@@ -9,6 +13,8 @@ from typing import Dict
 import numpy as np
 import pytest
 
+from aaphase.cli import UsageError
+from aaphase.config import FLAGS
 from aaphase.constraints import CyclicityCandidate, GaugedCandidate
 from aaphase.engine import Spectrum, StateDecomposition, _canonical_gamma
 from aaphase.report import DELIM
@@ -177,6 +183,51 @@ def reference_gammas(candidate, mean_H, lam1: Fraction, lam2: Fraction):
     for j in range(1, ratio.denominator + 1):
         values.setdefault(_canonical_gamma(TWO_PI * float((j * ratio) % 1)))
     return list(values)
+
+
+def reference_mod_distance(a: float, b: float) -> float:
+    """The CLI's angle distance mod 2*pi in its branch form: fold the
+    remainder into [-pi, pi], then take its absolute value."""
+    d = math.fmod(a - b, TWO_PI)
+    if d < -math.pi:
+        d += TWO_PI
+    elif d > math.pi:
+        d -= TWO_PI
+    return abs(d)
+
+
+class _ReferenceParser(argparse.ArgumentParser):
+    """argparse front end whose refusals raise the CLI's UsageError."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def reference_parse(argv):
+    """``cli._parse`` as the argparse parser the CLI used before its
+    table-driven pass: (command, {option: value}), (None, None) for a
+    help request, and UsageError where argparse refused the line."""
+    parser = _ReferenceParser(prog="aaphase",
+                              description="Periods and geometric phases of "
+                                          "cyclic quantum evolutions")
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_ReferenceParser)
+    for name, text in (("analyze", "exact-route phase report"),
+                       ("verify", "exact route vs brute-force oracle"),
+                       ("constrain", "partial-spectrum candidates")):
+        cmd = sub.add_parser(name, help=text)
+        cmd.add_argument("--config", required=True, metavar="<path>")
+        cmd.add_argument("--out", metavar="<path>")
+        for key, cast in FLAGS.items():
+            cmd.add_argument("--" + key.replace("_", "-"), type=cast,
+                             dest=key)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            args = vars(parser.parse_args(argv))
+    except SystemExit as exc:           # help printed, exit 0
+        assert exc.code == 0
+        return None, None
+    return args.pop("command"), args
 
 
 def whole_grid_survival(prop, times) -> np.ndarray:

@@ -6,6 +6,7 @@ import io
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -17,7 +18,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from aaphase import cli
 from aaphase import config as config_module
-from conftest import parse_report
+from aaphase.cli import UsageError
+from conftest import parse_report, reference_mod_distance, reference_parse
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -493,32 +495,148 @@ class TestUsageErrors:
         ["analyze", "--config", "x.ini", "--bogus-flag"],
     ])
     def test_argparse_failures_exit_64(self, argv, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv)
-        assert exc.value.code == 64
+        # the lines argparse refused are refused with one stderr line
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (64, "")
+        assert err.startswith("usage error: ") and len(err.splitlines()) == 1
 
-
-    def test_usage_error_leaves_the_parser_as_it_was(self, monkeypatch,
-                                                      capsys):
-        # the parser is built once per process and reused by every call
-        monkeypatch.setenv("COLUMNS", "80")     # argparse wraps usage to it
+    def test_usage_error_leaves_the_parser_as_it_was(self, capsys):
+        # a call after a refused one parses as it would in a fresh process
         calls = [["analyze", "--config", "x.ini", "--bogus-flag"],
                  ["analyze", "--config", str(CONFIGS / "spin_half.ini")],
                  ["verify"]]
         src = str(Path(cli.__file__).resolve().parents[1])
         for argv in calls:
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:
-                code = exc.code
-            out, err = capsys.readouterr()
+            code, out, err = run_cli(argv, capsys)
             fresh = subprocess.run(
                 [sys.executable, "-m", "aaphase.cli", *argv],
                 capture_output=True, text=True,
                 env={**os.environ, "PYTHONPATH": src})
             assert (code, out, err) == (fresh.returncode, fresh.stdout,
                                         fresh.stderr)
-        assert cli._build_parser() is cli._build_parser()
+
+    @pytest.mark.parametrize("argv", [
+        ["-h"], ["--help"], ["--he"], ["analyze", "-h"],
+        ["verify", "--help"], ["constrain", "--config", "absent.ini", "--h"],
+    ])
+    def test_help_prints_the_usage_line(self, argv, capsys):
+        assert run_cli(argv, capsys) == (0, cli.USAGE, "")
+        assert reference_parse(argv) == (None, None)
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "'' is not analyze, verify or constrain"),
+        (["--config", "x.ini"], "'--config' is not analyze, verify or "
+                                "constrain"),
+        (["analyze", "--config", "x.ini", "extra"],
+         "unrecognized argument 'extra'"),
+        (["analyze", "--config", "x.ini", "--"],
+         "unrecognized argument '--'"),
+        (["analyze", "--=x.ini"], "unrecognized argument '--=x.ini'"),
+        (["analyze", "--help=x"], "unrecognized argument '--help=x'"),
+        (["analyze", "--config", "-x"], "--config expects a value"),
+        (["analyze", "--config"], "--config expects a value"),
+        (["analyze", "--config", "x.ini", "--n", "1.5"],
+         "invalid value '1.5' for --n"),
+        (["analyze", "--out", "r.txt"], "--config <path> is required"),
+    ])
+    def test_usage_error_names_the_token(self, capsys, argv, message):
+        assert run_cli(argv, capsys) == (64, "", f"usage error: {message}\n")
+        with pytest.raises(UsageError):
+            reference_parse(argv)
+
+
+# the parse property's tokens: commands, each flag spelled out, as a
+# unique prefix, as an unknown one and as "--=" (the empty prefix, which
+# every flag shares), values (with a space, "- x" is a value though it
+# starts with "-"), shipped and missing configs, a stray word
+PARSE_COMMANDS = ("analyze", "verify", "constrain", "frobnicate")
+PARSE_CONFIGS = ("spin_half.ini", "partial_spectrum.ini")
+FLAG_SPELLINGS = ("--config", "--out", "--t-max", "--n-range",
+                  "--conf", "--o", "--t", "--n-r",
+                  "--configs", "--x", "--t_max", "--=")
+ARG_VALUES = ("8", "-1", "-1e3", "nan", "abc", "-x", "", "- x",
+              *PARSE_CONFIGS, "absent.ini", "extra")
+
+
+@st.composite
+def command_lines(draw):
+    """Token lists: mostly a command, then flags with values as separate
+    tokens or after "=", lone flags, lone values and "--"."""
+    words = list(draw(st.sampled_from(
+        [(command,) for command in PARSE_COMMANDS[:3]] * 3
+        + [(PARSE_COMMANDS[3],), ()])))
+    for _ in range(draw(st.integers(0, 3))):
+        flag = draw(st.sampled_from(FLAG_SPELLINGS))
+        value = draw(st.sampled_from(ARG_VALUES))
+        words += draw(st.sampled_from((
+            *[[flag, value]] * 4, *[[f"{flag}={value}"]] * 2, [flag],
+            [value], ["--"])))
+    if draw(st.sampled_from((True, True, True, False))):
+        at = draw(st.integers(min(1, len(words)), len(words)))
+        words[at:at] = ["--config", draw(st.sampled_from(PARSE_CONFIGS))]
+    return words
+
+
+def _parsed(parse, argv):
+    try:
+        command, options = parse(argv)
+    except UsageError:
+        return "refused"
+    return repr((command, sorted((options or {}).items())))
+
+
+def _run_in_fresh_copy(parse, argv):
+    """Exit code, stdout and stderr of main with ``parse`` as its parse,
+    in a directory of its own holding copies of the configs, since an
+    --out value may name one of them."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            pytest.MonkeyPatch.context() as patch:
+        for name in PARSE_CONFIGS:
+            shutil.copy(CONFIGS / name, tmp)
+        patch.chdir(tmp)
+        patch.setattr(cli, "_parse", parse)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(deadline=None, max_examples=500,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=command_lines())
+@example(argv=[])
+@example(argv=["analyze", "--config", "spin_half.ini", "--t-max", "-1"])
+@example(argv=["analyze", "--config", "spin_half.ini", "--t-max", "-1e3"])
+@example(argv=["analyze", "--config=spin_half.ini", "--t=-1e3"])
+@example(argv=["constrain", "--conf=partial_spectrum.ini", "--n-r", "8",
+               "--n-range=3"])
+@example(argv=["verify", "--config", "spin_half.ini", "--"])
+@example(argv=["verify", "--", "--config", "spin_half.ini"])
+@example(argv=["analyze", "--=8", "--config", "spin_half.ini"])
+@example(argv=["analyze", "--config", "spin_half.ini", "--out", ""])
+@example(argv=["analyze", "--config", "spin_half.ini", "--out", "- x"])
+@example(argv=["analyze", "--config", "spin_half.ini", "--config="])
+def test_parse_matches_argparse(argv):
+    """Every line parses to the values argparse gave it, or is refused
+    where argparse refused it; the exit code and stdout then match the
+    argparse parse followed by the same command, and a refusal is one
+    stderr line."""
+    assert _parsed(cli._parse, argv) == _parsed(reference_parse, argv)
+    code, out, err = _run_in_fresh_copy(cli._parse, argv)
+    assert (code, out) == _run_in_fresh_copy(reference_parse, argv)[:2]
+    if err.startswith("usage error:"):
+        assert code == 64 and len(err.splitlines()) == 1
+
+
+@given(a=st.floats(-1e3, 1e3), b=st.floats(-1e3, 1e3))
+@example(a=math.pi, b=0.0)
+@example(a=-math.pi, b=0.0)
+@example(a=3 * math.pi, b=0.0)
+@example(a=math.nextafter(math.pi, 4.0), b=0.0)
+@example(a=0.0, b=math.nextafter(math.pi, 4.0))
+def test_mod_distance_matches_the_branch_form(a, b):
+    # the verify table prints these bits, so the folded form keeps them
+    assert cli._mod_distance(a, b).hex() == reference_mod_distance(a, b).hex()
 
 
 class TestOutputFile:
@@ -546,6 +664,32 @@ class TestOutputFile:
             capsys)
         assert (code, out) == (64, "")
         assert err == f"config error: cannot write {path}: {reason}\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full, a device that is always full")
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--config", str(CONFIGS / "spin_half.ini")],
+        ["verify", "--config", str(CONFIGS / "raw_spectrum.ini")],
+        ["constrain", "--config", str(CONFIGS / "partial_spectrum.ini")],
+        ["--help"]], ids=["analyze", "verify", "constrain", "help"])
+    @pytest.mark.parametrize("unbuffered", ["", "1"],
+                             ids=["buffered", "unbuffered"])
+    def test_unwritable_stdout_exits_64(self, argv, unbuffered):
+        # a report stdout cannot take is a config error, not a traceback;
+        # buffered, the write fails only when the buffer is flushed
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {key: value for key, value in os.environ.items()
+               if key != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(
+                [sys.executable, "-m", "aaphase.cli", *argv], stdout=full,
+                stderr=subprocess.PIPE, text=True,
+                env={**env, "PYTHONPATH": src})
+        assert (done.returncode, done.stderr) == (
+            64, "config error: cannot write <stdout>: No space left on "
+                "device\n")
 
     def test_byte_determinism(self, tmp_path, capsys):
         config = write(tmp_path, RAW_TWO_LEVEL)
@@ -882,14 +1026,10 @@ class TestInputGuards:
             "tolerance-inf", "tolerance-nan", "approximate", "--fidelity-tol"])
     def test_removed_option_is_unknown(self, tmp_path, capsys, command,
                                        text, flags, key):
-        try:
-            code = cli.main([command, "--config", write(tmp_path, text),
-                             *flags])
-        except SystemExit as exc:           # argparse rejects the flag
-            code = exc.code
-        captured = capsys.readouterr()
-        assert code == 64 and captured.out == ""
-        assert key in captured.err.splitlines()[-1]
+        code, out, err = run_cli(
+            [command, "--config", write(tmp_path, text), *flags], capsys)
+        assert code == 64 and out == ""
+        assert key in err and len(err.splitlines()) == 1
 
 
 class TestOptionsBeforeModel:
@@ -1063,6 +1203,19 @@ MODEL_KEYS = {
     "partial_spectrum": ("known", "trials", "mean_energy", "unit"),
 }
 OPTION_KEYS = ("t_max", "n_range")
+
+
+def test_readme_key_table_matches_model_keys():
+    # the README's Configs table names every key each model section reads
+    text = (CONFIGS.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Configs\n")[1].split("\n## ")[0]
+    rows = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            model, keys = line.split("|")[1:3]
+            rows[model.strip().strip("`")] = set(re.findall(r"`([^`]+)`",
+                                                            keys))
+    assert rows == {model: set(keys) for model, keys in MODEL_KEYS.items()}
 # removed options among them: unknown keys like any other
 STRANGE_KEYS = ("model", "fidelty_tol", "x", "fidelity_tol", "steps",
                 "tolerance", "approximate")

@@ -1,6 +1,7 @@
 """The installed program needs numpy only, and only where it builds an
 array; scipy is a test dependency.  Its records are plain classes, so
-importing it loads no dataclasses machinery."""
+importing it loads no dataclasses machinery, and it reads its command
+line without argparse, so a run loads neither gettext nor locale."""
 
 import ast
 import importlib
@@ -99,6 +100,28 @@ def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
                           env={**os.environ,
                                "PYTHONPATH": str(ROOT / "src")})
     assert done.stdout.strip() == ""
+
+
+@pytest.mark.parametrize("path", SOURCES,
+                         ids=lambda p: str(p.relative_to(ROOT / "src")))
+def test_no_argparse_import(path):
+    # the command line is read in one table-driven pass; building an
+    # argparse parser costs a millisecond and imports gettext and locale
+    assert [name for name in imported_modules(path)
+            if name.partition(".")[0] == "argparse"] == []
+
+
+def test_cli_run_leaves_argparse_gettext_and_locale_unloaded():
+    probe = ("import sys; import aaphase.cli; "
+             "code = aaphase.cli.main(['analyze', '--config', sys.argv[1]]); "
+             "print(code, *sorted({'argparse', 'gettext', 'locale'} "
+             "& set(sys.modules)))")
+    done = subprocess.run(
+        [sys.executable, "-c", probe,
+         str(ROOT / "configs" / "three_mirror_exact.ini")],
+        check=True, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert done.stdout.splitlines()[-1] == "0"
 
 
 def test_eager_import_is_found(tmp_path):
