@@ -8,8 +8,8 @@ would need more than 2^21 steps for the occupied frequency spread, 64
 usage errors (one stderr line "usage error: ..." naming the word) or
 configuration errors (among them a constrain call with n_range above
 MAX_N_RANGE = 1000, or whose candidates would list more than
-MAX_GAMMA_VALUES = 10^6 gamma values, and an --out path or a stdout
-that cannot be written).
+MAX_GAMMA_VALUES = 10^6 gamma values, an --out path or a stdout that
+cannot be written, and an --out path that names the config file).
 """
 
 from __future__ import annotations
@@ -62,10 +62,10 @@ def cmd_analyze(run: LoadedRun, out: Optional[str]) -> int:
         if run.build is None:
             raise ConfigError(f"analyze needs a spectrum or a matrix; a "
                               f"{run.model} run has neither")
-        if run.options.t_max is None:
+        if run.t_max is None:
             raise ConfigError("t_max required for the brute-force route")
         # off its exact family a three-mirror run has no exact return
-        report = generic_gamma(run.hamiltonian, run.psi0, run.options.t_max,
+        report = generic_gamma(run.hamiltonian, run.psi0, run.t_max,
                                approximate=run.model == "three_mirror")
         _emit(format_phase_report(report), out)
         return EXIT_OK
@@ -111,7 +111,7 @@ def cmd_verify(run: LoadedRun, out: Optional[str]) -> int:
     if verdict.kind != "cyclic":
         raise ConfigError(f"nothing to verify for a {verdict.kind} state")
     exact = _exact(run)
-    t_max = run.options.t_max or 2.2 * exact.tau    # t_max > 0 when set
+    t_max = run.t_max or 2.2 * exact.tau    # t_max > 0 when set
     if not t_max < math.inf:
         raise ConfigError("t_max required: 2.2 periods is not finite")
     _finite(exact)
@@ -133,9 +133,9 @@ def cmd_constrain(run: LoadedRun, out: Optional[str]) -> int:
         raise ConfigError("constrain needs a [partial_spectrum] model")
     if len(run.partial.known) < 2:
         raise ConfigError("constrain needs at least two known eigenvalues")
-    if run.options.n_range > MAX_N_RANGE:
+    if run.n_range > MAX_N_RANGE:
         raise ConfigError(f"n_range must be <= {MAX_N_RANGE} for constrain")
-    candidates = enumerate_candidates(run.partial, run.options.n_range)
+    candidates = enumerate_candidates(run.partial, run.n_range)
     if run.mean_energy_input is not None and sum(
             gamma_count(cand, run.mean_energy_input, run.partial)
             for cand in candidates) > MAX_GAMMA_VALUES:
@@ -216,8 +216,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if command is None:
             _emit(USAGE, None)
             return EXIT_OK
-        run = load_config(options["config"], options)
-        return _COMMANDS[command](run, options["out"])
+        config, out = options["config"], options["out"]
+        run = load_config(config, options)
+        if out and os.path.exists(out) and os.path.samefile(out, config):
+            raise ConfigError(f"--out {out!r} is the config file")
+        return _COMMANDS[command](run, out)
     except ConfigError as exc:
         kind = "usage" if isinstance(exc, UsageError) else "config"
         print(f"{kind} error: {exc}", file=sys.stderr)

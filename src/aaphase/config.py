@@ -1,9 +1,13 @@
 """INI-style run configuration for the command-line tools.
 
 A [run] section names the model; a section of the same name holds its
-parameters, with field names matching the parameter types.  Rationals
-are written "p/q", complex numbers "re+im i", lists of complex numbers
-';'-separated.  Decimal spectrum entries are rationalized at the
+parameters, and an optional [options] section the run options.  The key
+tables below (``_RUN``, ``_OPTIONS`` and each model's entry in
+``_MODELS``) are the one list of keys: every section is read through
+``_read`` over its table, and a key outside the table, a section other
+than these three or a non-empty [DEFAULT] is a configuration error.
+Rationals are written "p/q", complex numbers "re+im i", lists of complex
+numbers ';'-separated.  Decimal spectrum entries are rationalized at the
 boundary (denominators up to 1000, tolerance 1e-9); entries that fail
 stay floats for raw spectra, so the cyclicality test can reject them
 with a physical reason, but are a hard error where exactness is
@@ -41,7 +45,6 @@ from .rational import IncommensurableError, parse_rational, rationalize
 __all__ = [
     "ConfigError",
     "LoadedRun",
-    "RunOptions",
     "load_config",
     "parse_complex",
 ]
@@ -115,53 +118,17 @@ def _number(text: str) -> Union[Fraction, float]:
         return float(text.strip())
 
 
-class RunOptions:
-    """[options] with command-line flags on top; None: derived per run."""
-
-    __slots__ = ("t_max", "n_range")
-
-    def __init__(self, t_max: Optional[float] = None, n_range: int = 16):
-        self.t_max, self.n_range = t_max, n_range
-
-
-# option -> (type, range test, range in words); NaN fails every test
-_OPTION_RULES = {
-    "t_max": (float, lambda v: 0 < v < math.inf, "positive and finite"),
-    "n_range": (int, lambda v: v >= 1, ">= 1"),
-}
-# every option is also a command-line flag, with its type; flags win
-FLAGS = {key: kind for key, (kind, _, _) in _OPTION_RULES.items()}
-
-
-def _run_options(cp: configparser.ConfigParser, flags: Mapping) -> RunOptions:
-    values = {}
-    sec = cp["options"] if cp.has_section("options") else {}
-    for key in sec:
-        if key not in _OPTION_RULES:
-            raise ConfigError(f"unknown option {key!r} in [options]")
-        try:
-            values[key] = _OPTION_RULES[key][0](sec[key])
-        except ValueError as exc:
-            raise ConfigError(f"bad option {key} = {sec[key]!r}") from exc
-    values.update((key, flags[key]) for key in FLAGS
-                  if flags.get(key) is not None)
-    for key, value in values.items():
-        _, in_range, stated = _OPTION_RULES[key]
-        if not in_range(value):
-            raise ConfigError(f"{key} must be {stated}")
-    return RunOptions(**values)
-
-
 class LoadedRun:
     """Everything a command needs, constructed except the oracle's input.
 
-    ``hamiltonian`` and ``psi0`` come from one call of ``build`` on first
-    read: the exact route never needs them, and the matrix entries are
-    the largest object a run holds.
+    ``t_max`` and ``n_range`` are the run options that ``load_config``
+    sets (``t_max`` None: derived per run).  ``hamiltonian`` and ``psi0``
+    come from one call of ``build`` on first read: the exact route never
+    needs them, and the matrix entries are the largest object a run holds.
     """
 
     __slots__ = ("model", "spectrum", "state", "build", "partial", "trials",
-                 "mean_energy_input", "options", "_built")
+                 "mean_energy_input", "t_max", "n_range", "_built")
 
     def __init__(self, model: str, spectrum: Optional[Spectrum] = None,
                  state: Optional[StateDecomposition] = None,
@@ -173,8 +140,7 @@ class LoadedRun:
         self.model, self.spectrum, self.state = model, spectrum, state
         self.build, self.partial, self.trials = build, partial, trials
         self.mean_energy_input = mean_energy_input
-        self.options = RunOptions()
-        self._built = None
+        self.t_max = self.n_range = self._built = None
 
     def _dense(self) -> Tuple[Optional[Hamiltonian], Optional[np.ndarray]]:
         if self._built is not None or self.build is None:
@@ -218,55 +184,49 @@ def _normalized(psi0) -> np.ndarray:
     return psi0 / norm
 
 
-def _section(cp: configparser.ConfigParser, name: str):
-    if not cp.has_section(name):
-        raise ConfigError(f"missing [{name}] section")
-    return cp[name]
-
-
-def _get(sec, key: str, parse=str, default: Optional[str] = None):
-    """parse(the text under ``key``); its errors name the key."""
-    text = sec.get(key, default)
-    if text is None:
-        raise ConfigError(f"missing key {key!r} in [{sec.name}]")
-    try:
-        return parse(text)
-    except IncommensurableError:
-        raise                       # a physical verdict, not a usage error
-    except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
-
-
 def _each(parse):
     """Parser of a whitespace-separated list, one ``parse`` per token."""
     return lambda text: tuple(parse(tok) for tok in text.split())
 
 
-def _load_spin_half(sec) -> LoadedRun:
-    params = SpinHalfParams(mu_B0=_get(sec, "mu_B0", float, "1"),
-                            theta=_get(sec, "theta", float))
+def _commas(text: str) -> Tuple[complex, ...]:
+    return _complex_list(text, ",")
+
+
+def _mode_input(raw: str):
+    return _complex_list(raw) if ";" in raw else parse_complex(raw)
+
+
+def _positive_number(text: str) -> Union[Fraction, float]:
+    value = _number(text)
+    if not value > 0:   # the three-mirror frequencies are divided by it
+        raise ValueError(f"must be positive, got {text.strip()!r}")
+    return value
+
+
+def _load_spin_half(mu_B0, theta) -> LoadedRun:
+    params = SpinHalfParams(mu_B0=mu_B0, theta=theta)
     spectrum, state = spin_half(params)
     return LoadedRun(model="spin_half", spectrum=spectrum, state=state,
                      build=lambda: spin_half_dense(params))
 
 
-def _load_free_field(sec) -> LoadedRun:
-    omega = _get(sec, "omega", float, "1")
-    has_list = "occupied_n" in sec
-    if has_list == ("alpha" in sec):
+def _load_free_field(omega, occupied_n, amplitudes, alpha,
+                     truncation) -> LoadedRun:
+    # either occupied_n + amplitudes or alpha with an optional truncation
+    has_list = occupied_n is not None
+    if (has_list == (alpha is not None) or (amplitudes is None) == has_list
+            or has_list and truncation is not None):
         raise ConfigError(
             "free_field needs either occupied_n+amplitudes or "
             "alpha+truncation")
     if has_list:
-        ns = _get(sec, "occupied_n", _each(int))
-        amps = _get(sec, "amplitudes", _complex_list)
-        if len(ns) != len(amps):
+        if len(occupied_n) != len(amplitudes):
             raise ConfigError("occupied_n and amplitudes differ in length")
-        spectrum, state = free_field(omega, ns, amps)
-        dim = max(ns) + 1
+        spectrum, state = free_field(omega, occupied_n, amplitudes)
+        dim = max(occupied_n) + 1
     else:
-        alpha = _get(sec, "alpha", parse_complex)
-        dim = _get(sec, "truncation", int, "31")
+        dim = 31 if truncation is None else truncation
         spectrum, state = free_field_coherent(omega, alpha, dim)
 
     def build():
@@ -282,43 +242,21 @@ def _load_free_field(sec) -> LoadedRun:
                      build=build)
 
 
-def _load_two_mirror(sec) -> LoadedRun:
-    params = TwoMirrorParams(
-        r=_get(sec, "r", _exact_value),
-        k_squared=_get(sec, "k_squared", _exact_value),
-        field_amplitudes=_get(sec, "field_amplitudes", _complex_list),
-        beta=_get(sec, "beta", parse_complex, "0+0 i"),
-        mirror_truncation=_get(sec, "mirror_truncation", int, "40"),
-        omega_m=_get(sec, "omega_m", _number, "1"),
-        k_sign=_get(sec, "k_sign", int, "1"))
+def _load_two_mirror(**entries) -> LoadedRun:
+    params = TwoMirrorParams(**entries)
     spectrum, state = two_mirror_spectrum(params)
     return LoadedRun(model="two_mirror", spectrum=spectrum, state=state,
                      build=lambda: two_mirror_dense(params))
 
 
-def _mode_input(raw: str):
-    return _complex_list(raw) if ";" in raw else parse_complex(raw)
-
-
-def _load_three_mirror(sec) -> LoadedRun:
-    raw_unit = sec.get("omega_m", "1")
-    unit = _get(sec, "omega_m", _number, "1")
-    if not unit > 0:
-        raise ConfigError(f"omega_m must be positive, got {raw_unit.strip()!r}")
-
-    def scaled(key: str) -> Union[Fraction, float]:
-        # exact over exact stays a Fraction; any float makes it a float
-        return _get(sec, key, _number, "0") / unit
-
-    def mode(key: str):
-        return _get(sec, key, _mode_input, "0+0 i")
-
+def _load_three_mirror(omega_m, omega_D, omega_S, C_D, C_S, alpha, beta, mu,
+                       truncations) -> LoadedRun:
+    # exact over exact stays a Fraction; any float makes it a float
     params = ThreeMirrorParams(
-        rho_D=scaled("omega_D"), rho_S=scaled("omega_S"),
-        kappa_D=scaled("C_D"), kappa_S=scaled("C_S"),
-        alpha=mode("alpha"), beta=mode("beta"), mu=mode("mu"),
-        truncations=_get(sec, "truncations", _each(int), "15 15 25"),
-        omega_m=float(unit))
+        rho_D=omega_D / omega_m, rho_S=omega_S / omega_m,
+        kappa_D=C_D / omega_m, kappa_S=C_S / omega_m,
+        alpha=alpha, beta=beta, mu=mu, truncations=truncations,
+        omega_m=float(omega_m))
 
     def build():
         psi0 = three_mirror_initial_state(params)
@@ -330,70 +268,112 @@ def _load_three_mirror(sec) -> LoadedRun:
     return run
 
 
-def _load_raw_spectrum(sec) -> LoadedRun:
-    values = _get(sec, "levels", _each(_number))
-    amps = _get(sec, "amplitudes", _complex_list)
-    if len(amps) != len(values):
+def _load_raw_spectrum(levels, amplitudes, unit, labels) -> LoadedRun:
+    if len(amplitudes) != len(levels):
         raise ConfigError("levels and amplitudes differ in length")
-    unit = _get(sec, "unit", float, "1")
-    labels = sec.get("labels", "").split() or [str(i) for i in
-                                               range(len(values))]
-    if len(labels) != len(values):
+    labels = labels or [str(i) for i in range(len(levels))]
+    if len(labels) != len(levels):
         raise ConfigError("labels and levels differ in length")
-    spectrum = Spectrum(levels=list(zip(labels, values)), unit=unit)
+    spectrum = Spectrum(levels=list(zip(labels, levels)), unit=unit)
     state = StateDecomposition(
-        entries=[(lab, a) for lab, a in zip(labels, amps) if a != 0])
+        entries=[(lab, a) for lab, a in zip(labels, amplitudes) if a != 0])
     return LoadedRun(
         model="raw_spectrum", spectrum=spectrum, state=state,
-        build=lambda: (Hamiltonian.diagonal([float(v) for v in values],
+        build=lambda: (Hamiltonian.diagonal([float(v) for v in levels],
                                             unit=unit),
-                       _normalized(amps)))
+                       _normalized(amplitudes)))
 
 
-def _load_dense_matrix(sec) -> LoadedRun:
+def _load_dense_matrix(dimension, entries, psi0, unit) -> LoadedRun:
     import numpy as np
-    dim = _get(sec, "dimension", int)
-    entries = _get(sec, "entries", lambda text: _complex_list(text, ","))
-    if len(entries) != dim * dim:
-        raise ConfigError(f"expected {dim * dim} matrix entries, "
+    if len(entries) != dimension * dimension:
+        raise ConfigError(f"expected {dimension * dimension} matrix entries, "
                           f"got {len(entries)}")
-    matrix = np.array(entries, dtype=complex).reshape(dim, dim)
-    psi0 = np.array(_get(sec, "psi0", lambda text: _complex_list(text, ",")),
-                    dtype=complex)
-    if psi0.size != dim:
+    matrix = np.array(entries, dtype=complex).reshape(dimension, dimension)
+    if len(psi0) != dimension:
         raise ConfigError("psi0 length does not match dimension")
     psi0 = _normalized(psi0)
     # checked here, not on first use: the matrix is the input itself
-    h = Hamiltonian.from_dense(matrix, unit=_get(sec, "unit", float, "1"))
+    h = Hamiltonian.from_dense(matrix, unit=unit)
     return LoadedRun(model="dense_matrix", build=lambda: (h, psi0))
 
 
-def _load_partial(sec) -> LoadedRun:
-    known = _get(sec, "known", _each(_exact_value))
+def _load_partial(known, unit, trials, mean_energy) -> LoadedRun:
     partial = PartialSpectrum(
-        known=[(f"L{i + 1}", v) for i, v in enumerate(known)],
-        unit=_get(sec, "unit", float, "1"))
-    trials = _get(sec, "trials", _each(_exact_value), "")
-    mean = _get(sec, "mean_energy",
-                lambda text: _number(text) if text.strip() else None, "")
+        known=[(f"L{i + 1}", v) for i, v in enumerate(known)], unit=unit)
     return LoadedRun(model="partial_spectrum", partial=partial, trials=trials,
-                     mean_energy_input=mean)
+                     mean_energy_input=mean_energy)
 
 
-_LOADERS = {
-    "spin_half": _load_spin_half,
-    "free_field": _load_free_field,
-    "two_mirror": _load_two_mirror,
-    "three_mirror": _load_three_mirror,
-    "raw_spectrum": _load_raw_spectrum,
-    "dense_matrix": _load_dense_matrix,
-    "partial_spectrum": _load_partial,
+# A key table maps each key of a section, in the order its entries are
+# parsed, to (parser, default text); an absent key with default None reads
+# as None, and one with default _REQUIRED is a configuration error.
+_REQUIRED = object()
+_RUN = {"model": (str.strip, _REQUIRED)}
+_OPTIONS = {"t_max": (float, None), "n_range": (int, "16")}
+# every option is also a command-line flag, cast by its parser; flags win
+FLAGS = {key: parse for key, (parse, _) in _OPTIONS.items()}
+# model -> (loader, key table of its section); the loader takes the parsed
+# entries as keyword arguments and looks its builders up when it runs
+_MODELS = {
+    "spin_half": (_load_spin_half, {
+        "mu_B0": (float, "1"), "theta": (float, _REQUIRED)}),
+    "free_field": (_load_free_field, {
+        "omega": (float, "1"), "occupied_n": (_each(int), None),
+        "amplitudes": (_complex_list, None), "alpha": (parse_complex, None),
+        "truncation": (int, None)}),
+    "two_mirror": (_load_two_mirror, {
+        "r": (_exact_value, _REQUIRED), "k_squared": (_exact_value, _REQUIRED),
+        "field_amplitudes": (_complex_list, _REQUIRED),
+        "beta": (parse_complex, "0+0 i"), "mirror_truncation": (int, "40"),
+        "omega_m": (_number, "1"), "k_sign": (int, "1")}),
+    "three_mirror": (_load_three_mirror, {
+        "omega_m": (_positive_number, "1"),
+        **dict.fromkeys(("omega_D", "omega_S", "C_D", "C_S"), (_number, "0")),
+        **dict.fromkeys(("alpha", "beta", "mu"), (_mode_input, "0+0 i")),
+        "truncations": (_each(int), "15 15 25")}),
+    "raw_spectrum": (_load_raw_spectrum, {
+        "levels": (_each(_number), _REQUIRED),
+        "amplitudes": (_complex_list, _REQUIRED), "unit": (float, "1"),
+        "labels": (str.split, "")}),
+    "dense_matrix": (_load_dense_matrix, {
+        "dimension": (int, _REQUIRED), "entries": (_commas, _REQUIRED),
+        "psi0": (_commas, _REQUIRED), "unit": (float, "1")}),
+    "partial_spectrum": (_load_partial, {
+        "known": (_each(_exact_value), _REQUIRED), "unit": (float, "1"),
+        "trials": (_each(_exact_value), ""),
+        "mean_energy": (lambda text: _number(text) if text.strip() else None,
+                        "")}),
 }
+
+
+def _read(cp: configparser.ConfigParser, name: str, table: Mapping) -> dict:
+    """{key: parsed entry} of section ``name`` over its key ``table``; an
+    unknown key (the first in file order) is refused before any entry is
+    parsed, and a parse error names its key."""
+    given = dict(cp.items(name, raw=True)) if cp.has_section(name) else {}
+    known = {key.lower() for key in table}    # configparser lowercases keys
+    for key in given:
+        if key not in known:
+            raise ConfigError(f"unknown key {key!r} in [{name}]")
+    entries = {}
+    for key, (parse, default) in table.items():
+        text = given.get(key.lower(), default)
+        if text is _REQUIRED:
+            raise ConfigError(f"missing key {key!r} in [{name}]")
+        try:
+            entries[key] = None if text is None else parse(text)
+        except IncommensurableError:
+            raise                       # a physical verdict, not a usage error
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
+    return entries
 
 
 def load_config(path: str, flags: Optional[Mapping] = None) -> LoadedRun:
     """Read the run at ``path``; ``flags`` maps option names to flag
-    values (None: not given).  Options are checked before any build."""
+    values (None: not given).  Every key and section is checked before
+    the model section is parsed, and the options before any build."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",),
                                    interpolation=None)
     try:
@@ -402,17 +382,33 @@ def load_config(path: str, flags: Optional[Mapping] = None) -> LoadedRun:
         raise ConfigError(str(exc).splitlines()[0]) from exc
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
-    run_sec = _section(cp, "run")
-    model = _get(run_sec, "model").strip()
-    if model not in _LOADERS:
+    if cp.defaults():   # its keys would reach every section
+        raise ConfigError("unknown section [DEFAULT]")
+    if not cp.has_section("run"):
+        raise ConfigError("missing [run] section")
+    model = _read(cp, "run", _RUN)["model"]
+    if model not in _MODELS:
         raise ConfigError(f"unknown model {model!r}; "
-                          f"expected one of {', '.join(_LOADERS)}")
-    options = _run_options(cp, flags or {})
+                          f"expected one of {', '.join(_MODELS)}")
+    for name in cp.sections():
+        if name not in ("run", "options", model):
+            raise ConfigError(f"unknown section [{name}]")
+    if not cp.has_section(model):
+        raise ConfigError(f"missing [{model}] section")
+    loader, table = _MODELS[model]
+    options = _read(cp, "options", _OPTIONS)
+    options.update((key, flags[key]) for key in FLAGS
+                   if (flags or {}).get(key) is not None)
+    t_max, n_range = options["t_max"], options["n_range"]
+    if t_max is not None and not 0 < t_max < math.inf:  # NaN fails too
+        raise ConfigError("t_max must be positive and finite")
+    if not n_range >= 1:
+        raise ConfigError("n_range must be >= 1")
     try:
-        run = _LOADERS[model](_section(cp, model))
+        run = loader(**_read(cp, model, table))
     except (IncommensurableError, ConfigError):
         raise
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
-    run.options = options
+    run.t_max, run.n_range = t_max, n_range
     return run

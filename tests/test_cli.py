@@ -700,6 +700,26 @@ class TestOutputFile:
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    @pytest.mark.parametrize("command", ["analyze", "verify", "constrain"])
+    @pytest.mark.parametrize("out", ["run.ini", "./run.ini", "link.ini"],
+                             ids=["same-path", "other-spelling", "symlink"])
+    def test_out_naming_the_config_exits_64(self, tmp_path, capsys,
+                                            monkeypatch, command, out):
+        # the report must not overwrite the config it came from
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "run.ini"
+        config.write_bytes((CONFIGS / "spin_half.ini").read_bytes())
+        if out == "link.ini":
+            try:
+                os.symlink("run.ini", out)
+            except OSError:
+                pytest.skip("symbolic links are not available here")
+        code, stdout, err = run_cli(
+            [command, "--config", "run.ini", "--out", out], capsys)
+        assert (code, stdout) == (64, "")
+        assert err == f"config error: --out {out!r} is the config file\n"
+        assert config.read_bytes() == (CONFIGS / "spin_half.ini").read_bytes()
+
 
 class TestDenseOnDemand:
     CONFIG = str(CONFIGS / "three_mirror_exact.ini")
@@ -1205,6 +1225,23 @@ MODEL_KEYS = {
 OPTION_KEYS = ("t_max", "n_range")
 
 
+def _table_keys():
+    """{section: set of keys} of the program's key tables."""
+    tables = {model: table for model, (_, table)
+              in config_module._MODELS.items()}
+    return {name: set(table) for name, table in (
+        ("run", config_module._RUN), ("options", config_module._OPTIONS),
+        *tables.items())}
+
+
+def test_model_keys_match_the_table():
+    # MODEL_KEYS is kept by hand, apart from the program's tables
+    assert _table_keys() == {"run": {"model"}, "options": set(OPTION_KEYS),
+                             **{model: set(keys)
+                                for model, keys in MODEL_KEYS.items()}}
+    assert set(config_module.FLAGS) == set(OPTION_KEYS)
+
+
 def test_readme_key_table_matches_model_keys():
     # the README's Configs table names every key each model section reads
     text = (CONFIGS.parent / "README.md").read_text(encoding="utf-8")
@@ -1215,7 +1252,74 @@ def test_readme_key_table_matches_model_keys():
             model, keys = line.split("|")[1:3]
             rows[model.strip().strip("`")] = set(re.findall(r"`([^`]+)`",
                                                             keys))
-    assert rows == {model: set(keys) for model, keys in MODEL_KEYS.items()}
+    tables = _table_keys()
+    assert rows == {model: tables[model] for model in config_module._MODELS}
+
+
+# (shipped config, its text -> the misspelled text, the one stderr line)
+MISSPELLED = {
+    "run": ("spin_half.ini", ("model =", "modle ="),
+            "unknown key 'modle' in [run]"),
+    "options": ("dense_matrix.ini", ("t_max =", "t_mx ="),
+                "unknown key 't_mx' in [options]"),
+    "spin_half": ("spin_half.ini", ("theta =", "theat ="),
+                  "unknown key 'theat' in [spin_half]"),
+    "free_field": ("free_field_fock.ini", ("omega =", "omgea ="),
+                   "unknown key 'omgea' in [free_field]"),
+    "two_mirror": ("two_mirror.ini", ("beta =", "btea ="),
+                   "unknown key 'btea' in [two_mirror]"),
+    "three_mirror": ("three_mirror_exact.ini", ("omega_S =", "omega_s2 ="),
+                     "unknown key 'omega_s2' in [three_mirror]"),
+    "raw_spectrum": ("raw_spectrum.ini", ("unit =", "unti ="),
+                     "unknown key 'unti' in [raw_spectrum]"),
+    "dense_matrix": ("dense_matrix.ini", ("psi0 =", "psi_0 ="),
+                     "unknown key 'psi_0' in [dense_matrix]"),
+    "partial_spectrum": ("partial_spectrum.ini", ("known =", "konwn ="),
+                         "unknown key 'konwn' in [partial_spectrum]"),
+    "[option]": ("dense_matrix.ini", ("[options]", "[option]"),
+                 "unknown section [option]"),
+    "[extra]": ("spin_half.ini", ("[run]", "[extra]\nx = 1\n\n[run]"),
+                "unknown section [extra]"),
+    "[DEFAULT]": ("spin_half.ini",
+                  ("[run]", "[DEFAULT]\ntheta = 0.3\n\n[run]"),
+                  "unknown section [DEFAULT]"),
+    # checked before any entry is parsed: an irrational r alone exits 2
+    "before-incommensurable": (
+        "two_mirror.ini", ("r = 2", "r = 1.4142135623730951\nrr = 2"),
+        "unknown key 'rr' in [two_mirror]"),
+    # the two free-field forms do not mix
+    **{f"free_field+{key}": (name, ("[free_field]", f"[free_field]\n{line}"),
+                              "free_field needs either occupied_n+amplitudes "
+                              "or alpha+truncation")
+       for name, key, line in (
+           ("free_field_fock.ini", "alpha", "alpha = 0.5"),
+           ("free_field_fock.ini", "truncation", "truncation = 9"),
+           ("free_field_coherent.ini", "amplitudes", "amplitudes = 1"),
+           ("free_field_coherent.ini", "occupied_n", "occupied_n = 0"))},
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("case", MISSPELLED)
+def test_unknown_key_or_section_exits_64(tmp_path, capsys, case, command):
+    """A key outside its section's table or a stray section is refused
+    with one line, whatever the command: before, it was ignored and the
+    run went on with the default."""
+    name, (old, new), message = MISSPELLED[case]
+    text = (CONFIGS / name).read_text(encoding="utf-8")
+    assert old in text
+    code, out, err = run_cli(
+        [command, "--config", write(tmp_path, text.replace(old, new, 1))],
+        capsys)
+    assert (code, out, err) == (64, "", f"config error: {message}\n")
+
+
+def test_incommensurable_entry_still_exits_2(tmp_path, capsys):
+    # the counterpart of MISSPELLED["before-incommensurable"]
+    text = (CONFIGS / "two_mirror.ini").read_text(encoding="utf-8")
+    code, _, err = run_cli(["analyze", "--config", write(
+        tmp_path, text.replace("r = 2", "r = 1.4142135623730951"))], capsys)
+    assert code == 2 and err.startswith("non-cyclic:")
 # removed options among them: unknown keys like any other
 STRANGE_KEYS = ("model", "fidelty_tol", "x", "fidelity_tol", "steps",
                 "tolerance", "approximate")
@@ -1240,20 +1344,24 @@ def _value(key):
 
 
 @st.composite
-def malformed_configs(draw):
+def malformed_configs(draw, stray=True):
     """A shipped config with random keys of random sections set to random
-    tokens and lists, or deleted."""
+    tokens and lists, or deleted; without ``stray``, only [run], [options]
+    and the model's section, each with its own keys."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",),
                                    interpolation=None)
     cp.read(CONFIGS / draw(st.sampled_from(SHIPPED)))
     if cp.has_section("three_mirror"):
         cp["three_mirror"]["truncations"] = "3 3 3"  # shipped sizes take 0.3 s
-    names = [cp["run"]["model"]] + draw(
-        st.lists(st.sampled_from(SECTIONS), max_size=2, unique=True))
+    model = cp["run"]["model"]
+    names = [model] + draw(st.lists(st.sampled_from(
+        SECTIONS if stray else ("run", "options")), max_size=2, unique=True))
     for name in dict.fromkeys(names):
         if not cp.has_section(name):
             cp.add_section(name)
-        pool = MODEL_KEYS.get(name, ()) + OPTION_KEYS + STRANGE_KEYS
+        pool = (MODEL_KEYS.get(name, ()) + OPTION_KEYS + STRANGE_KEYS
+                if stray else {"run": ("model",), "options": OPTION_KEYS,
+                               model: MODEL_KEYS[model]}[name])
         for key in draw(st.lists(st.sampled_from(pool), max_size=4,
                                  unique=True)):
             if key in cp[name] and draw(st.booleans()):
@@ -1265,14 +1373,14 @@ def malformed_configs(draw):
     return text.getvalue()
 
 
-@settings(deadline=None, max_examples=150,
+@settings(deadline=None, max_examples=300,
           suppress_health_check=[HealthCheck.too_slow])
-@given(text=malformed_configs(),
+@given(text=st.one_of(malformed_configs(), malformed_configs(stray=False)),
        command=st.sampled_from(("analyze", "verify", "constrain")))
 def test_random_malformed_configs(text, command):
     """Random sections, keys, tokens and list lengths: a documented exit
     code (1 only from verify) and at most one stderr line, never an
-    exception."""
+    exception; 64 wherever a section or a key is outside the lists."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "run.ini")
         with open(path, "w", encoding="utf-8") as fh:
@@ -1282,6 +1390,22 @@ def test_random_malformed_configs(text, command):
             code = cli.main([command, "--config", path])
     assert code in {0, 2, 3, 64} | ({1} if command == "verify" else set())
     assert len(err.getvalue().splitlines()) <= 1
+    if _has_stray_key_or_section(text):
+        assert code == 64, err.getvalue()
+
+
+def _has_stray_key_or_section(text):
+    """Whether ``text`` has a section other than [run], [options] and its
+    model's, or a key outside that section's list in MODEL_KEYS."""
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",),
+                                   interpolation=None)
+    cp.read_string(text)
+    keys = {"run": ("model",), "options": OPTION_KEYS, **MODEL_KEYS}
+    model = cp["run"].get("model", "") if cp.has_section("run") else ""
+    return any(
+        name not in ("run", "options", model)
+        or set(cp[name]) - {key.lower() for key in keys[name]}
+        for name in cp.sections())
 
 
 @pytest.mark.parametrize("name, argv", [

@@ -201,7 +201,7 @@ class TestSpinConfig:
         assert run.spectrum is not None and run.state is not None
         assert run.hamiltonian is not None and run.psi0 is not None
         assert run.spectrum.unit == 2.0
-        assert (run.options.t_max, run.options.n_range) == (None, 16)
+        assert (run.t_max, run.n_range) == (None, 16)
 
 
 class TestFreeFieldConfig:
@@ -377,14 +377,14 @@ class TestOptions:
     def test_options_section_and_casting(self, tmp_path):
         text = SPIN_RUN + "\n[options]\nt_max = 12.5\nn_range = 4\n"
         run = load_config(write_config(tmp_path, text))
-        assert (run.options.t_max, run.options.n_range) == (12.5, 4)
-        assert isinstance(run.options.n_range, int)
+        assert (run.t_max, run.n_range) == (12.5, 4)
+        assert isinstance(run.n_range, int)
         run = load_config(write_config(tmp_path, SPIN_RUN))
-        assert (run.options.t_max, run.options.n_range) == (None, 16)
+        assert (run.t_max, run.n_range) == (None, 16)
 
     def test_bad_option_value(self, tmp_path):
         text = SPIN_RUN + "\n[options]\nn_range = many\n"
-        with pytest.raises(ConfigError, match="bad option n_range = 'many'"):
+        with pytest.raises(ConfigError, match="^n_range: invalid literal"):
             load_config(write_config(tmp_path, text))
 
     def test_flags_beat_options(self, tmp_path):
@@ -392,8 +392,8 @@ class TestOptions:
         path = write_config(tmp_path, text)
         flags = {"t_max": 3.0, "n_range": None,
                  "config": path, "command": "analyze"}
-        options = load_config(path, flags).options
-        assert (options.t_max, options.n_range) == (3.0, 4)
+        run = load_config(path, flags)
+        assert (run.t_max, run.n_range) == (3.0, 4)
 
     def test_flag_values_are_range_checked(self, tmp_path):
         path = write_config(tmp_path, SPIN_RUN)
@@ -424,7 +424,7 @@ class TestOptions:
         assert seen == [True, False]
 
     @pytest.mark.parametrize("text, match", [
-        ("fidelty_tol = 1e-6", "unknown option 'fidelty_tol'"),
+        ("fidelty_tol = 1e-6", "unknown key 'fidelty_tol'"),
         ("n_range = 0", "^n_range must be >= 1"),
         ("t_max = nan", "^t_max must be positive"),
     ])

@@ -5,7 +5,10 @@
 ``.matrix`` and ``r[0].levels`` from what they return.  A renamed builder
 or a changed return shape passes every other test here and breaks only
 ``perfbench/run.py --trace 1``; this test runs the tracer on three
-shipped configs to catch that.  The benchmark's self-tests also import
+shipped configs to catch that, and checks that every builder it wraps in
+``aaphase.config`` is still looked up there when a shipped config runs
+(a loader that held a builder of its own would leave the wrapper
+unused, and its span at zero).  The benchmark's self-tests also import
 the three-mirror closed form from ``aaphase.models``, which the last
 test calls as they do.
 """
@@ -15,10 +18,15 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
-from aaphase import cli, oracle
+from aaphase import cli, config, oracle
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
+# the config attributes perfbench/spans.py wraps as model builds
+BUILDERS = ("three_mirror_dense", "two_mirror_dense", "spin_half_dense",
+            "free_field_dense", "three_mirror_initial_state",
+            "three_mirror_exact", "two_mirror_spectrum", "spin_half",
+            "free_field", "free_field_coherent")
 
 CALLS = (
     ["verify", "--config", str(CONFIGS / "two_mirror.ini")],
@@ -72,6 +80,26 @@ def test_traced_runs_match_untraced(capsys, monkeypatch):
     assert len(grids) == 1
     assert metrics["oracle.scan_s"] > 0
     assert metrics["oracle.grid_steps"] == grids[0]
+
+
+def test_every_wrapped_builder_is_looked_up_at_call_time(capsys,
+                                                        monkeypatch):
+    called = set()
+
+    def recording(name, builder):
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            return builder(*args, **kwargs)
+        return wrapper
+
+    for name in BUILDERS:
+        monkeypatch.setattr(config, name,
+                            recording(name, getattr(config, name)))
+    for path in sorted(CONFIGS.glob("*.ini")):
+        for command in ("analyze", "verify"):
+            cli.main([command, "--config", str(path)])
+    capsys.readouterr()
+    assert called == set(BUILDERS)
 
 
 def test_three_mirror_closed_form_as_the_benchmark_calls_it():
