@@ -94,6 +94,9 @@ def _finite(report):
             "no finite period: the single occupied eigenvalue is zero")
     if not report.tau < math.inf:
         raise ConfigError(f"tau is not finite at unit = {report.unit!r}")
+    if not abs(report.mean_energy) < math.inf:
+        raise ConfigError(
+            f"mean energy is not finite at unit = {report.unit!r}")
     return report
 
 

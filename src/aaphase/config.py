@@ -8,10 +8,10 @@ tables below (``_RUN``, ``_OPTIONS`` and each model's entry in
 than these three or a non-empty [DEFAULT] is a configuration error.
 Rationals are written "p/q", complex numbers "re+im i", lists of complex
 numbers ';'-separated.  Decimal spectrum entries are rationalized at the
-boundary (denominators up to 1000, tolerance 1e-9); entries that fail
-stay floats for raw spectra, so the cyclicality test can reject them
-with a physical reason, but are a hard error where exactness is
-mandatory (constraint inputs).
+boundary (denominators up to 1000, tolerance 1e-9, never a nonzero one to
+0); entries that fail stay floats for raw spectra, so the cyclicality
+test can reject them with a physical reason, but are a hard error where
+exactness is mandatory (constraint inputs).
 """
 
 from __future__ import annotations
@@ -88,7 +88,9 @@ def _exact_value(text: str) -> Fraction:
     """Rational parse with decimal rationalization; floats are an error.
 
     A rational past the float range is as non-finite as "1e400": the
-    models and the reports compute with its float value.
+    models and the reports compute with its float value.  A nonzero
+    decimal whose best rational is 0 (|value| <= RATIONALIZE_TOL) fails
+    rationalization: it never becomes exactly 0.
     """
     s = text.strip()
     try:
@@ -106,8 +108,11 @@ def _exact_value(text: str) -> Fraction:
         raise ConfigError(f"non-finite entry {s!r}")
     if isinstance(value, Fraction):
         return value
-    return rationalize(value, max_denominator=RATIONALIZE_DENOMINATOR,
+    best = rationalize(value, max_denominator=RATIONALIZE_DENOMINATOR,
                        tolerance=RATIONALIZE_TOL)
+    if value and not best:
+        raise IncommensurableError("incommensurable input")
+    return best
 
 
 def _number(text: str) -> Union[Fraction, float]:
@@ -410,5 +415,8 @@ def load_config(path: str, flags: Optional[Mapping] = None) -> LoadedRun:
         raise
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
+    except MemoryError as exc:  # the exact build, as with huge truncations
+        raise ConfigError(
+            f"the {model} spectrum does not fit in memory") from exc
     run.t_max, run.n_range = t_max, n_range
     return run

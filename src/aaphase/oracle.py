@@ -2,7 +2,8 @@
 
 Independent of the exact-arithmetic engine: a Hermitian matrix, kept as
 its nonzero entries, is diagonalized once, block by block over the
-connected components of its nonzero pattern, the survival amplitude
+connected components of its nonzero pattern (one solve path for every
+dimension, 2 x 2 included), the survival amplitude
 sums the weight of each eigencomponent under its phase advance (exactly
 unitary, no integrator error), the period is read off the first fidelity
 return, and the dynamical phase is the period times the mean energy,
@@ -47,12 +48,6 @@ NORM_TOL = 1e-10
 # Weights below this floor cannot move any detection tolerance used here;
 # dropping them keeps the fidelity scan linear in the occupied levels.
 WEIGHT_FLOOR = 1e-16
-# Up to this dimension one whole eigh costs no more than the block route
-# (component search plus one stacked eigh per block size): on random
-# Hermitian matrices with blocks of 1, 2 or 4 (2-core Xeon, OpenBLAS) the
-# whole solve wins at 8 and 16, the two are within 0.05 ms at 24 and 32,
-# and the block route is ahead from 48.
-SMALL_DIMENSION = 32
 # No temporary array of the fidelity scan holds more entries than this.
 CHUNK_ENTRIES = 1 << 20
 # Entries per chunk of the coarse bound's phase table (one row when a
@@ -210,9 +205,6 @@ class Grid:
         t = (i / div * t_max if step == 0 else i * step) + 0.0
         return np.where(i == div, t_max, t)
 
-    def __array__(self, dtype=None, copy=None):
-        return self[:] if dtype is None else self[:].astype(dtype)
-
 
 def _grid_shape(steps: int, levels: int) -> Tuple[int, int]:
     """(fine, rows): the fine block length B, about sqrt(steps), and the
@@ -253,20 +245,20 @@ def _components(dimension: int, rows: np.ndarray,
 class SpectralPropagator:
     """One-time eigendecomposition of (H, psi0); evolution is then diagonal.
 
-    H is split into the connected components of its nonzero pattern (for
-    the cavity models, the conserved photon-number blocks), and the
-    blocks of each size are diagonalized in one stacked ``eigh``;
-    matrices up to SMALL_DIMENSION are solved whole.  The blocks come
-    from the stored entries alone, so the route stays independent of any
-    model labels or exact levels.
-    Eigenvalues (ascending) and weights |<k|psi0>|^2 span all blocks; the
-    eigenvectors are dropped once psi0 is projected on them.  The survival
+    Every H, the 2 x 2 spin included, is split into the connected
+    components of its nonzero pattern (for the cavity models, the
+    conserved photon-number blocks), and the blocks of each size are
+    diagonalized in one stacked ``eigh``.  The blocks come from the
+    stored entries alone, so the route stays independent of any model
+    labels or exact levels.
+    Angular frequencies ``omegas`` (ascending) and weights |<k|psi0>|^2
+    span all blocks; the eigenvalues and eigenvectors are dropped once
+    psi0 is projected on them.  The survival
     amplitude <psi0|psi(t)> = sum_k |a_k|^2 exp(-i w_k t) and the fidelity
     need only the occupied weights, so no state is ever formed.
     """
 
-    __slots__ = ("eigenvalues", "omegas", "weights", "_occ_w", "_occ_omega",
-                 "_occ_nu")
+    __slots__ = ("omegas", "weights", "_occ_w", "_occ_omega", "_occ_nu")
 
     def __init__(self, hamiltonian: Hamiltonian, psi0: np.ndarray):
         import numpy as np
@@ -277,9 +269,7 @@ class SpectralPropagator:
         if not abs(norm - 1.0) <= 1e-10:
             raise ValueError(f"psi0 not normalized: |psi0| = {norm!r}")
         h, dim = hamiltonian, hamiltonian.dimension
-        indices, sizes = (_components(dim, h.rows, h.cols)
-                          if dim > SMALL_DIMENSION
-                          else (np.arange(dim), np.array([dim])))
+        indices, sizes = _components(dim, h.rows, h.cols)
         # slot of each index: its place in `indices`, where component c
         # holds the run starting at starts[c]
         starts = np.cumsum(sizes) - sizes
@@ -309,11 +299,10 @@ class SpectralPropagator:
         # ascending across blocks, as one solve of the whole matrix gives,
         # so the scan sums the levels in the same order
         order = np.argsort(w, kind="stable")
-        self.eigenvalues = w[order]                 # in units of `unit`
         # frequencies past the float range are inf here; the step rule
         # of generic_gamma refuses their spread
         with np.errstate(over="ignore", invalid="ignore"):
-            self.omegas = self.eigenvalues * hamiltonian.unit
+            self.omegas = w[order] * hamiltonian.unit
         self.weights = np.abs(amplitudes[order]) ** 2
         # the phase advance is unitary by construction; what can fail is
         # the orthonormality of the eigenbasis, which moves the weights
@@ -441,20 +430,17 @@ class SpectralPropagator:
 class EvolutionResult:
     """The survival amplitude on a uniform grid, where a return can be.
 
-    ``times`` is the whole grid, a `Grid` from `evolve`; ``overlap_track``
-    and ``fidelity_track`` hold <psi0|psi(t)> and its modulus at
-    ``times[index]``, ``index`` ascending
-    (`SpectralPropagator.survival_grid`).
+    ``times`` is the whole grid, a `Grid` from `evolve`;
+    ``fidelity_track`` holds |<psi0|psi(t)>| at ``times[index]``, for
+    the ``overlap`` that `SpectralPropagator.survival_grid` gives there,
+    ``index`` ascending.
     """
 
-    __slots__ = ("times", "index", "overlap_track", "fidelity_track",
-                 "propagator")
+    __slots__ = ("times", "index", "fidelity_track", "propagator")
 
-    def __init__(self, times, index, overlap_track,
-                 propagator: SpectralPropagator):
+    def __init__(self, times, index, overlap, propagator: SpectralPropagator):
         self.times, self.index, self.propagator = times, index, propagator
-        self.overlap_track = overlap_track
-        self.fidelity_track = abs(overlap_track)
+        self.fidelity_track = abs(overlap)
 
 
 def evolve(propagator: SpectralPropagator, t_max: float, *,

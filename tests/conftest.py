@@ -236,7 +236,7 @@ def whole_grid_survival(prop, times) -> np.ndarray:
     reference that `SpectralPropagator.survival_grid` must equal bit for
     bit wherever it evaluates."""
     from aaphase.oracle import _grid_shape
-    t = np.asarray(times, dtype=float)
+    t = times[:]
     omega = prop._occ_omega
     fine, rows = _grid_shape(t.size, omega.size)
     factors = np.exp(-1j * np.outer(omega, t[:fine]))

@@ -957,6 +957,31 @@ class TestInputGuards:
                        "modulus\n")
 
     @pytest.mark.parametrize("command", ["analyze", "verify"])
+    @pytest.mark.parametrize("name, key, model", [
+        ("two_mirror.ini", "mirror_truncation", "two_mirror"),
+        ("free_field_coherent.ini", "truncation", "free_field")])
+    def test_spectrum_past_memory_exits_64(self, tmp_path, capsys, command,
+                                           name, key, model):
+        # the exact build asks numpy for a 146 TiB array of amplitudes
+        text = shipped_with(name, **{key: "10000000000000"})
+        code, out, err = run_cli(
+            [command, "--config", write(tmp_path, text)], capsys)
+        assert (code, out) == (64, "")
+        assert err == (f"config error: the {model} spectrum does not fit "
+                       f"in memory\n")
+
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    def test_mean_energy_past_the_float_range_exits_64(self, tmp_path,
+                                                       capsys, command):
+        # levels 0, 2 and 5 at unit 1e308: tau is finite, <H> is not
+        text = shipped_with("free_field_fock.ini", omega="1e308")
+        code, out, err = run_cli(
+            [command, "--config", write(tmp_path, text)], capsys)
+        assert (code, out) == (64, "")
+        assert err == ("config error: mean energy is not finite at "
+                       "unit = 1e+308\n")
+
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
     def test_branch_integers_past_the_float_range_exit_64(
             self, tmp_path, capsys, command):
         # the gamma sum converts branch integers near 1e308 to floats
@@ -1107,7 +1132,7 @@ class TestOptionsBeforeModel:
 EXTREME_TOKENS = ("1.5e308", "-1.5e308", "1e154", "-1e154", "1e-160",
                   "1e-300", "5e-324")
 SWEEP_TOKENS = ("inf", "-inf", "nan", "1e400", "1" + "0" * 400, "0", "-1",
-                "abc", "", *EXTREME_TOKENS)
+                "abc", "", "10000000000000", *EXTREME_TOKENS)
 NON_FINITE = SWEEP_TOKENS[:5]
 COMMANDS = ("analyze", "verify", "constrain")
 
@@ -1320,6 +1345,34 @@ def test_incommensurable_entry_still_exits_2(tmp_path, capsys):
     code, _, err = run_cli(["analyze", "--config", write(
         tmp_path, text.replace("r = 2", "r = 1.4142135623730951"))], capsys)
     assert code == 2 and err.startswith("non-cyclic:")
+def test_tiny_level_stays_a_float(tmp_path, capsys):
+    # 1e-10 rationalizes to 0 within 1e-9; read as 0 it left the cyclic
+    # pair {0, 1}
+    text = shipped_with("raw_spectrum.ini", levels="0 1e-10 1")
+    code, out, err = run_cli(["analyze", "--config", write(tmp_path, text)],
+                             capsys)
+    assert (code, err) == (2, "non-cyclic: incommensurable\n")
+    assert parse_report(out)["phase-report"]["cyclicality"] == "non-cyclic"
+
+
+@pytest.mark.parametrize("key, value", [("C_D", "5e-10"), ("C_D", "2e-9"),
+                                        ("omega_m", "1e-10")])
+def test_tiny_three_mirror_value_stays_a_float(tmp_path, key, value):
+    # off the exact family, as any float frequency or coupling is; 1e-10
+    # read as 0 took the exact C_D = 0 route or failed as non-positive
+    run = config_module.load_config(write(
+        tmp_path, shipped_with("three_mirror_exact.ini", **{key: value})))
+    assert run.spectrum is None and run.hamiltonian is not None
+
+
+@pytest.mark.parametrize("key", ["r", "k_squared"])
+def test_tiny_exact_entry_exits_2(tmp_path, capsys, key):
+    text = shipped_with("two_mirror.ini", **{key: "1e-10"})
+    code, out, err = run_cli(["analyze", "--config", write(tmp_path, text)],
+                             capsys)
+    assert (code, out, err) == (2, "", "non-cyclic: incommensurable input\n")
+
+
 # removed options among them: unknown keys like any other
 STRANGE_KEYS = ("model", "fidelty_tol", "x", "fidelity_tol", "steps",
                 "tolerance", "approximate")

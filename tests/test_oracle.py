@@ -34,6 +34,9 @@ from aaphase.oracle import (
 from conftest import circ, whole_grid_result, whole_grid_survival
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+# every shipped config whose model has a matrix: 8, dimensions 2 to 2880
+MATRIX_CONFIGS = sorted(p.name for p in CONFIGS.glob("*.ini")
+                        if p.name != "partial_spectrum.ini")
 
 TWO_PI = 2.0 * math.pi
 
@@ -273,14 +276,14 @@ class TestBlocks:
         joined[:12, :12], joined[12:, 12:] = blocks[1], blocks[2]
         joined[11, 12], joined[12, 11] = 0.7j, -0.7j
         blocks[1:3] = [joined]
-        dim = sum(sizes)           # above the size that is solved whole
+        dim = sum(sizes)
         perm = rng.permutation(dim)
         H = block_diag(*blocks)[np.ix_(perm, perm)]
         psi0 = random_state(rng, dim)
         h = Hamiltonian.from_dense(H, unit=1.3 / 0.7)
         prop = SpectralPropagator(h, psi0)
         assert _components(dim, h.rows, h.cols)[1].size == len(blocks)
-        assert np.max(np.abs(np.sort(prop.eigenvalues)
+        assert np.max(np.abs(np.sort(prop.omegas) / (1.3 / 0.7)
                              - np.linalg.eigvalsh(H))) < 1e-12
         times = np.linspace(0.0, 6.0, 25)
         survival = prop.survival_amplitude(times)
@@ -324,19 +327,17 @@ class TestStackedSolve:
     """Each stacked ``eigh`` matches one ``eigh`` per block, bit for bit,
     and so does the order of the levels, ties included."""
 
-    @pytest.mark.parametrize("name", ["three_mirror_approximate.ini",
-                                      "two_mirror.ini"])
+    @pytest.mark.parametrize("name", MATRIX_CONFIGS)
     def test_shipped_configs(self, name):
         run = load_config(CONFIGS / name)
         h, psi0 = run.hamiltonian, run.psi0
-        assert h.dimension > oracle.SMALL_DIMENSION
         prop = SpectralPropagator(h, psi0)
         want_w, want_a = per_block_solve(h, psi0)
-        assert_bitwise(prop.eigenvalues, want_w)
+        assert_bitwise(prop.omegas, want_w * h.unit)
         assert_bitwise(prop.weights, np.abs(want_a) ** 2)
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_shuffled_complex_blocks(self, seed, monkeypatch):
+    def test_shuffled_complex_blocks(self, seed):
         rng = np.random.default_rng(seed)
         five = random_hermitian(rng, 5)
         blocks = [random_hermitian(rng, 1), random_hermitian(rng, 2),
@@ -350,14 +351,11 @@ class TestStackedSolve:
             H[np.ix_(idx, idx)] = block
         h = Hamiltonian.from_dense(H)
         psi0 = random_state(rng, H.shape[0])
-        # solve this small matrix by blocks
-        monkeypatch.setattr(oracle, "SMALL_DIMENSION", 0)
         prop = SpectralPropagator(h, psi0)
-        monkeypatch.undo()
         assert _components(13, h.rows, h.cols)[1].size == 4
-        assert np.count_nonzero(np.diff(prop.eigenvalues) == 0) == 5
+        assert np.count_nonzero(np.diff(prop.omegas) == 0) == 5
         want_w, want_a = per_block_solve(h, psi0)
-        assert_bitwise(prop.eigenvalues, want_w)
+        assert_bitwise(prop.omegas, want_w)
         assert_bitwise(prop.weights, np.abs(want_a) ** 2)
 
 
@@ -495,7 +493,7 @@ class TestGrid:
         picks = np.random.default_rng(seed).integers(-size, size, 50)
         assert same_bits(grid[picks], want[picks])
         assert same_bits(grid[picks.tolist()], want[picks])
-        assert same_bits(np.asarray(grid, dtype=float), want)
+        assert same_bits(grid[:], want)
         for bad in (size, -size - 1, np.array([0, size])):
             with pytest.raises(IndexError):
                 grid[bad]
@@ -604,15 +602,17 @@ class TestEvolve:
         with pytest.raises(ValueError, match="t_max"):
             evolve(prop, 0.0, steps=4096)
 
-    def test_overlap_track_on_three_mirror_matrix(self):
+    def test_survival_grid_on_three_mirror_matrix(self):
         run = load_config(CONFIGS / "three_mirror_exact.ini")
         res = evolve(SpectralPropagator(run.hamiltonian, run.psi0),
                      2.2 * TWO_PI, steps=3 * 4096)
         assert res.times.size == 3 * 4096
         assert 0 < res.index.size < res.times.size
+        index, overlap = res.propagator.survival_grid(res.times)
+        assert np.array_equal(index, res.index)
         want = direct_survival(res.propagator, res.times[res.index])
-        assert np.max(np.abs(res.overlap_track - want)) <= 1e-12
-        assert np.array_equal(res.fidelity_track, np.abs(res.overlap_track))
+        assert np.max(np.abs(overlap - want)) <= 1e-12
+        assert np.array_equal(res.fidelity_track, np.abs(overlap))
 
     def test_memory_holds_no_grid(self):
         """The result holds less than the grid's times would take, and
