@@ -209,6 +209,13 @@ def _positive_number(text: str) -> Union[Fraction, float]:
     return value
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if not value >= 1:
+        raise ValueError(f"must be >= 1, got {text.strip()!r}")
+    return value
+
+
 def _load_spin_half(mu_B0, theta) -> LoadedRun:
     params = SpinHalfParams(mu_B0=mu_B0, theta=theta)
     spectrum, state = spin_half(params)
@@ -280,8 +287,7 @@ def _load_raw_spectrum(levels, amplitudes, unit, labels) -> LoadedRun:
     if len(labels) != len(levels):
         raise ConfigError("labels and levels differ in length")
     spectrum = Spectrum(levels=list(zip(labels, levels)), unit=unit)
-    state = StateDecomposition(
-        entries=[(lab, a) for lab, a in zip(labels, amplitudes) if a != 0])
+    state = StateDecomposition(spectrum, amplitudes)
     return LoadedRun(
         model="raw_spectrum", spectrum=spectrum, state=state,
         build=lambda: (Hamiltonian.diagonal([float(v) for v in levels],
@@ -342,7 +348,8 @@ _MODELS = {
         "amplitudes": (_complex_list, _REQUIRED), "unit": (float, "1"),
         "labels": (str.split, "")}),
     "dense_matrix": (_load_dense_matrix, {
-        "dimension": (int, _REQUIRED), "entries": (_commas, _REQUIRED),
+        "dimension": (_positive_int, _REQUIRED),
+        "entries": (_commas, _REQUIRED),
         "psi0": (_commas, _REQUIRED), "unit": (float, "1")}),
     "partial_spectrum": (_load_partial, {
         "known": (_each(_exact_value), _REQUIRED), "unit": (float, "1"),

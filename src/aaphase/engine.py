@@ -14,8 +14,9 @@ L = D/G cycles, and the branch data are integers: n_0 = floor(p_0/G +
 eigenvalue marks a failed rationalization and is tolerated only when at
 most two distinct values are occupied (two-level evolutions are cyclic
 regardless of commensurability); with three or more distinct values a
-float renders the state non-cyclic.  The spectrum keeps its label table,
-the state its weights |a|^2, and a verdict and a report join them once.
+float renders the state non-cyclic.  The state is built over the
+spectrum by position, one amplitude per level, and keeps the weights
+|a|^2 and the distinct occupied values that a verdict and a report read.
 """
 
 from __future__ import annotations
@@ -55,17 +56,17 @@ class NonCyclicError(ValueError):
 
 
 class Spectrum:
-    """Occupied-or-not eigenvalue table: (label, value) pairs in `unit`.
+    """Every level, occupied or not: (label, value) pairs in `unit`.
 
     An int value is a numerator over ``denominator``; a float value is
     the level itself and marks a failed rationalization.  The
     constructor also takes Fraction and "p/q" values and puts every
     rational over their least common denominator; pairs of a str label
-    and an int value are kept as given.  ``table`` maps the unique
-    labels to the values, which may repeat (degeneracy allowed).
+    and an int value are kept as given.  Labels are unique; values may
+    repeat (degeneracy allowed).
     """
 
-    __slots__ = ("levels", "unit", "denominator", "table")
+    __slots__ = ("levels", "unit", "denominator")
 
     def __init__(self, levels, unit: float = 1.0, denominator: int = 1):
         lv = tuple(levels)
@@ -74,15 +75,13 @@ class Spectrum:
             lv = tuple((str(lab), val) for lab, val in lv)
         if not lv:
             raise ValueError("spectrum needs at least one level")
-        table = dict(lv)
-        if len(table) != len(lv):
+        if len({lab for lab, _ in lv}) != len(lv):
             raise ValueError("spectrum labels must be unique")
         if not 0 < unit < math.inf:
             raise ValueError("unit must be positive and finite")
         if not (isinstance(denominator, int) and denominator > 0):
             raise ValueError("denominator must be a positive integer")
-        if not (plain or all(isinstance(val, (int, float))
-                             for val in table.values())):
+        if not (plain or all(isinstance(val, (int, float)) for _, val in lv)):
             exact = [val if isinstance(val, float) else
                      Fraction(val, denominator) if isinstance(val, int) else
                      Fraction(val) for _, val in lv]
@@ -91,38 +90,47 @@ class Spectrum:
             lv = [(lab, f if isinstance(f, float) else
                    f.numerator * (denominator // f.denominator))
                   for (lab, _), f in zip(lv, exact)]
-            table = dict(lv)
-        self.levels, self.table = tuple(lv), table
+        self.levels = tuple(lv)
         self.unit, self.denominator = float(unit), denominator
 
 
 class StateDecomposition:
-    """Complex amplitudes of the state over spectrum labels.
+    """The state over ``spectrum``: one complex amplitude per level.
 
-    Zero-amplitude entries are rejected so the entry list IS the occupied
-    set; total weight must be 1 within 1e-12.  ``weights`` holds |a|^2
-    per entry and ``total`` their correctly rounded sum.  Pairs of a str
-    label and a complex amplitude are kept as given.
+    Zero amplitudes are dropped, so ``entries``, the (label, amplitude)
+    pairs in level order, are the occupied set; total weight must be 1
+    within 1e-12.  ``weights`` holds |a|^2 per entry and ``total`` their
+    correctly rounded sum.  ``keys`` holds the key of each entry's value
+    and ``distinct`` maps the keys to the distinct occupied values, in
+    first-seen order: a float equal to a rational level p/D gets the key
+    p, so it merges onto the value seen first, and other floats are their
+    own keys.  The engine takes the state only with ``spectrum``.
     """
 
-    __slots__ = ("entries", "weights", "total", "_join")
+    __slots__ = ("spectrum", "entries", "weights", "total", "keys",
+                 "distinct")
 
-    def __init__(self, entries):
-        ent = tuple(entries)
-        if not all(type(lab) is str and type(a) is complex for lab, a in ent):
-            ent = tuple((str(lab), complex(a)) for lab, a in ent)
-        if not ent:
+    def __init__(self, spectrum: Spectrum, amplitudes):
+        if len(amplitudes) != len(spectrum.levels):
+            raise ValueError("one amplitude per level required")
+        occupied = [(level, a) for level, a in zip(spectrum.levels, amplitudes)
+                    if a != 0]
+        if not occupied:
             raise ValueError("state needs at least one entry")
-        if len({lab for lab, _ in ent}) != len(ent):
-            raise ValueError("state labels must be unique")
-        if any(a == 0 for _, a in ent):
-            raise ValueError("zero-amplitude entries must be absent")
+        ent = tuple((lab, complex(a)) for (lab, _), a in occupied)
         weights = squared_moduli(a for _, a in ent)
         total = math.fsum(weights)
         if not abs(total - 1.0) <= NORMALIZATION_TOL:  # NaN fails too
             raise ValueError(f"state not normalized: sum |a|^2 = {total!r}")
-        self.entries, self.weights, self.total = ent, weights, total
-        self._join = None
+        values = [val for (_, val), _ in occupied]
+        keys = [val if isinstance(val, int) or not math.isfinite(val)
+                else Fraction(val) * spectrum.denominator for val in values]
+        distinct: Dict[object, Value] = {}
+        for key, val in zip(keys, values):
+            distinct.setdefault(key, val)
+        self.spectrum, self.entries = spectrum, ent
+        self.weights, self.total = weights, total
+        self.keys, self.distinct = keys, distinct
 
 
 class Cyclicality:
@@ -163,40 +171,12 @@ class PhaseReport:
         self.stationary, self.fidelity = stationary, fidelity
 
 
-def _occupy(spectrum: Spectrum, state: StateDecomposition
-            ) -> Tuple[List[object], Dict[object, Value]]:
-    """The key of each occupied level, in entry order, and {key: value}
-    over the distinct values, in first-seen order.
-
-    Errors on labels missing from the spectrum.  A float equal to a
-    rational level p/D gets the key p, so it merges onto the value seen
-    first; other floats are their own keys.
-    """
-    table = spectrum.table
-    values = [table.get(lab) for lab, _ in state.entries]
-    if None in values:
-        lab = state.entries[values.index(None)][0]
-        raise ValueError(f"state/spectrum mismatch: unknown label {lab!r}")
-    if all(type(val) is int for val in values):
-        return values, dict(zip(values, values))
-    d = spectrum.denominator
-    keys = []
-    distinct: Dict[object, Value] = {}
-    for val in values:
-        key = (val if isinstance(val, int) or not math.isfinite(val)
-               else Fraction(val) * d)
-        distinct.setdefault(key, val)
-        keys.append(key)
-    return keys, distinct
-
-
-def _joined(spectrum: Spectrum, state: StateDecomposition
-            ) -> Tuple[List[object], Dict[object, Value]]:
-    """`_occupy` once per pair: the state keeps its join with the last
-    spectrum it met, so classifying and then reporting join once."""
-    if state._join is None or state._join[0] is not spectrum:
-        state._join = (spectrum, *_occupy(spectrum, state))
-    return state._join[1:]
+def _distinct(spectrum: Spectrum, state: StateDecomposition
+              ) -> List[Value]:
+    """The distinct occupied values of a state built over ``spectrum``."""
+    if state.spectrum is not spectrum:
+        raise ValueError("the state was built over another spectrum")
+    return list(state.distinct.values())
 
 
 def _verdict(distinct: Sequence[Value]) -> Cyclicality:
@@ -216,7 +196,7 @@ def check_cyclicality(spectrum: Spectrum, state: StateDecomposition) -> Cyclical
     when all are exact rationals; any float (= failed rationalization)
     makes the spacings incommensurable.
     """
-    return _verdict(list(_joined(spectrum, state)[1].values()))
+    return _verdict(_distinct(spectrum, state))
 
 
 def _branch_data(distinct: Sequence[Value], denominator: int):
@@ -277,14 +257,14 @@ def geometric_phase(spectrum: Spectrum, state: StateDecomposition
     instead of tau*<H>.  Stationary states report gamma = 0 with the
     `stationary` flag set.  A non-cyclic state raises NonCyclicError.
     """
-    keys, distinct = _joined(spectrum, state)
-    values = list(distinct.values())
+    values = _distinct(spectrum, state)
     verdict = _verdict(values)
     if verdict.kind == "non-cyclic":
         raise NonCyclicError(f"non-cyclic state: {verdict.reason}")
     d = spectrum.denominator
     L, phi2pi, ns = _branch_data(values, d)
-    branch = dict(zip(distinct, ns))
+    branch = dict(zip(state.distinct, ns))
+    keys = state.keys
 
     # Weights are renormalized so the 1e-12 normalization slack cannot be
     # amplified by large branch integers; summing w*(n - n_min) keeps the
@@ -296,7 +276,7 @@ def geometric_phase(spectrum: Spectrum, state: StateDecomposition
     gamma = _canonical_gamma(TWO_PI * (acc - math.floor(acc)))
     # p/d is the correctly rounded level, as is each float merged onto it
     level = {key: v / d if isinstance(v, int) else v
-             for key, v in distinct.items()}
+             for key, v in state.distinct.items()}
     mean = math.fsum(w * level[key] for key, w in zip(keys, state.weights))
 
     return PhaseReport(

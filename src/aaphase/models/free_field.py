@@ -14,18 +14,14 @@ __all__ = ["free_field", "free_field_coherent", "free_field_dense"]
 def free_field(omega: float, occupied_n: Sequence[int],
                amplitudes: Sequence[complex]
                ) -> Tuple[Spectrum, StateDecomposition]:
-    """Levels n*omega for an arbitrary set of occupied Fock states."""
+    """Levels n*omega for occupied Fock states, one nonzero amplitude each."""
     ns = list(occupied_n)
-    if len(ns) < 1:
-        raise ValueError("at least one occupied level required")
     if any(n < 0 for n in ns):
         raise ValueError("Fock indices must be non-negative")
-    if len(ns) != len(amplitudes):
-        raise ValueError("one amplitude per occupied level required")
     spectrum = Spectrum(levels=[(str(n), int(n)) for n in ns], unit=omega)
-    state = StateDecomposition(
-        entries=[(str(n), a) for n, a in zip(ns, amplitudes)])
-    return spectrum, state
+    if any(a == 0 for a in amplitudes):    # the state would drop them
+        raise ValueError("zero-amplitude entries must be absent")
+    return spectrum, StateDecomposition(spectrum, amplitudes)
 
 
 def free_field_coherent(omega: float, alpha: complex, truncation: int

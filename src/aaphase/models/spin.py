@@ -35,10 +35,7 @@ def spin_half(params: SpinHalfParams) -> Tuple[Spectrum, StateDecomposition]:
     spectrum = Spectrum(
         levels=[("up", -1), ("down", 1)],
         unit=params.mu_B0)
-    up, down = _amplitudes(params.theta)
-    entries = [(label, amp) for label, amp in (("up", up), ("down", down))
-               if amp != 0]
-    return spectrum, StateDecomposition(entries=entries)
+    return spectrum, StateDecomposition(spectrum, _amplitudes(params.theta))
 
 
 def spin_half_dense(params: SpinHalfParams) -> Tuple[Hamiltonian, np.ndarray]:

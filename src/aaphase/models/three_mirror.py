@@ -164,36 +164,33 @@ def cavity_exact(blocks: Iterable[Tuple[str, int, complex, np.ndarray]],
 
     Each block is (label prefix, offset numerator over ``denominator``,
     field amplitude, mirror amplitudes in the block's displaced basis)
-    and holds level offset + m, labeled prefix + m, for every mirror
-    quantum m.  The mass lost to the truncation (described by
-    ``truncation`` in the error) must stay below 1e-10, and the kept
-    amplitudes are renormalized.
+    and holds level offset + m, labeled prefix + m, with amplitude field
+    times mirror amplitude, for every mirror quantum m.  The mass lost to
+    the truncation (described by ``truncation`` in the error) must stay
+    below 1e-10, and the amplitudes are renormalized.
     """
     levels = []
-    entries = []
+    amps = []
     mass = 0.0
     suffixes = []
     for prefix, base, weight, mirror in blocks:
         weight = complex(weight)  # numpy scalar arithmetic per level is slower
-        amps = mirror.tolist()
-        if len(suffixes) < len(amps):
-            suffixes = [str(m) for m in range(len(amps))]
-        labels = [prefix + m for m in suffixes[:len(amps)]]
-        levels += zip(labels, range(base, base + denominator * len(amps),
-                                    denominator))
-        for label, mirror_amp in zip(labels, amps):
-            amp = weight * mirror_amp
-            if amp != 0:
-                mass += abs(amp) ** 2
-                entries.append((label, amp))
+        block = [weight * mirror_amp for mirror_amp in mirror.tolist()]
+        if len(suffixes) < len(block):
+            suffixes = [str(m) for m in range(len(block))]
+        levels += zip([prefix + m for m in suffixes[:len(block)]],
+                      range(base, base + denominator * len(block),
+                            denominator))
+        for amp in block:
+            mass += abs(amp) ** 2   # a zero adds nothing to the sum's bits
+        amps += block
     tail = 1.0 - mass
     if not tail < TAIL_TOL:
         raise ValueError(
             f"truncation too small: tail mass {tail:.3e} at {truncation}")
     scale = 1.0 / math.sqrt(mass)
-    state = StateDecomposition(
-        entries=[(label, amp * scale) for label, amp in entries])
-    return Spectrum(levels=levels, unit=unit, denominator=denominator), state
+    spectrum = Spectrum(levels=levels, unit=unit, denominator=denominator)
+    return spectrum, StateDecomposition(spectrum, [a * scale for a in amps])
 
 
 def over_one_denominator(*ratios: Fraction) -> Tuple[int, ...]:

@@ -20,8 +20,9 @@ forms the grid: ``EvolutionResult.times`` is a `Grid`, which computes
 its points where they are read.
 
 numpy is imported inside the functions that use it, so that importing
-this module (and with it the command-line front end) does not load it:
-the exact route never builds an array.
+this module (and with it the command-line front end) does not load it.
+The exact route builds no matrix; numpy computes the coherent amplitudes
+of `three_mirror_exact`, `two_mirror_spectrum` and `free_field_coherent`.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ def pytest_terminal_summary(terminalreporter):
 def level(spectrum: Spectrum, label: str):
     """The level of ``label``: Fraction(p, D) for an integer numerator p
     over the spectrum's denominator D, the float itself otherwise."""
-    value = spectrum.table[label]
+    value = dict(spectrum.levels)[label]
     if isinstance(value, float):
         return value
     return Fraction(value, spectrum.denominator)
@@ -114,7 +114,7 @@ def random_exact_fixture(rng, min_levels=2, max_levels=5):
     spectrum = Spectrum(levels=list(zip(labels, values)), unit=1.0)
     amps = rng.normal(size=n) + 1j * rng.normal(size=n)
     amps /= np.linalg.norm(amps)
-    state = StateDecomposition(entries=list(zip(labels, amps)))
+    state = StateDecomposition(spectrum, amps)
     return spectrum, state
 
 

@@ -9,16 +9,19 @@ because the benchmark's reference checks import it from there.
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Tuple, Union
 
-from aaphase.engine import Spectrum, TWO_PI, _canonical_gamma
+from aaphase.engine import Spectrum, StateDecomposition, TWO_PI, \
+    _canonical_gamma
 
 RationalLike = Union[Fraction, int, str]
 
 
-def gauge_shift(spectrum: Spectrum,
-                c: Union[Fraction, int, float]) -> Spectrum:
-    """Shift every eigenvalue by c (same unit); labels preserved.
+def gauge_shift(spectrum: Spectrum, state: StateDecomposition,
+                c: Union[Fraction, int, float]
+                ) -> Tuple[Spectrum, StateDecomposition]:
+    """Shift every eigenvalue by c (same unit); labels preserved, and the
+    state rebuilt over the shifted spectrum with the same amplitudes.
 
     Adding a multiple of the identity, H -> H + c, moves the spectrum's
     origin and the total phase but not the geometric phase.
@@ -26,9 +29,12 @@ def gauge_shift(spectrum: Spectrum,
     shift = c if isinstance(c, float) else Fraction(c)
     d = spectrum.denominator
     # a Fraction plus a float is the float sum of the two as floats
-    return Spectrum([(lab, (Fraction(v, d) if isinstance(v, int) else v)
-                      + shift) for lab, v in spectrum.levels],
-                    unit=spectrum.unit)
+    shifted = Spectrum([(lab, (Fraction(v, d) if isinstance(v, int) else v)
+                         + shift) for lab, v in spectrum.levels],
+                       unit=spectrum.unit)
+    amps = dict(state.entries)
+    return shifted, StateDecomposition(
+        shifted, [amps.get(lab, 0) for lab, _ in spectrum.levels])
 
 
 def gamma_from_single_eigenvalue_phi(lam: Union[Fraction, float],

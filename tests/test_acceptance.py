@@ -77,7 +77,7 @@ def _bounded_fixture(rng, min_levels, max_levels, max_num, max_den, cap):
         spectrum = Spectrum(levels=list(zip(labels, values)), unit=1.0)
         amps = rng.normal(size=count) + 1j * rng.normal(size=count)
         amps /= np.linalg.norm(amps)
-        state = StateDecomposition(entries=list(zip(labels, amps)))
+        state = StateDecomposition(spectrum, amps)
         if geometric_phase(spectrum, state).tau_cycles <= cap:
             return spectrum, state
 
@@ -168,7 +168,7 @@ def test_criterion_04_gauge_invariance():
         spectrum, state = random_exact_fixture(rng)
         c = random_fraction(rng)
         before = geometric_phase(spectrum, state).gamma
-        after = geometric_phase(gauge_shift(spectrum, c), state).gamma
+        after = geometric_phase(*gauge_shift(spectrum, state, c)).gamma
         worst = max(worst, circ(before, after))
     _record(4, worst <= 1e-10, f"200 shifted triples, "
                                f"worst gamma drift {worst:.1e}")
@@ -324,7 +324,7 @@ def test_criterion_10_constraint_solver_control():
     best = enumerate_candidates(ps, 16)[0]
     spectrum = Spectrum(levels=[("l1", Fraction(2)), ("l2", Fraction(3))],
                         unit=1.0)
-    state = StateDecomposition(entries=[("l1", 0.6), ("l2", 0.8)])
+    state = StateDecomposition(spectrum, [0.6, 0.8])
     rep = geometric_phase(spectrum, state)
     checks = [best.tau_cycles == rep.tau_cycles,
               best.phi_over_pi == rep.phi_over_pi]

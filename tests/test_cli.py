@@ -909,6 +909,42 @@ class TestInputGuards:
                               f"{spread} needs inf grid steps up to t_max")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    @pytest.mark.parametrize("dimension, entries", [
+        ("-1", "1"), ("-2", "1, 0, 0, 1"), ("0", "1")])
+    def test_dimension_below_one_exits_64(self, tmp_path, capsys, command,
+                                          dimension, entries):
+        # (-1)^2 = 1 and (-2)^2 = 4 entries passed the count check, and
+        # numpy's reshape error became the message; 0 asked for 0 entries
+        text = shipped_with("dense_matrix.ini", dimension=dimension,
+                            entries=entries)
+        code, out, err = run_cli(
+            [command, "--config", write(tmp_path, text)], capsys)
+        assert (code, out) == (64, "")
+        assert err == (f"config error: dimension: must be >= 1, "
+                       f"got '{dimension}'\n")
+
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    def test_zero_amplitude_only_where_levels_are_occupied(
+            self, tmp_path, capsys, command):
+        # free_field lists its occupied levels, so a zero among their
+        # amplitudes is refused; a raw spectrum lists every level, so a
+        # zero there is an unoccupied level, which the exact report
+        # ignores (the oracle's bits move with the matrix)
+        fock = shipped_with("free_field_fock.ini",
+                            amplitudes="0.6; 0; 0.8")
+        code, out, err = run_cli(
+            [command, "--config", write(tmp_path, fock)], capsys)
+        assert (code, out, err) == (
+            64, "", "config error: zero-amplitude entries must be absent\n")
+        raw = shipped_with("raw_spectrum.ini", levels="0 1 3/2 7",
+                           amplitudes="0.6; 0.48; 0.64; 0")
+        got = run_cli([command, "--config", write(tmp_path, raw)], capsys)
+        want = run_cli([command, "--config",
+                        str(CONFIGS / "raw_spectrum.ini")], capsys)
+        assert (got[0], got[2]) == (0, "")
+        assert got == want or command == "verify"
+
     def test_underflowing_psi0_is_normalized(self, tmp_path, capsys):
         # |psi0|^2 = 1e-320 is subnormal, so psi0 / |psi0| missed the unit
         # norm by 5.6e-6 and the oracle refused it with a traceback
@@ -1464,6 +1500,12 @@ def _has_stray_key_or_section(text):
 @pytest.mark.parametrize("name, argv", [
     *((f"{config}.analyze", ["analyze"]) for config in TestDenseOnDemand.EXACT),
     ("partial_spectrum.ini.constrain", ["constrain", "--n-range", "8"]),
+    *((f"{config}.analyze", ["analyze"])
+      for config in ("dense_matrix.ini", "three_mirror_approximate.ini")),
+    *((f"{config}.verify", ["verify"])
+      for config in ("free_field_coherent.ini", "raw_spectrum.ini",
+                     "spin_half.ini", "three_mirror_exact.ini",
+                     "two_mirror.ini")),
 ])
 def test_stdout_matches_golden(capsys, name, argv):
     """Reports stay byte-identical unless a change means to alter them.

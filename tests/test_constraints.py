@@ -169,8 +169,7 @@ def test_candidate_family_contains_full_spectrum_answer():
     # occupy exactly the two known levels: the engine's (tau, phi, gamma)
     # must appear in the constraint family
     sp = Spectrum(levels=[("l1", 2), ("l2", 3)])
-    state = StateDecomposition(
-        entries=[("l1", math.sqrt(0.5)), ("l2", math.sqrt(0.5))])
+    state = StateDecomposition(sp, [math.sqrt(0.5), math.sqrt(0.5)])
     rep = geometric_phase(sp, state)
     ps = two_known(2, 3)
     cands = enumerate_candidates(ps, n_range=5)

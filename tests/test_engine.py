@@ -8,13 +8,11 @@ be verified without tolerances.
 
 import math
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from aaphase import cli, engine
 from aaphase.engine import (
     NonCyclicError,
     Spectrum,
@@ -22,6 +20,7 @@ from aaphase.engine import (
     check_cyclicality,
     geometric_phase,
 )
+from aaphase.models import free_field
 from conftest import circ, level
 from paper import (
     gamma_from_single_eigenvalue_phi,
@@ -31,8 +30,7 @@ from paper import (
 )
 
 TWO_PI = 2.0 * math.pi
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
-EQUAL = [("a", math.sqrt(0.5)), ("b", math.sqrt(0.5))]
+EQUAL = [math.sqrt(0.5), math.sqrt(0.5)]
 
 
 def fields(record):
@@ -42,6 +40,12 @@ def fields(record):
 
 def spectrum2(va, vb, unit=1.0):
     return Spectrum(levels=[("a", va), ("b", vb)], unit=unit)
+
+
+def equal_state(spectrum):
+    """Equal weights over every level of ``spectrum``."""
+    n = len(spectrum.levels)
+    return StateDecomposition(spectrum, [math.sqrt(1 / n)] * n)
 
 
 class TestSpectrumValidation:
@@ -88,79 +92,85 @@ class TestSpectrumValidation:
 
 class TestStateValidation:
     def test_normalization_enforced(self):
+        sp = spectrum2(2, 3)
         with pytest.raises(ValueError, match="not normalized"):
-            StateDecomposition(entries=[("a", 1.0), ("b", 0.5)])
+            StateDecomposition(sp, [1.0, 0.5])
         with pytest.raises(ValueError, match="not normalized"):
-            StateDecomposition(entries=[("a", 1.0), ("b", math.nan)])
+            StateDecomposition(sp, [1.0, math.nan])
 
     def test_zero_amplitude_rejected(self):
+        # the state drops zeros, so the occupied set is its entry list; a
+        # model given its occupied levels refuses a zero among them
+        sp = Spectrum(levels=[("a", 2), ("b", 3), ("c", 5)])
+        st_ = StateDecomposition(sp, [0.6, 0.0, 0.8])
+        assert [lab for lab, _ in st_.entries] == ["a", "c"]
+        with pytest.raises(ValueError, match="at least one"):
+            StateDecomposition(sp, [0, 0j, 0.0])
         with pytest.raises(ValueError, match="zero-amplitude"):
-            StateDecomposition(entries=[("a", 1.0), ("b", 0.0)])
+            free_field(1.0, [0, 1], [1.0, 0.0])
 
     def test_duplicate_labels_rejected(self):
+        # the state's labels are its spectrum's, which must be unique
         with pytest.raises(ValueError, match="unique"):
-            StateDecomposition(entries=[("a", 0.6), ("a", 0.8)])
+            StateDecomposition(Spectrum(levels=[("a", 2), ("a", 3)]),
+                               [0.6, 0.8])
+
+    def test_one_amplitude_per_level(self):
+        for amps in ([1.0], [0.6, 0.8, 0.0]):
+            with pytest.raises(ValueError, match="one amplitude per level"):
+                StateDecomposition(spectrum2(2, 3), amps)
 
     def test_entries_are_complex(self):
-        st_ = StateDecomposition(entries=[("a", 0.6), ("b", 0.8j)])
+        st_ = StateDecomposition(spectrum2(2, 3), [0.6, 0.8j])
         assert st_.entries == (("a", 0.6 + 0j), ("b", 0.8j))
         assert all(type(a) is complex for _, a in st_.entries)
 
-    def test_unknown_label_errors_at_use(self):
-        sp = spectrum2(2, 3)
-        bad = StateDecomposition(entries=[("a", 0.6), ("zz", 0.8)])
-        with pytest.raises(ValueError, match="unknown label"):
-            geometric_phase(sp, bad)
-
-
-class TestJoin:
-    def test_analyze_joins_spectrum_and_state_once(self, monkeypatch,
-                                                   capsys):
-        # the verdict and the report share one join of the pair
-        joins = []
-        occupy = engine._occupy
-        monkeypatch.setattr(engine, "_occupy",
-                            lambda *pair: joins.append(pair) or occupy(*pair))
-        assert cli.main(["analyze", "--config",
-                         str(CONFIGS / "three_mirror_exact.ini")]) == 0
-        assert len(joins) == 1
-
-    def test_join_follows_the_spectrum(self):
-        # one state against two spectra with the same labels, in turn
-        first, second = spectrum2(2, 3), spectrum2(2, Fraction(5, 2))
-        state = StateDecomposition(entries=[("a", 0.6), ("b", 0.8)])
-        for sp in (first, second, first):
-            fresh = StateDecomposition(entries=[("a", 0.6), ("b", 0.8)])
-            assert fields(geometric_phase(sp, state)) == \
-                fields(geometric_phase(sp, fresh))
-        assert geometric_phase(second, state).tau_cycles == 2
-
     def test_state_keeps_its_weights(self):
-        state = StateDecomposition(entries=[("a", 0.6), ("b", 0.8j)])
+        state = StateDecomposition(spectrum2(2, 3), [0.6, 0.8j])
         assert state.weights == (abs(0.6) ** 2, abs(0.8j) ** 2)
         assert state.total == math.fsum(state.weights)
+
+    def test_state_keeps_its_distinct_values(self):
+        # the float 0.5 merges onto the rational 1/2 seen first, the
+        # numerator 1 over the denominator 2; the unoccupied 1.0 is ignored
+        sp = Spectrum(levels=[("a", "1/2"), ("b", 0.5), ("c", 1.0),
+                              ("d", math.sqrt(2))])
+        state = StateDecomposition(sp, [0.6, 0.48, 0.0, 0.64])
+        assert [lab for lab, _ in state.entries] == ["a", "b", "d"]
+        root = Fraction(math.sqrt(2)) * 2
+        assert state.keys == [1, 1, root]
+        assert state.distinct == {1: 1, root: math.sqrt(2)}
+        assert type(state.distinct[1]) is int
+
+    def test_state_refuses_another_spectrum(self):
+        # an equal spectrum is another one: the state's amplitudes are
+        # positions in the spectrum it was built over
+        state = StateDecomposition(spectrum2(2, 3), [0.6, 0.8])
+        for other in (spectrum2(2, 3), spectrum2(3, 2)):
+            for use in (check_cyclicality, geometric_phase):
+                with pytest.raises(ValueError, match="another spectrum"):
+                    use(other, state)
 
 
 class TestCyclicality:
     def test_stationary_single_level(self):
         sp = Spectrum(levels=[("g", Fraction(5, 3))])
-        st_ = StateDecomposition(entries=[("g", 1.0)])
+        st_ = StateDecomposition(sp, [1.0])
         assert check_cyclicality(sp, st_).kind == "stationary"
 
     def test_stationary_degenerate_levels(self):
         sp = Spectrum(levels=[("g", "1/2"), ("h", "1/2")])
-        st_ = StateDecomposition(entries=[("g", math.sqrt(0.5)), ("h", math.sqrt(0.5))])
+        st_ = StateDecomposition(sp, EQUAL)
         assert check_cyclicality(sp, st_).kind == "stationary"
 
     def test_two_irrational_levels_cyclic(self):
         sp = spectrum2(0.0, math.sqrt(2))
-        st_ = StateDecomposition(entries=EQUAL)
+        st_ = StateDecomposition(sp, EQUAL)
         assert check_cyclicality(sp, st_).kind == "cyclic"
 
     def test_three_levels_with_float_non_cyclic(self):
         sp = Spectrum(levels=[("a", 0), ("b", 1), ("c", math.sqrt(2))])
-        st_ = StateDecomposition(
-            entries=[("a", 0.6), ("b", 0.6), ("c", math.sqrt(0.28))])
+        st_ = StateDecomposition(sp, [0.6, 0.6, math.sqrt(0.28)])
         verdict = check_cyclicality(sp, st_)
         assert verdict.kind == "non-cyclic"
         assert verdict.reason == "incommensurable"
@@ -170,7 +180,7 @@ class TestCyclicality:
     def test_unoccupied_floats_ignored(self):
         # the float level exists but carries no amplitude
         sp = Spectrum(levels=[("a", 0), ("b", 1), ("c", math.sqrt(2))])
-        st_ = StateDecomposition(entries=EQUAL)
+        st_ = StateDecomposition(sp, [*EQUAL, 0])
         assert check_cyclicality(sp, st_).kind == "cyclic"
 
     @pytest.mark.parametrize("values, verdict", [
@@ -186,9 +196,7 @@ class TestCyclicality:
     def test_equal_float_and_fraction_values_merge(self, values, verdict):
         labels = [f"L{i}" for i in range(len(values))]
         sp = Spectrum(levels=list(zip(labels, values)))
-        st_ = StateDecomposition(
-            entries=[(lab, math.sqrt(1 / len(values))) for lab in labels])
-        got = check_cyclicality(sp, st_)
+        got = check_cyclicality(sp, equal_state(sp))
         assert (f"{got.kind}({got.reason})" if got.reason
                 else got.kind) == verdict
 
@@ -197,7 +205,7 @@ class TestTwoLevelExact:
     # diag(2, 3) equal weights: L = 1, phi = 0, <H> = 5/2, gamma = pi
     def setup_method(self):
         self.sp = spectrum2(2, 3)
-        self.st = StateDecomposition(entries=EQUAL)
+        self.st = StateDecomposition(self.sp, EQUAL)
 
     def test_period(self):
         assert geometric_phase(self.sp, self.st).tau_cycles == 1
@@ -244,7 +252,7 @@ class TestSpinHalfSpectrum:
     def fixture(self, theta):
         sp = spectrum2(1, -1)
         st_ = StateDecomposition(
-            entries=[("a", math.cos(theta / 2)), ("b", math.sin(theta / 2))])
+            sp, [math.cos(theta / 2), math.sin(theta / 2)])
         return sp, st_
 
     def test_canonical_branch(self):
@@ -266,7 +274,8 @@ class TestSpinHalfSpectrum:
         theta = 1.1
         _, st_ = self.fixture(theta)
         shifted = spectrum2(2, 0)
-        rep = geometric_phase(shifted, st_)
+        amps = [a for _, a in st_.entries]
+        rep = geometric_phase(shifted, StateDecomposition(shifted, amps))
         assert rep.phi_over_pi == 0
         assert rep.branch_integers == {"a": 1, "b": 0}
         assert circ(rep.gamma, TWO_PI * math.cos(theta / 2) ** 2) < 1e-12
@@ -275,7 +284,7 @@ class TestSpinHalfSpectrum:
 class TestThreeLevelExact:
     def test_spacing_lcm(self):
         sp = Spectrum(levels=[("a", 0), ("b", 1), ("c", "3/2")])
-        st_ = StateDecomposition(entries=[("a", 0.7), ("b", 0.7), ("c", math.sqrt(0.02))])
+        st_ = StateDecomposition(sp, [0.7, 0.7, math.sqrt(0.02)])
         rep = geometric_phase(sp, st_)
         # inverse spacings {1, 2/3, 2} -> L = 2
         assert rep.tau_cycles == 2
@@ -289,7 +298,7 @@ class TestStationary:
         for lam, n in ((Fraction(5, 3), 1), (49.0, 1), (2.5, 1),
                        (Fraction(-5, 3), -1)):
             sp = Spectrum(levels=[("g", lam)])
-            st_ = StateDecomposition(entries=[("g", 1.0)])
+            st_ = StateDecomposition(sp, [1.0])
             rep = geometric_phase(sp, st_)
             assert rep.stationary
             assert rep.tau_cycles == 1 / abs(lam)
@@ -301,7 +310,7 @@ class TestStationary:
     def test_zero_eigenvalue_has_no_period_but_reports_gamma(self):
         # the command line turns the infinite period into a non-cyclic exit
         sp = Spectrum(levels=[("g", 0)])
-        st_ = StateDecomposition(entries=[("g", 1.0)])
+        st_ = StateDecomposition(sp, [1.0])
         rep = geometric_phase(sp, st_)
         assert rep.stationary
         assert rep.gamma == 0.0
@@ -312,7 +321,7 @@ class TestStationary:
 class TestTwoLevelIrrational:
     def test_sqrt2_gap(self):
         sp = spectrum2(0.0, math.sqrt(2))
-        st_ = StateDecomposition(entries=EQUAL)
+        st_ = StateDecomposition(sp, EQUAL)
         rep = geometric_phase(sp, st_)
         assert rep.tau_cycles == pytest.approx(1 / math.sqrt(2), rel=1e-15)
         assert rep.phi_over_pi is None
@@ -323,9 +332,9 @@ class TestTwoLevelIrrational:
 
 class TestUnits:
     def test_unit_scales_tau_and_energy_not_gamma(self):
-        st_ = StateDecomposition(entries=EQUAL)
-        r1 = geometric_phase(spectrum2(2, 3, unit=1.0), st_)
-        r3 = geometric_phase(spectrum2(2, 3, unit=3.0), st_)
+        r1, r3 = (geometric_phase(sp, StateDecomposition(sp, EQUAL))
+                  for sp in (spectrum2(2, 3, unit=1.0),
+                             spectrum2(2, 3, unit=3.0)))
         assert r3.tau == pytest.approx(r1.tau / 3, rel=1e-15)
         assert r3.mean_energy == pytest.approx(3 * r1.mean_energy, rel=1e-15)
         assert r3.gamma == r1.gamma
@@ -334,7 +343,7 @@ class TestUnits:
     def test_mean_energy_rational(self):
         # weights 1/4 and 3/4: <H> is the exact rational, to rounding
         sp = spectrum2("1/3", "1/5", unit=3.0)
-        st_ = StateDecomposition(entries=[("a", 0.5), ("b", math.sqrt(0.75))])
+        st_ = StateDecomposition(sp, [0.5, math.sqrt(0.75)])
         exact = 3 * (Fraction(1, 3) / 4 + Fraction(3, 20))
         assert geometric_phase(sp, st_).mean_energy == pytest.approx(
             float(exact), rel=1e-14)
@@ -353,19 +362,25 @@ class TestSingleRouteValidation:
 
 class TestGaugeShift:
     def test_exact_shift_stays_exact(self):
-        sp = gauge_shift(spectrum2(2, 3), Fraction(-1, 2))
-        assert sp.levels == (("a", 3), ("b", 5)) and sp.denominator == 2
-        assert sp.unit == 1.0
+        sp = spectrum2(2, 3)
+        shifted, st_ = gauge_shift(sp, StateDecomposition(sp, [0.6, 0.8j]),
+                                   Fraction(-1, 2))
+        assert shifted.levels == (("a", 3), ("b", 5))
+        assert shifted.denominator == 2 and shifted.unit == 1.0
+        assert st_.spectrum is shifted
+        assert st_.entries == (("a", 0.6), ("b", 0.8j))
 
     def test_float_shift_floats_everything(self):
-        sp = gauge_shift(spectrum2(2, 3), 0.5)
-        assert sp.levels == (("a", 2.5), ("b", 3.5))
-        assert all(type(v) is float for _, v in sp.levels)
+        sp = spectrum2(2, 3)
+        shifted, _ = gauge_shift(sp, StateDecomposition(sp, EQUAL), 0.5)
+        assert shifted.levels == (("a", 2.5), ("b", 3.5))
+        assert all(type(v) is float for _, v in shifted.levels)
 
     def test_float_shift_preserves_gamma(self):
-        st_ = StateDecomposition(entries=EQUAL)
-        g0 = geometric_phase(spectrum2(2, 3), st_).gamma
-        g1 = geometric_phase(gauge_shift(spectrum2(2, 3), 0.5), st_).gamma
+        sp = spectrum2(2, 3)
+        st_ = StateDecomposition(sp, EQUAL)
+        g0 = geometric_phase(sp, st_).gamma
+        g1 = geometric_phase(*gauge_shift(sp, st_, 0.5)).gamma
         assert circ(g0, g1) < 1e-12
 
 
@@ -389,7 +404,7 @@ def exact_fixtures(draw):
     labels = [f"L{i}" for i in range(n)]
     spectrum = Spectrum(levels=list(zip(labels, values)))
     state = StateDecomposition(
-        entries=[(lab, complex(a, b) * scale) for lab, (a, b) in zip(labels, re_im)])
+        spectrum, [complex(a, b) * scale for a, b in re_im])
     weights = {lab: Fraction(a * a + b * b, norm_sq)
                for lab, (a, b) in zip(labels, re_im)}
     return spectrum, state, weights
@@ -439,8 +454,7 @@ def test_gamma_against_exact_recomputation(fix):
 def test_reference_spacing_lcm_equals_all_pairs_lcm(values):
     labels = [f"L{i}" for i in range(len(values))]
     spectrum = Spectrum(levels=list(zip(labels, values)))
-    state = StateDecomposition(
-        entries=[(lab, math.sqrt(1 / len(values))) for lab in labels])
+    state = equal_state(spectrum)
     pairs = [a - b for i, a in enumerate(values) for b in values[i + 1:]]
     assert geometric_phase(spectrum, state).tau_cycles == \
         lcm_rationals([1 / s for s in pairs])
@@ -485,9 +499,7 @@ def exact_spectra(draw):
 def test_integer_branch_data_matches_fraction_reference(values):
     labels = [f"L{i}" for i in range(len(values))]
     spectrum = Spectrum(levels=list(zip(labels, values)))
-    state = StateDecomposition(
-        entries=[(lab, math.sqrt(1 / len(values))) for lab in labels])
-    rep = geometric_phase(spectrum, state)
+    rep = geometric_phase(spectrum, equal_state(spectrum))
     L, phi_over_pi, ns = fraction_branch_reference(values)
     assert isinstance(rep.tau_cycles, Fraction) and rep.tau_cycles == L
     assert isinstance(rep.phi_over_pi, Fraction)
@@ -501,9 +513,8 @@ def test_integer_branch_data_matches_fraction_reference(values):
                     max_denominator=4))
 def test_gauge_invariance(fix, c):
     spectrum, state, _ = fix
-    shifted = gauge_shift(spectrum, c)
     r0 = geometric_phase(spectrum, state)
-    r1 = geometric_phase(shifted, state)
+    r1 = geometric_phase(*gauge_shift(spectrum, state, c))
     assert r1.gamma == r0.gamma
     assert r1.tau_cycles == r0.tau_cycles
     assert r1.mean_energy == pytest.approx(r0.mean_energy + float(c),
@@ -537,7 +548,8 @@ level_st = st.one_of(
 def test_two_level_branch_data_matches_float_formula(v0, v1):
     assume(isinstance(v0, float) or isinstance(v1, float))
     assume(v0 != v1 and math.isfinite(1.0 / abs(float(v1) - float(v0))))
-    rep = geometric_phase(spectrum2(v0, v1), StateDecomposition(entries=EQUAL))
+    sp = spectrum2(v0, v1)
+    rep = geometric_phase(sp, StateDecomposition(sp, EQUAL))
     want_L, want_phi2pi, (n0, n1) = two_level_float_reference([v0, v1])
     assert isinstance(rep.tau_cycles, float)
     assert rep.tau_cycles.hex() == want_L.hex()
