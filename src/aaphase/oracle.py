@@ -12,12 +12,13 @@ validated against this route.
 
 The survival amplitude is scanned in two passes: a coarse pass bounds
 |<psi0|psi(t)>| near every COARSE_STRIDE-th grid point, and the fine
-grid is evaluated only where that bound leaves room for a return, with
-the same bits as a scan of the whole grid.  The scan holds one
-levels x B table of phase factors (B about sqrt(steps)), forms the
-coarse bound in chunks of at most COARSE_ENTRIES entries, and never
-forms the grid: ``EvolutionResult.times`` is a `Grid`, which computes
-its points where they are read.
+pass multiplies out only the blocks of FINE_BLOCK grid points that meet
+a window where that bound leaves room for a return, with the same bits
+as a scan of the whole grid in such blocks.  The fine pass holds one
+levels x FINE_BLOCK table of phase factors and one head row per needed
+block, the coarse bound is formed in chunks of at most COARSE_ENTRIES
+entries, and the grid is never formed: ``EvolutionResult.times`` is a
+`Grid`, which computes its points where they are read.
 
 numpy is imported inside the functions that use it, so that importing
 this module (and with it the command-line front end) does not load it.
@@ -59,6 +60,10 @@ MAX_STEPS = 1 << 21
 # The scan's coarse pass takes every COARSE_STRIDE-th grid point; each
 # coarse value bounds the fidelity COARSE_STRIDE // 2 steps either side.
 COARSE_STRIDE = 16
+# The scan's fine pass multiplies out blocks of this many grid points;
+# twice COARSE_STRIDE, so that a window of COARSE_STRIDE + 4 points meets
+# at most two blocks.
+FINE_BLOCK = 32
 # Largest fidelity_tol that detect_period accepts; the scan evaluates
 # every point near which a return within it can lie.
 MAX_FIDELITY_TOL = 1e-3
@@ -207,12 +212,11 @@ class Grid:
         return np.where(i == div, t_max, t)
 
 
-def _grid_shape(steps: int, levels: int) -> Tuple[int, int]:
-    """(fine, rows): the fine block length B, about sqrt(steps), and the
-    coarse rows per chunk, so that no scan table exceeds CHUNK_ENTRIES."""
-    fine = max(1, min(math.isqrt(max(steps - 1, 0)) + 1,
+def _coarse_width(steps: int, levels: int) -> int:
+    """The coarse pass's row length B: about sqrt(steps), and at most
+    CHUNK_ENTRIES // levels."""
+    return max(1, min(math.isqrt(max(steps - 1, 0)) + 1,
                       CHUNK_ENTRIES // max(levels, 1)))
-    return fine, max(1, CHUNK_ENTRIES // max(levels, fine))
 
 
 def _components(dimension: int, rows: np.ndarray,
@@ -332,34 +336,37 @@ class SpectralPropagator:
         wherever a return can be.  Only the grid points it uses are read.
 
         For k = a*B + b, exp(-i w t_k) = exp(-i w t_{aB}) exp(-i w t_b),
-        so the amplitude on the whole grid is the (n/B x levels) @
-        (levels x B) product of weighted coarse factors and fine factors,
-        taken from the grid's own points; coarse rows go in chunks under
-        CHUNK_ENTRIES, and the fine factors are the scan's one
-        levels x B table.  A coarse pass takes that product with every
-        COARSE_STRIDE-th fine column and the last point's only, for A(t)
+        so the amplitude on rows of B points is the (rows x levels) @
+        (levels x B) product of weighted head factors and fine factors,
+        taken from the grid's own points.  A coarse pass, with B about
+        sqrt(n) (`_coarse_width`), takes that product with every
+        COARSE_STRIDE-th column and the last point's only, for A(t)
         and for D(t) = sum_k p_k h nu_k exp(-i w_k t), h being
         COARSE_STRIDE // 2 steps and nu_k as in `_prune`, whose shifted
         amplitude has h |B'| = |D|.  Within h of such a point t_c,
         |A| <= |A(t_c)| + |D(t_c)| + h^2 sigma^2 / 2, and no grid point is
-        further than h from one.  The fine pass multiplies out the rows of
-        B points that meet a window [t_c - h - 2 dt, t_c + h + dt] around
-        a t_c where this bound reaches `_prune`'s floor for
-        MAX_FIDELITY_TOL less dt sum_k p_k |nu_k| (at least dt |B'|): every
-        grid peak that `_prune` can keep is then evaluated with both
-        neighbours and the point before them.  Each product takes at least
-        two rows, because numpy multiplies a single row by gemv, which
-        rounds differently; a row that the whole-grid product took alone,
-        in a chunk of one, is taken alone.  So every value equals the
-        whole-grid product's bit for bit.
+        further than h from one.  The fine pass, with B = FINE_BLOCK,
+        multiplies out the blocks that meet a window
+        [t_c - h - 2 dt, t_c + h + dt] around a t_c where this bound
+        reaches `_prune`'s floor for MAX_FIDELITY_TOL less
+        dt sum_k p_k |nu_k| (at least dt |B'|): every grid peak that
+        `_prune` can keep is then evaluated with both neighbours and the
+        point before them.  It holds one levels x FINE_BLOCK table of fine
+        factors and one head row per needed block, in chunks of
+        CHUNK_ENTRIES // max(levels, FINE_BLOCK) blocks.  Each product
+        takes at least two rows, because numpy multiplies a single row by
+        gemv, which rounds differently; a block that the whole-grid
+        product took alone, in a chunk of one, is taken alone.  So every
+        value equals the whole-grid product in blocks of FINE_BLOCK,
+        chunked alike, bit for bit.
         """
         import numpy as np
         n, omega, w = times.size, self._occ_omega, self._occ_w
-        fine, rows = _grid_shape(n, omega.size)
-        coarse = times[::fine]
-        cols = np.arange(0, fine, COARSE_STRIDE)
-        if (n - 1) % fine % COARSE_STRIDE:
-            cols = np.append(cols, (n - 1) % fine)
+        width = _coarse_width(n, omega.size)
+        coarse = times[::width]
+        cols = np.arange(0, width, COARSE_STRIDE)
+        if (n - 1) % width % COARSE_STRIDE:
+            cols = np.append(cols, (n - 1) % width)
         reach = COARSE_STRIDE // 2
         dt = times[1] - times[0]
         hnu = reach * dt * self._occ_nu
@@ -389,25 +396,28 @@ class SpectralPropagator:
         floor -= (w @ np.abs(dt * self._occ_nu)
                   + 2 * (margin + omega.size * np.spacing(1.0)))
         row, col = np.nonzero(bound >= floor)
-        at = row * fine + cols[col]
+        at = row * width + cols[col]
         at = at[at < n]
-        # rows from each window's first point to its last, as +1 and -1
+        # blocks from each window's first point to its last, as +1 and -1
         # marks whose running sum is positive inside a window
-        marks = np.zeros(coarse.size + 1, dtype=np.int64)
-        np.add.at(marks, np.maximum(at - reach - 2, 0) // fine, 1)
-        np.add.at(marks, np.minimum(at + reach + 1, n - 1) // fine + 1, -1)
+        block = min(FINE_BLOCK, n)
+        blocks = -(-n // block)
+        marks = np.zeros(blocks + 1, dtype=np.int64)
+        np.add.at(marks, np.maximum(at - reach - 2, 0) // block, 1)
+        np.add.at(marks, np.minimum(at + reach + 1, n - 1) // block + 1, -1)
         need = np.flatnonzero(np.cumsum(marks[:-1]))
-        factors = _phases(omega, times[:fine])
-        out = [np.empty((0, fine), dtype=complex)]
-        for start in range(0, coarse.size, rows):
+        factors = _phases(omega, times[:block])
+        rows = max(1, CHUNK_ENTRIES // max(omega.size, block))
+        out = [np.empty((0, block), dtype=complex)]
+        # only the chunks that hold a needed block
+        for start in np.flatnonzero(np.bincount(need // rows)) * rows:
             batch = need[(start <= need) & (need < start + rows)]
-            if batch.size:
-                # a lone row goes in twice, unless its chunk has one row
-                alone = batch.size == 1 < min(rows, coarse.size - start)
-                head = _phases(coarse[batch.repeat(1 + alone)], omega)
-                head *= w
-                out.append((head @ factors)[:batch.size])
-        index = (need[:, None] * fine + np.arange(fine)).ravel()
+            # a lone block goes in twice, unless its chunk has one block
+            alone = batch.size == 1 < min(rows, blocks - start)
+            head = _phases(times[batch.repeat(1 + alone) * block], omega)
+            head *= w
+            out.append((head @ factors)[:batch.size])
+        index = (need[:, None] * block + np.arange(block)).ravel()
         keep = index < n
         return index[keep], np.concatenate(out).ravel()[keep]
 
@@ -540,7 +550,10 @@ def detect_period(result: EvolutionResult, fidelity_tol: float = 1e-8, *,
     Grid peaks after t=0 are the evaluated points whose two grid
     neighbours are evaluated and no higher, and the last grid point when
     the one before it is evaluated and no higher; of a run of equal
-    peaks only the first counts.  `evolve` evaluates every peak that
+    peaks only the first counts, and only peaks after the state has left
+    count: after the first evaluated point below 1 - fidelity_tol or the
+    first gap in the evaluated index, since unevaluated points lie below
+    the scan's floor.  `evolve` evaluates every peak that
     `_prune` can keep with its neighbours and the point before them, so
     the peaks `_prune` keeps are those of the whole grid.  They are
     refined in time order by `_refine`; the first refined peak reaching
@@ -550,8 +563,9 @@ def detect_period(result: EvolutionResult, fidelity_tol: float = 1e-8, *,
     at least CERTIFICATE_FLOOR must also lie within CERTIFICATE_TOL rad
     of phi_est: a near-recurrence whose out-of-phase levels weigh too
     little to show in the fidelity fails this certificate.
-    phi_est = arg<psi0|psi(tau)> in (-pi, pi].  Stationary input
-    degenerates to the first grid peak; callers screen it beforehand.
+    phi_est = arg<psi0|psi(tau)> in (-pi, pi].  Input whose fidelity
+    never leaves 1 - fidelity_tol on the grid, stationary input
+    included, has no return: t -> 0+ is not a period.
     """
     import numpy as np
     if not 0 < fidelity_tol <= MAX_FIDELITY_TOL:
@@ -568,6 +582,11 @@ def detect_period(result: EvolutionResult, fidelity_tol: float = 1e-8, *,
             and fid[-1] >= fid[-2]:
         peaks = np.append(peaks, fid.size - 1)
     peaks = peaks[fid[peaks] >= 1.0 - SCAN_BAND]
+    # the state has left at the first point below 1 - fidelity_tol or
+    # after the first gap; no peak sits at either
+    left = fid < 1.0 - fidelity_tol
+    left[1:] |= step > 1
+    peaks = peaks[peaks > (np.argmax(left) if left.any() else fid.size)]
     # one bracket per plateau
     peaks = peaks[np.diff(index[peaks], prepend=-2) != 1]
     certified = prop.omegas[prop.weights >= CERTIFICATE_FLOOR]

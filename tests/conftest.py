@@ -232,13 +232,15 @@ def reference_parse(argv):
 
 def whole_grid_survival(prop, times) -> np.ndarray:
     """<psi0|psi(t)> at every point of the uniform grid ``times``, as one
-    (n/B x levels) @ (levels x B) product in chunks of coarse rows: the
+    (n/B x levels) @ (levels x B) product with B = FINE_BLOCK (or n, if
+    less), in chunks of CHUNK_ENTRIES // max(levels, B) rows: the
     reference that `SpectralPropagator.survival_grid` must equal bit for
     bit wherever it evaluates."""
-    from aaphase.oracle import _grid_shape
+    from aaphase import oracle
     t = times[:]
     omega = prop._occ_omega
-    fine, rows = _grid_shape(t.size, omega.size)
+    fine = min(oracle.FINE_BLOCK, t.size)
+    rows = max(1, oracle.CHUNK_ENTRIES // max(omega.size, fine))
     factors = np.exp(-1j * np.outer(omega, t[:fine]))
     coarse = t[::fine]
     out = np.empty((coarse.size, fine), dtype=complex)

@@ -23,6 +23,7 @@ from conftest import parse_report, reference_mod_distance, reference_parse
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+TEST_CONFIGS = Path(__file__).resolve().parent / "configs"
 
 SPIN = """\
 [run]
@@ -334,6 +335,30 @@ class TestReturnDetection:
         with open(path, "w", encoding="utf-8") as fh:
             cp.write(fh)
         code, out, err = run_cli(["verify", "--config", str(path)], capsys)
+        assert (code, out) == (3, "")
+        assert err == "oracle: no period detected <= t_max\n"
+
+    @pytest.mark.parametrize("command, config", [
+        ("analyze", "dense_matrix.ini"),
+        ("analyze", "three_mirror_approximate.ini"),
+        ("verify", "spin_half.ini"),
+    ])
+    def test_short_horizon_is_no_return(self, capsys, command, config):
+        # the fidelity never leaves 1 - tol by t = 1e-6, so t -> 0+ is
+        # not a return (these printed tau ~ 1.9e-40, verify exited 1)
+        code, out, err = run_cli(
+            [command, "--config", str(CONFIGS / config), "--t-max", "1e-6"],
+            capsys)
+        assert (code, out) == (3, "")
+        assert err == "oracle: no period detected <= t_max\n"
+
+    def test_state_that_never_leaves_is_no_return(self, tmp_path, capsys):
+        # weight 2e-11 on the second level: 1 - F stays below 1e-10 over
+        # the whole cycle (this verified with an oracle tau of 8.9e-34)
+        text = ("[run]\nmodel = raw_spectrum\n\n[raw_spectrum]\n"
+                "levels = 0 1\namplitudes = 0.99999999999 ; 4.4721359549e-6\n")
+        code, out, err = run_cli(
+            ["verify", "--config", write(tmp_path, text)], capsys)
         assert (code, out) == (3, "")
         assert err == "oracle: no period detected <= t_max\n"
 
@@ -1506,12 +1531,17 @@ def _has_stray_key_or_section(text):
       for config in ("free_field_coherent.ini", "raw_spectrum.ini",
                      "spin_half.ini", "three_mirror_exact.ini",
                      "two_mirror.ini")),
+    # a tests-only config whose grid spreads the fine pass over chunks
+    ("three_mirror_long_period.ini.verify", ["verify"]),
 ])
 def test_stdout_matches_golden(capsys, name, argv):
     """Reports stay byte-identical unless a change means to alter them.
     Regenerate a golden file with ``aaphase <argv> --config configs/<ini>
-    > tests/golden/<name>.txt`` and say why in CHANGES.md."""
-    config = str(CONFIGS / name.rsplit(".", 1)[0])
+    > tests/golden/<name>.txt`` (``tests/configs/<ini>`` for the configs
+    kept there) and say why in CHANGES.md."""
+    ini = name.rsplit(".", 1)[0]
+    config = str(CONFIGS / ini if (CONFIGS / ini).exists()
+                 else TEST_CONFIGS / ini)
     code, out, err = run_cli([argv[0], "--config", config, *argv[1:]],
                              capsys)
     assert (code, err) == (0, "")

@@ -18,12 +18,12 @@ from aaphase import oracle
 from aaphase.config import load_config
 from aaphase.oracle import (
     CHUNK_ENTRIES,
+    FINE_BLOCK,
     Grid,
     Hamiltonian,
     NoReturnError,
     SpectralPropagator,
     _components,
-    _grid_shape,
     _phases,
     _refine,
     detect_period,
@@ -537,15 +537,17 @@ class TestSurvivalGrid:
     @settings(max_examples=60, deadline=None)
     @given(case=commensurate_levels(),
            steps=st.sampled_from([2, 3, 17, 4099, 64 * 64, 2 ** 14 + 1]),
-           chunk=st.sampled_from([CHUNK_ENTRIES, 64, 200, 1000]))
-    def test_windows_equal_the_whole_grid(self, case, steps, chunk):
+           chunk=st.sampled_from([CHUNK_ENTRIES, 64, 200, 1000]),
+           block=st.sampled_from([FINE_BLOCK, 2, 7, 16]))
+    def test_windows_equal_the_whole_grid(self, case, steps, chunk, block):
         """At every evaluated point the windowed overlap is the whole-grid
-        product's, bit for bit, also with coarse rows in several chunks
-        and a last chunk of one row."""
+        product's in blocks of the same length, bit for bit, also with
+        blocks in several chunks and a last chunk of one block."""
         values, weights, t_max = case
         prop = diagonal_propagator(values, weights)
         times = np.linspace(0.0, t_max, steps)
-        with mock.patch.object(oracle, "CHUNK_ENTRIES", chunk):
+        with mock.patch.object(oracle, "CHUNK_ENTRIES", chunk), \
+                mock.patch.object(oracle, "FINE_BLOCK", block):
             index, overlap = prop.survival_grid(times)
             want = whole_grid_survival(prop, times)
         assert np.all(np.diff(index) > 0)
@@ -570,26 +572,43 @@ class TestSurvivalGrid:
         want = direct_survival(prop, times[index])
         assert np.max(np.abs(overlap - want)) <= 1e-12
 
-    def test_coarse_rows_in_several_chunks(self, rng):
+    def test_fine_blocks_in_several_chunks(self, rng):
         levels = 1500
-        steps = (CHUNK_ENTRIES // levels + 1) ** 2 + 1
-        fine, rows = _grid_shape(steps, levels)
-        coarse = -(-steps // fine)
-        # the fine block is capped below sqrt(steps) and the coarse rows
-        # do not fit in one chunk
+        rows = CHUNK_ENTRIES // levels
+        # 22 chunks of blocks and a 23rd that holds one block, the grid's
+        # last point alone; the coarse row length is capped below sqrt(steps)
+        steps = 22 * rows * FINE_BLOCK + 1
         assert levels * (math.isqrt(steps - 1) + 1) > CHUNK_ENTRIES
-        assert levels * fine <= CHUNK_ENTRIES and rows < coarse
-        # integer levels return at every multiple of 2 pi, one of them
-        # in each chunk of coarse rows
+        # integer levels return at every multiple of 2 pi: t = 0 in the
+        # first chunk, 2 pi on the first point of chunk 11, 4 pi at the
+        # grid's last point
         prop = diagonal_propagator(rng.integers(-50, 51, levels),
                                    rng.uniform(0.01, 1.0, levels))
         times = np.linspace(0.0, 2 * TWO_PI, steps)
         index, overlap = prop.survival_grid(times)
-        assert np.unique(index // fine // rows).size == 2
-        assert index.size < steps / 50
+        assert np.array_equal(np.unique(index // FINE_BLOCK // rows),
+                              [0, 10, 11, 21, 22])
+        assert index[-1] == steps - 1 and index.size < steps / 50
         assert same_bits(overlap, whole_grid_survival(prop, times)[index])
         want = direct_survival(prop, times[index])
         assert np.max(np.abs(overlap - want)) <= 1e-12
+
+    def test_window_across_blocks_and_last_point(self):
+        """A return on a block's first point is evaluated with the points
+        before it in the block before, and a return on the grid's last
+        point, alone in its block, with the points before it."""
+        prop = diagonal_propagator([2.0, 3.0, 5.0], [0.5, 0.3, 0.2])
+        # returns at t = 2 pi, point k = 100 FINE_BLOCK, and 4 pi, point 2k
+        k = 100 * FINE_BLOCK
+        res = evolve(prop, 2 * TWO_PI, steps=2 * k + 1)
+        index, overlap = prop.survival_grid(res.times)
+        assert {k - 2, k - 1, k, k + 1, 2 * k - 2, 2 * k - 1, 2 * k} \
+            <= set(index.tolist())
+        assert (k - 1) // FINE_BLOCK < k // FINE_BLOCK
+        assert (2 * k) % FINE_BLOCK == 0 and index[-1] == 2 * k
+        assert same_bits(overlap, whole_grid_survival(prop, res.times)[index])
+        tau, _ = detect_period(res)
+        assert abs(tau - TWO_PI) < 1e-9
 
 
 class TestEvolve:
@@ -616,22 +635,22 @@ class TestEvolve:
 
     def test_memory_holds_no_grid(self):
         """The result holds less than the grid's times would take, and
-        the scan's peak is about its one levels x B phase table plus one
-        chunk of the coarse bound's."""
+        the scan's peak is about the fine pass's levels x FINE_BLOCK table
+        and head rows plus one chunk of the coarse bound's."""
         run = load_config(CONFIGS / "three_mirror_exact.ini")
         prop = SpectralPropagator(run.hamiltonian, run.psi0)
         steps = 3 * 4096
-        fine, _ = _grid_shape(steps, prop._occ_w.size)
-        table = prop._occ_w.size * fine * 16
         tracemalloc.start()
         try:
             res = evolve(prop, 2.2 * TWO_PI, steps=steps)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        blocks = np.unique(res.index // FINE_BLOCK).size
+        table = prop._occ_w.size * (FINE_BLOCK + blocks) * 16
         assert res.times.size == steps
         assert held < steps * 8
-        assert peak < 1.5 * table + oracle.COARSE_ENTRIES * 16
+        assert peak < 1.5 * (table + oracle.COARSE_ENTRIES * 16)
 
 
 class TestDetectPeriod:
