@@ -65,14 +65,13 @@ def cmd_analyze(run: LoadedRun, out: Optional[str]) -> int:
         if run.t_max is None:
             raise ConfigError("t_max required for the brute-force route")
         # off its exact family a three-mirror run has no exact return
-        report = generic_gamma(run.hamiltonian, run.psi0, run.t_max,
+        report = generic_gamma(*run.dense(), run.t_max,
                                approximate=run.model == "three_mirror")
         _emit(format_phase_report(report), out)
         return EXIT_OK
     verdict = check_cyclicality(run.spectrum, run.state)
     if verdict.kind == "non-cyclic":
-        _emit(f"[phase-report]\ncyclicality: {verdict.kind}\n"
-              f"reason: {verdict.reason}\n", out)
+        _emit(format_phase_report(None, verdict), out)
         print(f"non-cyclic: {verdict.reason}", file=sys.stderr)
         return EXIT_NON_CYCLIC
     _emit(format_phase_report(_finite(_exact(run)), verdict), out)
@@ -118,7 +117,7 @@ def cmd_verify(run: LoadedRun, out: Optional[str]) -> int:
     if not t_max < math.inf:
         raise ConfigError("t_max required: 2.2 periods is not finite")
     _finite(exact)
-    oracle = generic_gamma(run.hamiltonian, run.psi0, t_max)
+    oracle = generic_gamma(*run.dense(), t_max)
     rows = []
     for name, want, got in (("tau-relative", exact.tau, oracle.tau),
                             ("phi-mod-2pi", exact.phi, oracle.phi),

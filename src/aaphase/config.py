@@ -24,6 +24,7 @@ from typing import Callable, Mapping, Optional, Tuple, Union
 
 from .constraints import PartialSpectrum
 from .engine import Spectrum, StateDecomposition
+from .fock import coherent_amplitudes
 from .models import (
     SpinHalfParams,
     ThreeMirrorParams,
@@ -127,13 +128,13 @@ class LoadedRun:
     """Everything a command needs, constructed except the oracle's input.
 
     ``t_max`` and ``n_range`` are the run options that ``load_config``
-    sets (``t_max`` None: derived per run).  ``hamiltonian`` and ``psi0``
-    come from one call of ``build`` on first read: the exact route never
-    needs them, and the matrix entries are the largest object a run holds.
+    sets (``t_max`` None: derived per run).  ``dense()`` builds the
+    oracle's input on each call: the exact route never needs it, and the
+    matrix entries are the largest object a run holds.
     """
 
     __slots__ = ("model", "spectrum", "state", "build", "partial", "trials",
-                 "mean_energy_input", "t_max", "n_range", "_built")
+                 "mean_energy_input", "t_max", "n_range")
 
     def __init__(self, model: str, spectrum: Optional[Spectrum] = None,
                  state: Optional[StateDecomposition] = None,
@@ -145,31 +146,22 @@ class LoadedRun:
         self.model, self.spectrum, self.state = model, spectrum, state
         self.build, self.partial, self.trials = build, partial, trials
         self.mean_energy_input = mean_energy_input
-        self.t_max = self.n_range = self._built = None
+        self.t_max = self.n_range = None
 
-    def _dense(self) -> Tuple[Optional[Hamiltonian], Optional[np.ndarray]]:
-        if self._built is not None or self.build is None:
-            return self._built or (None, None)
+    def dense(self) -> Tuple[Hamiltonian, np.ndarray]:
+        """(hamiltonian, psi0) from one call of ``build``; a matrix or state
+        that is bad or does not fit in memory is a config error."""
         import numpy as np
         try:
             # no numpy overflow warnings: the finiteness checks report a
             # non-finite entry as a config error
             with np.errstate(over="ignore", invalid="ignore"):
-                self._built = self.build()
+                return self.build()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         except MemoryError as exc:
             raise ConfigError(
                 f"the {self.model} matrix does not fit in memory") from exc
-        return self._built
-
-    @property
-    def hamiltonian(self) -> Optional[Hamiltonian]:
-        return self._dense()[0]
-
-    @property
-    def psi0(self) -> Optional[np.ndarray]:
-        return self._dense()[1]
 
 
 def _normalized(psi0) -> np.ndarray:
@@ -242,13 +234,13 @@ def _load_free_field(omega, occupied_n, amplitudes, alpha,
         spectrum, state = free_field_coherent(omega, alpha, dim)
 
     def build():
+        if not has_list:    # normalized over the truncation
+            return (free_field_dense(omega, dim),
+                    coherent_amplitudes(alpha, dim))
         import numpy as np
         psi0 = np.zeros(dim, dtype=complex)
-        for label, amp in state.entries:
-            psi0[int(label)] = amp
-        # the coherent amplitudes are normalized over the truncation
-        return (free_field_dense(omega, dim),
-                _normalized(psi0) if has_list else psi0)
+        psi0[list(occupied_n)] = amplitudes
+        return free_field_dense(omega, dim), _normalized(psi0)
 
     return LoadedRun(model="free_field", spectrum=spectrum, state=state,
                      build=build)

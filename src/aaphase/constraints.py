@@ -130,9 +130,7 @@ def _reference_pair(ps: PartialSpectrum) -> Tuple[int, int, int]:
     over their least common denominator d."""
     if len(ps.known) < 2:
         raise ValueError("two known eigenvalues required")
-    lam1, lam2 = ps.eigenvalues[:2]
-    if lam1 == lam2:
-        raise ValueError("reference eigenvalues must differ")
+    lam1, lam2 = ps.eigenvalues[:2]    # distinct, as PartialSpectrum checks
     d = math.lcm(lam1.denominator, lam2.denominator)
     return (lam1.numerator * (d // lam1.denominator),
             lam2.numerator * (d // lam2.denominator), d)

@@ -21,7 +21,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
-from ..engine import Spectrum, StateDecomposition, TWO_PI, _canonical_gamma
+from ..engine import NORMALIZATION_TOL, Spectrum, StateDecomposition, \
+    TWO_PI, _canonical_gamma
 from ..fock import TAIL_TOL, coherent_amplitudes, displaced_frame_amplitudes
 from ..oracle import Hamiltonian
 
@@ -98,7 +99,7 @@ def _mode_vector(mode: ModeInput, truncation: int,
         raise ValueError(f"{name} amplitude list does not fit truncation")
     with np.errstate(over="ignore"):   # an overflow to inf fails below
         norm = float(np.sum(np.abs(vec) ** 2))
-    if not abs(norm - 1.0) <= 1e-12:  # NaN fails too
+    if not abs(norm - 1.0) <= NORMALIZATION_TOL:  # NaN fails too
         raise ValueError(f"{name} amplitudes not normalized: {norm!r}")
     if vec.size < truncation:
         vec = np.pad(vec, (0, truncation - vec.size))

@@ -20,7 +20,8 @@ import math
 from fractions import Fraction
 from typing import Sequence, Tuple
 
-from ..engine import Spectrum, StateDecomposition, squared_moduli
+from ..engine import NORMALIZATION_TOL, Spectrum, StateDecomposition, \
+    squared_moduli
 from ..fock import coherent_amplitudes, displaced_frame_amplitudes
 from ..oracle import Hamiltonian
 from .three_mirror import cavity_dense, cavity_exact, over_one_denominator
@@ -62,7 +63,7 @@ class TwoMirrorParams:
         if not amps:
             raise ValueError("field_amplitudes must be non-empty")
         norm = math.fsum(squared_moduli(amps))
-        if not abs(norm - 1.0) <= 1e-12:  # NaN fails too
+        if not abs(norm - 1.0) <= NORMALIZATION_TOL:  # NaN fails too
             raise ValueError(f"field amplitudes not normalized: {norm!r}")
         self.field_amplitudes, self.beta = amps, complex(beta)
         self.mirror_truncation = int(mirror_truncation)

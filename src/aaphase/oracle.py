@@ -64,9 +64,12 @@ COARSE_STRIDE = 16
 # twice COARSE_STRIDE, so that a window of COARSE_STRIDE + 4 points meets
 # at most two blocks.
 FINE_BLOCK = 32
-# Largest fidelity_tol that detect_period accepts; the scan evaluates
-# every point near which a return within it can lie.
+# The scan evaluates every point near which a return within this
+# tolerance can lie, so it serves both of detect_period's modes.
 MAX_FIDELITY_TOL = 1e-3
+# detect_period's bound on 1 - |<psi0|psi(tau)>|, set by its mode
+EXACT_TOL = 1e-8
+APPROXIMATE_TOL = 1e-4
 
 
 def eigh(a):
@@ -271,7 +274,7 @@ class SpectralPropagator:
         if psi0.shape[0] != hamiltonian.dimension:
             raise ValueError("psi0 dimension mismatch")
         norm = float(np.linalg.norm(psi0))
-        if not abs(norm - 1.0) <= 1e-10:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"psi0 not normalized: |psi0| = {norm!r}")
         h, dim = hamiltonian, hamiltonian.dimension
         indices, sizes = _components(dim, h.rows, h.cols)
@@ -351,9 +354,13 @@ class SpectralPropagator:
         reaches `_prune`'s floor for MAX_FIDELITY_TOL less
         dt sum_k p_k |nu_k| (at least dt |B'|): every grid peak that
         `_prune` can keep is then evaluated with both neighbours and the
-        point before them.  It holds one levels x FINE_BLOCK table of fine
-        factors and one head row per needed block, in chunks of
-        CHUNK_ENTRIES // max(levels, FINE_BLOCK) blocks.  Each product
+        point before them.  Each window does so alone: counting its
+        neighbours (coarse points lie at most 2h apart), only a peak 7
+        steps before t_c whose coarse point 9 back stays below the floor
+        needs the margins, and no search found one.  The pass holds one
+        levels x FINE_BLOCK table of fine factors and one head row per
+        needed block, in chunks of CHUNK_ENTRIES // max(levels,
+        FINE_BLOCK) blocks.  Each product
         takes at least two rows, because numpy multiplies a single row by
         gemv, which rounds differently; a block that the whole-grid
         product took alone, in a chunk of one, is taken alone.  So every
@@ -479,7 +486,7 @@ CERTIFICATE_TOL = 1e-6
 
 
 def _floor(prop: SpectralPropagator, times: np.ndarray,
-           fidelity_tol: float) -> Tuple[float, float]:
+           tol: float) -> Tuple[float, float]:
     """(floor, margin) of `_prune` on the uniform grid ``times``."""
     import numpy as np
     w, nu = prop._occ_w, prop._occ_nu
@@ -488,11 +495,11 @@ def _floor(prop: SpectralPropagator, times: np.ndarray,
               + prop.weights.sum() - w.sum()
               + dt * (w[light] @ np.abs(nu[light])))
     # (dt*nu)^2, not dt^2*nu^2: nu^2 alone overflows for huge frequencies
-    return 1.0 - fidelity_tol - (w @ (dt * nu) ** 2) / 2 - margin, margin
+    return 1.0 - tol - (w @ (dt * nu) ** 2) / 2 - margin, margin
 
 
 def _prune(prop: SpectralPropagator, times: np.ndarray, fid: np.ndarray,
-           peaks: np.ndarray, fidelity_tol: float, certify: bool) -> np.ndarray:
+           peaks: np.ndarray, tol: float, certify: bool) -> np.ndarray:
     """The grid peaks i (fidelity ``fid``) whose bracket
     [t_i - dt, t_i + dt] can hold a return.
 
@@ -504,7 +511,7 @@ def _prune(prop: SpectralPropagator, times: np.ndarray, fid: np.ndarray,
     rounding and the levels below CERTIFICATE_FLOOR.
     """
     import numpy as np
-    floor, margin = _floor(prop, times, fidelity_tol)
+    floor, margin = _floor(prop, times, tol)
     heavy = prop._occ_w >= CERTIFICATE_FLOOR
     w, nu, dt = prop._occ_w[heavy], prop._occ_nu[heavy], times[1] - times[0]
     phases = _phases(times[peaks], nu)                      # ascending in nu
@@ -543,7 +550,7 @@ def _refine(prop: SpectralPropagator, lo: float, hi: float, t: float) -> float:
     return t
 
 
-def detect_period(result: EvolutionResult, fidelity_tol: float = 1e-8, *,
+def detect_period(result: EvolutionResult, *,
                   approximate: bool = False) -> Tuple[float, float]:
     """First fidelity return: (tau_est, phi_est).
 
@@ -551,25 +558,25 @@ def detect_period(result: EvolutionResult, fidelity_tol: float = 1e-8, *,
     neighbours are evaluated and no higher, and the last grid point when
     the one before it is evaluated and no higher; of a run of equal
     peaks only the first counts, and only peaks after the state has left
-    count: after the first evaluated point below 1 - fidelity_tol or the
-    first gap in the evaluated index, since unevaluated points lie below
-    the scan's floor.  `evolve` evaluates every peak that
-    `_prune` can keep with its neighbours and the point before them, so
-    the peaks `_prune` keeps are those of the whole grid.  They are
-    refined in time order by `_refine`; the first refined peak reaching
-    1 - |<psi0|psi(tau)>| <= fidelity_tol is the period estimate, so
-    partial revivals are examined and rejected rather than mistaken for
-    the return.  Unless ``approximate``, every occupied level of weight
-    at least CERTIFICATE_FLOOR must also lie within CERTIFICATE_TOL rad
-    of phi_est: a near-recurrence whose out-of-phase levels weigh too
-    little to show in the fidelity fails this certificate.
+    count: after the first evaluated point below 1 - tol or the first
+    gap in the evaluated index, since unevaluated points lie below the
+    scan's floor.  `evolve` evaluates every peak that `_prune` can keep
+    with its neighbours and the point before them, so the peaks `_prune`
+    keeps are those of the whole grid.  They are refined in time order by
+    `_refine`; the first refined peak reaching 1 - |<psi0|psi(tau)>| <=
+    tol is the period estimate, so partial revivals are examined and
+    rejected rather than mistaken for the return.  The mode sets tol:
+    EXACT_TOL, or APPROXIMATE_TOL if ``approximate``.  Unless
+    ``approximate``, every occupied level of weight at least
+    CERTIFICATE_FLOOR must also lie within CERTIFICATE_TOL rad of
+    phi_est: a near-recurrence whose out-of-phase levels weigh too little
+    to show in the fidelity fails this certificate.
     phi_est = arg<psi0|psi(tau)> in (-pi, pi].  Input whose fidelity
-    never leaves 1 - fidelity_tol on the grid, stationary input
-    included, has no return: t -> 0+ is not a period.
+    never leaves 1 - tol on the grid, stationary input included, has no
+    return: t -> 0+ is not a period.
     """
     import numpy as np
-    if not 0 < fidelity_tol <= MAX_FIDELITY_TOL:
-        raise ValueError("fidelity_tol must be in (0, 1e-3]")
+    tol = APPROXIMATE_TOL if approximate else EXACT_TOL
     fid, index = result.fidelity_track, result.index
     times, prop = result.times, result.propagator
     n = times.size
@@ -582,9 +589,9 @@ def detect_period(result: EvolutionResult, fidelity_tol: float = 1e-8, *,
             and fid[-1] >= fid[-2]:
         peaks = np.append(peaks, fid.size - 1)
     peaks = peaks[fid[peaks] >= 1.0 - SCAN_BAND]
-    # the state has left at the first point below 1 - fidelity_tol or
-    # after the first gap; no peak sits at either
-    left = fid < 1.0 - fidelity_tol
+    # the state has left at the first point below 1 - tol or after the
+    # first gap; no peak sits at either
+    left = fid < 1.0 - tol
     left[1:] |= step > 1
     peaks = peaks[peaks > (np.argmax(left) if left.any() else fid.size)]
     # one bracket per plateau
@@ -594,11 +601,11 @@ def detect_period(result: EvolutionResult, fidelity_tol: float = 1e-8, *,
     for start in range(0, peaks.size, size):
         chunk = peaks[start:start + size]
         for i in _prune(prop, times, fid[chunk], index[chunk],
-                        fidelity_tol, not approximate):
+                        tol, not approximate):
             tau = _refine(prop, times[max(i - 1, 0)],
                           times[min(i + 1, n - 1)], times[i])
             amplitude = complex(prop.survival_amplitude(tau)[0])
-            if not (tau > 0.0 and 1.0 - abs(amplitude) <= fidelity_tol):
+            if not (tau > 0.0 and 1.0 - abs(amplitude) <= tol):
                 continue
             phi = cmath.phase(amplitude)
             phi += TWO_PI if phi <= -math.pi else 0.0
@@ -614,10 +621,10 @@ def generic_gamma(hamiltonian: Hamiltonian, psi0, t_max: float, *,
 
     Assembled entirely from the detected period, the detected total
     phase, and the numerically evaluated mean energy; no exact-spectrum
-    information enters.  A return must reach 1 - F <= 1e-8;
+    information enters.  A return must reach 1 - F <= EXACT_TOL;
     ``approximate=True`` switches to the near-recurrence regime
-    (1 - F <= 1e-4) used when exact commensurability fails, and the
-    achieved fidelity is reported.
+    (1 - F <= APPROXIMATE_TOL) used when exact commensurability fails,
+    and the achieved fidelity is reported.
     Stationary inputs short-circuit to a flagged report.
     """
     if not 0 < t_max < math.inf:
@@ -646,9 +653,7 @@ def generic_gamma(hamiltonian: Hamiltonian, psi0, t_max: float, *,
                 else MAX_STEPS, needed)
     e_mean = prop.mean_energy()
     result = evolve(prop, t_max, steps=steps)
-    tau_est, phi_est = detect_period(
-        result, fidelity_tol=1e-4 if approximate else 1e-8,
-        approximate=approximate)
+    tau_est, phi_est = detect_period(result, approximate=approximate)
     achieved = float(prop.fidelity(tau_est)[0])
     gamma = _canonical_gamma(phi_est + tau_est * e_mean)
     return PhaseReport(method="oracle", unit=hamiltonian.unit,

@@ -36,14 +36,16 @@ def _rational_or_real(value: Union[Fraction, float, None]) -> str:
     return format_real(value)
 
 
-def format_phase_report(report: PhaseReport,
+def format_phase_report(report: Optional[PhaseReport],
                         cyclicality: Optional[Cyclicality] = None) -> str:
-    """Serialize a PhaseReport (with optional cyclicality verdict)."""
+    """Serialize a PhaseReport (or None) and an optional Cyclicality."""
     lines = ["[phase-report]"]
     if cyclicality is not None:
         lines.append(f"cyclicality: {cyclicality.kind}")
         if cyclicality.reason:
             lines.append(f"reason: {cyclicality.reason}")
+    if report is None:
+        return "\n".join(lines) + "\n"
     lines.append(f"method: {report.method}")
     lines.append(f"unit: {format_real(report.unit)}")
     lines.append(f"stationary: {'yes' if report.stationary else 'no'}")

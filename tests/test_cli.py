@@ -764,7 +764,8 @@ class TestDenseOnDemand:
 
         for name in ("three_mirror_dense", "two_mirror_dense",
                      "spin_half_dense", "free_field_dense",
-                     "three_mirror_initial_state", "Hamiltonian"):
+                     "three_mirror_initial_state", "coherent_amplitudes",
+                     "Hamiltonian"):
             monkeypatch.setattr(config_module, name, refuse)
         for config, want in zip(configs, expected):
             code, out, err = run_cli(["analyze", "--config", config], capsys)
@@ -1423,7 +1424,7 @@ def test_tiny_three_mirror_value_stays_a_float(tmp_path, key, value):
     # read as 0 took the exact C_D = 0 route or failed as non-positive
     run = config_module.load_config(write(
         tmp_path, shipped_with("three_mirror_exact.ini", **{key: value})))
-    assert run.spectrum is None and run.hamiltonian is not None
+    assert run.spectrum is None and run.dense()[0] is not None
 
 
 @pytest.mark.parametrize("key", ["r", "k_squared"])

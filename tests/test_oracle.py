@@ -32,6 +32,7 @@ from aaphase.oracle import (
 )
 
 from conftest import circ, whole_grid_result, whole_grid_survival
+from mutants import CUTS, SOURCE, mutate
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 # every shipped config whose model has a matrix: 8, dimensions 2 to 2880
@@ -330,7 +331,7 @@ class TestStackedSolve:
     @pytest.mark.parametrize("name", MATRIX_CONFIGS)
     def test_shipped_configs(self, name):
         run = load_config(CONFIGS / name)
-        h, psi0 = run.hamiltonian, run.psi0
+        h, psi0 = run.dense()
         prop = SpectralPropagator(h, psi0)
         want_w, want_a = per_block_solve(h, psi0)
         assert_bitwise(prop.omegas, want_w * h.unit)
@@ -533,6 +534,34 @@ def commensurate_levels(draw):
     return values, weights, draw(st.floats(0.05, 3.0)) * TWO_PI * q
 
 
+def documented_windows(prop, times, block):
+    """(points, gap): the grid points in blocks of ``block`` that meet a
+    window [t_c - h - 2 dt, t_c + h + dt] around a coarse point t_c where
+    |A(t_c)| + |D(t_c)| + h^2 sigma^2 / 2 reaches `_prune`'s floor for
+    MAX_FIDELITY_TOL less dt sum_k p_k |nu_k| and the rounding slack
+    2 (margin + levels ulp), each sum taken directly; and the least
+    distance of a coarse bound from that floor."""
+    n, w, omega = times.size, prop._occ_w, prop._occ_omega
+    nu = prop._occ_nu
+    width = oracle._coarse_width(n, omega.size)
+    reach = oracle.COARSE_STRIDE // 2
+    cols = list(range(0, width, oracle.COARSE_STRIDE)) + [(n - 1) % width]
+    coarse = np.unique([r + c for r in range(0, n, width) for c in cols
+                        if r + c < n])
+    dt = times[1] - times[0]
+    phases = np.exp(-1j * np.outer(times[coarse], omega))
+    bound = (np.abs(phases @ w) + np.abs(phases @ (w * reach * dt * nu))
+             + w @ (reach * dt * nu) ** 2 / 2)
+    floor, margin = oracle._floor(prop, times, oracle.MAX_FIDELITY_TOL)
+    floor -= w @ np.abs(dt * nu) + 2 * (margin + omega.size * np.spacing(1.0))
+    points = set()
+    for c in coarse[bound >= floor]:
+        first = max(c - reach - 2, 0) // block * block
+        last = min(c + reach + 1, n - 1) // block * block + block
+        points.update(range(first, min(last, n)))
+    return sorted(points), float(np.min(np.abs(bound - floor)))
+
+
 class TestSurvivalGrid:
     @settings(max_examples=60, deadline=None)
     @given(case=commensurate_levels(),
@@ -610,6 +639,31 @@ class TestSurvivalGrid:
         tau, _ = detect_period(res)
         assert abs(tau - TWO_PI) < 1e-9
 
+    @pytest.mark.parametrize("block", [1, FINE_BLOCK])
+    @pytest.mark.parametrize("values, weights, periods, steps", [
+        ([2.0, 3.0, 5.0], [0.5, 0.3, 0.2], 2, 2 * 100 * FINE_BLOCK + 1),
+        ([0.0, 1.0, 1.5], [0.49, 0.49, 0.02], 2.15, 16384),
+        ([0.0, 1.0, 101.5], [0.49, 0.49, 0.02], 2.15, 9 * 4096),
+        # a light level (below CERTIFICATE_FLOOR) whose margin term makes
+        # the rounding slack 1.8e-7; at this t_max one coarse bound lies
+        # 8e-8 inside it
+        ([0.0, 1.0, 1.5, 1.2e4], [0.49, 0.49, 0.02, 9e-9], 2.101201953125,
+         16384),
+    ])
+    def test_windows_follow_the_coarse_bound(self, values, weights, periods,
+                                             steps, block):
+        """The evaluated points are the blocks that meet a window
+        [t_c - h - 2 dt, t_c + h + dt] around each coarse point t_c whose
+        bound reaches the scan's floor, as the docstring states; with
+        blocks of one point the windows show through unpadded."""
+        prop = diagonal_propagator(values, weights)
+        times = Grid(steps, periods * TWO_PI)
+        with mock.patch.object(oracle, "FINE_BLOCK", block):
+            index, _ = prop.survival_grid(times)
+        want, gap = documented_windows(prop, times, block)
+        assert gap > 1e-9     # no bound sits where rounding could move it
+        assert index.tolist() == want
+
 
 class TestEvolve:
     def test_argument_validation(self):
@@ -623,7 +677,7 @@ class TestEvolve:
 
     def test_survival_grid_on_three_mirror_matrix(self):
         run = load_config(CONFIGS / "three_mirror_exact.ini")
-        res = evolve(SpectralPropagator(run.hamiltonian, run.psi0),
+        res = evolve(SpectralPropagator(*run.dense()),
                      2.2 * TWO_PI, steps=3 * 4096)
         assert res.times.size == 3 * 4096
         assert 0 < res.index.size < res.times.size
@@ -638,7 +692,7 @@ class TestEvolve:
         the scan's peak is about the fine pass's levels x FINE_BLOCK table
         and head rows plus one chunk of the coarse bound's."""
         run = load_config(CONFIGS / "three_mirror_exact.ini")
-        prop = SpectralPropagator(run.hamiltonian, run.psi0)
+        prop = SpectralPropagator(*run.dense())
         steps = 3 * 4096
         tracemalloc.start()
         try:
@@ -654,19 +708,12 @@ class TestEvolve:
 
 
 class TestDetectPeriod:
-    def run_detect(self, values, weights, t_max, steps=8192, tol=1e-8):
+    def run_detect(self, values, weights, t_max, steps=8192):
         dim = len(values)
         h = Hamiltonian.from_dense(np.diag(np.asarray(values, dtype=float)))
         psi0 = np.sqrt(np.asarray(weights, dtype=float)).astype(complex)
         res = evolve(SpectralPropagator(h, psi0), t_max, steps=steps)
-        return detect_period(res, fidelity_tol=tol), h, res
-
-    def test_tolerance_validation(self):
-        (_, h, res) = self.run_detect([2.0, 3.0], [0.5, 0.5], 7.0)[1:] + (None,)
-        with pytest.raises(ValueError, match="fidelity_tol"):
-            detect_period(res, fidelity_tol=0.0)
-        with pytest.raises(ValueError, match="fidelity_tol"):
-            detect_period(res, fidelity_tol=1e-2)
+        return detect_period(res), h, res
 
     def test_two_level_period_and_phase(self):
         (tau, phi), _, res = self.run_detect([2.0, 3.0], [0.5, 0.5], 7.0)
@@ -700,7 +747,8 @@ class TestDetectPeriod:
 @st.composite
 def detuned_spectra(draw):
     """A few levels p/q, some detuned by a small offset, random weights, a
-    horizon past the exact return and either detection mode."""
+    horizon past the exact return and either detection mode, which sets
+    the return tolerance."""
     q = draw(st.integers(1, 4))
     nums = draw(st.lists(st.integers(-6, 6), min_size=2, max_size=4,
                          unique=True))
@@ -710,8 +758,7 @@ def detuned_spectra(draw):
                             max_size=len(nums)))
     values = [p / q + d for p, d in zip(nums, offsets)]
     t_max = draw(st.floats(0.5, 2.5)) * TWO_PI * q
-    return (values, weights, t_max, draw(st.sampled_from((1e-8, 1e-6, 1e-4))),
-            draw(st.booleans()))
+    return values, weights, t_max, draw(st.booleans())
 
 
 class TestPrune:
@@ -720,7 +767,7 @@ class TestPrune:
     def test_never_drops_the_accepted_peak(self, case):
         """With pruning off every grid peak is refined; the first accepted
         one must be the one the pruned scan returns."""
-        values, weights, t_max, tol, approximate = case
+        values, weights, t_max, approximate = case
         prop = diagonal_propagator(values, weights)
         steps = max(4096 * math.ceil(t_max / TWO_PI),
                     math.ceil(prop.occupied_spread() * t_max
@@ -729,7 +776,7 @@ class TestPrune:
 
         def detect():
             try:
-                return detect_period(res, tol, approximate=approximate)
+                return detect_period(res, approximate=approximate)
             except NoReturnError:
                 return None
 
@@ -744,11 +791,10 @@ def scan_cases(draw):
     """`detuned_spectra` with, half the time, one level moved 100 higher,
     so that the occupied spread sets the grid (more than 4096 points per
     cycle); the grid follows the step rule of `generic_gamma`."""
-    values, weights, t_max, _, approximate = draw(detuned_spectra())
+    values, weights, t_max, approximate = draw(detuned_spectra())
     if draw(st.booleans()):
         values = values[:-1] + [values[-1] + 100]
-    tol = draw(st.sampled_from((1e-8, 1e-4)))
-    return values, weights, t_max, tol, approximate
+    return values, weights, t_max, approximate
 
 
 def grid_steps(prop, t_max):
@@ -757,9 +803,9 @@ def grid_steps(prop, t_max):
                          / oracle.SCAN_BAND) + 1)
 
 
-def detect_or_none(result, tol, approximate):
+def detect_or_none(result, approximate):
     try:
-        return detect_period(result, tol, approximate=approximate)
+        return detect_period(result, approximate=approximate)
     except NoReturnError:
         return None
 
@@ -771,14 +817,14 @@ class TestWindowedScan:
     @settings(max_examples=80, deadline=None)
     @given(case=scan_cases())
     def test_same_return_as_the_whole_grid(self, case):
-        values, weights, t_max, tol, approximate = case
+        values, weights, t_max, approximate = case
         prop = diagonal_propagator(values, weights)
         steps = grid_steps(prop, t_max)
         res = evolve(prop, t_max, steps=steps)
         whole = whole_grid_result(prop, res.times)
         assert res.times.size == steps
-        found = detect_or_none(res, tol, approximate)
-        assert found == detect_or_none(whole, tol, approximate)
+        found = detect_or_none(res, approximate)
+        assert found == detect_or_none(whole, approximate)
         if found is not None:
             assert all(map(math.isfinite, found))
 
@@ -787,27 +833,27 @@ class TestWindowedScan:
         t_max = 4.3 * math.pi
         assert grid_steps(prop, t_max) > 4096 * math.ceil(t_max / TWO_PI)
         res = evolve(prop, t_max, steps=grid_steps(prop, t_max))
-        for tol, approximate in ((1e-8, False), (1e-4, True)):
-            tau, phi = detect_period(res, tol, approximate=approximate)
+        for approximate in (False, True):
+            tau, phi = detect_period(res, approximate=approximate)
             assert abs(tau - 2 * TWO_PI) < 1e-6
             assert (tau, phi) == detect_period(
-                whole_grid_result(prop, res.times), tol,
-                approximate=approximate)
+                whole_grid_result(prop, res.times), approximate=approximate)
 
     @pytest.mark.parametrize("name", ["two_mirror", "three_mirror_exact",
                                       "free_field_coherent", "spin_half",
                                       "raw_spectrum"])
     def test_shipped_configs(self, name):
         run = load_config(CONFIGS / f"{name}.ini")
-        prop = SpectralPropagator(run.hamiltonian, run.psi0)
-        t_max = 2.2 * TWO_PI / run.hamiltonian.unit * 4
+        h, psi0 = run.dense()
+        prop = SpectralPropagator(h, psi0)
+        t_max = 2.2 * TWO_PI / h.unit * 4
         res = evolve(prop, t_max, steps=grid_steps(prop, t_max))
         assert res.index.size < res.times.size / 4
         whole = whole_grid_result(prop, res.times)
-        for tol, approximate in ((1e-8, False), (1e-4, True)):
-            found = detect_or_none(res, tol, approximate)
+        for approximate in (False, True):
+            found = detect_or_none(res, approximate)
             assert found is not None
-            assert found == detect_or_none(whole, tol, approximate)
+            assert found == detect_or_none(whole, approximate)
 
 
 class TestGenericGamma:
@@ -915,3 +961,13 @@ class TestDefaultGrid:
         t_max = 1.01 * oracle.MAX_STEPS * oracle.SCAN_BAND / 3000.5
         with pytest.raises(NoReturnError, match=r"needs \d+ grid steps"):
             generic_gamma(self.H, self.PSI0, t_max=t_max)
+
+
+@pytest.mark.parametrize("edits", [edits for _, edits in CUTS],
+                         ids=[name for name, _ in CUTS])
+def test_mutant_cuts_apply(edits):
+    """Each cut of tests/mutants.py finds its text once in the source
+    oracle.py it copies and leaves code that compiles, so an edit of the
+    oracle keeps the tool runnable."""
+    compile(mutate(SOURCE.read_text(encoding="utf-8"), edits), str(SOURCE),
+            "exec")

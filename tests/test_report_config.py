@@ -1,5 +1,6 @@
 """Report serialization round-trips and INI config loading."""
 
+import ast
 import math
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from aaphase import cli
+from aaphase import cli, config as config_module
 from aaphase.config import (
     ConfigError,
     load_config,
@@ -82,6 +83,13 @@ class TestPhaseReportFormat:
     def test_deterministic(self):
         rep = self.make_report()
         assert format_phase_report(rep) == format_phase_report(rep)
+
+    def test_verdict_alone(self):
+        # what analyze prints for a non-cyclic state
+        text = format_phase_report(
+            None, Cyclicality("non-cyclic", "incommensurable"))
+        assert text == ("[phase-report]\ncyclicality: non-cyclic\n"
+                        "reason: incommensurable\n")
 
 
 class TestVerifyTableFormat:
@@ -199,7 +207,8 @@ class TestSpinConfig:
         run = load_config(write_config(tmp_path, text))
         assert run.model == "spin_half"
         assert run.spectrum is not None and run.state is not None
-        assert run.hamiltonian is not None and run.psi0 is not None
+        h, psi0 = run.dense()
+        assert h is not None and psi0 is not None
         assert run.spectrum.unit == 2.0
         assert (run.t_max, run.n_range) == (None, 16)
 
@@ -212,15 +221,37 @@ class TestFreeFieldConfig:
                 + f" = 0 2 5\namplitudes = {a}; {a}; {a}\n")
         run = load_config(write_config(tmp_path, text))
         assert level(run.spectrum, "5") == 5
-        assert run.hamiltonian.dimension == 6
-        assert run.psi0[2] == pytest.approx(a)
+        h, psi0 = run.dense()
+        assert h.dimension == 6
+        assert psi0[2] == pytest.approx(a)
 
     def test_coherent_form(self, tmp_path):
         text = ("[run]\nmodel = free_field\n\n"
                 "[free_field]\nomega = 1\nalpha = 0.9\ntruncation = 18\n")
         run = load_config(write_config(tmp_path, text))
-        assert run.hamiltonian.dimension == 18
-        assert abs(np.linalg.norm(run.psi0) - 1.0) < 1e-12
+        h, psi0 = run.dense()
+        assert h.dimension == 18
+        assert abs(np.linalg.norm(psi0) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("section", [
+        "alpha = 0.9-0.3 i\ntruncation = 24", "alpha = 0",
+        "omega = 2\noccupied_n = 4 0 2\namplitudes = 0.6; 0.48 i; -0.64",
+    ])
+    def test_psi0_holds_the_state_amplitudes(self, tmp_path, section):
+        """psi0 is built from the config's entries alone, and it holds
+        the exact state's amplitudes at their Fock indices: as they are
+        for a coherent state, which is normalized over the truncation,
+        and normalized in numpy for a list."""
+        run = load_config(write_config(
+            tmp_path, "[run]\nmodel = free_field\n\n[free_field]\n"
+            + section + "\n"))
+        h, psi0 = run.dense()
+        want = np.zeros(h.dimension, dtype=complex)
+        for label, amp in run.state.entries:
+            want[int(label)] = amp
+        if "occupied_n" in section:
+            want = config_module._normalized(want)
+        assert np.array_equal(psi0, want)
 
     def test_exactly_one_input_form(self, tmp_path):
         both = ("[run]\nmodel = free_field\n\n"
@@ -292,8 +323,9 @@ class TestDenseMatrixConfig:
                 "[dense_matrix]\ndimension = 2\n"
                 "entries = 2, 0, 0, 3\npsi0 = 1, 1\n")
         run = load_config(write_config(tmp_path, text))
-        assert run.hamiltonian.dimension == 2
-        assert run.psi0[0] == pytest.approx(1 / math.sqrt(2))
+        h, psi0 = run.dense()
+        assert h.dimension == 2
+        assert psi0[0] == pytest.approx(1 / math.sqrt(2))
         assert run.spectrum is None
 
     def test_entry_count(self, tmp_path):
@@ -358,7 +390,7 @@ class TestThreeMirrorConfig:
         run = load_config(write_config(tmp_path, text))
         # rho_D = 5/2, kappa_D = 1/4: exact family, spectrum available
         assert run.spectrum is not None
-        assert run.hamiltonian.dimension == 10 * 10 * 26
+        assert run.dense()[0].dimension == 10 * 10 * 26
         assert level(run.spectrum, "1,0,0") == Fraction(5, 2) - Fraction(1, 16)
 
     def test_squeezed_coupling_disables_exact_route(self, tmp_path):
@@ -367,7 +399,7 @@ class TestThreeMirrorConfig:
                 "truncations = 6 6 10\n")
         run = load_config(write_config(tmp_path, text))
         assert run.spectrum is None
-        assert run.hamiltonian is not None
+        assert run.dense()[0] is not None
 
 
 SPIN_RUN = "[run]\nmodel = spin_half\n\n[spin_half]\ntheta = 1.1\n"
@@ -432,3 +464,20 @@ class TestOptions:
         path = write_config(tmp_path, SPIN_RUN + f"\n[options]\n{text}\n")
         with pytest.raises(ConfigError, match=match):
             load_config(path)
+
+
+def test_oracle_input_reads_no_exact_state():
+    """Every loader builds the oracle's input from the config alone: the
+    config module reads nothing off an exact spectrum or state, whether
+    bound to a name (``state.entries``) or held by a run
+    (``run.state.entries``), so `verify` compares two independent
+    routes."""
+    with open(config_module.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    exact = ("spectrum", "state")
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and (isinstance(node.value, ast.Name) and node.value.id in exact
+                 or isinstance(node.value, ast.Attribute)
+                 and node.value.attr in exact)}
+    assert read == set()
