@@ -133,7 +133,7 @@ def cmd_verify(run: LoadedRun, out: Optional[str]) -> int:
 def cmd_constrain(run: LoadedRun, out: Optional[str]) -> int:
     if run.partial is None:
         raise ConfigError("constrain needs a [partial_spectrum] model")
-    if len(run.partial.known) < 2:
+    if len(run.partial.levels) < 2:
         raise ConfigError("constrain needs at least two known eigenvalues")
     if run.n_range > MAX_N_RANGE:
         raise ConfigError(f"n_range must be <= {MAX_N_RANGE} for constrain")

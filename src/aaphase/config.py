@@ -22,7 +22,6 @@ import math
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Tuple, Union
 
-from .constraints import PartialSpectrum
 from .engine import Spectrum, StateDecomposition
 from .fock import coherent_amplitudes
 from .models import (
@@ -41,7 +40,8 @@ from .models import (
     two_mirror_spectrum,
 )
 from .oracle import Hamiltonian
-from .rational import IncommensurableError, parse_rational, rationalize
+from .rational import IncommensurableError, over_one_denominator, \
+    parse_rational, rationalize
 
 __all__ = [
     "ConfigError",
@@ -140,7 +140,7 @@ class LoadedRun:
                  state: Optional[StateDecomposition] = None,
                  build: Optional[Callable[[], Tuple[Hamiltonian,
                                                     np.ndarray]]] = None,
-                 partial: Optional[PartialSpectrum] = None,
+                 partial: Optional[Spectrum] = None,
                  trials: Tuple[Fraction, ...] = (),
                  mean_energy_input: Union[Fraction, float, None] = None):
         self.model, self.spectrum, self.state = model, spectrum, state
@@ -278,7 +278,9 @@ def _load_raw_spectrum(levels, amplitudes, unit, labels) -> LoadedRun:
     labels = labels or [str(i) for i in range(len(levels))]
     if len(labels) != len(levels):
         raise ConfigError("labels and levels differ in length")
-    spectrum = Spectrum(levels=list(zip(labels, levels)), unit=unit)
+    *numerators, d = over_one_denominator(*levels)
+    spectrum = Spectrum(levels=list(zip(labels, numerators)), unit=unit,
+                        denominator=d)
     state = StateDecomposition(spectrum, amplitudes)
     return LoadedRun(
         model="raw_spectrum", spectrum=spectrum, state=state,
@@ -302,8 +304,13 @@ def _load_dense_matrix(dimension, entries, psi0, unit) -> LoadedRun:
 
 
 def _load_partial(known, unit, trials, mean_energy) -> LoadedRun:
-    partial = PartialSpectrum(
-        known=[(f"L{i + 1}", v) for i, v in enumerate(known)], unit=unit)
+    if not known:
+        raise ConfigError("at least one known eigenvalue required")
+    if len(set(known)) != len(known):
+        raise ConfigError("known eigenvalues must be distinct")
+    *numerators, d = over_one_denominator(*known)
+    partial = Spectrum([(f"L{i + 1}", p) for i, p in enumerate(numerators)],
+                       unit=unit, denominator=d)
     return LoadedRun(model="partial_spectrum", partial=partial, trials=trials,
                      mean_energy_input=mean_energy)
 

@@ -11,21 +11,21 @@ c = (L1*m - L2*n)/(n - m) makes phi vanish, after which any further
 eigenvalue L of the occupied set must satisfy L*tau in Z, an exact
 rational divisibility test.  The geometric phase over the candidate
 family takes finitely many values whenever <H>/L1 is rational in the
-gauged frame.
+gauged frame.  The known eigenvalues are a `Spectrum` whose first two
+levels are the reference pair L1, L2.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Sequence, Tuple, Union
+from typing import List, Tuple, Union
 
-from .engine import TWO_PI, _canonical_gamma
+from .engine import TWO_PI, Spectrum, _canonical_gamma
 
 __all__ = [
     "CyclicityCandidate",
     "GaugedCandidate",
-    "PartialSpectrum",
     "constrain_unknown",
     "enumerate_candidates",
     "gamma_candidates",
@@ -41,32 +41,6 @@ def _as_fraction(value) -> Fraction:
         raise TypeError(
             "float eigenvalue; rationalize() it explicitly first")
     return Fraction(value)
-
-
-class PartialSpectrum:
-    """Known portion of the occupied spectrum, exact and dimensionless.
-
-    Entries are (label, eigenvalue) pairs; eigenvalues are distinct
-    multiples of ``unit``.
-    """
-
-    __slots__ = ("known", "unit")
-
-    def __init__(self, known: Sequence, unit: float = 1.0):
-        entries = tuple((str(label), _as_fraction(value))
-                        for label, value in known)
-        if not entries:
-            raise ValueError("at least one known eigenvalue required")
-        values = [v for _, v in entries]
-        if len(set(values)) != len(values):
-            raise ValueError("known eigenvalues must be distinct")
-        if not 0 < unit < math.inf:
-            raise ValueError("unit must be positive and finite")
-        self.known, self.unit = entries, float(unit)
-
-    @property
-    def eigenvalues(self) -> Tuple[Fraction, ...]:
-        return tuple(v for _, v in self.known)
 
 
 class CyclicityCandidate:
@@ -125,18 +99,20 @@ class GaugedCandidate:
         return self.candidate.m
 
 
-def _reference_pair(ps: PartialSpectrum) -> Tuple[int, int, int]:
-    """(a, b, d): the reference eigenvalues lam1 = a/d and lam2 = b/d
-    over their least common denominator d."""
-    if len(ps.known) < 2:
+def _reference_pair(ps: Spectrum) -> Tuple[int, int, int]:
+    """(a, b, d): the reference eigenvalues lam1 = a/d and lam2 = b/d,
+    the first two levels of ``ps`` over its denominator d."""
+    if len(ps.levels) < 2:
         raise ValueError("two known eigenvalues required")
-    lam1, lam2 = ps.eigenvalues[:2]    # distinct, as PartialSpectrum checks
-    d = math.lcm(lam1.denominator, lam2.denominator)
-    return (lam1.numerator * (d // lam1.denominator),
-            lam2.numerator * (d // lam2.denominator), d)
+    (_, a), (_, b) = ps.levels[:2]
+    if isinstance(a, float) or isinstance(b, float):
+        raise TypeError("float eigenvalue; rationalize() it explicitly first")
+    if a == b:
+        raise ValueError("known eigenvalues must be distinct")
+    return a, b, ps.denominator
 
 
-def enumerate_candidates(ps: PartialSpectrum,
+def enumerate_candidates(ps: Spectrum,
                          n_range: int = 16) -> List[CyclicityCandidate]:
     """All (phi, tau) candidates with branch integers bounded by n_range.
 
@@ -146,8 +122,8 @@ def enumerate_candidates(ps: PartialSpectrum,
     (-1/2, 1/2], mirroring the branch convention of the full-spectrum
     route; enlarging n_range only ever appends classes.
 
-    With lam1 = a/d and lam2 = b/d over their least common denominator
-    and s = a - b, tau = (n - m)*d/s, and adding 1 to both n and m adds
+    With lam1 = a/d and lam2 = b/d over the spectrum's denominator and
+    s = a - b, tau = (n - m)*d/s, and adding 1 to both n and m adds
     1 to phi/2pi = (a*m - b*n)/s.  A class is therefore one value of
     n - m, of the sign of s and at most 2*n_range in size, and its
     representative has m = floor(b*(n - m)/s + 1/2).
@@ -167,7 +143,7 @@ def enumerate_candidates(ps: PartialSpectrum,
 
 
 def _gauge(candidate: CyclicityCandidate,
-           ps: PartialSpectrum) -> Tuple[int, int, int]:
+           ps: Spectrum) -> Tuple[int, int, int]:
     """(c, e, s): the shift that sets phi = 0 is c/e, with e = d*(n - m),
     and the shifted reference eigenvalues are n*s/e and m*s/e, so the
     period is e/s from either one (checked against the candidate's)."""
@@ -181,7 +157,7 @@ def _gauge(candidate: CyclicityCandidate,
 
 
 def gauge_to_zero_phi(candidate: CyclicityCandidate,
-                      ps: PartialSpectrum) -> GaugedCandidate:
+                      ps: Spectrum) -> GaugedCandidate:
     """Spectral shift removing the total phase of the candidate.
 
     The period is unchanged by the shift and equals n/lam1 against the
@@ -206,7 +182,7 @@ def constrain_unknown(gauged: GaugedCandidate,
 
 
 def _gauged_mean(candidate: CyclicityCandidate, mean: Fraction,
-                 ps: PartialSpectrum) -> Tuple[int, int, int]:
+                 ps: Spectrum) -> Tuple[int, int, int]:
     """(top, v, s): <H'> = top/(v*e) in the gauge of `_gauge`, so
     <H'>*tau = top/(v*s) and <H'>/lam1' = top/(v*n*s) (lam2' and m
     when n = 0)."""
@@ -216,7 +192,7 @@ def _gauged_mean(candidate: CyclicityCandidate, mean: Fraction,
 
 
 def gamma_count(candidate: CyclicityCandidate, mean_H,
-                ps: PartialSpectrum) -> int:
+                ps: Spectrum) -> int:
     """How many values `gamma_candidates` lists for the candidate, read
     off the gauged ratio p/q without building the list: q (the
     candidate's own value is one of them), or 1 for a float mean."""
@@ -228,7 +204,7 @@ def gamma_count(candidate: CyclicityCandidate, mean_H,
 
 
 def gamma_candidates(candidate: CyclicityCandidate, mean_H,
-                     ps: PartialSpectrum) -> List[float]:
+                     ps: Spectrum) -> List[float]:
     """Geometric-phase values compatible with the candidate, in [0, 2*pi).
 
     The candidate's own branch gives gamma = 2*pi*tau_cycles*(<H> + shift)

@@ -58,39 +58,30 @@ class NonCyclicError(ValueError):
 class Spectrum:
     """Every level, occupied or not: (label, value) pairs in `unit`.
 
-    An int value is a numerator over ``denominator``; a float value is
-    the level itself and marks a failed rationalization.  The
-    constructor also takes Fraction and "p/q" values and puts every
-    rational over their least common denominator; pairs of a str label
-    and an int value are kept as given.  Labels are unique; values may
-    repeat (degeneracy allowed).
+    Each pair is a str label and either an int, the numerator of the
+    level over ``denominator``, or a float, the level itself, which marks
+    a failed rationalization; `rational.over_one_denominator` puts exact
+    levels into this form.  Labels are unique; values may repeat
+    (degeneracy allowed).
     """
 
     __slots__ = ("levels", "unit", "denominator")
 
     def __init__(self, levels, unit: float = 1.0, denominator: int = 1):
         lv = tuple(levels)
-        plain = all(type(lab) is str and type(val) is int for lab, val in lv)
-        if not plain:
-            lv = tuple((str(lab), val) for lab, val in lv)
         if not lv:
             raise ValueError("spectrum needs at least one level")
+        if not all(type(lab) is str and (type(v) is int or type(v) is float)
+                   for lab, v in lv):
+            raise ValueError("spectrum levels must be (str label, int "
+                             "numerator or float) pairs")
         if len({lab for lab, _ in lv}) != len(lv):
             raise ValueError("spectrum labels must be unique")
         if not 0 < unit < math.inf:
             raise ValueError("unit must be positive and finite")
         if not (isinstance(denominator, int) and denominator > 0):
             raise ValueError("denominator must be a positive integer")
-        if not (plain or all(isinstance(val, (int, float)) for _, val in lv)):
-            exact = [val if isinstance(val, float) else
-                     Fraction(val, denominator) if isinstance(val, int) else
-                     Fraction(val) for _, val in lv]
-            denominator = math.lcm(*(f.denominator for f in exact
-                                     if not isinstance(f, float)))
-            lv = [(lab, f if isinstance(f, float) else
-                   f.numerator * (denominator // f.denominator))
-                  for (lab, _), f in zip(lv, exact)]
-        self.levels = tuple(lv)
+        self.levels = lv
         self.unit, self.denominator = float(unit), denominator
 
 

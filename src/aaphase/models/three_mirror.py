@@ -25,6 +25,7 @@ from ..engine import NORMALIZATION_TOL, Spectrum, StateDecomposition, \
     TWO_PI, _canonical_gamma
 from ..fock import TAIL_TOL, coherent_amplitudes, displaced_frame_amplitudes
 from ..oracle import Hamiltonian
+from ..rational import over_one_denominator
 
 __all__ = [
     "ThreeMirrorParams",
@@ -36,7 +37,7 @@ __all__ = [
 ]
 
 ModeInput = Union[complex, Sequence[complex]]
-Ratio = Union[Fraction, float]
+Ratio = Union[Fraction, int, float]
 
 
 def _is_scalar(mode: ModeInput) -> bool:
@@ -60,9 +61,8 @@ class ThreeMirrorParams:
                  beta: ModeInput = 0j, mu: ModeInput = 0j,
                  truncations: Tuple[int, int, int] = (15, 15, 25),
                  omega_m: float = 1.0):
-        self.rho_D, self.rho_S, self.kappa_D, self.kappa_S = (
-            Fraction(r) if isinstance(r, int) else r
-            for r in (rho_D, rho_S, kappa_D, kappa_S))
+        self.rho_D, self.rho_S = rho_D, rho_S
+        self.kappa_D, self.kappa_S = kappa_D, kappa_S
         if not float(rho_D) > 0 or not float(rho_S) > 0:
             raise ValueError("frequency ratios must be positive")
         if not omega_m > 0:
@@ -82,11 +82,9 @@ class ThreeMirrorParams:
     @property
     def exact_family(self) -> bool:
         """Whether the analytic displaced-block spectrum is exact here."""
+        ratios = (self.rho_D, self.rho_S, self.kappa_D, self.kappa_S)
         return (self.kappa_S == 0
-                and isinstance(self.kappa_S, Fraction)
-                and isinstance(self.rho_D, Fraction)
-                and isinstance(self.rho_S, Fraction)
-                and isinstance(self.kappa_D, Fraction))
+                and not any(isinstance(r, float) for r in ratios))
 
 
 def _mode_vector(mode: ModeInput, truncation: int,
@@ -192,12 +190,6 @@ def cavity_exact(blocks: Iterable[Tuple[str, int, complex, np.ndarray]],
     scale = 1.0 / math.sqrt(mass)
     spectrum = Spectrum(levels=levels, unit=unit, denominator=denominator)
     return spectrum, StateDecomposition(spectrum, [a * scale for a in amps])
-
-
-def over_one_denominator(*ratios: Fraction) -> Tuple[int, ...]:
-    """The numerators of the ratios over their lcm denominator D, then D."""
-    d = math.lcm(*(r.denominator for r in ratios))
-    return (*(r.numerator * (d // r.denominator) for r in ratios), d)
 
 
 def three_mirror_exact(params: ThreeMirrorParams

@@ -24,7 +24,8 @@ from ..engine import NORMALIZATION_TOL, Spectrum, StateDecomposition, \
     squared_moduli
 from ..fock import coherent_amplitudes, displaced_frame_amplitudes
 from ..oracle import Hamiltonian
-from .three_mirror import cavity_dense, cavity_exact, over_one_denominator
+from ..rational import over_one_denominator
+from .three_mirror import cavity_dense, cavity_exact
 
 __all__ = [
     "TwoMirrorParams",

@@ -4,18 +4,21 @@ Everything in this module is pure and exact.  Values are
 `fractions.Fraction` instances; floating point enters only through
 `rationalize`, which converts a real input to an exact rational once, at
 the boundary, or fails loudly.  Downstream phase arithmetic never mixes
-exact and approximate numbers.
+exact and approximate numbers.  `over_one_denominator` puts exact values
+into the form the engine stores: integer numerators over one denominator.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
-from typing import Union
+from typing import Tuple, Union
 
 __all__ = [
     "IncommensurableError",
     "format_rational",
+    "over_one_denominator",
     "parse_rational",
     "rationalize",
 ]
@@ -78,3 +81,15 @@ def rationalize(x: Union[float, int, Fraction], max_denominator: int,
         raise IncommensurableError("incommensurable input")
     return best
 
+
+def over_one_denominator(*values: Union[Fraction, int, float]
+                         ) -> Tuple[Union[int, float], ...]:
+    """The values over their least common denominator D, then D.
+
+    Each rational (Fraction or int) becomes its int numerator over D; a
+    float, a failed rationalization, passes through unchanged.  D is 1
+    when no value is rational.
+    """
+    d = math.lcm(*(v.denominator for v in values if not isinstance(v, float)))
+    return (*(v if isinstance(v, float) else v.numerator * (d // v.denominator)
+              for v in values), d)

@@ -1,7 +1,8 @@
 """Shared fixtures: seeded RNG, random fixture builders, angle helpers,
-level lookup, report parsing, dense ladder operators, the Fraction
-references of the cavity levels and of the constraint solver, and the
-references of the command-line parse and of the verify angle distance."""
+spectrum building and level lookup, report parsing, dense ladder
+operators, the Fraction references of the cavity levels and of the
+constraint solver, and the references of the command-line parse and of
+the verify angle distance."""
 
 import argparse
 import contextlib
@@ -17,6 +18,7 @@ from aaphase.cli import UsageError
 from aaphase.config import FLAGS
 from aaphase.constraints import CyclicityCandidate, GaugedCandidate
 from aaphase.engine import Spectrum, StateDecomposition, _canonical_gamma
+from aaphase.rational import over_one_denominator, parse_rational
 from aaphase.report import DELIM
 
 TWO_PI = 2.0 * math.pi
@@ -31,6 +33,17 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def exact_spectrum(levels, unit: float = 1.0) -> Spectrum:
+    """The `Spectrum` of (label, value) pairs whose values are ints,
+    Fractions, "p/q" texts or floats: the rationals go over one
+    denominator through `over_one_denominator`, the floats stay."""
+    labels = [lab for lab, _ in levels]
+    values = [parse_rational(v) if isinstance(v, str) else v
+              for _, v in levels]
+    *numerators, d = over_one_denominator(*values)
+    return Spectrum(list(zip(labels, numerators)), unit=unit, denominator=d)
 
 
 def level(spectrum: Spectrum, label: str):
@@ -111,7 +124,7 @@ def random_exact_fixture(rng, min_levels=2, max_levels=5):
         if v not in values:
             values.append(v)
     labels = [f"L{i}" for i in range(n)]
-    spectrum = Spectrum(levels=list(zip(labels, values)), unit=1.0)
+    spectrum = exact_spectrum(list(zip(labels, values)))
     amps = rng.normal(size=n) + 1j * rng.normal(size=n)
     amps /= np.linalg.norm(amps)
     state = StateDecomposition(spectrum, amps)

@@ -13,6 +13,7 @@ from typing import Iterable, Tuple, Union
 
 from aaphase.engine import Spectrum, StateDecomposition, TWO_PI, \
     _canonical_gamma
+from aaphase.rational import over_one_denominator
 
 RationalLike = Union[Fraction, int, str]
 
@@ -29,9 +30,12 @@ def gauge_shift(spectrum: Spectrum, state: StateDecomposition,
     shift = c if isinstance(c, float) else Fraction(c)
     d = spectrum.denominator
     # a Fraction plus a float is the float sum of the two as floats
-    shifted = Spectrum([(lab, (Fraction(v, d) if isinstance(v, int) else v)
-                         + shift) for lab, v in spectrum.levels],
-                       unit=spectrum.unit)
+    *values, denominator = over_one_denominator(*(
+        (Fraction(v, d) if isinstance(v, int) else v) + shift
+        for _, v in spectrum.levels))
+    shifted = Spectrum([(lab, v) for (lab, _), v in
+                        zip(spectrum.levels, values)],
+                       unit=spectrum.unit, denominator=denominator)
     amps = dict(state.entries)
     return shifted, StateDecomposition(
         shifted, [amps.get(lab, 0) for lab, _ in spectrum.levels])

@@ -14,12 +14,12 @@ import numpy as np
 from conftest import (
     ACCEPTANCE_LINES,
     circ,
+    exact_spectrum,
     level,
     random_exact_fixture,
     random_fraction,
 )
 from aaphase.constraints import (
-    PartialSpectrum,
     constrain_unknown,
     enumerate_candidates,
     gauge_to_zero_phi,
@@ -74,7 +74,7 @@ def _bounded_fixture(rng, min_levels, max_levels, max_num, max_den, cap):
             if v not in values:
                 values.append(v)
         labels = [f"L{i}" for i in range(count)]
-        spectrum = Spectrum(levels=list(zip(labels, values)), unit=1.0)
+        spectrum = exact_spectrum(list(zip(labels, values)))
         amps = rng.normal(size=count) + 1j * rng.normal(size=count)
         amps /= np.linalg.norm(amps)
         state = StateDecomposition(spectrum, amps)
@@ -320,15 +320,14 @@ def test_criterion_09_three_mirror_approximate_regime():
 
 
 def test_criterion_10_constraint_solver_control():
-    ps = PartialSpectrum(known=[("l1", 2), ("l2", 3)])
-    best = enumerate_candidates(ps, 16)[0]
-    spectrum = Spectrum(levels=[("l1", Fraction(2)), ("l2", Fraction(3))],
-                        unit=1.0)
+    # one record feeds the solver and the engine
+    spectrum = Spectrum(levels=[("l1", 2), ("l2", 3)], unit=1.0)
+    best = enumerate_candidates(spectrum, 16)[0]
     state = StateDecomposition(spectrum, [0.6, 0.8])
     rep = geometric_phase(spectrum, state)
     checks = [best.tau_cycles == rep.tau_cycles,
               best.phi_over_pi == rep.phi_over_pi]
-    gauged = gauge_to_zero_phi(best, ps)
+    gauged = gauge_to_zero_phi(best, spectrum)
     quantum = gauged.lam1 / gauged.n
     checks.append(all(constrain_unknown(gauged, k * quantum)
                       for k in range(-25, 26)))

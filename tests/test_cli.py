@@ -1534,6 +1534,11 @@ def _has_stray_key_or_section(text):
                      "two_mirror.ini")),
     # a tests-only config whose grid spreads the fine pass over chunks
     ("three_mirror_long_period.ini.verify", ["verify"]),
+    # tests-only configs whose exact levels go over one common denominator:
+    # a float merging onto a rational level, and three known eigenvalues
+    *((f"raw_mixed_denominators.ini.{command}", [command])
+      for command in ("analyze", "verify")),
+    ("partial_three_known.ini.constrain", ["constrain", "--n-range", "8"]),
 ])
 def test_stdout_matches_golden(capsys, name, argv):
     """Reports stay byte-identical unless a change means to alter them.

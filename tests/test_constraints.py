@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from aaphase.constraints import (
     CyclicityCandidate,
-    PartialSpectrum,
     constrain_unknown,
     enumerate_candidates,
     gamma_candidates,
@@ -17,41 +16,54 @@ from aaphase.constraints import (
 )
 from aaphase.engine import Spectrum, StateDecomposition, geometric_phase
 
-from conftest import circ, reference_candidates, reference_gammas, \
-    reference_gauge
+from conftest import circ, exact_spectrum, reference_candidates, \
+    reference_gammas, reference_gauge
 
 TWO_PI = 2.0 * math.pi
 
 
 def two_known(a, b):
-    return PartialSpectrum(known=[("l1", a), ("l2", b)])
+    return exact_spectrum([("l1", a), ("l2", b)])
 
 
 class TestPartialSpectrum:
-    def test_two_tuples_infer_nonzero_flag(self):
-        ps = PartialSpectrum(known=[("a", Fraction(2)), ("b", 0)])
-        assert ps.known == (("a", Fraction(2)), ("b", Fraction(0)))
-        assert ps.eigenvalues == (Fraction(2), Fraction(0))
+    def test_known_levels_share_one_denominator(self):
+        # the solver reads the first two levels as numerators over the
+        # spectrum's denominator; a third known level rescales all three
+        ps = exact_spectrum([("a", Fraction(2)), ("b", 0)])
+        assert ps.levels == (("a", 2), ("b", 0)) and ps.denominator == 1
+        pair = two_known(Fraction(1, 3), Fraction(5, 7))
+        three = exact_spectrum([("l1", Fraction(1, 3)), ("l2", Fraction(5, 7)),
+                                ("l3", Fraction(9, 11))])
+        assert (pair.denominator, three.denominator) == (21, 231)
+        assert enumerate_candidates(three, 4) == enumerate_candidates(pair, 4)
 
     @pytest.mark.parametrize("unit", [0.0, -1.0, math.inf, math.nan])
     def test_unit_positive_and_finite(self, unit):
         with pytest.raises(ValueError, match="unit"):
-            PartialSpectrum(known=[("a", 1)], unit=unit)
+            exact_spectrum([("a", 1)], unit=unit)
 
     def test_float_eigenvalue_rejected(self):
-        with pytest.raises(TypeError, match="rationalize"):
-            PartialSpectrum(known=[("a", 0.5)])
+        for a, b in ((0.5, 1), (1, 0.5)):
+            with pytest.raises(TypeError, match="rationalize"):
+                enumerate_candidates(two_known(a, b))
 
     def test_duplicates_rejected(self):
+        ps = two_known(Fraction(1, 2), Fraction(2, 4))
         with pytest.raises(ValueError, match="distinct"):
-            two_known(Fraction(1, 2), Fraction(2, 4))
+            enumerate_candidates(ps)
+        cand = enumerate_candidates(two_known(2, 3))[0]
+        for solve in (gauge_to_zero_phi,
+                      lambda c, p: gamma_candidates(c, Fraction(1), p)):
+            with pytest.raises(ValueError, match="distinct"):
+                solve(cand, ps)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            PartialSpectrum(known=[])
+            exact_spectrum([])
 
     def test_single_value_cannot_enumerate(self):
-        ps = PartialSpectrum(known=[("a", 1)])
+        ps = exact_spectrum([("a", 1)])
         with pytest.raises(ValueError, match="two known"):
             enumerate_candidates(ps)
 

@@ -21,7 +21,7 @@ from aaphase.engine import (
     geometric_phase,
 )
 from aaphase.models import free_field
-from conftest import circ, level
+from conftest import circ, exact_spectrum, level
 from paper import (
     gamma_from_single_eigenvalue_phi,
     gamma_from_single_eigenvalue_tau,
@@ -39,7 +39,7 @@ def fields(record):
 
 
 def spectrum2(va, vb, unit=1.0):
-    return Spectrum(levels=[("a", va), ("b", vb)], unit=unit)
+    return exact_spectrum([("a", va), ("b", vb)], unit=unit)
 
 
 def equal_state(spectrum):
@@ -50,11 +50,20 @@ def equal_state(spectrum):
 
 class TestSpectrumValidation:
     def test_coercion(self):
-        sp = Spectrum(levels=[("a", 2), ("b", "3/4"), ("c", 0.25)])
+        # exact values reach the spectrum as int numerators over one
+        # denominator; floats pass through
+        sp = exact_spectrum([("a", 2), ("b", "3/4"), ("c", 0.25)])
+        assert sp.levels == (("a", 8), ("b", 3), ("c", 0.25))
+        assert sp.denominator == 4
         assert level(sp, "a") == Fraction(2)
         assert level(sp, "b") == Fraction(3, 4)
         v = level(sp, "c")
         assert isinstance(v, float) and v == 0.25
+        # the spectrum itself coerces nothing
+        for bad in (("b", Fraction(3, 4)), ("b", "3/4"), ("b", True),
+                    ("b", np.int64(3)), ("b", np.float64(0.25)), (3, 3)):
+            with pytest.raises(ValueError, match="int numerator or float"):
+                Spectrum(levels=[("a", 2), bad])
 
     def test_labels_unique(self):
         with pytest.raises(ValueError, match="unique"):
@@ -71,18 +80,16 @@ class TestSpectrumValidation:
             Spectrum(levels=[("a", 1)], unit=math.inf)
 
     def test_rationals_share_one_denominator(self):
-        sp = Spectrum(levels=[("a", "1/2"), ("b", Fraction(-2, 3)),
-                              ("c", 0.25), ("d", 5)])
+        sp = exact_spectrum([("a", "1/2"), ("b", Fraction(-2, 3)),
+                             ("c", 0.25), ("d", 5)])
         assert sp.denominator == 6
         assert sp.levels == (("a", 3), ("b", -4), ("c", 0.25), ("d", 30))
         assert all(type(v) in (int, float) for _, v in sp.levels)
         # ints given with a denominator are numerators over it
         sp = Spectrum(levels=[("a", 3), ("b", 5)], denominator=4)
         assert sp.levels == (("a", 3), ("b", 5)) and sp.denominator == 4
-        sp = Spectrum(levels=[("a", 3), ("b", Fraction(1, 6))], denominator=4)
-        assert sp.denominator == 12
         assert (level(sp, "a"), level(sp, "b")) == (Fraction(3, 4),
-                                                    Fraction(1, 6))
+                                                    Fraction(5, 4))
 
     def test_denominator_positive_integer(self):
         for bad in (0, -2, 1.5):
@@ -133,8 +140,8 @@ class TestStateValidation:
     def test_state_keeps_its_distinct_values(self):
         # the float 0.5 merges onto the rational 1/2 seen first, the
         # numerator 1 over the denominator 2; the unoccupied 1.0 is ignored
-        sp = Spectrum(levels=[("a", "1/2"), ("b", 0.5), ("c", 1.0),
-                              ("d", math.sqrt(2))])
+        sp = exact_spectrum([("a", "1/2"), ("b", 0.5), ("c", 1.0),
+                             ("d", math.sqrt(2))])
         state = StateDecomposition(sp, [0.6, 0.48, 0.0, 0.64])
         assert [lab for lab, _ in state.entries] == ["a", "b", "d"]
         root = Fraction(math.sqrt(2)) * 2
@@ -154,12 +161,12 @@ class TestStateValidation:
 
 class TestCyclicality:
     def test_stationary_single_level(self):
-        sp = Spectrum(levels=[("g", Fraction(5, 3))])
+        sp = exact_spectrum([("g", Fraction(5, 3))])
         st_ = StateDecomposition(sp, [1.0])
         assert check_cyclicality(sp, st_).kind == "stationary"
 
     def test_stationary_degenerate_levels(self):
-        sp = Spectrum(levels=[("g", "1/2"), ("h", "1/2")])
+        sp = exact_spectrum([("g", "1/2"), ("h", "1/2")])
         st_ = StateDecomposition(sp, EQUAL)
         assert check_cyclicality(sp, st_).kind == "stationary"
 
@@ -195,7 +202,7 @@ class TestCyclicality:
     ])
     def test_equal_float_and_fraction_values_merge(self, values, verdict):
         labels = [f"L{i}" for i in range(len(values))]
-        sp = Spectrum(levels=list(zip(labels, values)))
+        sp = exact_spectrum(list(zip(labels, values)))
         got = check_cyclicality(sp, equal_state(sp))
         assert (f"{got.kind}({got.reason})" if got.reason
                 else got.kind) == verdict
@@ -283,7 +290,7 @@ class TestSpinHalfSpectrum:
 
 class TestThreeLevelExact:
     def test_spacing_lcm(self):
-        sp = Spectrum(levels=[("a", 0), ("b", 1), ("c", "3/2")])
+        sp = exact_spectrum([("a", 0), ("b", 1), ("c", "3/2")])
         st_ = StateDecomposition(sp, [0.7, 0.7, math.sqrt(0.02)])
         rep = geometric_phase(sp, st_)
         # inverse spacings {1, 2/3, 2} -> L = 2
@@ -297,7 +304,7 @@ class TestStationary:
         # float levels too: 1 - 49.0*(1/49.0) is not 0 in floats
         for lam, n in ((Fraction(5, 3), 1), (49.0, 1), (2.5, 1),
                        (Fraction(-5, 3), -1)):
-            sp = Spectrum(levels=[("g", lam)])
+            sp = exact_spectrum([("g", lam)])
             st_ = StateDecomposition(sp, [1.0])
             rep = geometric_phase(sp, st_)
             assert rep.stationary
@@ -402,7 +409,7 @@ def exact_fixtures(draw):
     norm_sq = sum(a * a + b * b for a, b in re_im)
     scale = 1.0 / math.sqrt(norm_sq)
     labels = [f"L{i}" for i in range(n)]
-    spectrum = Spectrum(levels=list(zip(labels, values)))
+    spectrum = exact_spectrum(list(zip(labels, values)))
     state = StateDecomposition(
         spectrum, [complex(a, b) * scale for a, b in re_im])
     weights = {lab: Fraction(a * a + b * b, norm_sq)
@@ -453,7 +460,7 @@ def test_gamma_against_exact_recomputation(fix):
                 min_size=2, max_size=8, unique=True))
 def test_reference_spacing_lcm_equals_all_pairs_lcm(values):
     labels = [f"L{i}" for i in range(len(values))]
-    spectrum = Spectrum(levels=list(zip(labels, values)))
+    spectrum = exact_spectrum(list(zip(labels, values)))
     state = equal_state(spectrum)
     pairs = [a - b for i, a in enumerate(values) for b in values[i + 1:]]
     assert geometric_phase(spectrum, state).tau_cycles == \
@@ -498,7 +505,7 @@ def exact_spectra(draw):
 @given(exact_spectra())
 def test_integer_branch_data_matches_fraction_reference(values):
     labels = [f"L{i}" for i in range(len(values))]
-    spectrum = Spectrum(levels=list(zip(labels, values)))
+    spectrum = exact_spectrum(list(zip(labels, values)))
     rep = geometric_phase(spectrum, equal_state(spectrum))
     L, phi_over_pi, ns = fraction_branch_reference(values)
     assert isinstance(rep.tau_cycles, Fraction) and rep.tau_cycles == L

@@ -1,4 +1,5 @@
-"""Exact rational arithmetic: parsing, LCM, rationalization."""
+"""Exact rational arithmetic: parsing, LCM, rationalization, and the
+common-denominator form of exact levels."""
 
 import math
 from fractions import Fraction
@@ -9,6 +10,7 @@ from hypothesis import given, strategies as st
 from aaphase.rational import (
     IncommensurableError,
     format_rational,
+    over_one_denominator,
     parse_rational,
     rationalize,
 )
@@ -147,3 +149,22 @@ class TestRationalize:
         # float round trip at tolerance 1e-9
         assert rationalize(float(f), 400, 1e-9) == f
 
+
+
+class TestOverOneDenominator:
+    def test_mixed_values(self):
+        # rationals become int numerators over the lcm; floats stay
+        got = over_one_denominator(Fraction(1, 1024), 0.0009765625,
+                                   Fraction(3, 7), 2)
+        assert got == (7, 0.0009765625, 3072, 14336, 7168)
+        assert [type(v) for v in got] == [int, float, int, int, int]
+
+    def test_no_rational_gives_denominator_one(self):
+        assert over_one_denominator() == (1,)
+        assert over_one_denominator(0.5, -2.25) == (0.5, -2.25, 1)
+
+    @given(st.lists(fractions_st, min_size=1, max_size=6))
+    def test_numerators_over_lcm_round_trip(self, values):
+        *numerators, d = over_one_denominator(*values)
+        assert d == math.lcm(*(v.denominator for v in values))
+        assert [Fraction(p, d) for p in numerators] == values

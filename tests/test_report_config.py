@@ -356,9 +356,28 @@ class TestPartialSpectrumConfig:
                 "[partial_spectrum]\nknown = 2 3\ntrials = 3 1/2 2 0\n"
                 "mean_energy = 5/2\n")
         run = load_config(write_config(tmp_path, text))
-        assert run.partial.eigenvalues == (2, 3)
+        assert run.partial.levels == (("L1", 2), ("L2", 3))
+        assert run.partial.denominator == 1
         assert run.trials == (3, Fraction(1, 2), 2, 0)
         assert run.mean_energy_input == Fraction(5, 2)
+        # the known levels go over one common denominator
+        text = text.replace("known = 2 3", "known = 1/2 -1/3 3/4")
+        run = load_config(write_config(tmp_path, text))
+        assert run.partial.levels == (("L1", 6), ("L2", -4), ("L3", 9))
+        assert run.partial.denominator == 12
+
+    @pytest.mark.parametrize("known, message", [
+        ("", "at least one known eigenvalue required"),
+        ("2 2", "known eigenvalues must be distinct"),
+        ("2 3 3", "known eigenvalues must be distinct"),
+        ("1/2 2/4", "known eigenvalues must be distinct"),
+    ])
+    def test_empty_or_repeated_known_refused(self, tmp_path, known, message):
+        # the list is refused before the unit, also bad here, is checked
+        text = ("[run]\nmodel = partial_spectrum\n\n"
+                f"[partial_spectrum]\nknown = {known}\nunit = 0\n")
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            load_config(write_config(tmp_path, text))
 
     def test_decimal_mean_rationalizes(self, tmp_path):
         text = ("[run]\nmodel = partial_spectrum\n\n"

@@ -43,9 +43,15 @@ def displaced_params(**kw):
 
 
 class TestParams:
-    def test_int_ratios_coerce_to_fractions(self):
+    def test_int_ratios_stay_exact(self):
+        # ints are exact as given: over_one_denominator takes them
         p = ThreeMirrorParams(rho_D=2, rho_S=3, kappa_D=0, kappa_S=0)
-        assert isinstance(p.rho_D, Fraction) and p.exact_family
+        assert type(p.rho_D) is int and type(p.kappa_S) is int
+        assert p.exact_family
+        spectrum, _ = three_mirror_exact(ThreeMirrorParams(
+            rho_D=2, rho_S=3, kappa_D=1, mu=0.1, truncations=(3, 3, 30)))
+        assert spectrum.denominator == 1
+        assert level(spectrum, "2,1,0") == 2 * 2 + 3 - 2 * 2
 
     def test_validation(self):
         with pytest.raises(ValueError, match="positive"):
@@ -61,6 +67,8 @@ class TestParams:
         assert not ThreeMirrorParams(rho_D=2, rho_S=3,
                                      kappa_S=Fraction(1, 4)).exact_family
         assert not ThreeMirrorParams(rho_D=2.0, rho_S=3).exact_family
+        assert not ThreeMirrorParams(rho_D=2, rho_S=3,
+                                     kappa_S=0.0).exact_family
         assert ThreeMirrorParams(rho_D=2, rho_S=3,
                                  kappa_D=Fraction(1, 2)).exact_family
 
